@@ -1,11 +1,13 @@
 """Pairwise kernel-matrix assembly with an optional compiled core.
 
-Assembling ``K[i, j] = k(|P_i - Q_j|)`` over tube point clouds is the
-dominant cost of the variational pipeline (it scales as the square of
-the cloud size), so the two primitives here dispatch to a Cython
-extension when it was built and to a numpy implementation otherwise.
-Both paths are exercised by the test suite and compared by
-``benchmarks/bench_kernels.py``.
+The primitives build ``K[i, j] = k(|P_i - Q_j|)`` between two point
+clouds. Radial tube forms on meshes with a ring layout only need the
+slice against one azimuth (see :mod:`shellbound.rayleigh_ritz`); the
+shell operator, non-radial potentials and spin-orbit tube forms still
+assemble square matrices, quadratic in the cloud size. The primitives
+dispatch to a Cython extension when it was built and to a numpy
+implementation otherwise. Both paths are exercised by the test suite
+and compared by ``benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations

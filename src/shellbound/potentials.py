@@ -43,8 +43,10 @@ class Potential:
         analytic constructors, measured for tabulated input.
     params : dict
     is_radial : bool
-        True when vhat depends on k only through |k| (enables the
-        circulant route on uniform circle meshes).
+        True when vhat depends on k only through |k|. Enables the
+        circulant spectrum on uniform circle meshes and the
+        block-circulant tube forms of ``rayleigh_ritz.certify`` on
+        meshes with a ring layout (``SurfaceMesh.rings``).
     band : float or None
         Largest per-axis |k| at which vhat is trusted; None means all of
         momentum space (analytic kinds).

@@ -12,6 +12,16 @@ with the shell-operator eigenvalues E_j, at a linear-in-eps rate: the
 kinetic term is O(eps) and the kernel smearing is O(eps) as well, so the
 convergence table reported by :func:`certify` should contract by about
 one half per halving of eps.
+
+The potential part of h(eps) pairs every tube point with every other.
+For a radial potential on a mesh with a ring layout
+(``SurfaceMesh.rings``, recorded by ``build_mesh``) that kernel is
+block-circulant in the azimuth index, so each eps costs one kernel slice
+of (M * T) x (rings * T) entries and an FFT over azimuth instead of the
+dense (M * T)^2 matrix; M is the mesh size and T the transverse order.
+On the circle (one ring) that is O(M T^2 log M). The result agrees with
+the dense product to roundoff. Non-radial potentials, hand-built meshes and a
+caller's ``kernel_fn`` keep the dense product.
 """
 
 from __future__ import annotations
@@ -92,6 +102,9 @@ class Certificate:
     ``certified_count`` equals the requested state count when some
     scheduled eps makes h(eps) negative definite, and 0 otherwise; a
     failed search is a reported result, not an exception.
+    ``top_eigenvalues`` holds the largest eigenvalue of each h(eps)
+    (``-inf`` for the empty form); h(eps) is negative definite exactly
+    when it is below zero.
     """
 
     requested: int
@@ -99,6 +112,7 @@ class Certificate:
     matrices: tuple
     limit_values: np.ndarray
     max_errors: tuple
+    top_eigenvalues: tuple
     certified_eps: float | None
     certified_count: int
 
@@ -132,16 +146,50 @@ def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
     return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
-def _potential(kernel_fn, chart, psi, profile, eps):
-    """h_pot for all column pairs of ``psi`` at once; one kernel matrix per eps."""
+def _potential(potential, chart, psi, profile, eps, kernel_fn=None):
+    """h_pot for all column pairs of ``psi`` at once.
+
+    A radial potential on a mesh with a ring layout takes the
+    block-circulant route; a ``kernel_fn`` override or a non-radial
+    potential gets one dense kernel matrix over the whole tube cloud.
+    """
     eps_abs, cloud, rho = _tube(chart, profile, eps)
     mesh = chart.mesh
-    count = cloud.shape[0] * cloud.shape[1]
-    flat = cloud.reshape(count, mesh.dimension)
     g = _cloud_weights(mesh, profile, rho)
-    kernel = np.asarray(kernel_fn(flat))
     columns = g[:, None] * np.repeat(psi, profile.order, axis=0)
+    if kernel_fn is None and potential.is_radial and mesh.rings:
+        return _block_circulant_form(potential, cloud, columns, mesh.rings)
+    if kernel_fn is None:
+        kernel_fn = potential.kernel_matrix
+    kernel = np.asarray(kernel_fn(cloud.reshape(-1, mesh.dimension)))
     return columns.conj().T @ kernel @ columns
+
+
+def _block_circulant_form(potential, cloud, columns, rings):
+    """``columns^H K columns`` for the radial tube kernel K, by an FFT over azimuth.
+
+    Cloud point (ring r, azimuth p, transverse node a) is point (r, 0, a)
+    turned by p azimuth steps, so a radial kernel between (r, p, a) and
+    (r', p', b) equals the one between (r, p - p' mod n, a) and
+    (r', 0, b): K is block-circulant, and its (M * T) x (rings * T) slice
+    against the azimuth-0 points holds all of it. The FFT over azimuth
+    splits K into n blocks of size (rings * T)^2, and by Parseval the
+    form is the mean over azimuth frequencies of the blockwise forms.
+    """
+    nodes, order, dimension = cloud.shape
+    n_phi = nodes // rings
+    width = rings * order
+    count = columns.shape[1]
+    points = cloud.reshape(rings, n_phi, order, dimension)
+    kernel = np.asarray(potential.kernel_matrix(
+        cloud.reshape(-1, dimension), points[:, 0].reshape(width, dimension)
+    ))
+    blocks = kernel.reshape(rings, n_phi, order, width).swapaxes(0, 1).reshape(n_phi, width, width)
+    stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
+    blocks_hat = np.fft.fft(blocks, axis=0)
+    stacked_hat = np.fft.fft(stacked, axis=0)
+    form = (stacked_hat.conj().swapaxes(1, 2) @ (blocks_hat @ stacked_hat)).sum(axis=0) / n_phi
+    return form if np.iscomplexobj(kernel) or np.iscomplexobj(columns) else form.real
 
 
 def kinetic_form(symbol: DispersionSymbol, chart: TubularChart, psi_j, psi_k,
@@ -170,8 +218,7 @@ def potential_form(potential: Potential, chart: TubularChart, psi_j, psi_k,
     """
     require_band(potential, 2.0 * (chart.mesh.radius + chart.half_width))
     psi = np.stack([np.asarray(psi_j), np.asarray(psi_k)], axis=1)
-    block = _potential(lambda pts: potential.kernel_matrix(pts), chart, psi, profile, eps)
-    return complex(block[0, 1])
+    return complex(_potential(potential, chart, psi, profile, eps)[0, 1])
 
 
 def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
@@ -197,7 +244,9 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         spin-orbit certifier uses.
     energy_fn, minimum, kernel_fn : optional
         Overrides for the band energy, its minimum, and the kernel
-        matrix builder (used for matrix-symbol Hamiltonians).
+        matrix builder (used for matrix-symbol Hamiltonians). A
+        ``kernel_fn`` is called on the whole tube cloud, so it always
+        takes the dense product.
 
     Returns
     -------
@@ -243,18 +292,18 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         minimum = symbol.find_minimum()[0]
     if kernel_fn is None:
         require_band(potential, 2.0 * (mesh.radius + chart.half_width))
-        kernel_fn = lambda pts: potential.kernel_matrix(pts)  # noqa: E731
 
     weights = mesh.weights
     matrices = []
     max_errors = []
+    top_eigenvalues = []
     certified_eps = None
     for eps in schedule:
         eps_abs, cloud, rho = _tube(chart, profile, eps)
         shifted = energy_fn(cloud) - minimum
         node_factor = (shifted @ (profile.weights * profile.values**2 * rho)) * weights / eps_abs
         h_kin = (psi.conj().T * node_factor) @ psi
-        h_pot = _potential(kernel_fn, chart, psi, profile, eps)
+        h_pot = _potential(potential, chart, psi, profile, eps, kernel_fn)
         h = h_kin + h_pot
         deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
         if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
@@ -264,8 +313,9 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         max_errors.append(
             float(np.abs(h - np.diag(limit_values)).max()) if h.size else 0.0
         )
-        negative_definite = h.size == 0 or float(np.linalg.eigvalsh(h)[-1]) < 0.0
-        if negative_definite and (certified_eps is None or eps > certified_eps):
+        top = float(np.linalg.eigvalsh(h)[-1]) if h.size else -np.inf
+        top_eigenvalues.append(top)
+        if top < 0.0 and (certified_eps is None or eps > certified_eps):
             certified_eps = eps
 
     return Certificate(
@@ -274,6 +324,7 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         matrices=tuple(matrices),
         limit_values=limit_values,
         max_errors=tuple(max_errors),
+        top_eigenvalues=tuple(top_eigenvalues),
         certified_eps=certified_eps,
         certified_count=n_states if certified_eps is not None else 0,
     )

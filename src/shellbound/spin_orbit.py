@@ -133,20 +133,35 @@ def band_decompose(symbol: MatrixSymbol, p):
     return p2 - gap, p2 + gap, u
 
 
+def _band_matrix(mesh: SurfaceMesh, kernel: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Weight-symmetrized band-projected matrix for one choice of frame gauge."""
+    sqrt_w = np.sqrt(mesh.weights)
+    projected = kernel * (frame.conj() @ frame.T)
+    return _hermitize(sqrt_w[:, None] * projected * sqrt_w[None, :], "band-projected operator matrix")
+
+
 def _assemble_with_frame(mesh: SurfaceMesh, potential: Potential,
                          frame: np.ndarray) -> SurfaceOperatorMatrix:
-    overlap = frame.conj() @ frame.T
-    kernel = np.asarray(potential.kernel_matrix(mesh.nodes)) * overlap
-    sqrt_w = np.sqrt(mesh.weights)
-    a = _hermitize(sqrt_w[:, None] * kernel * sqrt_w[None, :], "band-projected operator matrix")
+    a = _band_matrix(mesh, np.asarray(potential.kernel_matrix(mesh.nodes)), frame)
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     return SurfaceOperatorMatrix(
         mesh=mesh,
         matrix=a,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        eigenfunctions=eigenvectors / sqrt_w[:, None],
+        eigenfunctions=eigenvectors / np.sqrt(mesh.weights)[:, None],
     )
+
+
+def _check_problem(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential) -> None:
+    if mesh.dimension != 2 or potential.dimension != 2:
+        raise PreconditionError("spin-orbit operators live on 2-D momentum space")
+    _, radius = symbol.find_minimum()
+    if abs(mesh.radius - radius) > 1e-8 * max(1.0, radius):
+        raise PreconditionError(
+            f"mesh radius {mesh.radius:.6g} is not the band-minimum circle {radius:.6g}"
+        )
+    require_band(potential, 2.0 * mesh.radius)
 
 
 def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
@@ -157,14 +172,7 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
     for nonpositive V the spectrum is nonpositive (the overlap Gram
     factor preserves the sign of the quadratic form).
     """
-    if mesh.dimension != 2 or potential.dimension != 2:
-        raise PreconditionError("spin-orbit operators live on 2-D momentum space")
-    _, radius = symbol.find_minimum()
-    if abs(mesh.radius - radius) > 1e-8 * max(1.0, radius):
-        raise PreconditionError(
-            f"mesh radius {mesh.radius:.6g} is not the band-minimum circle {radius:.6g}"
-        )
-    require_band(potential, 2.0 * mesh.radius)
+    _check_problem(symbol, mesh, potential)
     return _assemble_with_frame(mesh, potential, band_frame(symbol, mesh.nodes))
 
 
@@ -174,15 +182,18 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
 
     The spectrum must be gauge invariant; this measures the numerical
     deviation over ``trials`` random diagonal-unitary regaugings of the
-    band frame.
+    band frame. The scalar kernel is built once and shared by all
+    gauges.
     """
-    base = assemble_spin_kernel(symbol, mesh, potential).eigenvalues
+    _check_problem(symbol, mesh, potential)
+    kernel = np.asarray(potential.kernel_matrix(mesh.nodes))
     frame = band_frame(symbol, mesh.nodes)
+    base = np.linalg.eigvalsh(_band_matrix(mesh, kernel, frame))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(trials)):
         phases = np.exp(2j * np.pi * rng.random(mesh.size))
-        spectrum = _assemble_with_frame(mesh, potential, frame * phases[:, None]).eigenvalues
+        spectrum = np.linalg.eigvalsh(_band_matrix(mesh, kernel, frame * phases[:, None]))
         worst = max(worst, float(np.abs(spectrum - base).max()))
     return worst
 

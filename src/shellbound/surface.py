@@ -34,6 +34,17 @@ class SurfaceMesh:
     uniform : bool
         True for the equal-weight uniform circle mesh; enables the
         circulant fast path.
+    rings : int
+        Ring x uniform-azimuth layout, 0 (the default) when none is
+        recorded. A positive value says the nodes are stored ring by
+        ring, ``rings`` rings of ``M / rings`` nodes, and node ``p`` of
+        a ring is node 0 of that ring turned by ``2 pi p / (M / rings)``
+        about the origin (2-D) or the z axis (3-D), with the same
+        weight. Radial kernels on such a mesh are block-circulant in the
+        azimuth index, which :func:`shellbound.rayleigh_ritz.certify`
+        uses for its tube forms. ``build_mesh`` records 1 ring of M
+        nodes for the circle and ``resolution`` rings of
+        ``2 * resolution`` nodes for the sphere.
     """
 
     dimension: int
@@ -41,6 +52,7 @@ class SurfaceMesh:
     nodes: np.ndarray
     weights: np.ndarray
     uniform: bool
+    rings: int = 0
 
     @property
     def size(self) -> int:
@@ -80,7 +92,7 @@ def build_mesh(surface_radius, dimension: int, resolution: int) -> SurfaceMesh:
         angles = 2.0 * np.pi * np.arange(resolution) / resolution
         nodes = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         weights = np.full(resolution, 2.0 * np.pi * radius / resolution)
-        return SurfaceMesh(2, radius, nodes, weights, uniform=True)
+        return SurfaceMesh(2, radius, nodes, weights, uniform=True, rings=1)
     if dimension == 3:
         # int_S f domega = R^2 int_{-1}^{1} dc int_0^{2pi} dphi f(theta(c), phi)
         cos_nodes, cos_weights = np.polynomial.legendre.leggauss(resolution)
@@ -92,7 +104,7 @@ def build_mesh(surface_radius, dimension: int, resolution: int) -> SurfaceMesh:
         z = np.repeat(cos_nodes, n_phi)
         nodes = radius * np.stack([x, y, z], axis=1)
         weights = radius**2 * (2.0 * np.pi / n_phi) * np.repeat(cos_weights, n_phi)
-        return SurfaceMesh(3, radius, nodes, weights, uniform=False)
+        return SurfaceMesh(3, radius, nodes, weights, uniform=False, rings=resolution)
     raise ConfigurationError("dimension must be 2 or 3")
 
 

@@ -1,5 +1,7 @@
 """Trial-function forms and the negative-definiteness certificate."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -289,3 +291,144 @@ def test_certify_forced_states_shape_checks():
             2,
             states=(np.array([-1.0]), np.ones((mesh.size, 1))),
         )
+
+
+# ------------------------------------------------ block-circulant tube forms
+
+
+def _radial_potential(kind, dimension):
+    if kind == "gaussian-well":
+        return potentials.gaussian_well(1.0, 1.0, dimension)
+    if kind == "ball-well":
+        return potentials.ball_well(1.0, 1.0, dimension)
+    return potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3, dimension)
+
+
+def _shell_symbol(dimension):
+    return symbols.mexican_hat(1.0) if dimension == 2 else symbols.roton(1.0, 0.5, 1.0)
+
+
+def _without_layout(mesh):
+    # same nodes and weights, no recorded layout: the dense reference
+    return dataclasses.replace(mesh, rings=0)
+
+
+def _assert_same_certificate(fast, dense):
+    assert len(fast.matrices) == len(dense.matrices)
+    for a, b in zip(fast.matrices, dense.matrices):
+        assert a.shape == b.shape
+        assert a.dtype == b.dtype
+        if b.size:
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    assert fast.certified_eps == dense.certified_eps
+    assert fast.certified_count == dense.certified_count
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record the (rows, columns) of every Potential.kernel_matrix call."""
+    calls = []
+    original = Potential.kernel_matrix
+
+    def spy(self, p, q=None, use_extension=None):
+        out = original(self, p, q, use_extension)
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(Potential, "kernel_matrix", spy)
+    return calls
+
+
+def test_build_mesh_records_ring_layout():
+    assert surface.build_mesh(1.0, 2, 32).rings == 1
+    assert surface.build_mesh(1.0, 3, 8).rings == 8
+    hand_built = surface.SurfaceMesh(2, 1.0, np.eye(2), np.ones(2), uniform=False)
+    assert hand_built.rings == 0
+
+
+@pytest.mark.parametrize("kind", ["gaussian-well", "ball-well", "dimple-mix"])
+@pytest.mark.parametrize("dimension, resolution", [(2, 32), (2, 64), (3, 8)])
+def test_block_circulant_certify_matches_dense(dimension, resolution, kind):
+    mesh = surface.build_mesh(1.0, dimension, resolution)
+    sym = _shell_symbol(dimension)
+    pot = _radial_potential(kind, dimension)
+    fast = rr.certify(sym, pot, mesh, 3)
+    dense = rr.certify(sym, pot, _without_layout(mesh), 3)
+    _assert_same_certificate(fast, dense)
+    assert fast.matrices[0].dtype == np.float64  # real states keep a real form
+    for h, top in zip(fast.matrices, fast.top_eigenvalues):
+        assert top == float(np.linalg.eigvalsh(h)[-1])
+
+
+@pytest.mark.parametrize("dimension, resolution", [(2, 32), (3, 8)])
+def test_block_circulant_complex_states_match_dense(dimension, resolution):
+    mesh = surface.build_mesh(1.0, dimension, resolution)
+    rng = np.random.default_rng(11)
+    vectors = rng.standard_normal((mesh.size, 3)) + 1j * rng.standard_normal((mesh.size, 3))
+    states = (np.array([-1.0, -0.5, -0.25]), vectors)
+    sym = _shell_symbol(dimension)
+    pot = potentials.gaussian_well(1.0, 1.0, dimension)
+    fast = rr.certify(sym, pot, mesh, 3, states=states)
+    dense = rr.certify(sym, pot, _without_layout(mesh), 3, states=states)
+    _assert_same_certificate(fast, dense)
+    assert fast.matrices[0].dtype == np.complex128
+
+
+def test_block_circulant_zero_states():
+    mesh = surface.build_mesh(1.0, 3, 8)
+    pot = potentials.gaussian_well(1.0, 1.0, 3)
+    fast = rr.certify(_shell_symbol(3), pot, mesh, 0)
+    dense = rr.certify(_shell_symbol(3), pot, _without_layout(mesh), 0)
+    _assert_same_certificate(fast, dense)
+    assert fast.certified and fast.certified_eps == 0.2
+    assert fast.top_eigenvalues == (-np.inf,) * 4
+
+
+def test_block_circulant_potential_form_matches_dense():
+    mesh = surface.build_mesh(1.0, 2, 24)
+    profile = rr.TransverseProfile.build(12)
+    pot = potentials.gaussian_well(1.0, 1.0)
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
+    b = rng.standard_normal(mesh.size)
+    fast = rr.potential_form(pot, surface.tubular_chart(mesh), a, b, profile, 0.1)
+    dense = rr.potential_form(pot, surface.tubular_chart(_without_layout(mesh)), a, b, profile, 0.1)
+    assert abs(fast - dense) <= 1e-12 * abs(dense)
+
+
+def test_tabulated_potential_keeps_dense_path(kernel_calls):
+    samples, edge = 64, 16.0
+    axis = (np.arange(samples) - samples // 2) * (edge / samples)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    table = potentials.tabulated(-np.exp(-0.5 * (x**2 + y**2)), edge)
+    mesh = surface.build_mesh(1.0, 2, 16)
+    transverse = 8
+    states = (np.array([-1.0]), np.ones((mesh.size, 1)))
+    rr.certify(symbols.mexican_hat(1.0), table, mesh, 1, (0.2,),
+               transverse_order=transverse, states=states)
+    cloud = mesh.size * transverse
+    assert kernel_calls == [(cloud, cloud)]
+
+
+def test_hand_built_mesh_keeps_dense_path(kernel_calls):
+    circle = surface.build_mesh(1.0, 2, 16)
+    mesh = surface.SurfaceMesh(2, 1.0, circle.nodes, circle.weights, uniform=True)
+    transverse = 8
+    rr.certify(symbols.mexican_hat(1.0), potentials.gaussian_well(1.0, 1.0), mesh, 1,
+               (0.2,), transverse_order=transverse)
+    cloud = mesh.size * transverse
+    assert kernel_calls == [(mesh.size, mesh.size), (cloud, cloud)]
+
+
+@pytest.mark.parametrize("dimension, resolution", [(2, 64), (3, 8), (3, 24)])
+def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resolution):
+    # a dense tube kernel at resolution 24 would hold 13824^2 entries (1.5 GB)
+    mesh = surface.build_mesh(1.0, dimension, resolution)
+    transverse = 12
+    cert = rr.certify(_shell_symbol(dimension), potentials.gaussian_well(1.0, 1.0, dimension),
+                      mesh, 3, transverse_order=transverse)
+    assert cert.certified
+    bound = (mesh.size * transverse) * (mesh.rings * transverse)
+    tube_calls = [shape for shape in kernel_calls if shape != (mesh.size, mesh.size)]
+    assert tube_calls == [(mesh.size * transverse, mesh.rings * transverse)] * 4
+    assert all(rows * columns <= bound for rows, columns in kernel_calls)
