@@ -418,7 +418,7 @@ def _oracle_from_config(config, seed):
         "energy": outcome.energy,
         "eigenvalues": [float(v) for v in outcome.eigenvalues],
         "residuals": [float(r) for r in outcome.residuals],
-        "residual_tolerance": 1e-8 * ham.spectral_scale,
+        "residual_tolerance": outcome.tolerance,
         "count": outcome.count,
         "is_lower_bound": outcome.is_lower_bound,
     }

@@ -82,10 +82,14 @@ class GridHamiltonian:
 class CountResult:
     """Bound-state count with its diagnostics.
 
-    ``is_lower_bound`` is set when the reported count can only be a
-    lower bound: either some requested eigenvalue did not converge, or
-    every computed eigenvalue lies below the threshold so more may
-    follow beyond the window.
+    ``count`` is backed by Kahan's bound: the c lowest Ritz values
+    satisfy theta_c + ||R_{:,1..c}||_F < energy, so at least ``count``
+    eigenvalues of the grid operator lie below the energy.
+    ``is_lower_bound`` is set when the count did not settle: the
+    iteration budget ran out first (``budget_exhausted``), or every one
+    of the ``k_max`` Ritz values lies below the energy, so more states
+    may follow beyond the window. ``tolerance`` is the residual norm at
+    which an eigenpair counts as converged (1e-8 of the spectral scale).
     """
 
     count: int
@@ -94,6 +98,9 @@ class CountResult:
     residuals: np.ndarray
     energy: float
     delta: float
+    iterations: int
+    budget_exhausted: bool
+    tolerance: float
 
     def __int__(self) -> int:
         return self.count
@@ -223,7 +230,13 @@ def apply(ham: GridHamiltonian, psi) -> np.ndarray:
     return out.reshape(psi.shape) if flat_in else out[..., 0]
 
 
-def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, chunk: int = 50):
+def _residual_tolerance(ham: GridHamiltonian) -> float:
+    """Residual norm at which an eigenpair counts as converged."""
+    return 1e-8 * ham.spectral_scale
+
+
+def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,
+           done, chunk: int = 50):
     """Chunked block iteration for the k lowest states.
 
     A preconditioned block solver is used rather than a single-vector
@@ -231,11 +244,20 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, chunk: int = 5
     degeneracies and sits a tiny relative gap below a dense
     quasi-continuum, which stalls restarted single-vector iterations,
     while the exact free-resolvent preconditioner (diagonal in the dual
-    lattice) makes block convergence grid-independent. Stops on the
-    residuals of the wanted states only; the extra guard vectors chase
-    quasi-continuum states and need not converge.
+    lattice) makes block convergence grid-independent.
 
-    Returns (values, residuals, tolerance), values ascending.
+    After every chunk of ``chunk`` iterations the k wanted Ritz values
+    are sorted with their residual norms ||H x_i - theta_i x_i||, and
+    the iteration stops as soon as ``done(values, residuals)`` holds or
+    ``maxiter`` is spent. ``lowest_eigenvalues`` stops once every
+    residual is below ``tolerance``. ``count_below`` stops once its
+    count is settled: theta_c + ||R_{:,1..c}||_F < energy for the c
+    values below the energy (Kahan's bound, see ``_kahan_count``) and
+    theta_{c+1} - ||r_{c+1}|| > energy, so the guard value next to the
+    quasi-continuum need not converge. The extra guard vectors are
+    never tested.
+
+    Returns (values, residuals, iterations), values ascending.
     """
     size = ham.size
     guards = 4
@@ -257,7 +279,6 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, chunk: int = 5
 
     operator = LinearOperator((size, size), matvec=matmat, matmat=matmat, dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
-    tolerance = 1e-8 * ham.spectral_scale
     rng = np.random.default_rng(seed)
     basis = rng.standard_normal((size, block_size))
     values = np.full(block_size, np.nan)
@@ -283,9 +304,9 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, chunk: int = 5
         basis = basis[:, order]
         wanted = basis[:, :k]
         residuals = np.linalg.norm(matmat(wanted) - wanted * values[:k], axis=0)
-        if residuals.max() < tolerance:
+        if done(values[:k], residuals):
             break
-    return values[:k], residuals, tolerance
+    return values[:k], residuals, used
 
 
 def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
@@ -310,7 +331,9 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
         raise PreconditionError("k exceeds the discretization size")
     if ham.is_free:
         return np.sort(ham.symbol_table.ravel())[:k]
-    values, residuals, tolerance = _solve(ham, k, seed, maxiter)
+    tolerance = _residual_tolerance(ham)
+    values, residuals, _ = _solve(ham, k, seed, maxiter, tolerance,
+                                  lambda values, residuals: residuals.max() < tolerance)
     if residuals.max() >= tolerance:
         bad = int(np.count_nonzero(residuals >= tolerance))
         raise ConvergenceError(
@@ -322,13 +345,43 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     return values
 
 
+def _kahan_count(values: np.ndarray, residuals: np.ndarray, energy: float) -> tuple[int, bool]:
+    """Ritz values proven below ``energy``, and whether that count is final.
+
+    For orthonormal Ritz vectors with residual block R, Kahan's theorem
+    (Parlett, The Symmetric Eigenvalue Problem, Thm 11.5.2) puts c
+    eigenvalues within ||R_{:,1..c}||_F of theta_1..theta_c, so
+    theta_c + ||R_{:,1..c}||_F < energy proves that at least c
+    eigenvalues lie below the energy. The count is final once every
+    Ritz value below the energy is proven this way and either the next
+    one clears the energy by more than its residual norm,
+    theta_{c+1} - ||r_{c+1}|| > energy, or the window holds no next one.
+    """
+    below = int(np.count_nonzero(values < energy))
+    proven = int(np.count_nonzero(values + np.sqrt(np.cumsum(residuals**2)) < energy))
+    if proven < below:
+        return proven, False
+    return proven, bool(below == values.size or values[below] - residuals[below] > energy)
+
+
 def count_below(ham: GridHamiltonian, energy: float | None = None,
                 k_max: int = 16, seed: int = 0, maxiter: int = 1500) -> CountResult:
-    """Count converged eigenvalues strictly below an energy.
+    """Count eigenvalues strictly below an energy, stopping once the count settles.
 
     The default energy is ``m - delta``: the essential-spectrum edge
     minus the finite-box buffer, so quasi-continuum states piled up at
     the edge are not mistaken for bound states.
+
+    The block iteration stops as soon as the count is settled rather
+    than when every Ritz value meets the residual tolerance: the c Ritz
+    values below the energy satisfy theta_c + ||R_{:,1..c}||_F < energy,
+    which by Kahan's theorem proves c eigenvalues below it, and the next
+    Ritz value clears the energy by more than its residual norm. The
+    guard value just above the energy sits in the quasi-continuum and
+    need not converge. The reported count is always the Kahan-proven
+    one; ``is_lower_bound`` is set when the budget ran out before the
+    count settled (``budget_exhausted``) or when all ``k_max`` values
+    lie below the energy.
     """
     k_max = int(k_max)
     if not 1 <= k_max <= 64:
@@ -343,6 +396,7 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
         raise PreconditionError(
             "counting energy must stay below the free spectral floor plus |V|"
         )
+    tolerance = _residual_tolerance(ham)
     if ham.is_free:
         flat = np.sort(ham.symbol_table.ravel())[: max(k_max, 1)]
         count = int(np.count_nonzero(ham.symbol_table < energy))
@@ -353,16 +407,23 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
             residuals=np.zeros(min(k_max, flat.size)),
             energy=energy,
             delta=ham.delta,
+            iterations=0,
+            budget_exhausted=False,
+            tolerance=tolerance,
         )
-    values, residuals, tolerance = _solve(ham, k_max, seed, maxiter)
-    converged = residuals < tolerance
-    count = int(np.count_nonzero(values[converged] < energy))
-    exhausted = bool(converged.all() and values[-1] < energy)
+    values, residuals, iterations = _solve(
+        ham, k_max, seed, maxiter, tolerance,
+        lambda values, residuals: _kahan_count(values, residuals, energy)[1],
+    )
+    count, final = _kahan_count(values, residuals, energy)
     return CountResult(
         count=count,
-        is_lower_bound=bool((~converged).any() or exhausted),
+        is_lower_bound=not final or count == k_max,
         eigenvalues=values,
         residuals=residuals,
         energy=energy,
         delta=ham.delta,
+        iterations=iterations,
+        budget_exhausted=not final,
+        tolerance=tolerance,
     )

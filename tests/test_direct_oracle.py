@@ -237,3 +237,70 @@ def test_eigensolve_is_deterministic(dimple_ham):
     first = do.lowest_eigenvalues(dimple_ham, 4, seed=11, maxiter=900)
     second = do.lowest_eigenvalues(dimple_ham, 4, seed=11, maxiter=900)
     assert np.array_equal(first, second)
+
+
+@pytest.fixture(scope="module")
+def stall_ham():
+    # the oracle-stall benchmark problem: its 8th Ritz value sits just
+    # above the counting energy in the quasi-continuum and never meets
+    # the residual tolerance
+    return quiet_build(SYMBOL, potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_count_settles_before_the_guard_converges(stall_ham, seed):
+    # dense eigvalsh of the 4096^2 operator (perfbench/references.json,
+    # "oracle-stall") has 7 eigenvalues below m - delta = -3.07e-4 and the
+    # 8th at -3.6e-5
+    res = do.count_below(stall_ham, k_max=8, seed=seed)
+    assert res.count == 7
+    assert not res.is_lower_bound and not res.budget_exhausted
+    assert res.iterations <= 500
+    # Kahan's bound proves the 7 and the 8th Ritz value clears the energy
+    assert res.eigenvalues[6] + np.linalg.norm(res.residuals[:7]) < res.energy
+    assert res.eigenvalues[7] - res.residuals[7] > res.energy
+    assert res.tolerance == 1e-8 * stall_ham.spectral_scale
+
+
+def test_budget_exhaustion_flags_lower_bound(stall_ham):
+    res = do.count_below(stall_ham, k_max=8, maxiter=2)
+    assert res.is_lower_bound and res.budget_exhausted
+    assert res.iterations == 2
+    assert res.count <= 7
+
+
+def test_full_window_is_flagged(stall_ham):
+    # 7 states lie below the energy, so a window of 5 cannot see the rest
+    res = do.count_below(stall_ham, k_max=5)
+    assert res.count == 5
+    assert res.is_lower_bound and not res.budget_exhausted
+    assert np.all(res.eigenvalues < res.energy)
+
+
+def test_count_matches_dense_across_seeds(dimple_ham):
+    dense = do.apply(dimple_ham, np.eye(dimple_ham.size))
+    reference = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    for seed in (0, 1, 2, 5, 11):
+        res = do.count_below(dimple_ham, k_max=6, seed=seed)
+        assert res.count == int(np.count_nonzero(reference < res.energy))
+        assert not res.is_lower_bound
+
+
+def test_kahan_count_rule():
+    values = np.array([-1.0, -0.5, 0.1])
+    count, final = do._kahan_count(values, np.array([0.1, 0.1, 0.05]), 0.0)
+    assert (count, final) == (2, True)
+    # the Frobenius norm of the whole block must fit below the energy
+    count, final = do._kahan_count(values, np.array([0.1, 0.5, 0.05]), 0.0)
+    assert (count, final) == (1, False)
+    # the next value must clear the energy by more than its residual
+    assert do._kahan_count(values, np.array([0.1, 0.1, 0.2]), 0.0) == (2, False)
+    # a full window is final; the caller flags it as a lower bound
+    assert do._kahan_count(values[:2], np.array([0.1, 0.1]), 0.0) == (2, True)
+
+
+def test_free_count_reports_solver_fields():
+    ham = do.build_hamiltonian(SYMBOL, None, 51.2, 96)
+    res = do.count_below(ham)
+    assert res.iterations == 0 and not res.budget_exhausted
+    assert res.tolerance == 1e-8 * ham.spectral_scale
