@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.special import j1
 
 from . import kernels
 from .errors import ConfigurationError, InvalidInputError, OutOfBandError
@@ -233,6 +231,8 @@ def ball_well(c, radius, dimension: int = 2) -> Potential:
     if dimension == 2:
         # vhat(k) = -c R J1(R|k|)/|k|; series 1/2 - u^2/16 + u^4/384 near u = R|k| = 0
         def radial_vhat(kr):
+            from scipy.special import j1
+
             u = radius * kr
             small = u < 1e-2
             out = np.empty_like(u)
@@ -301,6 +301,8 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
     bound), and size ``edge`` large enough that the k-lattice resolves
     vhat's oscillation scale, else construction-time accuracy is lost.
     """
+    from scipy.interpolate import RegularGridInterpolator
+
     values = np.asarray(values, dtype=np.float64)
     edge = _positive("edge", edge)
     _check_dimension(dimension)

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConfigurationError,
@@ -79,6 +77,8 @@ class DispersionSymbol:
         """
         if self._minimum is not None:
             return self._minimum
+        from scipy.optimize import minimize_scalar
+
         lo, hi = self._bracket
         grid = np.linspace(lo, hi, 2048)
         values = self._radial(grid)
@@ -186,6 +186,8 @@ def custom_radial(radii, values, dimension: int = 2) -> DispersionSymbol:
     values : array_like
         Profile samples at ``radii``.
     """
+    from scipy.interpolate import CubicSpline
+
     radii = np.asarray(radii, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     _check_dimension(dimension)

@@ -124,12 +124,16 @@ def test_criterion_5_sign_changing_well():
 
 def test_criterion_6_counts_grow_with_box():
     start = time.perf_counter()
-    counts = []
+    results = []
     for edge, grid in ((30.0, 192), (45.0, 288), (60.0, 384)):
         ham = quiet_build(SYMBOL, WELL, edge, grid)
-        counts.append(int(direct_oracle.count_below(ham, k_max=8, maxiter=900)))
+        results.append(direct_oracle.count_below(ham, k_max=8, maxiter=900))
+    counts = [res.count for res in results]
     growing = all(b >= a for a, b in zip(counts, counts[1:]))
-    verdict(6, growing, f"counts {counts} weakly increase across boxes 30/45/60",
+    settled = not any(res.is_lower_bound for res in results)
+    verdict(6, growing and settled,
+            f"counts {counts} weakly increase across boxes 30/45/60, settled={settled} "
+            f"in {[res.iterations for res in results]} iterations",
             time.perf_counter() - start, 900.0)
 
 

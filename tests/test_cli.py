@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,17 @@ def test_seed_must_be_u64():
         cli.main(["run", "whatever.json", "--seed", "-1"])
     with pytest.raises(SystemExit):
         cli.main(["run", "whatever.json", "--seed", str(2**64)])
+
+
+def test_cli_import_leaves_optional_scipy_unloaded():
+    # interpolation, optimization and special functions serve only
+    # tabulated inputs, ball wells and profiles without a closed-form
+    # minimum, so importing the front end must not load them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, shellbound.cli; print(sorted(m for m in "
+             "('scipy.interpolate', 'scipy.optimize', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -262,6 +262,19 @@ def test_count_settles_before_the_guard_converges(stall_ham, seed):
     assert res.tolerance == 1e-8 * stall_ham.spectral_scale
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_weak_well_settles_in_one_chunk(seed):
+    # a half-depth well binds far less than a fixed unit preconditioner
+    # shift, with which all 1500 iterations run and 5 is flagged as a
+    # lower bound; dense eigvalsh of the 4096^2 operator has 5
+    # eigenvalues below m - delta = -3.07e-4 and the next pair at -2.95e-4
+    ham = quiet_build(SYMBOL, potentials.gaussian_well(0.5, 1.0, dimension=2), 40.0, 64)
+    res = do.count_below(ham, k_max=8, seed=seed)
+    assert res.count == 5
+    assert not res.is_lower_bound and not res.budget_exhausted
+    assert res.iterations <= 100
+
+
 def test_budget_exhaustion_flags_lower_bound(stall_ham):
     res = do.count_below(stall_ham, k_max=8, maxiter=2)
     assert res.is_lower_bound and res.budget_exhausted
