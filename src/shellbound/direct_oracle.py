@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import ConfigurationError, ConvergenceError, PreconditionError
 from .potentials import Potential
@@ -27,6 +26,8 @@ __all__ = [
     "apply",
     "lowest_eigenvalues",
     "count_below",
+    "LinearOperator",
+    "lobpcg",
 ]
 
 
@@ -90,6 +91,8 @@ class CountResult:
     of the ``k_max`` Ritz values lies below the energy, so more states
     may follow beyond the window. ``tolerance`` is the residual norm at
     which an eigenpair counts as converged (1e-8 of the spectral scale).
+    ``iterations`` is the exact number of block iterations run: the
+    stop rule is tested after each one.
     """
 
     count: int
@@ -235,50 +238,183 @@ def _residual_tolerance(ham: GridHamiltonian) -> float:
     return 1e-8 * ham.spectral_scale
 
 
-def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,
-           done, chunk: int = 50):
-    """Chunked block iteration for the k lowest states.
+class LinearOperator:
+    """A square real operator given by its action on a block of columns.
 
-    A preconditioned block solver is used rather than a single-vector
-    Krylov iteration: the low spectrum contains exact double
-    degeneracies and sits a tiny relative gap below a dense
-    quasi-continuum, which stalls restarted single-vector iterations,
-    while the exact free-resolvent preconditioner (diagonal in the dual
-    lattice) makes block convergence grid-independent.
+    ``matvec`` serves when no separate ``matmat`` is given; ``lobpcg``
+    only ever applies the operator to column blocks.
+    """
+
+    def __init__(self, shape, matvec, matmat=None, dtype=np.float64):
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self._matmat = matvec if matmat is None else matmat
+
+    def dot(self, x):
+        return self._matmat(x)
+
+
+def _orthonormalizer(block: np.ndarray) -> np.ndarray:
+    """Upper-triangular T with block @ T orthonormal (inverse Cholesky factor).
+
+    Raises ``np.linalg.LinAlgError`` when the columns are numerically
+    dependent, so that their Gram matrix is not positive definite.
+    """
+    return np.linalg.inv(np.linalg.cholesky(block.T @ block).T)
+
+
+def _column_norms(block: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", block, block))
+
+
+def _rayleigh_ritz(X, AX, W, AW, P=None, AP=None):
+    """The n lowest Ritz values on [X, W, P] and their coefficient columns.
+
+    X, W and P are orthonormal blocks, W orthogonal to X; AX, AW and AP
+    are the operator applied to them. Only the Gram blocks that this
+    does not fix are computed. Raises ``np.linalg.LinAlgError`` when
+    the Gram matrix of the basis is not positive definite.
+    """
+    n = X.shape[1]
+    upper_a = X.T @ AW
+    gram_a = np.block([[X.T @ AX, upper_a], [upper_a.T, W.T @ AW]])
+    gram_b = np.eye(n + W.shape[1])
+    if P is not None:
+        upper_a = np.vstack([X.T @ AP, W.T @ AP])
+        upper_b = np.vstack([X.T @ P, W.T @ P])
+        gram_a = np.block([[gram_a, upper_a], [upper_a.T, P.T @ AP]])
+        gram_b = np.block([[gram_b, upper_b], [upper_b.T, np.eye(P.shape[1])]])
+    inverse = np.linalg.inv(np.linalg.cholesky(gram_b))
+    reduced = inverse @ gram_a @ inverse.T
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return values[:n], inverse.T @ vectors[:, :n]
+
+
+def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
+    """Lowest eigenpairs of a symmetric operator by LOBPCG (numpy only).
+
+    Knyazev's locally optimal block preconditioned conjugate gradient
+    method (SIAM J. Sci. Comput. 23, 2001) for the ``X.shape[1]``
+    smallest eigenvalues of ``A``. Each iteration applies ``A`` once, to
+    the orthonormalized preconditioned residuals W = M R of the active
+    columns, and does Rayleigh-Ritz on [X, W, P], where P holds the W
+    and P parts of the previous step. A column whose residual norm falls
+    to ``tol`` is locked for good: it stays in X but adds no W or P
+    column. When P cannot be orthonormalized, or the Gram matrix with P
+    is not positive definite, the iteration goes on without P; when W
+    cannot be orthonormalized, ``np.linalg.LinAlgError`` propagates.
+
+    ``A`` and ``M`` are objects whose ``.dot`` acts on column blocks.
+    ``callback(values, vectors, residual_norms)`` is called after every
+    iteration, never on the start block, with the ascending Ritz values,
+    the Ritz vectors (orthonormalized again at every step) and the
+    residual norms ||A x - theta x|| of the recurrence for A X; a true
+    return value stops the iteration. It also stops after ``maxiter``
+    iterations or once every column is locked.
+
+    Returns (values, vectors) of the last iterate.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[1]
+    X = X @ _orthonormalizer(X)
+    AX = A.dot(X)
+    gram = X.T @ AX
+    values, coefficients = np.linalg.eigh(0.5 * (gram + gram.T))
+    X, AX = X @ coefficients, AX @ coefficients
+    P = AP = None
+    active = np.ones(n, dtype=bool)
+    residuals = AX - X * values
+    norms = _column_norms(residuals)
+    for _ in range(maxiter):
+        active &= norms > tol
+        if not active.any():
+            break
+        W = residuals if active.all() else residuals[:, active]
+        if M is not None:
+            W = M.dot(W)
+        W = W - X @ (X.T @ W)
+        W = W @ _orthonormalizer(W)
+        AW = A.dot(W)
+        with_p = None
+        if P is not None:
+            if not active.all():
+                P, AP = P[:, active], AP[:, active]
+            try:
+                to_orthonormal = _orthonormalizer(P)
+                P, AP = P @ to_orthonormal, AP @ to_orthonormal
+                with_p = _rayleigh_ritz(X, AX, W, AW, P, AP)
+            except np.linalg.LinAlgError:
+                P = AP = None  # this iteration goes on without P
+        values, coefficients = with_p or _rayleigh_ritz(X, AX, W, AW)
+        for_w = coefficients[n : n + W.shape[1]]
+        step_x, step_ax = W @ for_w, AW @ for_w
+        if P is not None:
+            step_x += P @ coefficients[n + W.shape[1] :]
+            step_ax += AP @ coefficients[n + W.shape[1] :]
+        X, AX = X @ coefficients[:n] + step_x, AX @ coefficients[:n] + step_ax
+        P, AP = step_x, step_ax
+        to_orthonormal = _orthonormalizer(X)
+        X, AX = X @ to_orthonormal, AX @ to_orthonormal
+        residuals = AX - X * values
+        norms = _column_norms(residuals)
+        if callback is not None and callback(values, X, norms):
+            break
+    return values, X
+
+
+def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float, done):
+    """Block iteration for the k lowest states.
+
+    A preconditioned block solver (``lobpcg``, numpy only) is used
+    rather than a single-vector Krylov iteration: the low spectrum
+    contains exact double degeneracies and sits a tiny relative gap
+    below a dense quasi-continuum, which stalls restarted single-vector
+    iterations, while the exact free-resolvent preconditioner (diagonal
+    in the dual lattice) makes block convergence grid-independent.
 
     The preconditioner is (H0 - min H0 + s)^-1 with s = 0.02 max|V|, so
     the shift scales with H: multiplying H0 and V by lambda multiplies s
     by lambda. A fixed unit shift is far larger than the binding
     energies the count must resolve (-3.5e-5 to -0.51 on a unit-depth
     Gaussian well), so it is almost flat across the shell band where
-    every bound state lives, and weak wells stalled until the budget ran
-    out. Iterations to settle ``count_below`` (range over seeds) on the
-    2-D mexican hat with a Gaussian well of depth c and width 1, box
-    40/p0, grid 64, k_max 8, for a fixed s = 1 and for s as multiples
-    of max|V|:
+    every bound state lives, and on the first three rows below the count
+    settles 5-10 times later. Iterations to settle ``count_below`` (range
+    over seeds) on the 2-D mexican hat with a Gaussian well of depth c
+    and width 1, box 40/p0, grid 64, k_max 8, for a fixed s = 1 and for
+    s as multiples of max|V|:
 
-        ======  ============  =====  =====  ====  ====  =========  ===
-        c, p0   fixed 1       0.001  0.005  0.01  0.02  0.04-0.05  0.08
-        ======  ============  =====  =====  ====  ====  =========  ===
-        1, 1    150-250       100    50     50    50    50         50
-        0.5, 1  1500 flagged  50     50     50    50    50         50
-        1, 0.5  250-300       100    50     50    50    50-100     100
-        1, 2    50            50     50     50    50    50         50
-        ======  ============  =====  =====  ====  ====  =========  ===
+        ======  =======  =====  =====  =====  =====  =====  =====  =====
+        c, p0   fixed 1  0.001  0.005  0.01   0.02   0.04   0.05   0.08
+        ======  =======  =====  =====  =====  =====  =====  =====  =====
+        1, 1    139-179  66-77  36-38  28     21-25  19-33  22-38  33-50
+        0.5, 1  169-183  26-30  18-19  15-16  18-19  22-25  24-29  33-38
+        1, 0.5  186-224  88-90  45-46  33     29-43  39-65  45-68  56-87
+        1, 2    18-21    40-41  20     15     12     9      8-9    7-8
+        ======  =======  =====  =====  =====  =====  =====  =====  =====
 
-    (12 seeds in the first row, 4 in the others; in the last row all
-    k_max values lie below the energy.)
+    (12 seeds in the first row, 4 in the others; each row gives the same
+    count at every shift and seed, 7, 5, 5 and 8, and in the last row
+    all k_max values lie below the energy, so that count is flagged.)
+    When the solver restarted every 50 iterations, dropping its search
+    directions, the fixed unit shift took 150-300 iterations on the
+    first and third rows and ran out of 1500 on the c = 0.5 well.
 
-    After every chunk of ``chunk`` iterations the k wanted Ritz values
-    are sorted with their residual norms ||H x_i - theta_i x_i||, and
-    the iteration stops as soon as ``done(values, residuals)`` holds or
-    ``maxiter`` is spent. ``lowest_eigenvalues`` stops once every
-    residual is below ``tolerance``. ``count_below`` stops once its
-    count is settled: theta_c + ||R_{:,1..c}||_F < energy for the c
-    values below the energy (Kahan's bound, see ``_kahan_count``) and
-    theta_{c+1} - ||r_{c+1}|| > energy, so the guard value next to the
+    After every iteration, never on the start block, the k wanted Ritz
+    values are tested with their residual norms ||H x_i - theta_i x_i||,
+    and the iteration stops as soon as ``done(values, residuals)`` holds
+    or ``maxiter`` is spent. The test first takes the norms of the
+    solver's recurrence for H X; when it passes, or the budget is
+    spent, the residuals are recomputed with a fresh apply of H to the
+    orthonormal Ritz vectors and ``done`` must hold again on them, so
+    the returned residuals and any Kahan proof drawn from them are
+    fresh. ``lowest_eigenvalues`` stops once every residual is below
+    ``tolerance``. ``count_below`` stops once its count is settled:
+    theta_c + ||R_{:,1..c}||_F < energy for the c values below the
+    energy (Kahan's bound, see ``_kahan_count``) and theta_{c+1} -
+    ||r_{c+1}|| > energy, so the guard value next to the
     quasi-continuum need not converge. The extra guard vectors are
-    never tested.
+    never tested. With ``maxiter`` 0 no iterate is tested: the values
+    are NaN and the residuals infinite.
 
     Returns (values, residuals, iterations), values ascending.
     """
@@ -304,33 +440,37 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     operator = LinearOperator((size, size), matvec=matmat, matmat=matmat, dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    basis = rng.standard_normal((size, block_size))
-    values = np.full(block_size, np.nan)
-    residuals = np.full(k, np.inf)
+    start = rng.standard_normal((size, block_size))
+    # wanted values, Ritz vectors, residual norms, and whether those norms
+    # come from a fresh apply
+    latest = (np.full(k, np.nan), None, np.full(k, np.inf), True)
     used = 0
-    while used < maxiter:
-        step = min(chunk, maxiter - used)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # per-chunk budget exhaustion is expected
-            try:
-                values, basis = lobpcg(
-                    operator, basis, M=preconditioner, largest=False,
-                    tol=0.5 * tolerance, maxiter=step,
-                )
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"block iteration broke down after {used} iterations: {exc}",
-                    eigenvalues=np.sort(values)[:k],
-                ) from exc
-        used += step
-        order = np.argsort(values)
-        values = values[order]
-        basis = basis[:, order]
-        wanted = basis[:, :k]
-        residuals = np.linalg.norm(matmat(wanted) - wanted * values[:k], axis=0)
-        if done(values[:k], residuals):
-            break
-    return values[:k], residuals, used
+
+    def fresh_residuals(values, vectors):
+        wanted = vectors[:, :k]
+        return np.linalg.norm(matmat(wanted) - wanted * values, axis=0)
+
+    def settled(values, vectors, residuals):
+        nonlocal latest, used
+        used += 1
+        latest = (values[:k], vectors, residuals[:k], False)
+        if used < maxiter and not done(values[:k], residuals[:k]):
+            return False
+        latest = (values[:k], vectors, fresh_residuals(values[:k], vectors), True)
+        return done(latest[0], latest[2])
+
+    try:
+        lobpcg(operator, start, M=preconditioner, tol=0.5 * tolerance, maxiter=maxiter,
+               callback=settled)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"block iteration broke down after {used} iterations: {exc}",
+            eigenvalues=latest[0],
+        ) from exc
+    values, vectors, residuals, fresh = latest
+    if not fresh:  # every column locked before the stop rule held
+        residuals = fresh_residuals(values, vectors)
+    return values, residuals, used
 
 
 def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,

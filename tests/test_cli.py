@@ -240,3 +240,28 @@ def test_cli_import_leaves_optional_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_and_oracle_count_load_no_scipy():
+    # the grid oracle's block eigensolver is numpy only, so neither the
+    # front end nor an oracle count on the oracle-stall problem loads scipy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "\n".join([
+        "import sys, warnings, shellbound.cli",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "after_import = scipy_modules()",
+        "from shellbound import direct_oracle, potentials, symbols",
+        "with warnings.catch_warnings():",
+        "    warnings.simplefilter('ignore')",
+        "    ham = direct_oracle.build_hamiltonian(",
+        "        symbols.mexican_hat(dimension=2, p0=1.0),",
+        "        potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 64)",
+        "count = direct_oracle.count_below(ham, k_max=8).count",
+        "print(after_import, scipy_modules(), count)",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[] [] 7"

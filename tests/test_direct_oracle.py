@@ -255,7 +255,7 @@ def test_count_settles_before_the_guard_converges(stall_ham, seed):
     res = do.count_below(stall_ham, k_max=8, seed=seed)
     assert res.count == 7
     assert not res.is_lower_bound and not res.budget_exhausted
-    assert res.iterations <= 500
+    assert res.iterations <= 40
     # Kahan's bound proves the 7 and the 8th Ritz value clears the energy
     assert res.eigenvalues[6] + np.linalg.norm(res.residuals[:7]) < res.energy
     assert res.eigenvalues[7] - res.residuals[7] > res.energy
@@ -317,3 +317,94 @@ def test_free_count_reports_solver_fields():
     res = do.count_below(ham)
     assert res.iterations == 0 and not res.budget_exhausted
     assert res.tolerance == 1e-8 * ham.spectral_scale
+
+
+def _doubled_spectrum_matrix(size=300, seed=5):
+    """A symmetric matrix with a known spectrum of doubled levels, rotated at random."""
+    rng = np.random.default_rng(seed)
+    levels = np.repeat(np.arange(1.0, size // 2 + 1), 2)
+    rotation, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    matrix = (rotation * levels) @ rotation.T
+    return 0.5 * (matrix + matrix.T), levels
+
+
+def test_lobpcg_finds_doubled_levels():
+    matrix, levels = _doubled_spectrum_matrix()
+    operator = do.LinearOperator(matrix.shape, matvec=matrix.dot, dtype=np.float64)
+    start = np.random.default_rng(0).standard_normal((matrix.shape[0], 10))
+    values, vectors = do.lobpcg(operator, start, tol=1e-9, maxiter=500)
+    assert values.shape == (10,) and vectors.shape == start.shape
+    np.testing.assert_allclose(values[:6], levels[:6], rtol=0.0, atol=1e-10)
+    # Kahan's bound in count_below assumes orthonormal Ritz vectors
+    assert np.abs(vectors.T @ vectors - np.eye(10)).max() < 1e-12
+    residuals = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
+    assert residuals[:6].max() < 1e-9
+
+
+def test_lobpcg_callback_sees_every_iteration_and_can_stop():
+    matrix, _ = _doubled_spectrum_matrix()
+    operator = do.LinearOperator(matrix.shape, matvec=matrix.dot)
+    start = np.random.default_rng(1).standard_normal((matrix.shape[0], 6))
+    seen = []
+
+    def record(values, vectors, residuals):
+        seen.append(residuals.copy())
+        return len(seen) == 3
+
+    do.lobpcg(operator, start, tol=1e-9, maxiter=500, callback=record)
+    assert len(seen) == 3  # never called on the start block, stopped on the third
+    seen.clear()
+    do.lobpcg(operator, start, tol=1e-9, maxiter=4, callback=lambda *step: seen.append(step))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("maxiter", [2, 1500])
+def test_solve_returns_fresh_residuals(stall_ham, monkeypatch, maxiter):
+    # the stop rule and the reported residuals use a fresh apply of H to
+    # the orthonormal Ritz vectors, not the solver's recurrence for H X
+    steps = []
+    solver = do.lobpcg
+
+    def spy(A, X, callback=None, **kwargs):
+        def record(values, vectors, residuals):
+            steps.append((values, vectors))
+            return callback(values, vectors, residuals)
+        return solver(A, X, callback=record, **kwargs)
+
+    monkeypatch.setattr(do, "lobpcg", spy)
+    tolerance = do._residual_tolerance(stall_ham)
+    energy = stall_ham.minimum - stall_ham.delta
+    values, residuals, used = do._solve(
+        stall_ham, 8, 0, maxiter, tolerance,
+        lambda values, residuals: do._kahan_count(values, residuals, energy)[1])
+    assert used == len(steps) <= maxiter
+    last_values, vectors = steps[-1]
+    wanted = vectors[:, :8]
+    assert np.array_equal(values, last_values[:8])
+    assert np.abs(vectors.T @ vectors - np.eye(vectors.shape[1])).max() < 1e-12
+    fresh = np.linalg.norm(do.apply(stall_ham, wanted) - wanted * values, axis=0)
+    np.testing.assert_allclose(residuals, fresh, rtol=1e-12, atol=0.0)
+
+
+def test_breakdown_raises_convergence_error(stall_ham, monkeypatch):
+    # a preconditioner that returns nothing leaves no search directions
+    # to orthonormalize, which the solver reports instead of stalling
+    solver = do.lobpcg
+
+    def without_directions(A, X, M=None, **kwargs):
+        zero = do.LinearOperator(A.shape, matvec=np.zeros_like)
+        return solver(A, X, M=zero, **kwargs)
+
+    monkeypatch.setattr(do, "lobpcg", without_directions)
+    with pytest.raises(ConvergenceError, match="broke down after 0 iterations") as info:
+        do.count_below(stall_ham, k_max=8)
+    assert info.value.eigenvalues.shape == (8,)
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 2])
+def test_start_block_never_settles_the_count(stall_ham, maxiter):
+    # the Ritz pairs of the random start block can all clear the energy by
+    # more than their residuals, which would read as a settled count of 0
+    res = do.count_below(stall_ham, k_max=8, maxiter=maxiter)
+    assert res.iterations <= maxiter
+    assert res.is_lower_bound or res.count == 7
