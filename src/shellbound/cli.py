@@ -431,7 +431,7 @@ def _task_oracle(config, seed):
 
 
 def _task_spin_orbit(config, seed):
-    from . import spin_orbit, surface, surface_operator as so
+    from . import spin_orbit, surface
     from .errors import ConfigurationError
 
     block = _block(config, "spin_orbit")
@@ -455,7 +455,6 @@ def _task_spin_orbit(config, seed):
         "band_minimum": minimum,
         "circle_radius": radius,
         "gauge_deviation": spin_orbit.gauge_deviation(symbol, mesh, potential, trials=20, seed=seed),
-        "negative_count": so.count_negative(operator),
     })
     return results, None, 0
 

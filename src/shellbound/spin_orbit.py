@@ -7,7 +7,12 @@ The matrix symbol is ``[[p^2, a(p)], [conj(a(p)), p^2]]`` with
 radial with minimum ``-alpha^2/4`` on the circle ``|p| = |alpha|/2``.
 Projecting onto the lower band turns the shell operator kernel into
 ``vhat(s - s') <u(s), u(s')>`` with the band eigenvector frame u; its
-spectrum is independent of the per-node phase gauge of u.
+spectrum is independent of the per-node phase gauge of u. Regauging by a
+diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
+``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
+``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``, with no
+eigensolve; the bound holds up to the rounding of each entry of
+``D^H A D``, a few units in the last place.
 """
 
 from __future__ import annotations
@@ -136,8 +141,11 @@ def band_decompose(symbol: MatrixSymbol, p):
 def _band_matrix(mesh: SurfaceMesh, kernel: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Weight-symmetrized band-projected matrix for one choice of frame gauge."""
     sqrt_w = np.sqrt(mesh.weights)
-    projected = kernel * (frame.conj() @ frame.T)
-    return _hermitize(sqrt_w[:, None] * projected * sqrt_w[None, :], "band-projected operator matrix")
+    projected = frame.conj() @ frame.T
+    projected *= kernel
+    projected *= sqrt_w[:, None]
+    projected *= sqrt_w[None, :]
+    return _hermitize(projected, "band-projected operator matrix")
 
 
 def _assemble_with_frame(mesh: SurfaceMesh, potential: Potential,
@@ -178,23 +186,39 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
 
 def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential,
                     trials: int = 20, seed: int = 0) -> float:
-    """Largest spectral deviation under random per-node phase regauging.
+    """Weyl bound on the spectral deviation under random per-node phase regauging.
 
-    The spectrum must be gauge invariant; this measures the numerical
-    deviation over ``trials`` random diagonal-unitary regaugings of the
-    band frame. The scalar kernel is built once and shared by all
-    gauges.
+    Regauging the band frame by a diagonal unitary D (``u_i -> d_i u_i``)
+    must turn the assembled matrix A into exactly ``D^H A D``, which has
+    the spectrum of A. Each of ``trials`` seeded regaugings assembles
+    A_theta afresh and takes ``||A_theta - D^H A D||_F``. By Weyl's
+    inequality every eigenvalue moves by at most that much:
+    ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_2
+    <= ||A_theta - D^H A D||_F``, up to the rounding of each entry of
+    ``D^H A D`` (a few units in the last place). The largest norm over
+    the trials is returned: a bound on how far any eigenvalue of a
+    regauged operator can move, not a sample of it. Each trial costs
+    O(M^2) and no eigensolve is made.
+
+    Raises
+    ------
+    PreconditionError
+        If ``trials < 1``, since zero trials would check nothing.
     """
+    if int(trials) < 1:
+        raise PreconditionError(f"gauge_deviation needs at least one trial, got {trials}")
     _check_problem(symbol, mesh, potential)
     kernel = np.asarray(potential.kernel_matrix(mesh.nodes))
     frame = band_frame(symbol, mesh.nodes)
-    base = np.linalg.eigvalsh(_band_matrix(mesh, kernel, frame))
+    base = _band_matrix(mesh, kernel, frame)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(trials)):
         phases = np.exp(2j * np.pi * rng.random(mesh.size))
-        spectrum = np.linalg.eigvalsh(_band_matrix(mesh, kernel, frame * phases[:, None]))
-        worst = max(worst, float(np.abs(spectrum - base).max()))
+        difference = np.outer(phases.conj(), phases)
+        difference *= base
+        difference -= _band_matrix(mesh, kernel, frame * phases[:, None])
+        worst = max(worst, float(np.linalg.norm(difference)))
     return worst
 
 

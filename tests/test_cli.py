@@ -174,6 +174,30 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert first == second
 
 
+def test_spin_orbit_run(tmp_path):
+    config = {
+        "task": "spin-orbit",
+        "spin_orbit": {"kind": "rashba", "alpha": 1.0},
+        "potential": WELL,
+        "surface": {"resolution": 64},
+    }
+    path = write_config(tmp_path, config)
+    for sub in ("a", "b"):
+        assert cli.main(["run", path, "--output", str(tmp_path / sub), "--seed", "5"]) == 0
+    first = (tmp_path / "a" / "spin-orbit.json").read_bytes()
+    assert first == (tmp_path / "b" / "spin-orbit.json").read_bytes()
+    results = json.loads(first)["results"]
+    assert set(results) == {
+        "mesh_size", "surface_radius", "eigenvalues", "negative_count", "threshold",
+        "kind", "alpha", "band_minimum", "circle_radius", "gauge_deviation",
+    }
+    assert results["mesh_size"] == 64
+    assert results["band_minimum"] == -0.25
+    assert results["circle_radius"] == 0.5
+    assert results["negative_count"] == 12
+    assert results["gauge_deviation"] <= 1e-10
+
+
 def test_config_errors_name_the_key(tmp_path, capsys):
     base = {
         "task": "rayleigh-ritz",

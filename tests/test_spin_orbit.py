@@ -94,6 +94,61 @@ def test_spectrum_is_gauge_invariant(circle):
     assert dev < 1e-10
 
 
+def _without_conjugate(mesh, kernel, frame):
+    # <u_i, u_j> computed as u_i . u_j; averaged by hand, since the
+    # result is complex symmetric and _hermitize would reject it
+    sqrt_w = np.sqrt(mesh.weights)
+    a = sqrt_w[:, None] * kernel * (frame @ frame.T) * sqrt_w[None, :]
+    return 0.5 * (a + a.conj().T)
+
+
+def _conjugate_on_the_wrong_factor(mesh, kernel, frame):
+    # Hermitian and a unitary similarity of the right matrix, so its
+    # spectrum is gauge invariant; only the matrix itself is wrong
+    sqrt_w = np.sqrt(mesh.weights)
+    projected = kernel * (frame @ frame.conj().T)
+    return surface_operator._hermitize(sqrt_w[:, None] * projected * sqrt_w[None, :], "test")
+
+
+@pytest.mark.parametrize("broken", [_without_conjugate, _conjugate_on_the_wrong_factor])
+def test_gauge_deviation_detects_a_broken_overlap(circle, monkeypatch, broken):
+    monkeypatch.setattr(spin_orbit, "_band_matrix", broken)
+    assert spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL) >= 0.1
+
+
+def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
+    # a fixed 1e-6 entry does not follow the regauging; Weyl's inequality
+    # says the returned norm is at least the largest eigenvalue shift
+    correct = spin_orbit._band_matrix
+
+    def perturbed(mesh, kernel, frame):
+        a = correct(mesh, kernel, frame).copy()
+        a[0, 1] += 1e-6
+        a[1, 0] += 1e-6
+        return a
+
+    monkeypatch.setattr(spin_orbit, "_band_matrix", perturbed)
+    symbol = spin_orbit.rashba(2.0)
+    bound = spin_orbit.gauge_deviation(symbol, circle, WELL, trials=20, seed=3)
+    kernel = np.asarray(WELL.kernel_matrix(circle.nodes))
+    frame = spin_orbit.band_frame(symbol, circle.nodes)
+    base = np.linalg.eigvalsh(perturbed(circle, kernel, frame))
+    rng = np.random.default_rng(3)
+    dense = 0.0
+    for _ in range(20):
+        phases = np.exp(2j * np.pi * rng.random(circle.size))
+        spectrum = np.linalg.eigvalsh(perturbed(circle, kernel, frame * phases[:, None]))
+        dense = max(dense, float(np.abs(spectrum - base).max()))
+    assert dense > 1e-8
+    assert bound >= dense
+    assert bound <= 2.0 * np.sqrt(2.0) * 1e-6 * 1.01
+
+
+def test_gauge_deviation_needs_a_trial(circle):
+    with pytest.raises(PreconditionError, match="trial"):
+        spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL, trials=0)
+
+
 def test_unit_overlap_reproduces_scalar_operator(circle):
     frame = np.zeros((circle.size, 2), dtype=np.complex128)
     frame[:, 0] = 1.0
