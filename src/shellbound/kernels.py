@@ -1,10 +1,13 @@
 """Pairwise kernel-matrix assembly with an optional compiled core.
 
 The primitives build ``K[i, j] = k(|P_i - Q_j|)`` between two point
-clouds. Radial tube forms on meshes with a ring layout only need the
-slice against one azimuth (see :mod:`shellbound.rayleigh_ritz`); the
-shell operator, non-radial potentials and spin-orbit tube forms still
-assemble square matrices, quadratic in the cloud size. The primitives
+clouds. Radial potentials on meshes with a ring layout only need slices
+against the azimuth-0 points: the shell operator takes an (M, rings)
+column block (see :mod:`shellbound.surface_operator`) and each tube
+form the slice for half the azimuths (see
+:mod:`shellbound.rayleigh_ritz`). Non-radial potentials, meshes without
+a layout, spin-orbit tube forms and the spin gauge check still assemble
+square matrices, quadratic in the cloud size. The primitives
 dispatch to a Cython extension when it was built and to a numpy
 implementation otherwise. Both paths are exercised by the test suite
 and compared by ``benchmarks/bench_kernels.py``.

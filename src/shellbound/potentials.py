@@ -42,9 +42,10 @@ class Potential:
     params : dict
     is_radial : bool
         True when vhat depends on k only through |k|. Enables the
-        circulant spectrum on uniform circle meshes and the
-        block-circulant tube forms of ``rayleigh_ritz.certify`` on
-        meshes with a ring layout (``SurfaceMesh.rings``).
+        circulant spectrum on uniform circle meshes, and on meshes with
+        a ring layout (``SurfaceMesh.rings``) the sector assembly of the
+        shell operator and the block-circulant tube forms of
+        ``rayleigh_ritz.certify``.
     band : float or None
         Largest per-axis |k| at which vhat is trusted; None means all of
         momentum space (analytic kinds).

@@ -16,12 +16,15 @@ one half per halving of eps.
 The potential part of h(eps) pairs every tube point with every other.
 For a radial potential on a mesh with a ring layout
 (``SurfaceMesh.rings``, recorded by ``build_mesh``) that kernel is
-block-circulant in the azimuth index, so each eps costs one kernel slice
-of (M * T) x (rings * T) entries and an FFT over azimuth instead of the
-dense (M * T)^2 matrix; M is the mesh size and T the transverse order.
-On the circle (one ring) that is O(M T^2 log M). The result agrees with
-the dense product to roundoff. Non-radial potentials, hand-built meshes and a
-caller's ``kernel_fn`` keep the dense product.
+block-circulant in the azimuth index and unchanged by the mirror
+p -> -p, so each eps costs one kernel slice of
+(rings * (n/2 + 1) * T) x (rings * T) entries (azimuths 0..n/2 of the n
+per ring), a real GEMM of the (n/2 + 1)^2 cosine table with that slice,
+and an FFT of the trial columns over azimuth, instead of the dense
+(M * T)^2 matrix; M is the mesh size and T the transverse order. The
+result agrees with the dense product to roundoff. Non-radial
+potentials, meshes without a layout and a caller's ``kernel_fn`` keep
+the dense product.
 """
 
 from __future__ import annotations
@@ -166,29 +169,47 @@ def _potential(potential, chart, psi, profile, eps, kernel_fn=None):
 
 
 def _block_circulant_form(potential, cloud, columns, rings):
-    """``columns^H K columns`` for the radial tube kernel K, by an FFT over azimuth.
+    """``columns^H K columns`` for the radial tube kernel K, one azimuthal frequency at a time.
 
     Cloud point (ring r, azimuth p, transverse node a) is point (r, 0, a)
     turned by p azimuth steps, so a radial kernel between (r, p, a) and
     (r', p', b) equals the one between (r, p - p' mod n, a) and
-    (r', 0, b): K is block-circulant, and its (M * T) x (rings * T) slice
-    against the azimuth-0 points holds all of it. The FFT over azimuth
-    splits K into n blocks of size (rings * T)^2, and by Parseval the
-    form is the mean over azimuth frequencies of the blockwise forms.
+    (r', 0, b): K is block-circulant, ``K[p, p'] = C[p - p']``, and its
+    slice against the azimuth-0 points holds all of it. Point (r, -p, a)
+    mirrors (r, p, a), so ``C[-p] = C[p]`` and the slice is evaluated
+    only for azimuths 0..n/2, (rings * (n/2 + 1) * T) x (rings * T)
+    entries. The cosine transform ``B_k = sum_p C[p] cos(2 pi k p / n)``
+    gives the frequency blocks for k = 0..n/2, with ``B_{n-k} = B_k``;
+    by Parseval the form is the mean over frequencies of
+    ``X_k^H B_k X_k``, where X_k is the FFT of the columns over azimuth.
     """
     nodes, order, dimension = cloud.shape
     n_phi = nodes // rings
+    half = n_phi // 2 + 1
     width = rings * order
     count = columns.shape[1]
     points = cloud.reshape(rings, n_phi, order, dimension)
     kernel = np.asarray(potential.kernel_matrix(
-        cloud.reshape(-1, dimension), points[:, 0].reshape(width, dimension)
+        points[:, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
     ))
-    blocks = kernel.reshape(rings, n_phi, order, width).swapaxes(0, 1).reshape(n_phi, width, width)
+    blocks = kernel.reshape(rings, half, order, width).swapaxes(0, 1).reshape(half, width * width)
+    k = np.arange(half)
+    # azimuths p and n - p share a block: weight 2, except p = 0 and p = n/2
+    multiplicity = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0)
+    cosines = np.cos(2.0 * np.pi * np.arange(n_phi) / n_phi)[np.outer(k, k) % n_phi]
+    blocks_hat = ((cosines * multiplicity) @ blocks).reshape(half, width, width)
+    # frequencies k and n - k share B_k, so both transforms go through one
+    # product; frequency 0 (and n/2) is then counted twice and halved
     stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
-    blocks_hat = np.fft.fft(blocks, axis=0)
     stacked_hat = np.fft.fft(stacked, axis=0)
-    form = (stacked_hat.conj().swapaxes(1, 2) @ (blocks_hat @ stacked_hat)).sum(axis=0) / n_phi
+    paired = np.stack([stacked_hat[:half], stacked_hat[-k]], axis=2).reshape(half, width, 2 * count)
+    if np.iscomplexobj(blocks_hat):
+        applied = blocks_hat @ paired
+    else:  # a real GEMM on the interleaved real and imaginary parts
+        applied = (blocks_hat @ paired.view(np.float64)).view(np.complex128)
+    applied *= np.where(multiplicity == 1.0, 0.5, 1.0)[:, None, None]
+    rows = 2 * half * width
+    form = paired.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
     return form if np.iscomplexobj(kernel) or np.iscomplexobj(columns) else form.real
 
 

@@ -7,7 +7,15 @@ The matrix symbol is ``[[p^2, a(p)], [conj(a(p)), p^2]]`` with
 radial with minimum ``-alpha^2/4`` on the circle ``|p| = |alpha|/2``.
 Projecting onto the lower band turns the shell operator kernel into
 ``vhat(s - s') <u(s), u(s')>`` with the band eigenvector frame u; its
-spectrum is independent of the per-node phase gauge of u. Regauging by a
+spectrum is independent of the per-node phase gauge of u. In the gauge
+of :func:`band_frame` the overlap depends only on the angle between s
+and s', so for a radial potential on the circle mesh the projected
+kernel is circulant and :func:`assemble_spin_kernel` diagonalizes it one
+azimuthal frequency at a time with
+:func:`shellbound.surface_operator.ring_operator`; tabulated potentials
+and meshes without a ring layout assemble the dense matrix. The tube
+forms of :func:`certify_spin` and the regauged matrices of
+:func:`gauge_deviation` stay dense. Regauging by a
 diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
 ``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
 ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``, with no
@@ -21,11 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GaugeSingularityError, PreconditionError
+from .errors import (
+    ConfigurationError,
+    ConsistencyError,
+    GaugeSingularityError,
+    PreconditionError,
+)
 from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
-from .surface_operator import SurfaceOperatorMatrix, _hermitize, count_negative
+from .surface_operator import (
+    SurfaceOperatorMatrix,
+    _dense_operator,
+    _hermitize,
+    count_negative,
+    ring_operator,
+)
 
 __all__ = [
     "MatrixSymbol",
@@ -148,17 +167,38 @@ def _band_matrix(mesh: SurfaceMesh, kernel: np.ndarray, frame: np.ndarray) -> np
     return _hermitize(projected, "band-projected operator matrix")
 
 
+def _require_turn_covariant(frame: np.ndarray, rings: int) -> None:
+    """Check in O(M) that the frame overlap depends only on the azimuth difference.
+
+    With ``frame[(r, p + 1), c] = g_c frame[(r, p), c]`` for one phase
+    g_c per component (cyclically in p, the same on every ring), the
+    overlap ``<u(r, p), u(r', p')> = sum_c conj(u(r, 0)_c) u(r', 0)_c
+    g_c^(p' - p)`` depends on p and p' only through p - p'. The gauge
+    of :func:`band_frame` has this form on a ring layout: its first
+    component is constant and its second turns with the azimuth.
+    """
+    f = frame.reshape(rings, -1, frame.shape[-1])
+    following = np.roll(f, -1, axis=1)
+    mass = np.einsum("rpc,rpc->c", f.conj(), f).real
+    step = np.einsum("rpc,rpc->c", f.conj(), following) / np.where(mass > 0.0, mass, 1.0)
+    deviation = np.abs(following - step * f).max()
+    if deviation > 1e-12 * max(1.0, np.abs(f).max()):
+        raise ConsistencyError(
+            f"band frame overlap depends on more than the azimuth difference "
+            f"(deviation {deviation:.3e}); the sector assembly needs a turn-covariant gauge"
+        )
+
+
 def _assemble_with_frame(mesh: SurfaceMesh, potential: Potential,
                          frame: np.ndarray) -> SurfaceOperatorMatrix:
-    a = _band_matrix(mesh, np.asarray(potential.kernel_matrix(mesh.nodes)), frame)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    return SurfaceOperatorMatrix(
-        mesh=mesh,
-        matrix=a,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        eigenfunctions=eigenvectors / np.sqrt(mesh.weights)[:, None],
-    )
+    what = "band-projected operator matrix"
+    if potential.is_radial and mesh.rings:
+        _require_turn_covariant(frame, mesh.rings)
+        n = mesh.size // mesh.rings
+        column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
+        return ring_operator(mesh, column * (frame.conj() @ frame[::n].T), what)
+    return _dense_operator(
+        mesh, _band_matrix(mesh, np.asarray(potential.kernel_matrix(mesh.nodes)), frame))
 
 
 def _check_problem(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential) -> None:
@@ -178,7 +218,17 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
 
     Entries ``sqrt(w_i) vhat(s_i - s_j) <u(s_i), u(s_j)> sqrt(w_j)``;
     for nonpositive V the spectrum is nonpositive (the overlap Gram
-    factor preserves the sign of the quadratic form).
+    factor preserves the sign of the quadratic form). A radial potential
+    on a ring-layout mesh needs only the (M, rings) column block against
+    the azimuth-0 nodes; the frame is first checked, in O(M), to give an
+    overlap that depends only on the azimuth difference.
+
+    Raises
+    ------
+    ConsistencyError
+        If the matrix is not Hermitian within 1e-12 relative tolerance,
+        or, on the sector route, if the frame overlap is not a function
+        of the azimuth difference.
     """
     _check_problem(symbol, mesh, potential)
     return _assemble_with_frame(mesh, potential, band_frame(symbol, mesh.nodes))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PreconditionError
 
 __all__ = ["SurfaceMesh", "TubularChart", "build_mesh", "tubular_chart"]
 
@@ -37,14 +37,22 @@ class SurfaceMesh:
     rings : int
         Ring x uniform-azimuth layout, 0 (the default) when none is
         recorded. A positive value says the nodes are stored ring by
-        ring, ``rings`` rings of ``M / rings`` nodes, and node ``p`` of
-        a ring is node 0 of that ring turned by ``2 pi p / (M / rings)``
-        about the origin (2-D) or the z axis (3-D), with the same
-        weight. Radial kernels on such a mesh are block-circulant in the
-        azimuth index, which :func:`shellbound.rayleigh_ritz.certify`
-        uses for its tube forms. ``build_mesh`` records 1 ring of M
-        nodes for the circle and ``resolution`` rings of
-        ``2 * resolution`` nodes for the sphere.
+        ring, ``rings`` rings of ``n = M / rings`` nodes; node 0 of each
+        ring sits at azimuth 0 (on the x axis in 2-D, in the half plane
+        y = 0, x >= 0 in 3-D), and node ``p`` of a ring is node 0 of
+        that ring turned by ``2 pi p / n`` about the origin (2-D) or the
+        z axis (3-D), with the same weight. Node ``(r, -p)`` is then the
+        mirror image of node ``(r, p)`` in y. Radial kernels on such a
+        mesh are block-circulant in the azimuth index and unchanged by
+        the mirror, which :func:`shellbound.surface_operator.assemble`,
+        :func:`shellbound.spin_orbit.assemble_spin_kernel` and
+        :func:`shellbound.rayleigh_ritz.certify` use to work one
+        azimuthal frequency at a time. ``build_mesh`` records 1 ring of
+        M nodes for the circle and ``resolution`` rings of
+        ``2 * resolution`` nodes for the sphere. The layout is checked
+        on construction in O(M) (nodes to 1e-12 R, weights to 1e-12
+        relative); a mesh that does not have it raises
+        ``PreconditionError``.
     """
 
     dimension: int
@@ -53,6 +61,30 @@ class SurfaceMesh:
     weights: np.ndarray
     uniform: bool
     rings: int = 0
+
+    def __post_init__(self):
+        rings = self.rings
+        if rings == 0:
+            return
+        size = self.nodes.shape[0]
+        if rings < 0 or size == 0 or size % rings:
+            raise PreconditionError(f"{size} nodes do not split into {rings} rings")
+        n = size // rings
+        weights = np.asarray(self.weights).reshape(rings, n)
+        if np.abs(weights - weights[:, :1]).max() > 1e-12 * np.abs(weights).max():
+            raise PreconditionError("weights differ within a ring")
+        nodes = np.asarray(self.nodes, dtype=np.float64).reshape(rings, n, self.dimension)
+        first = nodes[:, 0]
+        tolerance = 1e-12 * self.radius
+        if np.abs(first[:, 1]).max() > tolerance or first[:, 0].min() < -tolerance:
+            raise PreconditionError("node 0 of a ring is not at azimuth 0")
+        # node p = node 0 turned by 2 pi p / n; node 0 has y = 0
+        angles = 2.0 * np.pi * np.arange(n) / n
+        turned = np.repeat(first[:, None], n, axis=1)
+        turned[..., 0] = first[:, None, 0] * np.cos(angles)
+        turned[..., 1] = first[:, None, 0] * np.sin(angles)
+        if np.abs(nodes - turned).max() > tolerance:
+            raise PreconditionError("ring nodes are not uniform turns of their node 0")
 
     @property
     def size(self) -> int:

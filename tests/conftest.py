@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shellbound import potentials
+from shellbound.potentials import Potential
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +20,35 @@ def tabulated_gaussian_2d():
     axis = (np.arange(samples) - samples // 2) * step
     x, y = np.meshgrid(axis, axis, indexing="ij")
     return potentials.tabulated(-np.exp(-(x**2 + y**2) / 2.0), edge)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record the (rows, columns) of every Potential.kernel_matrix call."""
+    calls = []
+    original = Potential.kernel_matrix
+
+    def spy(self, p, q=None, use_extension=None):
+        out = original(self, p, q, use_extension)
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(Potential, "kernel_matrix", spy)
+    return calls
+
+
+@pytest.fixture
+def assert_same_operator():
+    """Check that sector and dense assemblies of one operator agree to roundoff."""
+
+    def check(fast, dense):
+        size = dense.mesh.size
+        assert np.abs(fast.eigenvalues - dense.eigenvalues).max() <= 1e-12 * max(1.0, dense.norm)
+        assert np.all(np.diff(fast.eigenvalues) >= 0.0)
+        assert np.abs(fast.matrix - dense.matrix).max() <= 1e-15
+        vectors = fast.eigenvectors
+        assert np.abs(fast.matrix @ vectors - vectors * fast.eigenvalues).max() <= 1e-12
+        assert np.abs(vectors.conj().T @ vectors - np.eye(size)).max() <= 1e-12
+        assert np.array_equal(fast.eigenfunctions, vectors / np.sqrt(fast.mesh.weights)[:, None])
+
+    return check

@@ -324,21 +324,6 @@ def _assert_same_certificate(fast, dense):
     assert fast.certified_count == dense.certified_count
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Record the (rows, columns) of every Potential.kernel_matrix call."""
-    calls = []
-    original = Potential.kernel_matrix
-
-    def spy(self, p, q=None, use_extension=None):
-        out = original(self, p, q, use_extension)
-        calls.append(out.shape)
-        return out
-
-    monkeypatch.setattr(Potential, "kernel_matrix", spy)
-    return calls
-
-
 def test_build_mesh_records_ring_layout():
     assert surface.build_mesh(1.0, 2, 32).rings == 1
     assert surface.build_mesh(1.0, 3, 8).rings == 8
@@ -358,6 +343,36 @@ def test_block_circulant_certify_matches_dense(dimension, resolution, kind):
     assert fast.matrices[0].dtype == np.float64  # real states keep a real form
     for h, top in zip(fast.matrices, fast.top_eigenvalues):
         assert top == float(np.linalg.eigvalsh(h)[-1])
+
+
+@pytest.mark.parametrize("dimension, resolution, n_states",
+                         [(2, 63, 2), (2, 64, 4), (3, 8, 2), (3, 12, 2)])
+def test_sector_certify_matches_dense(dimension, resolution, n_states):
+    # n_states splits a degenerate pair of the shell operator: its
+    # eigenvectors differ from the dense ones within that pair, the form
+    # restricted to the pair is a multiple of the identity, so h does not
+    mesh = surface.build_mesh(1.0, dimension, resolution)
+    sym = _shell_symbol(dimension)
+    pot = potentials.gaussian_well(1.0, 1.0, dimension)
+    fast = rr.certify(sym, pot, mesh, n_states)
+    dense = rr.certify(sym, pot, _without_layout(mesh), n_states)
+    values = so.assemble(mesh, pot).eigenvalues
+    assert values[n_states] - values[n_states - 1] < 1e-10  # the pair is split
+    _assert_same_certificate(fast, dense)
+    npt.assert_allclose(fast.limit_values, dense.limit_values, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_states", [8, 9])
+def test_sector_states_certify_like_dense_states(n_states):
+    # M = 512: the dense tube kernel would hold 6144^2 entries, so only
+    # the shell operator is swapped for its dense assembly
+    mesh = surface.build_mesh(1.0, 2, 512)
+    pot = potentials.gaussian_well(1.0, 1.0)
+    dense = so.assemble(_without_layout(mesh), pot)
+    fast = rr.certify(symbols.mexican_hat(1.0), pot, mesh, n_states)
+    reference = rr.certify(symbols.mexican_hat(1.0), pot, mesh, n_states,
+                           states=(dense.eigenvalues, dense.eigenfunctions))
+    _assert_same_certificate(fast, reference)
 
 
 @pytest.mark.parametrize("dimension, resolution", [(2, 32), (3, 8)])
@@ -422,13 +437,15 @@ def test_hand_built_mesh_keeps_dense_path(kernel_calls):
 
 @pytest.mark.parametrize("dimension, resolution", [(2, 64), (3, 8), (3, 24)])
 def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resolution):
-    # a dense tube kernel at resolution 24 would hold 13824^2 entries (1.5 GB)
+    # a dense tube kernel at resolution 24 would hold 13824^2 entries (1.5 GB);
+    # the operator takes one (M, rings) column block, each eps the tube
+    # slice for azimuths 0..n/2 against the azimuth-0 points
     mesh = surface.build_mesh(1.0, dimension, resolution)
     transverse = 12
     cert = rr.certify(_shell_symbol(dimension), potentials.gaussian_well(1.0, 1.0, dimension),
                       mesh, 3, transverse_order=transverse)
     assert cert.certified
-    bound = (mesh.size * transverse) * (mesh.rings * transverse)
-    tube_calls = [shape for shape in kernel_calls if shape != (mesh.size, mesh.size)]
-    assert tube_calls == [(mesh.size * transverse, mesh.rings * transverse)] * 4
-    assert all(rows * columns <= bound for rows, columns in kernel_calls)
+    rings = mesh.rings
+    half = mesh.size // rings // 2 + 1
+    slice_shape = (rings * half * transverse, rings * transverse)
+    assert kernel_calls == [(mesh.size, rings)] + [slice_shape] * 4

@@ -1,11 +1,18 @@
 """Band-projected spin-orbit operators: frames, spectra, certification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import iv
 
 from shellbound import potentials, spin_orbit, surface, surface_operator
-from shellbound.errors import ConfigurationError, GaugeSingularityError, PreconditionError
+from shellbound.errors import (
+    ConfigurationError,
+    ConsistencyError,
+    GaugeSingularityError,
+    PreconditionError,
+)
 
 WELL = potentials.gaussian_well(1.0, 1.0, dimension=2)
 
@@ -87,6 +94,32 @@ def test_dresselhaus_spectrum_equals_rashba(circle):
     a = spin_orbit.assemble_spin_kernel(spin_orbit.rashba(2.0), circle, WELL)
     b = spin_orbit.assemble_spin_kernel(spin_orbit.dresselhaus(2.0), circle, WELL)
     np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.7, -0.7])
+@pytest.mark.parametrize("kind", ["rashba", "dresselhaus"])
+def test_sector_spin_assembly_matches_dense(kernel_calls, assert_same_operator, kind, alpha):
+    symbol = getattr(spin_orbit, kind)(alpha)
+    mesh = surface.build_mesh(symbol.find_minimum()[1], 2, 64)
+    fast = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL)
+    assert kernel_calls == [(mesh.size, 1)]  # no (M, M) kernel
+    dense = spin_orbit.assemble_spin_kernel(symbol, dataclasses.replace(mesh, rings=0), WELL)
+    assert_same_operator(fast, dense)
+
+
+def test_sector_spin_assembly_needs_a_turn_covariant_frame(circle, monkeypatch):
+    # random per-node phases leave the spectrum alone but make the
+    # overlap depend on more than the azimuth difference
+    symbol = spin_orbit.rashba(2.0)
+    reference = spin_orbit.assemble_spin_kernel(symbol, circle, WELL).eigenvalues
+    phases = np.exp(2j * np.pi * np.random.default_rng(5).random(circle.size))
+    correct = spin_orbit.band_frame
+    monkeypatch.setattr(spin_orbit, "band_frame",
+                        lambda sym, points: correct(sym, points) * phases[:, None])
+    with pytest.raises(ConsistencyError, match="azimuth difference"):
+        spin_orbit.assemble_spin_kernel(symbol, circle, WELL)
+    dense = spin_orbit.assemble_spin_kernel(symbol, dataclasses.replace(circle, rings=0), WELL)
+    np.testing.assert_allclose(dense.eigenvalues, reference, atol=1e-12)
 
 
 def test_spectrum_is_gauge_invariant(circle):

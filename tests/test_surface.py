@@ -1,11 +1,13 @@
 """Quadrature mesh and tubular chart checks."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from shellbound import surface
-from shellbound.errors import ConfigurationError
+from shellbound.errors import ConfigurationError, PreconditionError
 
 
 def test_circle_mesh_four_points():
@@ -95,6 +97,58 @@ def test_build_mesh_validation():
         surface.build_mesh(1.0, 2, 3)
     with pytest.raises(ConfigurationError):
         surface.build_mesh(1.0, 5, 16)
+
+
+def _turn_about_z(nodes, angle):
+    turned = nodes.copy()
+    turned[:, 0] = np.cos(angle) * nodes[:, 0] - np.sin(angle) * nodes[:, 1]
+    turned[:, 1] = np.sin(angle) * nodes[:, 0] + np.cos(angle) * nodes[:, 1]
+    return turned
+
+
+@pytest.mark.parametrize("dimension, resolution", [(2, 16), (3, 6)])
+def test_ring_layout_is_checked_on_construction(dimension, resolution):
+    mesh = surface.build_mesh(1.5, dimension, resolution)
+    n = mesh.size // mesh.rings
+    assert dataclasses.replace(mesh, rings=0).rings == 0
+    assert dataclasses.replace(mesh, rings=mesh.rings).rings == mesh.rings
+
+    def with_layout(nodes=mesh.nodes, weights=mesh.weights, rings=mesh.rings):
+        return surface.SurfaceMesh(dimension, mesh.radius, nodes, weights,
+                                   uniform=mesh.uniform, rings=rings)
+
+    # shuffled azimuths within every ring, node 0 of each ring left in place
+    rng = np.random.default_rng(7)
+    order = np.concatenate([r * n + np.concatenate([[0], 1 + rng.permutation(n - 1)])
+                            for r in range(mesh.rings)])
+    with pytest.raises(PreconditionError, match="uniform turns"):
+        with_layout(nodes=mesh.nodes[order], weights=mesh.weights[order])
+    # the whole mesh turned by a third of an azimuth step: a valid grid,
+    # but node 0 is off azimuth 0, so the y mirror does not hold
+    with pytest.raises(PreconditionError, match="azimuth 0"):
+        with_layout(nodes=_turn_about_z(mesh.nodes, 2.0 * np.pi / (3 * n)))
+    # a half turn puts node 0 at azimuth pi
+    with pytest.raises(PreconditionError, match="azimuth 0"):
+        with_layout(nodes=_turn_about_z(mesh.nodes, np.pi))
+    weights = mesh.weights.copy()
+    weights[1] *= 1.5
+    with pytest.raises(PreconditionError, match="weights"):
+        with_layout(weights=weights)
+    with pytest.raises(PreconditionError, match="rings"):
+        with_layout(rings=mesh.size + 1)
+    with pytest.raises(PreconditionError, match="rings"):
+        with_layout(rings=-1)
+
+
+def test_ring_layout_check_resolves_build_mesh_roundoff():
+    # the layout holds to 1e-12 R at every radius, not to roundoff of 1
+    for radius in (1e-3, 1.0, 1e3):
+        for dimension, resolution in ((2, 512), (3, 24)):
+            mesh = surface.build_mesh(radius, dimension, resolution)
+            nodes = mesh.nodes.copy()
+            nodes[1, 1] += 1e-11 * radius
+            with pytest.raises(PreconditionError):
+                dataclasses.replace(mesh, nodes=nodes)
 
 
 # -------------------------------------------------------------- tubular chart
