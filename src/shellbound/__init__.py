@@ -25,7 +25,9 @@ from . import (
     surface_operator,
     symbols,
 )
-from .kernels import HAVE_EXTENSION
+
+# there is no compiled extension; perfbench/worker.py still records this flag
+HAVE_EXTENSION = False
 
 __version__ = "0.1.0"
 

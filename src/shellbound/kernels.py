@@ -1,16 +1,13 @@
-"""Pairwise kernel-matrix assembly with an optional compiled core.
+"""Pairwise kernel-matrix assembly in numpy.
 
 The primitives build ``K[i, j] = k(|P_i - Q_j|)`` between two point
 clouds. Radial potentials on meshes with a ring layout only need slices
 against the azimuth-0 points: the shell operator takes an (M, rings)
 column block (see :mod:`shellbound.surface_operator`) and each tube
-form the slice for half the azimuths (see
-:mod:`shellbound.rayleigh_ritz`). Non-radial potentials, meshes without
-a layout, spin-orbit tube forms and the spin gauge check still assemble
-square matrices, quadratic in the cloud size. The primitives
-dispatch to a Cython extension when it was built and to a numpy
-implementation otherwise. Both paths are exercised by the test suite
-and compared by ``benchmarks/bench_kernels.py``.
+form, scalar or spin-orbit, the slice for half the azimuths (see
+:mod:`shellbound.rayleigh_ritz`). Tabulated potentials, meshes without
+a layout and the spin gauge check still assemble square matrices,
+quadratic in the cloud size.
 """
 
 from __future__ import annotations
@@ -18,13 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-
-try:
-    from . import _fastkernels as _ext
-except ImportError:  # pragma: no cover - depends on the build environment
-    _ext = None
-
-HAVE_EXTENSION = _ext is not None
 
 
 def _as_cloud(p) -> np.ndarray:
@@ -34,16 +24,13 @@ def _as_cloud(p) -> np.ndarray:
     return arr
 
 
-def squared_distances(p, q, use_extension: bool | None = None) -> np.ndarray:
+def squared_distances(p, q) -> np.ndarray:
     """Matrix of pairwise squared Euclidean distances.
 
     Parameters
     ----------
     p, q : array_like, shape (N, dim) and (N', dim)
         Point clouds with a common coordinate dimension.
-    use_extension : bool, optional
-        Force the compiled path (True) or the numpy path (False).
-        Default picks the extension when available.
 
     Returns
     -------
@@ -53,12 +40,6 @@ def squared_distances(p, q, use_extension: bool | None = None) -> np.ndarray:
     q = _as_cloud(q)
     if p.shape[1] != q.shape[1]:
         raise PreconditionError("point clouds differ in coordinate dimension")
-    if use_extension is None:
-        use_extension = HAVE_EXTENSION
-    if use_extension:
-        if _ext is None:
-            raise PreconditionError("compiled extension requested but not available")
-        return _ext.squared_distances(p, q)
     # |p|^2 + |q|^2 - 2 p.q; the cross term is a GEMM. Cancellation can
     # leave tiny negatives for near-coincident points, so clip at zero.
     pp = np.einsum("ij,ij->i", p, p)
@@ -68,7 +49,7 @@ def squared_distances(p, q, use_extension: bool | None = None) -> np.ndarray:
     return out
 
 
-def gaussian_mix(p, q, amplitudes, rates, use_extension: bool | None = None) -> np.ndarray:
+def gaussian_mix(p, q, amplitudes, rates) -> np.ndarray:
     """Matrix ``sum_m amplitudes[m] * exp(-rates[m] * |P_i - Q_j|^2)``.
 
     Covers every Gaussian-type radial kernel in the toolkit (single well
@@ -82,13 +63,7 @@ def gaussian_mix(p, q, amplitudes, rates, use_extension: bool | None = None) -> 
     rates = np.ascontiguousarray(rates, dtype=np.float64)
     if amplitudes.shape != rates.shape or amplitudes.ndim != 1:
         raise PreconditionError("amplitudes and rates must be 1-D arrays of equal length")
-    if use_extension is None:
-        use_extension = HAVE_EXTENSION
-    if use_extension:
-        if _ext is None:
-            raise PreconditionError("compiled extension requested but not available")
-        return _ext.gaussian_mix(p, q, amplitudes, rates)
-    d2 = squared_distances(p, q, use_extension=False)
+    d2 = squared_distances(p, q)
     out = np.zeros_like(d2)
     for amp, rate in zip(amplitudes, rates):
         out += amp * np.exp(-rate * d2)

@@ -88,15 +88,15 @@ class Potential:
         """integral of V over R^n; equals (2 pi)^(n/2) vhat(0)."""
         return self._integral
 
-    def kernel_matrix(self, p, q=None, use_extension: bool | None = None) -> np.ndarray:
-        """Pairwise transform values ``vhat(P_i - Q_j)``.
+    def kernel_matrix(self, p, q=None) -> np.ndarray:
+        """Pairwise transform values ``vhat(P_i - Q_j)``; ``q`` defaults to ``p``.
 
-        The workhorse of operator assembly; dispatches to the compiled
-        kernels where the kind allows it.
+        The workhorse of operator assembly; Gaussian-type kinds go
+        through :func:`shellbound.kernels.gaussian_mix`.
         """
         p = self._check_points(np.atleast_2d(p), "momentum")
         q = p if q is None else self._check_points(np.atleast_2d(q), "momentum")
-        return self._kernel(p, q, use_extension)
+        return self._kernel(p, q)
 
     def _check_points(self, arr, label) -> np.ndarray:
         arr = np.asarray(arr, dtype=np.float64)
@@ -151,7 +151,7 @@ def zero(dimension: int = 2) -> Potential:
         band=None,
         _evaluate=lambda x: np.zeros(x.shape[:-1]),
         _fourier=lambda k: np.zeros(k.shape[:-1]),
-        _kernel=lambda p, q, ext: np.zeros((p.shape[0], q.shape[0])),
+        _kernel=lambda p, q: np.zeros((p.shape[0], q.shape[0])),
         _integral=0.0,
     )
 
@@ -180,7 +180,7 @@ def gaussian_well(c, sigma, dimension: int = 2) -> Potential:
         band=None,
         _evaluate=lambda x: -c * np.exp(-np.sum(x * x, axis=-1) / (2.0 * sigma**2)),
         _fourier=vhat,
-        _kernel=lambda p, q, ext: kernels.gaussian_mix(p, q, [amp], [rate], use_extension=ext),
+        _kernel=lambda p, q: kernels.gaussian_mix(p, q, [amp], [rate]),
         _integral=-c * (2.0 * np.pi) ** (dimension / 2.0) * sigma**dimension,
     )
 
@@ -218,7 +218,7 @@ def gaussian_dimple_mix(c1, sigma1, c2, sigma2, dimension: int = 2) -> Potential
         band=None,
         _evaluate=vreal,
         _fourier=vhat,
-        _kernel=lambda p, q, ext: kernels.gaussian_mix(p, q, amps, rates, use_extension=ext),
+        _kernel=lambda p, q: kernels.gaussian_mix(p, q, amps, rates),
         _integral=(2.0 * np.pi) ** (dimension / 2.0) * float(amps.sum()),
     )
 
@@ -262,8 +262,8 @@ def ball_well(c, radius, dimension: int = 2) -> Potential:
 
         volume = 4.0 * np.pi * radius**3 / 3.0
 
-    def kernel(p, q, ext):
-        d = np.sqrt(kernels.squared_distances(p, q, use_extension=ext))
+    def kernel(p, q):
+        d = np.sqrt(kernels.squared_distances(p, q))
         return radial_vhat(d)
 
     return Potential(
@@ -351,7 +351,7 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
             out = out + unit * interp(flat)
         return out.reshape(k.shape[:-1])
 
-    def kernel(p, q, ext):
+    def kernel(p, q):
         rows = []
         step = max(1, int(2**22 // max(q.shape[0], 1)))
         for start in range(0, p.shape[0], step):

@@ -23,8 +23,10 @@ per ring), a real GEMM of the (n/2 + 1)^2 cosine table with that slice,
 and an FFT of the trial columns over azimuth, instead of the dense
 (M * T)^2 matrix; M is the mesh size and T the transverse order. The
 result agrees with the dense product to roundoff. Non-radial
-potentials, meshes without a layout and a caller's ``kernel_fn`` keep
-the dense product.
+potentials and meshes without a layout keep the dense product. A
+band ``frame`` (the spin-orbit certifier's) multiplies the kernel by the
+rank-2 band overlap, which splits into two scalar forms, so it takes
+the same route as the scalar form.
 """
 
 from __future__ import annotations
@@ -136,36 +138,46 @@ def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
     return eps_abs, cloud, rho
 
 
-def _kinetic(energy_fn, minimum, chart, psi_j, psi_k, profile, eps):
-    eps_abs, cloud, rho = _tube(chart, profile, eps)
+def _kinetic(energy_fn, minimum, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube):
+    """h_kin for all column pairs of ``psi`` at once, on one precomputed tube."""
+    eps_abs, cloud, rho = tube
     shifted = energy_fn(cloud) - minimum
-    transverse = profile.weights * profile.values**2 * rho
-    node_factor = shifted @ transverse
-    weights = chart.mesh.weights
-    return (np.conj(psi_j) * psi_k * weights) @ node_factor / eps_abs
+    node_factor = (shifted @ (profile.weights * profile.values**2 * rho)) * mesh.weights / eps_abs
+    return (psi.conj().T * node_factor) @ psi
 
 
 def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
     return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
-def _potential(potential, chart, psi, profile, eps, kernel_fn=None):
-    """h_pot for all column pairs of ``psi`` at once.
+def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube, frame=None):
+    """h_pot for all column pairs of ``psi`` at once, on one precomputed tube.
 
     A radial potential on a mesh with a ring layout takes the
-    block-circulant route; a ``kernel_fn`` override or a non-radial
-    potential gets one dense kernel matrix over the whole tube cloud.
+    block-circulant route; a non-radial potential or a mesh without a
+    layout gets one dense kernel matrix over the whole tube cloud. A band
+    ``frame`` (points -> (count, bands)) turns the kernel into
+    ``K(x, y) sum_c conj(u_c(x)) u_c(y)``, whose form is
+    ``sum_c (u_c X)^H K (u_c X)``: the columns u_c X are stacked before
+    the route choice and the diagonal blocks of the result are summed,
+    so both routes serve it with the plain scalar kernel K.
     """
-    eps_abs, cloud, rho = _tube(chart, profile, eps)
-    mesh = chart.mesh
-    g = _cloud_weights(mesh, profile, rho)
-    columns = g[:, None] * np.repeat(psi, profile.order, axis=0)
-    if kernel_fn is None and potential.is_radial and mesh.rings:
-        return _block_circulant_form(potential, cloud, columns, mesh.rings)
-    if kernel_fn is None:
-        kernel_fn = potential.kernel_matrix
-    kernel = np.asarray(kernel_fn(cloud.reshape(-1, mesh.dimension)))
-    return columns.conj().T @ kernel @ columns
+    _, cloud, rho = tube
+    points = cloud.reshape(-1, mesh.dimension)
+    columns = _cloud_weights(mesh, profile, rho)[:, None] * np.repeat(psi, profile.order, axis=0)
+    bands = 1
+    if frame is not None:
+        u = np.asarray(frame(points))
+        bands = u.shape[1]
+        columns = (u[:, :, None] * columns[:, None, :]).reshape(len(points), bands * psi.shape[1])
+    if potential.is_radial and mesh.rings:
+        form = _block_circulant_form(potential, cloud, columns, mesh.rings)
+    else:
+        form = columns.conj().T @ np.asarray(potential.kernel_matrix(points)) @ columns
+    if bands == 1:
+        return form
+    count = psi.shape[1]
+    return np.einsum("cjck->jk", form.reshape(bands, count, bands, count))
 
 
 def _block_circulant_form(potential, cloud, columns, rings):
@@ -222,9 +234,9 @@ def kinetic_form(symbol: DispersionSymbol, chart: TubularChart, psi_j, psi_k,
     which is O(eps) by the quadratic transverse growth of the symbol.
     """
     minimum, _ = symbol.find_minimum()
-    psi_j = np.asarray(psi_j)
-    psi_k = np.asarray(psi_k)
-    return complex(_kinetic(symbol.evaluate, minimum, chart, psi_j, psi_k, profile, eps))
+    psi = np.stack([np.asarray(psi_j), np.asarray(psi_k)], axis=1)
+    tube = _tube(chart, profile, eps)
+    return complex(_kinetic(symbol.evaluate, minimum, chart.mesh, psi, profile, tube)[0, 1])
 
 
 def potential_form(potential: Potential, chart: TubularChart, psi_j, psi_k,
@@ -239,13 +251,14 @@ def potential_form(potential: Potential, chart: TubularChart, psi_j, psi_k,
     """
     require_band(potential, 2.0 * (chart.mesh.radius + chart.half_width))
     psi = np.stack([np.asarray(psi_j), np.asarray(psi_k)], axis=1)
-    return complex(_potential(potential, chart, psi, profile, eps)[0, 1])
+    tube = _tube(chart, profile, eps)
+    return complex(_potential(potential, chart.mesh, psi, profile, tube)[0, 1])
 
 
 def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
             n_states: int, eps_schedule=DEFAULT_SCHEDULE, *,
             half_width_fraction: float = 0.25, transverse_order: int = 12,
-            states=None, energy_fn=None, minimum=None, kernel_fn=None) -> Certificate:
+            states=None, energy_fn=None, frame=None) -> Certificate:
     """Search the eps schedule for a negative-definite trial form.
 
     Parameters
@@ -263,11 +276,13 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         Caller-supplied surface spectrum and eigenfunction samples.
         Skips the count precondition; this is also the hook the
         spin-orbit certifier uses.
-    energy_fn, minimum, kernel_fn : optional
-        Overrides for the band energy, its minimum, and the kernel
-        matrix builder (used for matrix-symbol Hamiltonians). A
-        ``kernel_fn`` is called on the whole tube cloud, so it always
-        takes the dense product.
+    energy_fn, frame : optional
+        The band energy in place of ``symbol.evaluate``, and a band
+        frame, a callable from points (count, dim) to unit vectors
+        (count, bands) that multiplies the kernel by the band overlap
+        ``sum_c conj(u_c(x)) u_c(y)`` (used for matrix-symbol
+        Hamiltonians). The frame takes the same kernel route as the
+        scalar form.
 
     Returns
     -------
@@ -309,23 +324,17 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
 
     if energy_fn is None:
         energy_fn = symbol.evaluate
-    if minimum is None:
-        minimum = symbol.find_minimum()[0]
-    if kernel_fn is None:
-        require_band(potential, 2.0 * (mesh.radius + chart.half_width))
+    minimum = symbol.find_minimum()[0]
+    require_band(potential, 2.0 * (mesh.radius + chart.half_width))
 
-    weights = mesh.weights
     matrices = []
     max_errors = []
     top_eigenvalues = []
     certified_eps = None
     for eps in schedule:
-        eps_abs, cloud, rho = _tube(chart, profile, eps)
-        shifted = energy_fn(cloud) - minimum
-        node_factor = (shifted @ (profile.weights * profile.values**2 * rho)) * weights / eps_abs
-        h_kin = (psi.conj().T * node_factor) @ psi
-        h_pot = _potential(potential, chart, psi, profile, eps, kernel_fn)
-        h = h_kin + h_pot
+        tube = _tube(chart, profile, eps)
+        h = (_kinetic(energy_fn, minimum, mesh, psi, profile, tube)
+             + _potential(potential, mesh, psi, profile, tube, frame))
         deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
         if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
             raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")

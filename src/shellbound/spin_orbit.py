@@ -14,7 +14,9 @@ kernel is circulant and :func:`assemble_spin_kernel` diagonalizes it one
 azimuthal frequency at a time with
 :func:`shellbound.surface_operator.ring_operator`; tabulated potentials
 and meshes without a ring layout assemble the dense matrix. The tube
-forms of :func:`certify_spin` and the regauged matrices of
+forms of :func:`certify_spin` split the rank-2 overlap into two scalar
+forms and so take the scalar route of
+:func:`shellbound.rayleigh_ritz.certify`; the regauged matrices of
 :func:`gauge_deviation` stay dense. Regauging by a
 diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
 ``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
@@ -278,8 +280,12 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
                  transverse_order: int = 12) -> Certificate:
     """Variational certificate for the matrix Hamiltonian.
 
-    Reuses the scalar certifier with the kernel swapped to the
-    band-projected one and the kinetic form evaluated on the lower band.
+    Reuses the scalar certifier with the kinetic form evaluated on the
+    lower band and the band frame passed along: the band overlap
+    ``<u(x), u(y)> = sum_c conj(u_c(x)) u_c(y)`` has rank 2, so the
+    band-projected tube form is a sum of two scalar tube forms, and a
+    radial potential on a ring-layout mesh takes the block-circulant
+    route of :func:`shellbound.rayleigh_ritz.certify`.
     """
     operator = assemble_spin_kernel(symbol, mesh, potential)
     available = count_negative(operator)
@@ -288,18 +294,11 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
             f"requested {n_states} states but the band-projected operator has only "
             f"{available} negative eigenvalues at this resolution"
         )
-    minimum, _ = symbol.find_minimum()
-
-    def kernel_fn(points):
-        frame = band_frame(symbol, points)
-        return np.asarray(potential.kernel_matrix(points)) * (frame.conj() @ frame.T)
-
     return certify(
         symbol, potential, mesh, n_states, eps_schedule,
         half_width_fraction=half_width_fraction,
         transverse_order=transverse_order,
         states=(operator.eigenvalues, operator.eigenfunctions),
         energy_fn=symbol.lower_band,
-        minimum=minimum,
-        kernel_fn=kernel_fn,
+        frame=lambda points: band_frame(symbol, points),
     )

@@ -28,8 +28,8 @@ def kernel_calls(monkeypatch):
     calls = []
     original = Potential.kernel_matrix
 
-    def spy(self, p, q=None, use_extension=None):
-        out = original(self, p, q, use_extension)
+    def spy(self, p, q=None):
+        out = original(self, p, q)
         calls.append(out.shape)
         return out
 

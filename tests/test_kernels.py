@@ -1,4 +1,4 @@
-"""Compiled kernel core versus the numpy fallback."""
+"""Pairwise kernel primitives against direct formulas."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,10 +6,6 @@ import pytest
 
 from shellbound import kernels
 from shellbound.errors import PreconditionError
-
-needs_extension = pytest.mark.skipif(
-    not kernels.HAVE_EXTENSION, reason="compiled extension not built"
-)
 
 
 def _clouds(seed, n, m, dim):
@@ -19,44 +15,27 @@ def _clouds(seed, n, m, dim):
 
 def test_squared_distances_against_direct_loop():
     p, q = _clouds(0, 7, 5, 3)
-    out = kernels.squared_distances(p, q, use_extension=False)
+    out = kernels.squared_distances(p, q)
     direct = np.array([[np.sum((pi - qj) ** 2) for qj in q] for pi in p])
     npt.assert_allclose(out, direct, rtol=1e-13, atol=1e-13)
 
 
 def test_squared_distances_diagonal_and_symmetry():
     p, _ = _clouds(1, 40, 1, 2)
-    out = kernels.squared_distances(p, p, use_extension=False)
+    out = kernels.squared_distances(p, p)
     assert np.all(out >= 0.0)
     assert np.all(np.diag(out) <= 1e-12)
     npt.assert_allclose(out, out.T, atol=1e-12)
-
-
-@needs_extension
-@pytest.mark.parametrize("dim", [2, 3])
-def test_extension_matches_fallback(dim):
-    p, q = _clouds(2, 33, 21, dim)
-    fast = kernels.squared_distances(p, q, use_extension=True)
-    slow = kernels.squared_distances(p, q, use_extension=False)
-    npt.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
-
-
-@needs_extension
-def test_extension_diagonal_is_exactly_zero():
-    p, _ = _clouds(3, 25, 1, 3)
-    out = kernels.squared_distances(p, p, use_extension=True)
-    assert np.all(np.diag(out) == 0.0)
 
 
 def test_gaussian_mix_against_direct_formula():
     p, q = _clouds(4, 11, 9, 2)
     amplitudes = np.array([-1.0, 0.4])
     rates = np.array([0.5, 2.0])
-    d2 = kernels.squared_distances(p, q, use_extension=False)
+    d2 = kernels.squared_distances(p, q)
     expected = -1.0 * np.exp(-0.5 * d2) + 0.4 * np.exp(-2.0 * d2)
-    for flag in (False, True) if kernels.HAVE_EXTENSION else (False,):
-        out = kernels.gaussian_mix(p, q, amplitudes, rates, use_extension=flag)
-        npt.assert_allclose(out, expected, rtol=1e-13, atol=1e-14)
+    out = kernels.gaussian_mix(p, q, amplitudes, rates)
+    npt.assert_allclose(out, expected, rtol=1e-13, atol=1e-14)
 
 
 def test_gaussian_mix_single_term_is_a_gaussian():
@@ -77,11 +56,3 @@ def test_cloud_validation():
         kernels.gaussian_mix(p, q, np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(PreconditionError):
         kernels.gaussian_mix(p, q, np.array([[1.0]]), np.array([[1.0]]))
-
-
-def test_forcing_missing_extension_raises():
-    if kernels.HAVE_EXTENSION:
-        pytest.skip("extension present in this build")
-    p, q = _clouds(7, 3, 3, 2)
-    with pytest.raises(PreconditionError):
-        kernels.squared_distances(p, q, use_extension=True)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import j0
 
-from shellbound import kernels, potentials
+from shellbound import potentials
 from shellbound.errors import (
     ConfigurationError,
     InvalidInputError,
@@ -171,19 +171,6 @@ def test_kernel_matrix_matches_pointwise_transform(pot):
     npt.assert_allclose(out, direct, rtol=1e-12, atol=1e-14)
     square = pot.kernel_matrix(p)
     npt.assert_allclose(square, np.conj(square.T), atol=1e-13)
-
-
-@pytest.mark.skipif(not kernels.HAVE_EXTENSION, reason="compiled extension not built")
-def test_kernel_matrix_extension_matches_fallback():
-    rng = np.random.default_rng(13)
-    p = rng.uniform(-1.0, 1.0, (20, 2))
-    for pot in (
-        potentials.gaussian_well(1.0, 1.0),
-        potentials.gaussian_dimple_mix(1.0, 1.0, 2.0, 0.5),
-    ):
-        fast = pot.kernel_matrix(p, use_extension=True)
-        slow = pot.kernel_matrix(p, use_extension=False)
-        npt.assert_allclose(fast, slow, rtol=1e-13, atol=1e-15)
 
 
 def test_require_band():

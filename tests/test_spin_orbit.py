@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from shellbound import potentials, spin_orbit, surface, surface_operator
+from shellbound import potentials, rayleigh_ritz, spin_orbit, surface, surface_operator
 from shellbound.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -226,3 +226,61 @@ def test_certify_spin(circle):
     assert np.all(np.diff(errors) < 0.0)
     with pytest.raises(PreconditionError, match="negative eigenvalues"):
         spin_orbit.certify_spin(spin_orbit.rashba(2.0), WELL, circle, 99)
+
+
+def _dense_spin_forms(symbol, mesh, n_states):
+    # h(eps) with the band-projected tube kernel K(x, y) <u(x), u(y)>
+    # formed as one dense matrix over the whole tube cloud
+    operator = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL)
+    psi = operator.eigenfunctions[:, :n_states]
+    chart = surface.tubular_chart(mesh, 0.25)
+    profile = rayleigh_ritz.TransverseProfile.build(12)
+    minimum = symbol.find_minimum()[0]
+    forms = []
+    for eps in rayleigh_ritz.DEFAULT_SCHEDULE:
+        tube = rayleigh_ritz._tube(chart, profile, eps)
+        _, cloud, rho = tube
+        points = cloud.reshape(-1, 2)
+        frame = spin_orbit.band_frame(symbol, points)
+        kernel = WELL.kernel_matrix(points) * (frame.conj() @ frame.T)
+        weights = rayleigh_ritz._cloud_weights(mesh, profile, rho)
+        columns = weights[:, None] * np.repeat(psi, profile.order, axis=0)
+        h = (rayleigh_ritz._kinetic(symbol.lower_band, minimum, mesh, psi, profile, tube)
+             + columns.conj().T @ kernel @ columns)
+        forms.append(0.5 * (h + h.conj().T))
+    return forms
+
+
+@pytest.mark.parametrize("layout", [True, False])
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.7, -0.7])
+@pytest.mark.parametrize("kind", ["rashba", "dresselhaus"])
+def test_certify_spin_matches_dense_tube_kernel(kind, alpha, layout):
+    symbol = getattr(spin_orbit, kind)(alpha)
+    mesh = surface.build_mesh(symbol.find_minimum()[1], 2, 64)
+    if not layout:
+        mesh = dataclasses.replace(mesh, rings=0)
+    n_states = 4
+    cert = spin_orbit.certify_spin(symbol, WELL, mesh, n_states)
+    reference = _dense_spin_forms(symbol, mesh, n_states)
+    scale = max(np.abs(h).max() for h in reference)
+    for h, expected in zip(cert.matrices, reference, strict=True):
+        assert np.abs(h - expected).max() <= 1e-12 * scale
+    tops = [np.linalg.eigvalsh(h)[-1] for h in reference]
+    np.testing.assert_allclose(cert.top_eigenvalues, tops, rtol=0.0, atol=1e-12 * scale)
+    certified = [eps for eps, top in zip(cert.eps_schedule, tops) if top < 0.0]
+    assert cert.certified_eps == (max(certified) if certified else None)
+    assert cert.certified_count == (n_states if certified else 0)
+
+
+def test_certify_spin_kernel_calls_are_bounded(kernel_calls):
+    # the tube forms take the scalar slice for azimuths 0..n/2 against
+    # the azimuth-0 points; only the operator's (M, rings) column is taller
+    symbol = spin_orbit.dresselhaus(-0.7)
+    mesh = surface.build_mesh(symbol.find_minimum()[1], 2, 64)
+    transverse = 12
+    cert = spin_orbit.certify_spin(symbol, WELL, mesh, 4, transverse_order=transverse)
+    assert cert.certified
+    rings = mesh.rings
+    half = mesh.size // rings // 2 + 1
+    slice_shape = (rings * half * transverse, rings * transverse)
+    assert kernel_calls == [(mesh.size, rings)] + [slice_shape] * len(cert.eps_schedule)

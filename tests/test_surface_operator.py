@@ -19,7 +19,7 @@ from shellbound.potentials import Potential
 def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
     """Wrap a raw transform callable for operator-level tests."""
     if kernel_fn is None:
-        def kernel_fn(p, q, ext):
+        def kernel_fn(p, q):
             return np.asarray(fourier_fn(p[:, None, :] - q[None, :, :]))
 
     return Potential(
@@ -122,7 +122,7 @@ def test_assemble_rejects_non_hermitian_kernel():
     rng = np.random.default_rng(2)
     noise = rng.standard_normal((12, 12))
 
-    def broken(p, q, ext):
+    def broken(p, q):
         return noise[: p.shape[0], : q.shape[0]]
 
     pot = _custom_potential(lambda k: np.zeros(k.shape[:-1]), kernel_fn=broken)
@@ -191,7 +191,7 @@ def test_sector_assembly_without_mirror_symmetry_takes_the_fft_route(assert_same
     # exp(-|p - q|^2) + (p x q)_z (p_z - q_z) / 4 is real, symmetric and
     # invariant under turns about z, but odd under the y mirror: the
     # sector route must fall back from cosines to the FFT over azimuth
-    def kernel(p, q, ext):
+    def kernel(p, q):
         d = p[:, None, :] - q[None, :, :]
         cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
         return np.exp(-np.sum(d * d, axis=-1)) + 0.25 * cross * d[..., 2]
@@ -208,7 +208,7 @@ def test_sector_assembly_rejects_non_hermitian_slice():
     rng = np.random.default_rng(3)
     noise = rng.standard_normal((16, 16))
 
-    def broken(p, q, ext):
+    def broken(p, q):
         return noise[: p.shape[0], : q.shape[0]]
 
     pot = _custom_potential(lambda k: np.zeros(k.shape[:-1]), kernel_fn=broken, is_radial=True)
@@ -322,7 +322,7 @@ def test_point_matrix_rejects_duplicates():
 
 
 def test_point_matrix_rejects_broken_kernel():
-    def broken(p, q, ext):
+    def broken(p, q):
         out = -np.ones((p.shape[0], q.shape[0]))
         if out.shape[0] > 1:
             out[0, -1] = 5.0
