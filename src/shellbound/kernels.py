@@ -4,10 +4,17 @@ The primitives build ``K[i, j] = k(|P_i - Q_j|)`` between two point
 clouds. Radial potentials on meshes with a ring layout only need slices
 against the azimuth-0 points: the shell operator takes an (M, rings)
 column block (see :mod:`shellbound.surface_operator`) and each tube
-form, scalar or spin-orbit, the slice for half the azimuths (see
+form, scalar or spin-orbit, the slice for half the azimuths, and on a
+z-mirrored 3-D mesh for half the rings (see
 :mod:`shellbound.rayleigh_ritz`). Tabulated potentials, meshes without
 a layout and the spin gauge check still assemble square matrices,
 quadratic in the cloud size.
+
+Both primitives evaluate with in-place ufuncs in the operation order of
+the plain expressions ``pp + qq - 2 p.q`` and ``sum_m a_m exp(-r_m d2)``,
+so the values are the same bit for bit (up to the sign of a Gaussian
+that underflows to zero): the squared distances take two full-size
+buffers, and a one-term mix then works in the distance buffer itself.
 """
 
 from __future__ import annotations
@@ -44,7 +51,10 @@ def squared_distances(p, q) -> np.ndarray:
     # leave tiny negatives for near-coincident points, so clip at zero.
     pp = np.einsum("ij,ij->i", p, p)
     qq = np.einsum("ij,ij->i", q, q)
-    out = pp[:, None] + qq[None, :] - 2.0 * (p @ q.T)
+    cross = p @ q.T
+    cross *= 2.0
+    out = np.add(pp[:, None], qq[None, :])
+    out -= cross
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -64,7 +74,16 @@ def gaussian_mix(p, q, amplitudes, rates) -> np.ndarray:
     if amplitudes.shape != rates.shape or amplitudes.ndim != 1:
         raise PreconditionError("amplitudes and rates must be 1-D arrays of equal length")
     d2 = squared_distances(p, q)
-    out = np.zeros_like(d2)
-    for amp, rate in zip(amplitudes, rates):
-        out += amp * np.exp(-rate * d2)
+    if not amplitudes.size:
+        return np.zeros_like(d2)
+    out = None
+    for index, (amp, rate) in enumerate(zip(amplitudes, rates)):
+        # the last term no longer needs d2 and takes its buffer
+        term = np.multiply(d2, -rate, out=d2 if index == amplitudes.size - 1 else None)
+        np.exp(term, out=term)
+        term *= amp
+        if out is None:
+            out = term
+        else:
+            out += term
     return out

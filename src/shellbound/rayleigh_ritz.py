@@ -21,17 +21,23 @@ p -> -p, so each eps costs one kernel slice of
 (rings * (n/2 + 1) * T) x (rings * T) entries (azimuths 0..n/2 of the n
 per ring), a real GEMM of the (n/2 + 1)^2 cosine table with that slice,
 and an FFT of the trial columns over azimuth, instead of the dense
-(M * T)^2 matrix; M is the mesh size and T the transverse order. The
-result agrees with the dense product to roundoff. Non-radial
+(M * T)^2 matrix; M is the mesh size and T the transverse order. On a
+z-mirrored mesh (``SurfaceMesh.z_mirrored``, the built sphere) the
+slice is evaluated for the first ceil(rings/2) rings only and the rest
+filled by the mirror. Real trial columns, those of every scalar form,
+take the real FFT; the cosine table is built once per :func:`certify`.
+The result agrees with the dense product to roundoff. Non-radial
 potentials and meshes without a layout keep the dense product. A
 band ``frame`` (the spin-orbit certifier's) multiplies the kernel by the
 rank-2 band overlap, which splits into two scalar forms, so it takes
-the same route as the scalar form.
+the same route as the scalar form, with complex columns and the full
+FFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,14 +156,39 @@ def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
     return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
-def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube, frame=None):
+class _Circulant(NamedTuple):
+    """The eps-independent part of the block-circulant route on one mesh."""
+
+    cosines: np.ndarray  # multiplicity[p] cos(2 pi k p / n), k, p = 0..n/2
+    multiplicity: np.ndarray  # 1 at p = 0 and p = n/2, else 2
+    mirrored: bool  # SurfaceMesh.z_mirrored
+
+
+def _circulant(potential, mesh: SurfaceMesh) -> _Circulant | None:
+    """What the block-circulant route keeps across eps, or None where it does not apply.
+
+    The route needs a radial potential and a ring layout. Its cosine
+    table depends only on the azimuth count and the z mirror only on the
+    nodes, so :func:`certify` finds both once for all of its eps.
+    """
+    if not (potential.is_radial and mesh.rings):
+        return None
+    n_phi = mesh.size // mesh.rings
+    k = np.arange(n_phi // 2 + 1)
+    # azimuths p and n - p share a block: weight 2, except p = 0 and p = n/2
+    multiplicity = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0)
+    cosines = np.cos(2.0 * np.pi * np.arange(n_phi) / n_phi)[np.outer(k, k) % n_phi]
+    return _Circulant(cosines * multiplicity, multiplicity, mesh.z_mirrored)
+
+
+def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube,
+               frame=None, circulant=None):
     """h_pot for all column pairs of ``psi`` at once, on one precomputed tube.
 
-    A radial potential on a mesh with a ring layout takes the
-    block-circulant route; a non-radial potential or a mesh without a
-    layout gets one dense kernel matrix over the whole tube cloud. A band
-    ``frame`` (points -> (count, bands)) turns the kernel into
-    ``K(x, y) sum_c conj(u_c(x)) u_c(y)``, whose form is
+    With ``circulant`` (from :func:`_circulant`) the form takes the
+    block-circulant route; without it, one dense kernel matrix over the
+    whole tube cloud. A band ``frame`` (points -> (count, bands)) turns
+    the kernel into ``K(x, y) sum_c conj(u_c(x)) u_c(y)``, whose form is
     ``sum_c (u_c X)^H K (u_c X)``: the columns u_c X are stacked before
     the route choice and the diagonal blocks of the result are summed,
     so both routes serve it with the plain scalar kernel K.
@@ -170,8 +201,8 @@ def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tu
         u = np.asarray(frame(points))
         bands = u.shape[1]
         columns = (u[:, :, None] * columns[:, None, :]).reshape(len(points), bands * psi.shape[1])
-    if potential.is_radial and mesh.rings:
-        form = _block_circulant_form(potential, cloud, columns, mesh.rings)
+    if circulant is not None:
+        form = _block_circulant_form(potential, cloud, columns, mesh.rings, circulant)
     else:
         form = columns.conj().T @ np.asarray(potential.kernel_matrix(points)) @ columns
     if bands == 1:
@@ -180,7 +211,7 @@ def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tu
     return np.einsum("cjck->jk", form.reshape(bands, count, bands, count))
 
 
-def _block_circulant_form(potential, cloud, columns, rings):
+def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulant):
     """``columns^H K columns`` for the radial tube kernel K, one azimuthal frequency at a time.
 
     Cloud point (ring r, azimuth p, transverse node a) is point (r, 0, a)
@@ -189,11 +220,20 @@ def _block_circulant_form(potential, cloud, columns, rings):
     (r', 0, b): K is block-circulant, ``K[p, p'] = C[p - p']``, and its
     slice against the azimuth-0 points holds all of it. Point (r, -p, a)
     mirrors (r, p, a), so ``C[-p] = C[p]`` and the slice is evaluated
-    only for azimuths 0..n/2, (rings * (n/2 + 1) * T) x (rings * T)
-    entries. The cosine transform ``B_k = sum_p C[p] cos(2 pi k p / n)``
-    gives the frequency blocks for k = 0..n/2, with ``B_{n-k} = B_k``;
-    by Parseval the form is the mean over frequencies of
-    ``X_k^H B_k X_k``, where X_k is the FFT of the columns over azimuth.
+    only for azimuths 0..n/2. On a z-mirrored mesh ring rings-1-r is
+    ring r reflected in z, and so is its tube; the rows of that ring are
+    those of ring r against the column rings in reverse order, so the
+    slice is evaluated only for the first ceil(rings/2) rings. That
+    leaves (ceil(rings/2) * (n/2 + 1) * T) x (rings * T) entries, or
+    (rings * (n/2 + 1) * T) x (rings * T) without the mirror.
+
+    The cosine transform ``B_k = sum_p C[p] cos(2 pi k p / n)`` gives the
+    frequency blocks for k = 0..n/2, with ``B_{n-k} = B_k``; by Parseval
+    the form is the mean over frequencies of ``X_k^H B_k X_k``, where X_k
+    is the FFT of the columns over azimuth. Real columns have
+    ``X_{n-k} = conj(X_k)``, so the real FFT's k = 0..n/2 suffice and the
+    form is the mean of ``multiplicity_k Re(X_k^H B_k X_k)``; complex
+    columns (the spin frame's) pair X_k with X_{n-k} of the full FFT.
     """
     nodes, order, dimension = cloud.shape
     n_phi = nodes // rings
@@ -201,28 +241,35 @@ def _block_circulant_form(potential, cloud, columns, rings):
     width = rings * order
     count = columns.shape[1]
     points = cloud.reshape(rings, n_phi, order, dimension)
+    evaluated = (rings + 1) // 2 if circulant.mirrored else rings
     kernel = np.asarray(potential.kernel_matrix(
-        points[:, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
-    ))
-    blocks = kernel.reshape(rings, half, order, width).swapaxes(0, 1).reshape(half, width * width)
-    k = np.arange(half)
-    # azimuths p and n - p share a block: weight 2, except p = 0 and p = n/2
-    multiplicity = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0)
-    cosines = np.cos(2.0 * np.pi * np.arange(n_phi) / n_phi)[np.outer(k, k) % n_phi]
-    blocks_hat = ((cosines * multiplicity) @ blocks).reshape(half, width, width)
-    # frequencies k and n - k share B_k, so both transforms go through one
-    # product; frequency 0 (and n/2) is then counted twice and halved
+        points[:evaluated, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
+    )).reshape(evaluated, half, order, rings, order)
+    blocks = np.empty((half, rings, order, rings, order), dtype=kernel.dtype)
+    blocks[:, :evaluated] = kernel.swapaxes(0, 1)
+    if evaluated < rings:  # ring r from ring rings-1-r, column rings reversed
+        blocks[:, evaluated:] = kernel[rings - 1 - evaluated::-1, :, :, ::-1].swapaxes(0, 1)
+    blocks_hat = (circulant.cosines @ blocks.reshape(half, width * width)).reshape(half, width, width)
+    real = not (np.iscomplexobj(kernel) or np.iscomplexobj(columns))
     stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
-    stacked_hat = np.fft.fft(stacked, axis=0)
-    paired = np.stack([stacked_hat[:half], stacked_hat[-k]], axis=2).reshape(half, width, 2 * count)
+    if real:
+        paired = np.fft.rfft(stacked, axis=0)
+        weights = circulant.multiplicity
+    else:
+        # frequencies k and n - k share B_k, so both transforms go through one
+        # product; frequency 0 (and n/2) is then counted twice and halved
+        stacked_hat = np.fft.fft(stacked, axis=0)
+        paired = np.stack([stacked_hat[:half], stacked_hat[-np.arange(half)]], axis=2)
+        paired = paired.reshape(half, width, 2 * count)
+        weights = 0.5 * circulant.multiplicity
     if np.iscomplexobj(blocks_hat):
         applied = blocks_hat @ paired
     else:  # a real GEMM on the interleaved real and imaginary parts
         applied = (blocks_hat @ paired.view(np.float64)).view(np.complex128)
-    applied *= np.where(multiplicity == 1.0, 0.5, 1.0)[:, None, None]
-    rows = 2 * half * width
+    applied *= weights[:, None, None]
+    rows = half * width * (1 if real else 2)
     form = paired.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
-    return form if np.iscomplexobj(kernel) or np.iscomplexobj(columns) else form.real
+    return form.real if real else form
 
 
 def kinetic_form(symbol: DispersionSymbol, chart: TubularChart, psi_j, psi_k,
@@ -252,7 +299,8 @@ def potential_form(potential: Potential, chart: TubularChart, psi_j, psi_k,
     require_band(potential, 2.0 * (chart.mesh.radius + chart.half_width))
     psi = np.stack([np.asarray(psi_j), np.asarray(psi_k)], axis=1)
     tube = _tube(chart, profile, eps)
-    return complex(_potential(potential, chart.mesh, psi, profile, tube)[0, 1])
+    circulant = _circulant(potential, chart.mesh)
+    return complex(_potential(potential, chart.mesh, psi, profile, tube, circulant=circulant)[0, 1])
 
 
 def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
@@ -326,6 +374,7 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         energy_fn = symbol.evaluate
     minimum = symbol.find_minimum()[0]
     require_band(potential, 2.0 * (mesh.radius + chart.half_width))
+    circulant = _circulant(potential, mesh)
 
     matrices = []
     max_errors = []
@@ -334,7 +383,7 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
     for eps in schedule:
         tube = _tube(chart, profile, eps)
         h = (_kinetic(energy_fn, minimum, mesh, psi, profile, tube)
-             + _potential(potential, mesh, psi, profile, tube, frame))
+             + _potential(potential, mesh, psi, profile, tube, frame, circulant))
         deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
         if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
             raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")

@@ -22,7 +22,9 @@ diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
 ``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
 ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``, with no
 eigensolve; the bound holds up to the rounding of each entry of
-``D^H A D``, a few units in the last place.
+``D^H A D``, a few units in the last place. It weights the dense kernel
+by sqrt(w) once and forms every regauged matrix in the same
+preallocated M x M buffers.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
 from .surface_operator import (
     SurfaceOperatorMatrix,
+    _check_hermitian,
     _dense_operator,
     _hermitize,
     count_negative,
@@ -159,14 +162,24 @@ def band_decompose(symbol: MatrixSymbol, p):
     return p2 - gap, p2 + gap, u
 
 
-def _band_matrix(mesh: SurfaceMesh, kernel: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Weight-symmetrized band-projected matrix for one choice of frame gauge."""
+def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
+    """The dense weight-symmetrized kernel ``sqrt(w_i) vhat(s_i - s_j) sqrt(w_j)``."""
     sqrt_w = np.sqrt(mesh.weights)
-    projected = frame.conj() @ frame.T
-    projected *= kernel
-    projected *= sqrt_w[:, None]
-    projected *= sqrt_w[None, :]
-    return _hermitize(projected, "band-projected operator matrix")
+    weighted = np.array(potential.kernel_matrix(mesh.nodes))
+    weighted *= sqrt_w[:, None]
+    weighted *= sqrt_w[None, :]
+    return weighted
+
+
+def _band_matrix(weighted: np.ndarray, frame: np.ndarray, out=None) -> np.ndarray:
+    """Band-projected matrix ``weighted_ij <u_i, u_j>`` for one frame gauge, not yet hermitized.
+
+    ``weighted`` is the weight-symmetrized kernel of :func:`_weighted_kernel`;
+    ``out``, a complex array of its shape, takes the result when given.
+    """
+    projected = np.matmul(frame.conj(), frame.T, out=out)
+    projected *= weighted
+    return projected
 
 
 def _require_turn_covariant(frame: np.ndarray, rings: int) -> None:
@@ -200,7 +213,7 @@ def _assemble_with_frame(mesh: SurfaceMesh, potential: Potential,
         column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
         return ring_operator(mesh, column * (frame.conj() @ frame[::n].T), what)
     return _dense_operator(
-        mesh, _band_matrix(mesh, np.asarray(potential.kernel_matrix(mesh.nodes)), frame))
+        mesh, _hermitize(_band_matrix(_weighted_kernel(mesh, potential), frame), what))
 
 
 def _check_problem(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential) -> None:
@@ -243,33 +256,48 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     Regauging the band frame by a diagonal unitary D (``u_i -> d_i u_i``)
     must turn the assembled matrix A into exactly ``D^H A D``, which has
     the spectrum of A. Each of ``trials`` seeded regaugings assembles
-    A_theta afresh and takes ``||A_theta - D^H A D||_F``. By Weyl's
-    inequality every eigenvalue moves by at most that much:
+    A_theta afresh, checks that it is Hermitian and takes
+    ``||A_theta - D^H A D||_F``. By Weyl's inequality every eigenvalue
+    moves by at most that much:
     ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_2
     <= ||A_theta - D^H A D||_F``, up to the rounding of each entry of
     ``D^H A D`` (a few units in the last place). The largest norm over
     the trials is returned: a bound on how far any eigenvalue of a
     regauged operator can move, not a sample of it. Each trial costs
-    O(M^2) and no eigensolve is made.
+    O(M^2) and no eigensolve is made; the dense kernel is weighted once,
+    and the trials reuse four M x M buffers.
 
     Raises
     ------
     PreconditionError
         If ``trials < 1``, since zero trials would check nothing.
+    ConsistencyError
+        If a regauged matrix is not Hermitian within 1e-12 relative
+        tolerance.
     """
     if int(trials) < 1:
         raise PreconditionError(f"gauge_deviation needs at least one trial, got {trials}")
     _check_problem(symbol, mesh, potential)
-    kernel = np.asarray(potential.kernel_matrix(mesh.nodes))
+    what = "band-projected operator matrix"
+    weighted = _weighted_kernel(mesh, potential)
     frame = band_frame(symbol, mesh.nodes)
-    base = _band_matrix(mesh, kernel, frame)
+    base = _hermitize(_band_matrix(weighted, frame), what)
+    shape = base.shape
+    regauged, adjoint, difference = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+    modulus = np.empty(shape)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(int(trials)):
         phases = np.exp(2j * np.pi * rng.random(mesh.size))
-        difference = np.outer(phases.conj(), phases)
+        a = _band_matrix(weighted, frame * phases[:, None], out=regauged)
+        np.conjugate(a.T, out=adjoint)
+        np.subtract(a, adjoint, out=difference)
+        _check_hermitian(a, np.abs(difference, out=modulus).max(), what)
+        a += adjoint
+        a *= 0.5
+        np.multiply(phases.conj()[:, None], phases[None, :], out=difference)
         difference *= base
-        difference -= _band_matrix(mesh, kernel, frame * phases[:, None])
+        difference -= a
         worst = max(worst, float(np.linalg.norm(difference)))
     return worst
 

@@ -90,6 +90,24 @@ class SurfaceMesh:
     def size(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def z_mirrored(self) -> bool:
+        """Whether ring ``r`` is ring ``rings - 1 - r`` reflected in z, node by node.
+
+        Read from the nodes in O(M), to the 1e-12 R of the layout check;
+        False without a ring layout or without a z axis. The sphere of
+        ``build_mesh`` has it, since its Gauss-Legendre polar nodes are
+        symmetric about the equator; the block-circulant tube forms of
+        :func:`shellbound.rayleigh_ritz.certify` then evaluate their
+        kernel slice for half of the rings.
+        """
+        if not self.rings or self.nodes.shape[1] < 3:
+            return False
+        nodes = np.asarray(self.nodes, dtype=np.float64).reshape(self.rings, -1, self.nodes.shape[1])
+        reflected = nodes[::-1].copy()
+        reflected[..., 2] *= -1.0
+        return bool(np.abs(nodes - reflected).max() <= 1e-12 * self.radius)
+
     def normals(self) -> np.ndarray:
         """Outward unit normals n(s) = s/|s| at the nodes."""
         return self.nodes / np.linalg.norm(self.nodes, axis=1, keepdims=True)

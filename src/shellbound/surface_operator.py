@@ -70,14 +70,22 @@ class SurfaceOperatorMatrix:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
 
-def _require_hermitian(a: np.ndarray, adjoint: np.ndarray, what: str) -> None:
-    deviation = np.abs(a - adjoint).max() if a.size else 0.0
-    scale = max(1.0, np.abs(a).max()) if a.size else 1.0
-    if deviation > 1e-12 * scale:
+def _check_hermitian(a: np.ndarray, deviation: float, what: str) -> None:
+    """Raise unless ``deviation = max |a - a^H|`` is within 1e-12 max(1, max |a|).
+
+    The scale is at least 1, so ``max |a|`` is computed only when the
+    deviation exceeds 1e-12.
+    """
+    if deviation > 1e-12 and deviation > 1e-12 * np.abs(a).max():
         raise ConsistencyError(
             f"{what} deviates from Hermitian by {deviation:.3e}; "
             "the transform convention upstream is broken"
         )
+
+
+def _require_hermitian(a: np.ndarray, adjoint: np.ndarray, what: str) -> None:
+    if a.size:
+        _check_hermitian(a, np.abs(a - adjoint).max(), what)
 
 
 def _hermitize(a: np.ndarray, what: str) -> np.ndarray:

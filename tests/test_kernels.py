@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from shellbound import kernels
+from shellbound import kernels, potentials
 from shellbound.errors import PreconditionError
 
 
@@ -56,3 +56,69 @@ def test_cloud_validation():
         kernels.gaussian_mix(p, q, np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(PreconditionError):
         kernels.gaussian_mix(p, q, np.array([[1.0]]), np.array([[1.0]]))
+
+
+# The expressions the in-place primitives replaced, kept verbatim: the
+# fused passes must give the same values bit for bit.
+def _old_squared_distances(p, q):
+    pp = np.einsum("ij,ij->i", p, p)
+    qq = np.einsum("ij,ij->i", q, q)
+    out = pp[:, None] + qq[None, :] - 2.0 * (p @ q.T)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _old_gaussian_mix(p, q, amplitudes, rates):
+    d2 = _old_squared_distances(p, q)
+    out = np.zeros_like(d2)
+    for amp, rate in zip(amplitudes, rates):
+        out += amp * np.exp(-rate * d2)
+    return out
+
+
+@pytest.mark.parametrize("n, m, dim", [(37, 23, 2), (50, 144, 3), (1, 9, 3)])
+def test_fused_squared_distances_equal_the_plain_expression(n, m, dim):
+    p, q = _clouds(7, n, m, dim)
+    assert np.array_equal(kernels.squared_distances(p, q), _old_squared_distances(p, q))
+    assert np.array_equal(kernels.squared_distances(p, p), _old_squared_distances(p, p))
+
+
+@pytest.mark.parametrize("amplitudes, rates", [
+    ([-1.0], [0.5]),
+    ([-1.0, 0.4], [0.5, 2.0]),
+    ([0.3, -2.0, 1.1], [1.0, 0.2, 3.0]),
+])
+def test_fused_gaussian_mix_equals_the_plain_expression(amplitudes, rates):
+    p, q = _clouds(8, 41, 29, 3)
+    amplitudes, rates = np.array(amplitudes), np.array(rates)
+    out = kernels.gaussian_mix(p, q, amplitudes, rates)
+    assert np.array_equal(out, _old_gaussian_mix(p, q, amplitudes, rates))
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_kernel_matrix_without_q_equals_the_plain_expression(dimension):
+    # q is None: the potential pairs the cloud with itself
+    p, _ = _clouds(9, 33, 1, dimension)
+    well = potentials.gaussian_well(1.5, 0.8, dimension)
+    expected = _old_gaussian_mix(p, p.copy(), [-1.5 * 0.8**dimension], [0.5 * 0.8**2])
+    assert np.array_equal(well.kernel_matrix(p), expected)
+    mix = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3, dimension)
+    amplitudes = [-1.0, 0.5 * 0.3**dimension]
+    rates = [0.5, 0.5 * 0.3**2]
+    assert np.array_equal(mix.kernel_matrix(p), _old_gaussian_mix(p, p.copy(), amplitudes, rates))
+
+
+def test_near_coincident_points_clip_to_zero():
+    # cancellation in |p|^2 + |q|^2 - 2 p.q leaves tiny negatives; both forms clip them
+    rng = np.random.default_rng(10)
+    p = 1e3 * rng.standard_normal((20, 3))
+    q = p + 1e-9 * rng.standard_normal(p.shape)
+    old = _old_squared_distances(p, q)
+    new = kernels.squared_distances(p, q)
+    assert np.array_equal(new, old)
+    unclipped = (np.einsum("ij,ij->i", p, p)[:, None] + np.einsum("ij,ij->i", q, q)[None, :]
+                 - 2.0 * (p @ q.T))
+    assert unclipped.min() < 0.0  # the case is really exercised
+    assert new.min() == 0.0
+    assert np.array_equal(kernels.gaussian_mix(p, q, np.array([-1.0]), np.array([0.5])),
+                          _old_gaussian_mix(p, q, np.array([-1.0]), np.array([0.5])))

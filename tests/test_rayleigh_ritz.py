@@ -439,7 +439,8 @@ def test_hand_built_mesh_keeps_dense_path(kernel_calls):
 def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resolution):
     # a dense tube kernel at resolution 24 would hold 13824^2 entries (1.5 GB);
     # the operator takes one (M, rings) column block, each eps the tube
-    # slice for azimuths 0..n/2 against the azimuth-0 points
+    # slice for azimuths 0..n/2 against the azimuth-0 points, and on the
+    # z-mirrored sphere for its first ceil(rings/2) rings (the one ring in 2-D)
     mesh = surface.build_mesh(1.0, dimension, resolution)
     transverse = 12
     cert = rr.certify(_shell_symbol(dimension), potentials.gaussian_well(1.0, 1.0, dimension),
@@ -447,5 +448,117 @@ def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resol
     assert cert.certified
     rings = mesh.rings
     half = mesh.size // rings // 2 + 1
-    slice_shape = (rings * half * transverse, rings * transverse)
+    slice_shape = ((rings + 1) // 2 * half * transverse, rings * transverse)
     assert kernel_calls == [(mesh.size, rings)] + [slice_shape] * 4
+
+
+# ------------------------------------ z-mirror fold and the real-column route
+
+
+def _reference_block_circulant_form(potential, cloud, columns, rings):
+    # the route before the z fold and the real FFT, kept verbatim
+    nodes, order, dimension = cloud.shape
+    n_phi = nodes // rings
+    half = n_phi // 2 + 1
+    width = rings * order
+    count = columns.shape[1]
+    points = cloud.reshape(rings, n_phi, order, dimension)
+    kernel = np.asarray(potential.kernel_matrix(
+        points[:, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
+    ))
+    blocks = kernel.reshape(rings, half, order, width).swapaxes(0, 1).reshape(half, width * width)
+    k = np.arange(half)
+    multiplicity = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0)
+    cosines = np.cos(2.0 * np.pi * np.arange(n_phi) / n_phi)[np.outer(k, k) % n_phi]
+    blocks_hat = ((cosines * multiplicity) @ blocks).reshape(half, width, width)
+    stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
+    stacked_hat = np.fft.fft(stacked, axis=0)
+    paired = np.stack([stacked_hat[:half], stacked_hat[-k]], axis=2).reshape(half, width, 2 * count)
+    if np.iscomplexobj(blocks_hat):
+        applied = blocks_hat @ paired
+    else:
+        applied = (blocks_hat @ paired.view(np.float64)).view(np.complex128)
+    applied *= np.where(multiplicity == 1.0, 0.5, 1.0)[:, None, None]
+    rows = 2 * half * width
+    form = paired.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
+    return form if np.iscomplexobj(kernel) or np.iscomplexobj(columns) else form.real
+
+
+def _tube_problem(mesh, count, complex_columns, seed=17, eps=0.1):
+    profile = rr.TransverseProfile.build(12)
+    _, cloud, _ = rr._tube(surface.tubular_chart(mesh), profile, eps)
+    rng = np.random.default_rng(seed)
+    columns = rng.standard_normal((cloud.shape[0] * cloud.shape[1], count))
+    if complex_columns:
+        columns = columns + 1j * rng.standard_normal(columns.shape)
+    return cloud, columns
+
+
+def _unmirrored_sphere(resolution):
+    # a valid ring layout whose polar rings are not symmetric about z = 0
+    cosines, weights = np.polynomial.legendre.leggauss(resolution)
+    cosines = 0.9 * cosines + 0.05
+    n_phi = 2 * resolution
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sines = np.sqrt(1.0 - cosines**2)
+    nodes = np.stack([np.outer(sines, np.cos(phi)).ravel(), np.outer(sines, np.sin(phi)).ravel(),
+                      np.repeat(cosines, n_phi)], axis=1)
+    weights = (2.0 * np.pi / n_phi) * np.repeat(weights, n_phi)
+    return surface.SurfaceMesh(3, 1.0, nodes, weights, uniform=False, rings=resolution)
+
+
+@pytest.mark.parametrize("resolution", [8, 9])
+@pytest.mark.parametrize("complex_columns", [False, True])
+def test_z_fold_matches_the_unfolded_slice(resolution, complex_columns):
+    mesh = surface.build_mesh(1.0, 3, resolution)
+    pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3, 3)
+    circulant = rr._circulant(pot, mesh)
+    assert circulant.mirrored
+    cloud, columns = _tube_problem(mesh, 3, complex_columns)
+    folded = rr._block_circulant_form(pot, cloud, columns, mesh.rings, circulant)
+    unfolded = rr._block_circulant_form(pot, cloud, columns, mesh.rings,
+                                        circulant._replace(mirrored=False))
+    assert folded.dtype == unfolded.dtype
+    assert np.abs(folded - unfolded).max() <= 1e-13 * np.abs(unfolded).max()
+
+
+def test_unmirrored_ring_mesh_takes_the_unfolded_route(kernel_calls):
+    mesh = _unmirrored_sphere(8)
+    assert mesh.rings == 8 and not mesh.z_mirrored
+    pot = potentials.gaussian_well(1.0, 1.0, 3)
+    transverse = 12
+    fast = rr.certify(_shell_symbol(3), pot, mesh, 2, transverse_order=transverse)
+    half = mesh.size // mesh.rings // 2 + 1
+    slice_shape = (mesh.rings * half * transverse, mesh.rings * transverse)
+    assert kernel_calls == [(mesh.size, mesh.rings)] + [slice_shape] * 4
+    dense = rr.certify(_shell_symbol(3), pot, _without_layout(mesh), 2,
+                       transverse_order=transverse,
+                       states=(fast.limit_values, so.assemble(mesh, pot).eigenfunctions))
+    _assert_same_certificate(fast, dense)
+
+
+@pytest.mark.parametrize("dimension, resolution", [(2, 64), (2, 63), (3, 8)])
+def test_real_fft_route_matches_the_complex_route(dimension, resolution):
+    mesh = surface.build_mesh(1.0, dimension, resolution)
+    pot = potentials.gaussian_well(1.0, 1.0, dimension)
+    circulant = rr._circulant(pot, mesh)
+    cloud, columns = _tube_problem(mesh, 4, complex_columns=False)
+    real = rr._block_circulant_form(pot, cloud, columns, mesh.rings, circulant)
+    as_complex = rr._block_circulant_form(pot, cloud, columns.astype(np.complex128),
+                                          mesh.rings, circulant)
+    reference = _reference_block_circulant_form(pot, cloud, columns, mesh.rings)
+    assert real.dtype == np.float64 and as_complex.dtype == np.complex128
+    scale = np.abs(reference).max()
+    assert np.abs(real - as_complex).max() <= 1e-13 * scale
+    assert np.abs(real - reference).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dimension, resolution", [(2, 64), (3, 8)])
+def test_complex_columns_keep_the_full_fft_route(dimension, resolution):
+    # the spin frame's complex columns give the same form as before the change
+    mesh = surface.build_mesh(1.0, dimension, resolution)
+    pot = potentials.gaussian_well(1.0, 1.0, dimension)
+    cloud, columns = _tube_problem(mesh, 4, complex_columns=True)
+    fast = rr._block_circulant_form(pot, cloud, columns, mesh.rings, rr._circulant(pot, mesh))
+    reference = _reference_block_circulant_form(pot, cloud, columns, mesh.rings)
+    assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()

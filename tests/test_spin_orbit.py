@@ -127,20 +127,17 @@ def test_spectrum_is_gauge_invariant(circle):
     assert dev < 1e-10
 
 
-def _without_conjugate(mesh, kernel, frame):
+def _without_conjugate(weighted, frame, out=None):
     # <u_i, u_j> computed as u_i . u_j; averaged by hand, since the
-    # result is complex symmetric and _hermitize would reject it
-    sqrt_w = np.sqrt(mesh.weights)
-    a = sqrt_w[:, None] * kernel * (frame @ frame.T) * sqrt_w[None, :]
+    # result is complex symmetric and the Hermitian test would reject it
+    a = weighted * (frame @ frame.T)
     return 0.5 * (a + a.conj().T)
 
 
-def _conjugate_on_the_wrong_factor(mesh, kernel, frame):
+def _conjugate_on_the_wrong_factor(weighted, frame, out=None):
     # Hermitian and a unitary similarity of the right matrix, so its
     # spectrum is gauge invariant; only the matrix itself is wrong
-    sqrt_w = np.sqrt(mesh.weights)
-    projected = kernel * (frame @ frame.conj().T)
-    return surface_operator._hermitize(sqrt_w[:, None] * projected * sqrt_w[None, :], "test")
+    return weighted * (frame @ frame.conj().T)
 
 
 @pytest.mark.parametrize("broken", [_without_conjugate, _conjugate_on_the_wrong_factor])
@@ -149,13 +146,18 @@ def test_gauge_deviation_detects_a_broken_overlap(circle, monkeypatch, broken):
     assert spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL) >= 0.1
 
 
+def _weighted(mesh):
+    sqrt_w = np.sqrt(mesh.weights)
+    return sqrt_w[:, None] * np.asarray(WELL.kernel_matrix(mesh.nodes)) * sqrt_w[None, :]
+
+
 def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
     # a fixed 1e-6 entry does not follow the regauging; Weyl's inequality
     # says the returned norm is at least the largest eigenvalue shift
     correct = spin_orbit._band_matrix
 
-    def perturbed(mesh, kernel, frame):
-        a = correct(mesh, kernel, frame).copy()
+    def perturbed(weighted, frame, out=None):
+        a = correct(weighted, frame, out).copy()
         a[0, 1] += 1e-6
         a[1, 0] += 1e-6
         return a
@@ -163,18 +165,89 @@ def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
     monkeypatch.setattr(spin_orbit, "_band_matrix", perturbed)
     symbol = spin_orbit.rashba(2.0)
     bound = spin_orbit.gauge_deviation(symbol, circle, WELL, trials=20, seed=3)
-    kernel = np.asarray(WELL.kernel_matrix(circle.nodes))
+    weighted = _weighted(circle)
     frame = spin_orbit.band_frame(symbol, circle.nodes)
-    base = np.linalg.eigvalsh(perturbed(circle, kernel, frame))
+    base = np.linalg.eigvalsh(perturbed(weighted, frame))
     rng = np.random.default_rng(3)
     dense = 0.0
     for _ in range(20):
         phases = np.exp(2j * np.pi * rng.random(circle.size))
-        spectrum = np.linalg.eigvalsh(perturbed(circle, kernel, frame * phases[:, None]))
+        spectrum = np.linalg.eigvalsh(perturbed(weighted, frame * phases[:, None]))
         dense = max(dense, float(np.abs(spectrum - base).max()))
     assert dense > 1e-8
     assert bound >= dense
     assert bound <= 2.0 * np.sqrt(2.0) * 1e-6 * 1.01
+
+
+def _dense_gauge_deviation(symbol, mesh, trials, seed):
+    # the check before its buffers, kept verbatim: a fresh hermitized band
+    # matrix and a fresh outer product per trial
+    def band_matrix(kernel, frame):
+        sqrt_w = np.sqrt(mesh.weights)
+        projected = frame.conj() @ frame.T
+        projected *= kernel
+        projected *= sqrt_w[:, None]
+        projected *= sqrt_w[None, :]
+        return surface_operator._hermitize(projected, "band-projected operator matrix")
+
+    kernel = np.asarray(WELL.kernel_matrix(mesh.nodes))
+    frame = spin_orbit.band_frame(symbol, mesh.nodes)
+    base = band_matrix(kernel, frame)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        phases = np.exp(2j * np.pi * rng.random(mesh.size))
+        difference = np.outer(phases.conj(), phases)
+        difference *= base
+        difference -= band_matrix(kernel, frame * phases[:, None])
+        worst = max(worst, float(np.linalg.norm(difference)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_buffered_gauge_check_equals_the_dense_formula(seed):
+    symbol = spin_orbit.rashba(1.0)
+    mesh = surface.build_mesh(0.5, 2, 256)
+    buffered = spin_orbit.gauge_deviation(symbol, mesh, WELL, seed=seed)
+    dense = _dense_gauge_deviation(symbol, mesh, 20, seed)
+    assert buffered < 1e-10
+    assert abs(buffered - dense) <= 1e-15
+
+
+def test_gauge_deviation_rejects_a_non_hermitian_regauging(circle, monkeypatch):
+    # the base matrix is right; every regauged one gains a one-sided 1e-6 entry
+    correct = spin_orbit._band_matrix
+    calls = []
+
+    def one_sided(weighted, frame, out=None):
+        a = correct(weighted, frame, out)
+        if calls:
+            a[0, 1] += 1e-6
+        calls.append(frame)
+        return a
+
+    monkeypatch.setattr(spin_orbit, "_band_matrix", one_sided)
+    with pytest.raises(ConsistencyError, match="Hermitian"):
+        spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
+    assert len(calls) == 2  # raised at the first regauging
+
+
+def test_gauge_deviation_hermitizes_each_regauging(circle, monkeypatch):
+    # a one-sided 1e-14 entry passes the Hermitian test; hermitized, it is
+    # 5e-15 on both sides, so the norm is 5e-15 sqrt(2), not 1e-14
+    correct = spin_orbit._band_matrix
+    calls = []
+
+    def one_sided(weighted, frame, out=None):
+        a = correct(weighted, frame, out)
+        if calls:
+            a[0, 1] += 1e-14
+        calls.append(frame)
+        return a
+
+    monkeypatch.setattr(spin_orbit, "_band_matrix", one_sided)
+    bound = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL, trials=3)
+    assert abs(bound - 5e-15 * np.sqrt(2.0)) <= 1e-15
 
 
 def test_gauge_deviation_needs_a_trial(circle):

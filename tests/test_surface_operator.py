@@ -130,6 +130,23 @@ def test_assemble_rejects_non_hermitian_kernel():
         so.assemble(surface.build_mesh(1.0, 2, 12), pot)
 
 
+@pytest.mark.parametrize("scale, deviation, rejected", [
+    (1.0, 0.9e-12, False),
+    (1.0, 1.1e-12, True),
+    (0.01, 1.1e-12, True),  # below 1 the tolerance stays 1e-12
+    (1e6, 0.9e-6, False),  # above 1 it grows with max |a|
+    (1e6, 1.1e-6, True),
+])
+def test_hermitian_test_tolerance_is_relative_above_one(scale, deviation, rejected):
+    a = np.full((3, 3), scale)
+    a[0, 1] += deviation
+    if rejected:
+        with pytest.raises(ConsistencyError, match="Hermitian"):
+            so._hermitize(a, "test matrix")
+    else:
+        so._hermitize(a, "test matrix")
+
+
 # ------------------------------------------------------------ circulant route
 
 
