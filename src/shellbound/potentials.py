@@ -41,11 +41,12 @@ class Potential:
         analytic constructors, measured for tabulated input.
     params : dict
     is_radial : bool
-        True when vhat depends on k only through |k|. Enables the
-        circulant spectrum on uniform circle meshes, and on meshes with
-        a ring layout (``SurfaceMesh.rings``) the sector assembly of the
-        shell operator and the block-circulant tube forms of
-        ``rayleigh_ritz.certify``.
+        True when vhat depends on k only through |k|; vhat is then real
+        for a real V. Enables the circulant spectrum on the one-ring
+        circle mesh, and on meshes with a ring layout
+        (``SurfaceMesh.rings``) the sector assembly of the shell
+        operator and the block-circulant tube forms of
+        ``rayleigh_ritz.certify``, which reject a complex kernel slice.
     band : float or None
         Largest per-axis |k| at which vhat is trusted; None means all of
         momentum space (analytic kinds).

@@ -24,14 +24,13 @@ and an FFT of the trial columns over azimuth, instead of the dense
 (M * T)^2 matrix; M is the mesh size and T the transverse order. On a
 z-mirrored mesh (``SurfaceMesh.z_mirrored``, the built sphere) the
 slice is evaluated for the first ceil(rings/2) rings only and the rest
-filled by the mirror. Real trial columns, those of every scalar form,
-take the real FFT; the cosine table is built once per :func:`certify`.
-The result agrees with the dense product to roundoff. Non-radial
-potentials and meshes without a layout keep the dense product. A
-band ``frame`` (the spin-orbit certifier's) multiplies the kernel by the
-rank-2 band overlap, which splits into two scalar forms, so it takes
-the same route as the scalar form, with complex columns and the full
-FFT.
+filled by the mirror. Trial columns take the real FFT, complex ones as
+their interleaved real and imaginary parts; the cosine table is built
+once per :func:`certify`. The result agrees with the dense product to
+roundoff. Non-radial potentials and meshes without a layout keep the
+dense product. A band ``frame`` (the spin-orbit certifier's) reaches
+the shell-operator assembly and multiplies the tube kernel by the
+rank-2 band overlap, which splits into two scalar forms of this route.
 """
 
 from __future__ import annotations
@@ -232,9 +231,15 @@ def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulan
     the form is the mean over frequencies of ``X_k^H B_k X_k``, where X_k
     is the FFT of the columns over azimuth. Real columns have
     ``X_{n-k} = conj(X_k)``, so the real FFT's k = 0..n/2 suffice and the
-    form is the mean of ``multiplicity_k Re(X_k^H B_k X_k)``; complex
-    columns (the spin frame's) pair X_k with X_{n-k} of the full FFT.
+    form is the mean of ``multiplicity_k Re(X_k^H B_k X_k)``. Complex
+    columns R + iI (the spin frame's) enter as the interleaved real view
+    [R_0, I_0, R_1, ...], whose form recombines as
+    ``R^T K R + I^T K I + i (R^T K I - I^T K R)``. A complex kernel slice
+    raises ``ConsistencyError``: a real radial V has a real transform.
     """
+    if np.iscomplexobj(columns):
+        form = _block_circulant_form(potential, cloud, columns.view(np.float64), rings, circulant)
+        return form[::2, ::2] + form[1::2, 1::2] + 1j * (form[::2, 1::2] - form[1::2, ::2])
     nodes, order, dimension = cloud.shape
     n_phi = nodes // rings
     half = n_phi // 2 + 1
@@ -245,31 +250,21 @@ def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulan
     kernel = np.asarray(potential.kernel_matrix(
         points[:evaluated, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
     )).reshape(evaluated, half, order, rings, order)
-    blocks = np.empty((half, rings, order, rings, order), dtype=kernel.dtype)
+    if np.iscomplexobj(kernel):
+        raise ConsistencyError("radial tube kernel slice is complex; a real V has a real transform")
+    blocks = np.empty((half, rings, order, rings, order))
     blocks[:, :evaluated] = kernel.swapaxes(0, 1)
     if evaluated < rings:  # ring r from ring rings-1-r, column rings reversed
         blocks[:, evaluated:] = kernel[rings - 1 - evaluated::-1, :, :, ::-1].swapaxes(0, 1)
     blocks_hat = (circulant.cosines @ blocks.reshape(half, width * width)).reshape(half, width, width)
-    real = not (np.iscomplexobj(kernel) or np.iscomplexobj(columns))
     stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
-    if real:
-        paired = np.fft.rfft(stacked, axis=0)
-        weights = circulant.multiplicity
-    else:
-        # frequencies k and n - k share B_k, so both transforms go through one
-        # product; frequency 0 (and n/2) is then counted twice and halved
-        stacked_hat = np.fft.fft(stacked, axis=0)
-        paired = np.stack([stacked_hat[:half], stacked_hat[-np.arange(half)]], axis=2)
-        paired = paired.reshape(half, width, 2 * count)
-        weights = 0.5 * circulant.multiplicity
-    if np.iscomplexobj(blocks_hat):
-        applied = blocks_hat @ paired
-    else:  # a real GEMM on the interleaved real and imaginary parts
-        applied = (blocks_hat @ paired.view(np.float64)).view(np.complex128)
-    applied *= weights[:, None, None]
-    rows = half * width * (1 if real else 2)
-    form = paired.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
-    return form.real if real else form
+    stacked_hat = np.fft.rfft(stacked, axis=0)
+    # a real GEMM on the interleaved real and imaginary parts
+    applied = (blocks_hat @ stacked_hat.view(np.float64)).view(np.complex128)
+    applied *= circulant.multiplicity[:, None, None]
+    rows = half * width
+    form = stacked_hat.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
+    return form.real
 
 
 def kinetic_form(symbol: DispersionSymbol, chart: TubularChart, psi_j, psi_k,
@@ -321,16 +316,16 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
     eps_schedule : iterable of float
         Fractions of the chart half-width, default (0.2, 0.1, 0.05, 0.025).
     states : (values, vectors), optional
-        Caller-supplied surface spectrum and eigenfunction samples.
-        Skips the count precondition; this is also the hook the
-        spin-orbit certifier uses.
+        Caller-supplied surface spectrum and eigenfunction samples, in
+        place of the assembled shell operator's. Skips the count
+        precondition.
     energy_fn, frame : optional
         The band energy in place of ``symbol.evaluate``, and a band
         frame, a callable from points (count, dim) to unit vectors
         (count, bands) that multiplies the kernel by the band overlap
         ``sum_c conj(u_c(x)) u_c(y)`` (used for matrix-symbol
-        Hamiltonians). The frame takes the same kernel route as the
-        scalar form.
+        Hamiltonians). The shell-operator assembly and the tube forms
+        take the same kernel route with a frame as without.
 
     Returns
     -------
@@ -350,7 +345,7 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
     profile = TransverseProfile.build(transverse_order)
 
     if states is None:
-        operator = assemble(mesh, potential)
+        operator = assemble(mesh, potential, frame)
         available = count_negative(operator)
         if n_states > available:
             raise PreconditionError(

@@ -7,16 +7,14 @@ The matrix symbol is ``[[p^2, a(p)], [conj(a(p)), p^2]]`` with
 radial with minimum ``-alpha^2/4`` on the circle ``|p| = |alpha|/2``.
 Projecting onto the lower band turns the shell operator kernel into
 ``vhat(s - s') <u(s), u(s')>`` with the band eigenvector frame u; its
-spectrum is independent of the per-node phase gauge of u. In the gauge
-of :func:`band_frame` the overlap depends only on the angle between s
-and s', so for a radial potential on the circle mesh the projected
-kernel is circulant and :func:`assemble_spin_kernel` diagonalizes it one
-azimuthal frequency at a time with
-:func:`shellbound.surface_operator.ring_operator`; tabulated potentials
-and meshes without a ring layout assemble the dense matrix. The tube
-forms of :func:`certify_spin` split the rank-2 overlap into two scalar
-forms and so take the scalar route of
-:func:`shellbound.rayleigh_ritz.certify`; the regauged matrices of
+spectrum is independent of the per-node phase gauge of u. The scalar
+code does the rest with the band frame passed along:
+:func:`assemble_spin_kernel` is
+:func:`shellbound.surface_operator.assemble`, whose sector route the
+gauge of :func:`band_frame` admits (the overlap depends only on the
+angle between s and s'), and :func:`certify_spin` is
+:func:`shellbound.rayleigh_ritz.certify` with the lower band as kinetic
+energy. The regauged matrices of
 :func:`gauge_deviation` stay dense. Regauging by a
 diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
 ``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
@@ -33,22 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ConsistencyError,
-    GaugeSingularityError,
-    PreconditionError,
-)
+from .errors import ConfigurationError, GaugeSingularityError, PreconditionError
 from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
 from .surface_operator import (
     SurfaceOperatorMatrix,
     _check_hermitian,
-    _dense_operator,
     _hermitize,
-    count_negative,
-    ring_operator,
+    _weighted_kernel,
+    assemble,
 )
 
 __all__ = [
@@ -77,8 +69,6 @@ class MatrixSymbol:
 
     kind: str
     alpha: float
-    dimension: int = 2
-    bands: int = 2
 
     def offdiagonal(self, p):
         """a(p), vectorized over the last axis."""
@@ -162,58 +152,16 @@ def band_decompose(symbol: MatrixSymbol, p):
     return p2 - gap, p2 + gap, u
 
 
-def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
-    """The dense weight-symmetrized kernel ``sqrt(w_i) vhat(s_i - s_j) sqrt(w_j)``."""
-    sqrt_w = np.sqrt(mesh.weights)
-    weighted = np.array(potential.kernel_matrix(mesh.nodes))
-    weighted *= sqrt_w[:, None]
-    weighted *= sqrt_w[None, :]
-    return weighted
-
-
 def _band_matrix(weighted: np.ndarray, frame: np.ndarray, out=None) -> np.ndarray:
     """Band-projected matrix ``weighted_ij <u_i, u_j>`` for one frame gauge, not yet hermitized.
 
-    ``weighted`` is the weight-symmetrized kernel of :func:`_weighted_kernel`;
+    ``weighted`` is the weight-symmetrized kernel of
+    :func:`shellbound.surface_operator._weighted_kernel`;
     ``out``, a complex array of its shape, takes the result when given.
     """
     projected = np.matmul(frame.conj(), frame.T, out=out)
     projected *= weighted
     return projected
-
-
-def _require_turn_covariant(frame: np.ndarray, rings: int) -> None:
-    """Check in O(M) that the frame overlap depends only on the azimuth difference.
-
-    With ``frame[(r, p + 1), c] = g_c frame[(r, p), c]`` for one phase
-    g_c per component (cyclically in p, the same on every ring), the
-    overlap ``<u(r, p), u(r', p')> = sum_c conj(u(r, 0)_c) u(r', 0)_c
-    g_c^(p' - p)`` depends on p and p' only through p - p'. The gauge
-    of :func:`band_frame` has this form on a ring layout: its first
-    component is constant and its second turns with the azimuth.
-    """
-    f = frame.reshape(rings, -1, frame.shape[-1])
-    following = np.roll(f, -1, axis=1)
-    mass = np.einsum("rpc,rpc->c", f.conj(), f).real
-    step = np.einsum("rpc,rpc->c", f.conj(), following) / np.where(mass > 0.0, mass, 1.0)
-    deviation = np.abs(following - step * f).max()
-    if deviation > 1e-12 * max(1.0, np.abs(f).max()):
-        raise ConsistencyError(
-            f"band frame overlap depends on more than the azimuth difference "
-            f"(deviation {deviation:.3e}); the sector assembly needs a turn-covariant gauge"
-        )
-
-
-def _assemble_with_frame(mesh: SurfaceMesh, potential: Potential,
-                         frame: np.ndarray) -> SurfaceOperatorMatrix:
-    what = "band-projected operator matrix"
-    if potential.is_radial and mesh.rings:
-        _require_turn_covariant(frame, mesh.rings)
-        n = mesh.size // mesh.rings
-        column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
-        return ring_operator(mesh, column * (frame.conj() @ frame[::n].T), what)
-    return _dense_operator(
-        mesh, _hermitize(_band_matrix(_weighted_kernel(mesh, potential), frame), what))
 
 
 def _check_problem(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential) -> None:
@@ -233,20 +181,21 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
 
     Entries ``sqrt(w_i) vhat(s_i - s_j) <u(s_i), u(s_j)> sqrt(w_j)``;
     for nonpositive V the spectrum is nonpositive (the overlap Gram
-    factor preserves the sign of the quadratic form). A radial potential
-    on a ring-layout mesh needs only the (M, rings) column block against
-    the azimuth-0 nodes; the frame is first checked, in O(M), to give an
-    overlap that depends only on the azimuth difference.
+    factor preserves the sign of the quadratic form). This is
+    :func:`shellbound.surface_operator.assemble` with the band frame,
+    whose sector route needs only the (M, rings) column block.
 
     Raises
     ------
+    PreconditionError
+        If the problem is not on the band-minimum circle in 2-D.
     ConsistencyError
         If the matrix is not Hermitian within 1e-12 relative tolerance,
         or, on the sector route, if the frame overlap is not a function
         of the azimuth difference.
     """
     _check_problem(symbol, mesh, potential)
-    return _assemble_with_frame(mesh, potential, band_frame(symbol, mesh.nodes))
+    return assemble(mesh, potential, frame=lambda points: band_frame(symbol, points))
 
 
 def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential,
@@ -308,25 +257,20 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
                  transverse_order: int = 12) -> Certificate:
     """Variational certificate for the matrix Hamiltonian.
 
-    Reuses the scalar certifier with the kinetic form evaluated on the
-    lower band and the band frame passed along: the band overlap
+    This is :func:`shellbound.rayleigh_ritz.certify` with the kinetic
+    form on the lower band and the band frame passed along, so it
+    assembles the band-projected shell operator and checks its count of
+    negative eigenvalues. The band overlap
     ``<u(x), u(y)> = sum_c conj(u_c(x)) u_c(y)`` has rank 2, so the
     band-projected tube form is a sum of two scalar tube forms, and a
     radial potential on a ring-layout mesh takes the block-circulant
-    route of :func:`shellbound.rayleigh_ritz.certify`.
+    route.
     """
-    operator = assemble_spin_kernel(symbol, mesh, potential)
-    available = count_negative(operator)
-    if int(n_states) > available:
-        raise PreconditionError(
-            f"requested {n_states} states but the band-projected operator has only "
-            f"{available} negative eigenvalues at this resolution"
-        )
+    _check_problem(symbol, mesh, potential)
     return certify(
         symbol, potential, mesh, n_states, eps_schedule,
         half_width_fraction=half_width_fraction,
         transverse_order=transverse_order,
-        states=(operator.eigenvalues, operator.eigenfunctions),
         energy_fn=symbol.lower_band,
         frame=lambda points: band_frame(symbol, points),
     )

@@ -31,9 +31,6 @@ class SurfaceMesh:
     weights : ndarray, shape (M,)
         Positive quadrature weights; they sum to the surface measure
         (2 pi R or 4 pi R^2).
-    uniform : bool
-        True for the equal-weight uniform circle mesh; enables the
-        circulant fast path.
     rings : int
         Ring x uniform-azimuth layout, 0 (the default) when none is
         recorded. A positive value says the nodes are stored ring by
@@ -44,12 +41,15 @@ class SurfaceMesh:
         z axis (3-D), with the same weight. Node ``(r, -p)`` is then the
         mirror image of node ``(r, p)`` in y. Radial kernels on such a
         mesh are block-circulant in the azimuth index and unchanged by
-        the mirror, which :func:`shellbound.surface_operator.assemble`,
-        :func:`shellbound.spin_orbit.assemble_spin_kernel` and
+        the mirror, which :func:`shellbound.surface_operator.assemble`
+        (for scalar and band-projected kernels alike) and
         :func:`shellbound.rayleigh_ritz.certify` use to work one
         azimuthal frequency at a time. ``build_mesh`` records 1 ring of
         M nodes for the circle and ``resolution`` rings of
-        ``2 * resolution`` nodes for the sphere. The layout is checked
+        ``2 * resolution`` nodes for the sphere. A 2-D mesh with one
+        ring is a circle of M equally spaced angles with equal weights,
+        the mesh that :func:`shellbound.surface_operator.circulant_oracle`
+        requires. The layout is checked
         on construction in O(M) (nodes to 1e-12 R, weights to 1e-12
         relative); a mesh that does not have it raises
         ``PreconditionError``.
@@ -59,7 +59,6 @@ class SurfaceMesh:
     radius: float
     nodes: np.ndarray
     weights: np.ndarray
-    uniform: bool
     rings: int = 0
 
     def __post_init__(self):
@@ -142,7 +141,7 @@ def build_mesh(surface_radius, dimension: int, resolution: int) -> SurfaceMesh:
         angles = 2.0 * np.pi * np.arange(resolution) / resolution
         nodes = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         weights = np.full(resolution, 2.0 * np.pi * radius / resolution)
-        return SurfaceMesh(2, radius, nodes, weights, uniform=True, rings=1)
+        return SurfaceMesh(2, radius, nodes, weights, rings=1)
     if dimension == 3:
         # int_S f domega = R^2 int_{-1}^{1} dc int_0^{2pi} dphi f(theta(c), phi)
         cos_nodes, cos_weights = np.polynomial.legendre.leggauss(resolution)
@@ -154,7 +153,7 @@ def build_mesh(surface_radius, dimension: int, resolution: int) -> SurfaceMesh:
         z = np.repeat(cos_nodes, n_phi)
         nodes = radius * np.stack([x, y, z], axis=1)
         weights = radius**2 * (2.0 * np.pi / n_phi) * np.repeat(cos_weights, n_phi)
-        return SurfaceMesh(3, radius, nodes, weights, uniform=False, rings=resolution)
+        return SurfaceMesh(3, radius, nodes, weights, rings=resolution)
     raise ConfigurationError("dimension must be 2 or 3")
 
 

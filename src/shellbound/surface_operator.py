@@ -17,7 +17,9 @@ of the mesh, so :func:`ring_operator` diagonalizes it one azimuthal
 frequency at a time from its (M, rings) column block against the
 azimuth-0 nodes: one batched rings x rings ``eigh`` in place of the
 dense M x M one, and no square kernel matrix. Tabulated potentials and
-meshes without a layout keep the dense assembly.
+meshes without a layout keep the dense assembly. A band frame u (see
+:mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
+``<u(s), u(s')>`` on either route: scalar and spin share one assembly.
 """
 
 from __future__ import annotations
@@ -93,18 +95,6 @@ def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _dense_operator(mesh: SurfaceMesh, a: np.ndarray) -> SurfaceOperatorMatrix:
-    """Spectral data of a Hermitian weight-symmetrized matrix by one dense ``eigh``."""
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    return SurfaceOperatorMatrix(
-        mesh=mesh,
-        matrix=a,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        eigenfunctions=eigenvectors / np.sqrt(mesh.weights)[:, None],
-    )
-
-
 def ring_operator(mesh: SurfaceMesh, column: np.ndarray, what: str) -> SurfaceOperatorMatrix:
     """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
 
@@ -174,12 +164,48 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, what: str) -> SurfaceOp
     )
 
 
-def assemble(mesh: SurfaceMesh, potential: Potential) -> SurfaceOperatorMatrix:
+def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
+    """The dense weight-symmetrized kernel ``sqrt(w_i) vhat(s_i - s_j) sqrt(w_j)``."""
+    sqrt_w = np.sqrt(mesh.weights)
+    weighted = np.array(potential.kernel_matrix(mesh.nodes))
+    weighted *= sqrt_w[:, None]
+    weighted *= sqrt_w[None, :]
+    return weighted
+
+
+def _require_turn_covariant(frame: np.ndarray, rings: int) -> None:
+    """Check in O(M) that the frame overlap depends only on the azimuth difference.
+
+    With ``frame[(r, p + 1), c] = g_c frame[(r, p), c]`` for one phase
+    g_c per component (cyclically in p, the same on every ring), the
+    overlap ``<u(r, p), u(r', p')> = sum_c conj(u(r, 0)_c) u(r', 0)_c
+    g_c^(p' - p)`` depends on p and p' only through p - p'. The gauge
+    of :func:`shellbound.spin_orbit.band_frame` has this form on a ring
+    layout: its first component is constant and its second turns with
+    the azimuth.
+    """
+    f = frame.reshape(rings, -1, frame.shape[-1])
+    following = np.roll(f, -1, axis=1)
+    mass = np.einsum("rpc,rpc->c", f.conj(), f).real
+    step = np.einsum("rpc,rpc->c", f.conj(), following) / np.where(mass > 0.0, mass, 1.0)
+    deviation = np.abs(following - step * f).max()
+    if deviation > 1e-12 * max(1.0, np.abs(f).max()):
+        raise ConsistencyError(
+            f"band frame overlap depends on more than the azimuth difference "
+            f"(deviation {deviation:.3e}); the sector assembly needs a turn-covariant gauge"
+        )
+
+
+def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOperatorMatrix:
     """Assemble and fully diagonalize the shell operator matrix.
 
     A radial potential on a mesh with a ring layout takes the sector
     route of :func:`ring_operator` (one (M, rings) kernel slice); any
     other problem assembles the dense M x M matrix and calls ``eigh``.
+    A band ``frame`` (points -> unit vectors (count, bands)) multiplies
+    the kernel by the overlap ``sum_c conj(u_c(s_i)) u_c(s_j)``; the
+    sector route first checks in O(M) that it depends only on the
+    azimuth difference.
 
     Raises
     ------
@@ -187,31 +213,47 @@ def assemble(mesh: SurfaceMesh, potential: Potential) -> SurfaceOperatorMatrix:
         If mesh and potential dimensions differ.
     ConsistencyError
         If the assembled matrix is not Hermitian within 1e-12 relative
-        tolerance.
+        tolerance, or, on the sector route, if the frame overlap is not
+        a function of the azimuth difference.
     """
     if mesh.dimension != potential.dimension:
         raise PreconditionError("mesh and potential dimensions differ")
     require_band(potential, 2.0 * mesh.radius)
     what = "assembled operator matrix"
+    u = None if frame is None else np.asarray(frame(mesh.nodes))
     if potential.is_radial and mesh.rings:
-        column = potential.kernel_matrix(mesh.nodes, mesh.nodes[:: mesh.size // mesh.rings])
-        return ring_operator(mesh, np.asarray(column), what)
-    kernel = potential.kernel_matrix(mesh.nodes)
-    sqrt_w = np.sqrt(mesh.weights)
-    return _dense_operator(mesh, _hermitize(sqrt_w[:, None] * kernel * sqrt_w[None, :], what))
+        n = mesh.size // mesh.rings
+        column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
+        if u is not None:
+            _require_turn_covariant(u, mesh.rings)
+            column = column * (u.conj() @ u[::n].T)
+        return ring_operator(mesh, column, what)
+    a = _weighted_kernel(mesh, potential)
+    if u is not None:
+        a = a * (u.conj() @ u.T)
+    a = _hermitize(a, what)
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    return SurfaceOperatorMatrix(
+        mesh=mesh,
+        matrix=a,
+        eigenvalues=eigenvalues,
+        eigenvectors=eigenvectors,
+        eigenfunctions=eigenvectors / np.sqrt(mesh.weights)[:, None],
+    )
 
 
 def circulant_oracle(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
     """Independent spectrum via the discrete Fourier transform.
 
-    For a radial potential on a uniform circle mesh the kernel depends
-    only on the angle difference, so the assembled matrix is circulant
-    and its eigenvalues are the weight times the DFT of the first kernel
-    row. Returned sorted ascending; they approximate the continuum
-    angular eigenvalues ``E_m = R * integral k(theta) exp(-i m theta)``.
+    For a radial potential on the one-ring circle mesh (``rings == 1``:
+    equal angle steps and weights) the kernel depends only on the angle
+    difference, so the assembled matrix is circulant and its eigenvalues
+    are the weight times the DFT of the first kernel row. Returned
+    sorted ascending; they approximate the continuum angular eigenvalues
+    ``E_m = R * integral k(theta) exp(-i m theta)``.
     """
-    if mesh.dimension != 2 or not mesh.uniform:
-        raise PreconditionError("circulant route needs a uniform circle mesh")
+    if mesh.dimension != 2 or mesh.rings != 1:
+        raise PreconditionError("circulant route needs the one-ring circle mesh")
     if not potential.is_radial:
         raise PreconditionError("circulant route needs a radial potential")
     row = np.asarray(potential.kernel_matrix(mesh.nodes[:1], mesh.nodes))[0]

@@ -9,7 +9,7 @@ import pytest
 from shellbound import potentials, surface, surface_operator as so
 from shellbound import rayleigh_ritz as rr
 from shellbound import symbols
-from shellbound.errors import ConfigurationError, PreconditionError
+from shellbound.errors import ConfigurationError, ConsistencyError, PreconditionError
 from shellbound.potentials import Potential
 from shellbound.symbols import DispersionSymbol
 
@@ -327,7 +327,7 @@ def _assert_same_certificate(fast, dense):
 def test_build_mesh_records_ring_layout():
     assert surface.build_mesh(1.0, 2, 32).rings == 1
     assert surface.build_mesh(1.0, 3, 8).rings == 8
-    hand_built = surface.SurfaceMesh(2, 1.0, np.eye(2), np.ones(2), uniform=False)
+    hand_built = surface.SurfaceMesh(2, 1.0, np.eye(2), np.ones(2))
     assert hand_built.rings == 0
 
 
@@ -411,6 +411,17 @@ def test_block_circulant_potential_form_matches_dense():
     assert abs(fast - dense) <= 1e-12 * abs(dense)
 
 
+def test_block_circulant_route_rejects_a_complex_radial_kernel():
+    # a real radial V has a real transform; a complex kernel slice means
+    # the potential's transform convention is broken upstream
+    pot = dataclasses.replace(_constant_kernel_potential(-0.7),
+                              _kernel=lambda p, q: np.full((p.shape[0], q.shape[0]), -0.7 + 0j))
+    mesh = surface.build_mesh(1.0, 2, 16)
+    states = (np.array([-1.0]), np.ones((mesh.size, 1)))
+    with pytest.raises(ConsistencyError, match="complex"):
+        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 1, (0.2,), states=states)
+
+
 def test_tabulated_potential_keeps_dense_path(kernel_calls):
     samples, edge = 64, 16.0
     axis = (np.arange(samples) - samples // 2) * (edge / samples)
@@ -427,7 +438,7 @@ def test_tabulated_potential_keeps_dense_path(kernel_calls):
 
 def test_hand_built_mesh_keeps_dense_path(kernel_calls):
     circle = surface.build_mesh(1.0, 2, 16)
-    mesh = surface.SurfaceMesh(2, 1.0, circle.nodes, circle.weights, uniform=True)
+    mesh = surface.SurfaceMesh(2, 1.0, circle.nodes, circle.weights)
     transverse = 8
     rr.certify(symbols.mexican_hat(1.0), potentials.gaussian_well(1.0, 1.0), mesh, 1,
                (0.2,), transverse_order=transverse)
@@ -504,7 +515,7 @@ def _unmirrored_sphere(resolution):
     nodes = np.stack([np.outer(sines, np.cos(phi)).ravel(), np.outer(sines, np.sin(phi)).ravel(),
                       np.repeat(cosines, n_phi)], axis=1)
     weights = (2.0 * np.pi / n_phi) * np.repeat(weights, n_phi)
-    return surface.SurfaceMesh(3, 1.0, nodes, weights, uniform=False, rings=resolution)
+    return surface.SurfaceMesh(3, 1.0, nodes, weights, rings=resolution)
 
 
 @pytest.mark.parametrize("resolution", [8, 9])

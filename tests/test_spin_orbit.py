@@ -258,7 +258,7 @@ def test_gauge_deviation_needs_a_trial(circle):
 def test_unit_overlap_reproduces_scalar_operator(circle):
     frame = np.zeros((circle.size, 2), dtype=np.complex128)
     frame[:, 0] = 1.0
-    projected = spin_orbit._assemble_with_frame(circle, WELL, frame)
+    projected = surface_operator.assemble(circle, WELL, lambda points: frame)
     scalar = surface_operator.assemble(circle, WELL)
     np.testing.assert_allclose(projected.matrix, scalar.matrix, atol=1e-15)
     np.testing.assert_allclose(projected.eigenvalues, scalar.eigenvalues, atol=1e-13)

@@ -15,7 +15,7 @@ def test_circle_mesh_four_points():
     expected = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     npt.assert_allclose(mesh.nodes, expected, atol=1e-15)
     npt.assert_allclose(mesh.weights, np.pi / 2.0)
-    assert mesh.uniform
+    assert mesh.rings == 1
     assert mesh.size == 4
 
 
@@ -114,8 +114,7 @@ def test_ring_layout_is_checked_on_construction(dimension, resolution):
     assert dataclasses.replace(mesh, rings=mesh.rings).rings == mesh.rings
 
     def with_layout(nodes=mesh.nodes, weights=mesh.weights, rings=mesh.rings):
-        return surface.SurfaceMesh(dimension, mesh.radius, nodes, weights,
-                                   uniform=mesh.uniform, rings=rings)
+        return surface.SurfaceMesh(dimension, mesh.radius, nodes, weights, rings=rings)
 
     # shuffled azimuths within every ring, node 0 of each ring left in place
     rng = np.random.default_rng(7)
@@ -198,5 +197,5 @@ def test_z_mirror_is_read_from_the_nodes():
     order = [1, 0] + list(range(2, 8))
     swapped = surface.SurfaceMesh(
         3, 1.0, sphere.nodes.reshape(8, -1, 3)[order].reshape(-1, 3),
-        sphere.weights.reshape(8, -1)[order].ravel(), uniform=False, rings=8)
+        sphere.weights.reshape(8, -1)[order].ravel(), rings=8)
     assert not swapped.z_mirrored

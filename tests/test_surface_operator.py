@@ -174,11 +174,24 @@ def test_circulant_oracle_preconditions(tabulated_gaussian_2d):
     circle = surface.build_mesh(1.0, 2, 16)
     with pytest.raises(PreconditionError):
         so.circulant_oracle(circle, tabulated_gaussian_2d)  # not radial
-    scrambled = surface.SurfaceMesh(
-        2, 1.0, circle.nodes, circle.weights, uniform=False
-    )
+    scrambled = surface.SurfaceMesh(2, 1.0, circle.nodes, circle.weights)
     with pytest.raises(PreconditionError):
         so.circulant_oracle(scrambled, potentials.gaussian_well(1.0, 1.0))
+
+
+def test_circulant_oracle_rejects_an_unequally_spaced_circle():
+    # equal weights on sorted random angles: not circulant, so the DFT
+    # of one kernel row would not be the spectrum; the one-ring layout
+    # that circulant_oracle requires is refused at construction
+    angles = np.sort(np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 64))
+    angles[0] = 0.0
+    nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    weights = np.full(64, 2.0 * np.pi / 64)
+    with pytest.raises(PreconditionError, match="uniform turns"):
+        surface.SurfaceMesh(2, 1.0, nodes, weights, rings=1)
+    with pytest.raises(PreconditionError, match="one-ring circle"):
+        so.circulant_oracle(surface.SurfaceMesh(2, 1.0, nodes, weights),
+                            potentials.gaussian_well(1.0, 1.0))
 
 
 # ----------------------------------------------------- azimuthal sectors
