@@ -72,7 +72,7 @@ def main(argv=None) -> int:
 
     try:
         config = _load_config(args.config)
-        output_dir = Path(args.output or config.get("output", "."))
+        output_dir = Path(args.output or _need(config, "output", None, Path, Path(".")))
         output_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             return _command_run(config, args, output_dir)
@@ -132,15 +132,23 @@ def _block(config, name, required=True):
     return block
 
 
-def _need(block, name, path, kind=float):
+def _need(block, name, path, kind=float, default=None):
+    """``kind(block[name])``, or ``default`` when the key is absent and a default is given.
+
+    A missing required key or a value ``kind`` rejects raises
+    ``ConfigurationError`` naming the key; ``path`` is None at the root.
+    """
     from .errors import ConfigurationError
 
+    key = f"{path}.{name}" if path else name
     if name not in block:
-        raise ConfigurationError(f"missing config key '{path}.{name}'")
+        if default is None:
+            raise ConfigurationError(f"missing config key '{key}'")
+        return default
     try:
         return kind(block[name])
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config key '{path}.{name}' is malformed: {exc}") from exc
+        raise ConfigurationError(f"config key '{key}' is malformed: {exc}") from exc
 
 
 def _build_symbol(config):
@@ -149,7 +157,7 @@ def _build_symbol(config):
 
     block = _block(config, "symbol")
     kind = _need(block, "kind", "symbol", str)
-    dimension = int(block.get("dimension", 2))
+    dimension = _need(block, "dimension", "symbol", int, 2)
     params = _block(block, "params", required=False)
     if kind == "roton":
         return symbols.roton(
@@ -255,15 +263,16 @@ def _scalar_problem(config):
     return symbol, potential, mesh, surface_block
 
 
-def _spectrum_payload(operator, threshold=None):
+def _spectrum_payload(operator):
     from . import surface_operator as so
 
+    threshold = so._default_threshold(operator)
     return {
         "mesh_size": operator.mesh.size,
         "surface_radius": operator.mesh.radius,
         "eigenvalues": [float(v) for v in operator.eigenvalues],
         "negative_count": so.count_negative(operator, threshold),
-        "threshold": float(threshold if threshold is not None else 1e-8 * max(1.0, operator.norm)),
+        "threshold": threshold,
     }
 
 
@@ -286,7 +295,7 @@ def _task_bound_count(config):
     coarse = so.assemble(mesh, potential)
     fine_mesh = surface.build_mesh(mesh.radius, mesh.dimension, 2 * _need(surface_block, "resolution", "surface", int))
     fine = so.assemble(fine_mesh, potential)
-    threshold = 1e-8 * max(1.0, coarse.norm)
+    threshold = so._default_threshold(coarse)
     count = so.count_negative(coarse, threshold)
     count_doubled = so.count_negative(fine, threshold)
     results = {
@@ -330,15 +339,14 @@ def _certify_from_config(config):
 
     symbol, potential, mesh, surface_block = _scalar_problem(config)
     rr = _block(config, "rayleigh_ritz")
-    schedule = rr.get("eps_schedule", list(rayleigh_ritz.DEFAULT_SCHEDULE))
-    certificate = rayleigh_ritz.certify(
+    return rayleigh_ritz.certify(
         symbol, potential, mesh,
         _need(rr, "n_states", "rayleigh_ritz", int),
-        schedule,
-        half_width_fraction=float(surface_block.get("half_width_fraction", 0.25)),
-        transverse_order=int(rr.get("transverse_order", 12)),
+        _need(rr, "eps_schedule", "rayleigh_ritz", lambda values: [float(e) for e in values],
+              rayleigh_ritz.DEFAULT_SCHEDULE),
+        half_width_fraction=_need(surface_block, "half_width_fraction", "surface", float, 0.25),
+        transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", int, 12),
     )
-    return certificate
 
 
 def _task_rayleigh_ritz(config):
@@ -356,8 +364,8 @@ def _task_point_test(config, seed):
     potential = _build_potential(config, symbol.dimension)
     block = _block(config, "point_test")
     n_points = _need(block, "n_points", "point_test", int)
-    tolerance = float(block.get("tolerance", 1e-12))
-    sets = int(block.get("sets", 1))
+    tolerance = _need(block, "tolerance", "point_test", float, 1e-12)
+    sets = _need(block, "sets", "point_test", int, 1)
     _, radius = symbol.find_minimum()
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -401,13 +409,13 @@ def _oracle_from_config(config, seed):
     symbol = _build_symbol(config)
     potential = _build_potential(config, symbol.dimension, required=False)
     block = _block(config, "oracle")
+    k_max = _need(block, "k_max", "oracle", int, 16)
     ham = direct_oracle.build_hamiltonian(
         symbol, potential,
         _need(block, "box_edge", "oracle"),
         _need(block, "grid", "oracle", int),
-        float(block.get("delta_levels", 3.0)),
+        _need(block, "delta_levels", "oracle", float, 3.0),
     )
-    k_max = int(block.get("k_max", 16))
     outcome = direct_oracle.count_below(ham, k_max=k_max, seed=seed)
     payload = {
         "box_edge": ham.box_edge,

@@ -11,7 +11,10 @@ eps, H has at least N eigenvalues below m. As eps -> 0,
 with the shell-operator eigenvalues E_j, at a linear-in-eps rate: the
 kinetic term is O(eps) and the kernel smearing is O(eps) as well, so the
 convergence table reported by :func:`certify` should contract by about
-one half per halving of eps.
+one half per halving of eps. The form is ``_kinetic + _potential``, each
+evaluated for all column pairs of the trial span at once; :func:`certify`
+is the one caller, and its ``states`` argument takes the surface
+spectrum in place of the assembled shell operator's.
 
 The potential part of h(eps) pairs every tube point with every other.
 For a radial potential on a mesh with a ring layout
@@ -49,8 +52,6 @@ from .symbols import DispersionSymbol
 __all__ = [
     "TransverseProfile",
     "Certificate",
-    "kinetic_form",
-    "potential_form",
     "certify",
 ]
 
@@ -265,37 +266,6 @@ def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulan
     rows = half * width
     form = stacked_hat.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
     return form.real
-
-
-def kinetic_form(symbol: DispersionSymbol, chart: TubularChart, psi_j, psi_k,
-                 profile: TransverseProfile, eps: float) -> complex:
-    """Quadratic form of the shifted free symbol on one trial-function pair.
-
-    Computes ``(1/eps_abs) * sum_i sum_a w_i v_a (H0(L(s_i, t_a)) - m)
-    phi(tau_a)^2 conj(Psi_j) Psi_k rho`` with ``t_a = eps_abs tau_a``,
-    which is O(eps) by the quadratic transverse growth of the symbol.
-    """
-    minimum, _ = symbol.find_minimum()
-    psi = np.stack([np.asarray(psi_j), np.asarray(psi_k)], axis=1)
-    tube = _tube(chart, profile, eps)
-    return complex(_kinetic(symbol.evaluate, minimum, chart.mesh, psi, profile, tube)[0, 1])
-
-
-def potential_form(potential: Potential, chart: TubularChart, psi_j, psi_k,
-                   profile: TransverseProfile, eps: float) -> complex:
-    """Smeared kernel form I(eps) for one trial-function pair.
-
-    The four-fold quadrature (mesh^2 x transverse nodes^2) of
-    ``vhat(L(s, eps t) - L(s', eps t')) phi(t) phi(t') conj(Psi_j) Psi_k
-    rho rho'``; as eps -> 0 it converges to the shell-operator matrix
-    element, exactly reproducing the discrete eigenvalues when the Psi
-    are discrete eigenfunctions.
-    """
-    require_band(potential, 2.0 * (chart.mesh.radius + chart.half_width))
-    psi = np.stack([np.asarray(psi_j), np.asarray(psi_k)], axis=1)
-    tube = _tube(chart, profile, eps)
-    circulant = _circulant(potential, chart.mesh)
-    return complex(_potential(potential, chart.mesh, psi, profile, tube, circulant=circulant)[0, 1])
 
 
 def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,

@@ -37,6 +37,7 @@ from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
 from .surface_operator import (
     SurfaceOperatorMatrix,
+    _band_matrix,
     _check_hermitian,
     _hermitize,
     _weighted_kernel,
@@ -150,18 +151,6 @@ def band_decompose(symbol: MatrixSymbol, p):
     gap = float(np.abs(symbol.offdiagonal(p)))
     u = band_frame(symbol, p[None, :])[0]
     return p2 - gap, p2 + gap, u
-
-
-def _band_matrix(weighted: np.ndarray, frame: np.ndarray, out=None) -> np.ndarray:
-    """Band-projected matrix ``weighted_ij <u_i, u_j>`` for one frame gauge, not yet hermitized.
-
-    ``weighted`` is the weight-symmetrized kernel of
-    :func:`shellbound.surface_operator._weighted_kernel`;
-    ``out``, a complex array of its shape, takes the result when given.
-    """
-    projected = np.matmul(frame.conj(), frame.T, out=out)
-    projected *= weighted
-    return projected
 
 
 def _check_problem(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential) -> None:

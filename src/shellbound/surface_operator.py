@@ -9,7 +9,9 @@ weight-symmetrized Hermitian matrix
 whose eigenvalues approximate the operator's and whose eigenvectors,
 divided by sqrt(w), sample its eigenfunctions. Negative eigenvalues of
 this operator are what the variational pipeline converts into certified
-bound states of the full Hamiltonian.
+bound states of the full Hamiltonian, and the eigenpairs are all that
+:func:`assemble` returns: the certificate never reads A itself, and
+:func:`_weighted_kernel` rebuilds it densely as an independent reference.
 
 For a radial potential on a mesh with a ring layout
 (``SurfaceMesh.rings``) the operator commutes with the azimuthal turns
@@ -38,32 +40,29 @@ __all__ = [
     "circulant_oracle",
     "count_negative",
     "point_matrix_test",
-    "ring_operator",
 ]
+
+_ASSEMBLED = "assembled operator matrix"
 
 
 @dataclass(frozen=True)
 class SurfaceOperatorMatrix:
-    """Spectral data of an assembled shell operator.
+    """Spectral data of an assembled shell operator: its eigenpairs, not A itself.
 
     Attributes
     ----------
     mesh : SurfaceMesh
-    matrix : ndarray, shape (M, M)
-        The weight-symmetrized Hermitian matrix A.
     eigenvalues : ndarray, shape (M,)
         Ascending.
-    eigenvectors : ndarray, shape (M, M)
-        Orthonormal columns, aligned with ``eigenvalues``.
     eigenfunctions : ndarray, shape (M, M)
-        Columns ``Psi_j(s_i) = eigenvectors[i, j] / sqrt(w_i)``, the
-        quadrature samples of the operator's eigenfunctions.
+        Columns ``Psi_j(s_i) = v_ij / sqrt(w_i)`` for orthonormal
+        eigenvectors v_j of the weight-symmetrized A, aligned with
+        ``eigenvalues``: the quadrature samples of the operator's
+        eigenfunctions, normalized by ``sum_i w_i |Psi_j(s_i)|^2 = 1``.
     """
 
     mesh: SurfaceMesh
-    matrix: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     eigenfunctions: np.ndarray
 
     @property
@@ -95,7 +94,7 @@ def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def ring_operator(mesh: SurfaceMesh, column: np.ndarray, what: str) -> SurfaceOperatorMatrix:
+def ring_operator(mesh: SurfaceMesh, column: np.ndarray) -> SurfaceOperatorMatrix:
     """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
 
     ``column[i, r]`` is the kernel between node i and node 0 of ring r
@@ -113,8 +112,7 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, what: str) -> SurfaceOp
     - any other Hermitian C gives ``B_k = sum_p C[p] exp(-2 pi i k p / n)``
       (the FFT over p), with modes ``v x exp(2 pi i k p / n) / sqrt(n)``.
 
-    The eigenpairs are stable-sorted by eigenvalue; ``matrix`` is
-    gathered from C.
+    The eigenpairs are stable-sorted by eigenvalue.
 
     Raises
     ------
@@ -130,7 +128,7 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, what: str) -> SurfaceOp
     p = np.arange(n)
     mirror = -p % n
     adjoint = blocks[mirror].conj().swapaxes(1, 2)
-    _require_hermitian(blocks, adjoint, what)
+    _require_hermitian(blocks, adjoint, _ASSEMBLED)
     blocks = 0.5 * (blocks + adjoint)
     angles = 2.0 * np.pi * p / n
     if not np.iscomplexobj(blocks) and np.abs(blocks - blocks[mirror]).max() <= (
@@ -150,18 +148,9 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, what: str) -> SurfaceOp
     # eigenpair (mode m, ring vector j) is entry m * rings + j before sorting
     order = np.argsort(values[sector].ravel(), kind="stable")
     mode, j = np.divmod(order, rings)
-    eigenvectors = (vectors[sector[mode], :, j].T[:, None, :] * modes[mode].T[None, :, :]).reshape(
+    vectors = (vectors[sector[mode], :, j].T[:, None, :] * modes[mode].T[None, :, :]).reshape(
         mesh.size, mesh.size)
-    # window p of C[-q], q = 0..2n-1, starting at n - p, is row p: C[p - p']
-    wrapped = np.concatenate([blocks[mirror], blocks[mirror]])
-    rows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=0)[n:0:-1]
-    return SurfaceOperatorMatrix(
-        mesh=mesh,
-        matrix=rows.transpose(1, 0, 2, 3).reshape(mesh.size, mesh.size),
-        eigenvalues=values[sector].ravel()[order],
-        eigenvectors=eigenvectors,
-        eigenfunctions=eigenvectors / sqrt_w[:, None],
-    )
+    return SurfaceOperatorMatrix(mesh, values[sector].ravel()[order], vectors / sqrt_w[:, None])
 
 
 def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
@@ -171,6 +160,17 @@ def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
     weighted *= sqrt_w[:, None]
     weighted *= sqrt_w[None, :]
     return weighted
+
+
+def _band_matrix(weighted: np.ndarray, frame: np.ndarray, out=None) -> np.ndarray:
+    """Band-projected matrix ``weighted_ij <u_i, u_j>`` for one frame gauge, not yet hermitized.
+
+    ``weighted`` is the weight-symmetrized kernel of :func:`_weighted_kernel`;
+    ``out``, a complex array of its shape, takes the result when given.
+    """
+    projected = np.matmul(frame.conj(), frame.T, out=out)
+    projected *= weighted
+    return projected
 
 
 def _require_turn_covariant(frame: np.ndarray, rings: int) -> None:
@@ -219,7 +219,6 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
     if mesh.dimension != potential.dimension:
         raise PreconditionError("mesh and potential dimensions differ")
     require_band(potential, 2.0 * mesh.radius)
-    what = "assembled operator matrix"
     u = None if frame is None else np.asarray(frame(mesh.nodes))
     if potential.is_radial and mesh.rings:
         n = mesh.size // mesh.rings
@@ -227,19 +226,12 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
         if u is not None:
             _require_turn_covariant(u, mesh.rings)
             column = column * (u.conj() @ u[::n].T)
-        return ring_operator(mesh, column, what)
+        return ring_operator(mesh, column)
     a = _weighted_kernel(mesh, potential)
     if u is not None:
-        a = a * (u.conj() @ u.T)
-    a = _hermitize(a, what)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    return SurfaceOperatorMatrix(
-        mesh=mesh,
-        matrix=a,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        eigenfunctions=eigenvectors / np.sqrt(mesh.weights)[:, None],
-    )
+        a = _band_matrix(a, u)
+    eigenvalues, vectors = np.linalg.eigh(_hermitize(a, _ASSEMBLED))
+    return SurfaceOperatorMatrix(mesh, eigenvalues, vectors / np.sqrt(mesh.weights)[:, None])
 
 
 def circulant_oracle(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
@@ -263,16 +255,20 @@ def circulant_oracle(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
     return np.sort(spectrum.real)
 
 
-def count_negative(op: SurfaceOperatorMatrix, threshold: float | None = None) -> int:
-    """Number of eigenvalues below ``-threshold``.
+def _default_threshold(op: SurfaceOperatorMatrix) -> float:
+    """``1e-8 * max(1, ||A||)``, the default cutoff of :func:`count_negative`.
 
-    The default threshold ``1e-8 * max(1, ||A||)`` scales with the
-    operator because the continuum spectrum accumulates at zero: a fixed
-    absolute cutoff would make the count mesh-dependent in an
-    uncontrolled way.
+    It scales with the operator because the continuum spectrum
+    accumulates at zero: a fixed absolute cutoff would make the count
+    mesh-dependent in an uncontrolled way.
     """
+    return 1e-8 * max(1.0, op.norm)
+
+
+def count_negative(op: SurfaceOperatorMatrix, threshold: float | None = None) -> int:
+    """Number of eigenvalues below ``-threshold``, by default ``_default_threshold(op)``."""
     if threshold is None:
-        threshold = 1e-8 * max(1.0, op.norm)
+        threshold = _default_threshold(op)
     threshold = float(threshold)
     if threshold <= 0.0:
         raise PreconditionError("threshold must be positive")

@@ -224,6 +224,30 @@ def test_config_errors_name_the_key(tmp_path, capsys):
                      "--output", str(tmp_path)]) == 1
     assert "symbol.kind" in capsys.readouterr().err
 
+    # malformed optional values are named too, not left to a traceback
+    rr = {"n_states": 1, "eps_schedule": [0.2]}
+    oracle = {"task": "oracle", "oracle": {"box_edge": 20.0, "grid": 16}}
+    point = {"task": "point-test", "point_test": {"n_points": 4}}
+    malformed = [
+        ({"symbol": dict(MEXICAN_HAT, dimension="two")}, "symbol.dimension"),
+        ({"surface": {"resolution": 16, "half_width_fraction": "wide"}},
+         "surface.half_width_fraction"),
+        ({"rayleigh_ritz": dict(rr, eps_schedule=0.2)}, "rayleigh_ritz.eps_schedule"),
+        ({"rayleigh_ritz": dict(rr, eps_schedule=[0.2, "half"])}, "rayleigh_ritz.eps_schedule"),
+        ({"rayleigh_ritz": dict(rr, transverse_order="many")}, "rayleigh_ritz.transverse_order"),
+        (dict(oracle, oracle=dict(oracle["oracle"], delta_levels="three")), "oracle.delta_levels"),
+        (dict(oracle, oracle=dict(oracle["oracle"], k_max=[8])), "oracle.k_max"),
+        (dict(point, point_test=dict(point["point_test"], tolerance="tight")),
+         "point_test.tolerance"),
+        (dict(point, point_test=dict(point["point_test"], sets=None)), "point_test.sets"),
+        ({"output": 5}, "'output'"),
+    ]
+    for index, (override, key) in enumerate(malformed):
+        config = write_config(tmp_path, {**base, "rayleigh_ritz": rr, **override}, f"m{index}.json")
+        argv = ["run", config] if "output" in override else ["run", config, "--output", str(tmp_path)]
+        assert cli.main(argv) == 1, key
+        assert key in capsys.readouterr().err
+
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.json")]) == 1

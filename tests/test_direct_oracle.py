@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shellbound import direct_oracle as do
-from shellbound import potentials, rayleigh_ritz, surface, surface_operator, symbols
+from shellbound import potentials, rayleigh_ritz, surface, symbols
 from shellbound.errors import ConfigurationError, ConvergenceError, PreconditionError
 
 SYMBOL = symbols.mexican_hat(dimension=2, p0=1.0)
@@ -203,9 +203,9 @@ def test_injected_trial_matches_form_sign(coupling, eps):
     mesh = surface.build_mesh(1.0, 2, 64)
     chart = surface.tubular_chart(mesh, half_width_fraction=0.5)
     profile = rayleigh_ritz.TransverseProfile.build(order=12)
-    psi0 = surface_operator.assemble(mesh, pot).eigenfunctions[:, 0]
-    h00 = (rayleigh_ritz.kinetic_form(SYMBOL, chart, psi0, psi0, profile, eps)
-           + rayleigh_ritz.potential_form(pot, chart, psi0, psi0, profile, eps)).real
+    # the form on the lowest shell-operator eigenfunction
+    cert = rayleigh_ritz.certify(SYMBOL, pot, mesh, 1, (eps,), half_width_fraction=0.5)
+    h00 = cert.matrices[0][0, 0]
     ham = quiet_build(SYMBOL, pot, 30.0, 192)
     quotient = _grid_quotient(ham, chart, profile, eps)
     assert h00 * quotient > 0.0

@@ -64,18 +64,35 @@ def test_profile_rejects_tiny_order():
 
 
 # -------------------------------------------------------------- kinetic form
+#
+# Values of one form term are read off certify's h(eps) with the other
+# term switched off: the zero potential leaves the kinetic form, a flat
+# symbol (H0 = m everywhere) the potential form. Raw pairing symmetry is
+# checked on _kinetic / _potential themselves, before certify hermitizes.
+
+
+def _forms(sym, pot, mesh, psi, schedule, **options):
+    """h(eps) of certify on the supplied columns ``psi``, one per eps."""
+    psi = np.asarray(psi).reshape(mesh.size, -1)
+    states = (-np.ones(psi.shape[1]), psi)
+    return rr.certify(sym, pot, mesh, psi.shape[1], schedule, states=states, **options).matrices
+
+
+def _random_pair(mesh, seed):
+    """Two random complex columns, a profile and the eps = 0.1 tube on ``mesh``."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((mesh.size, 2)) + 1j * rng.standard_normal((mesh.size, 2))
+    profile = rr.TransverseProfile.build(12)
+    return psi, profile, rr._tube(surface.tubular_chart(mesh), profile, 0.1)
 
 
 def test_kinetic_form_is_exactly_linear_in_eps_for_parabolic_profile():
     # H0 - m = t^2 in the tube and the odd rho correction cancels on the
     # symmetric rule, so the form is eps_abs * const exactly
-    sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 32)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(12)
     psi = np.full(mesh.size, 1.0 / np.sqrt(2.0 * np.pi))
-    values = [rr.kinetic_form(sym, chart, psi, psi, profile, e) for e in (0.2, 0.1, 0.05)]
-    values = np.array(values)
+    forms = _forms(symbols.mexican_hat(1.0), potentials.zero(), mesh, psi, (0.2, 0.1, 0.05))
+    values = np.array([h[0, 0] for h in forms])
     assert np.all(values.real > 0.0)
     assert np.abs(values.imag).max() < 1e-15
     npt.assert_allclose(values[1] / values[0], 0.5, rtol=1e-12)
@@ -85,49 +102,36 @@ def test_kinetic_form_is_exactly_linear_in_eps_for_parabolic_profile():
 def test_kinetic_form_vanishes_for_orthogonal_states_of_radial_symbol():
     # a radial symbol shifts every surface point identically, so the
     # form factorizes through sum w conj(Psi_j) Psi_k = 0
-    sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 32)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(12)
     theta = np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0])
-    psi_j = np.exp(1j * theta)
-    psi_k = np.exp(-1j * theta)
-    out = rr.kinetic_form(sym, chart, psi_j, psi_k, profile, 0.2)
-    assert abs(out) < 1e-14
+    psi = np.stack([np.exp(1j * theta), np.exp(-1j * theta)], axis=1)
+    (h,) = _forms(symbols.mexican_hat(1.0), potentials.zero(), mesh, psi, (0.2,))
+    assert abs(h[0, 1]) < 1e-14
 
 
 def test_kinetic_form_is_zero_for_flat_symbol():
-    sym = _flat_symbol(5.0)
     mesh = surface.build_mesh(1.0, 2, 16)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(8)
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(mesh.size)
-    assert rr.kinetic_form(sym, chart, psi, psi, profile, 0.5) == 0.0
+    (h,) = _forms(_flat_symbol(5.0), potentials.zero(), mesh, psi, (0.5,), transverse_order=8)
+    assert h[0, 0] == 0.0
 
 
 def test_kinetic_form_hermitian_pairing():
-    sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 24)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(12)
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
-    b = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
-    fwd = rr.kinetic_form(sym, chart, a, b, profile, 0.1)
-    bwd = rr.kinetic_form(sym, chart, b, a, profile, 0.1)
-    assert abs(fwd - np.conj(bwd)) < 1e-13 * max(1.0, abs(fwd))
+    sym = symbols.mexican_hat(1.0)
+    psi, profile, tube = _random_pair(mesh, 5)
+    h = rr._kinetic(sym.evaluate, sym.find_minimum()[0], mesh, psi, profile, tube)
+    assert abs(h[0, 1] - np.conj(h[1, 0])) < 1e-13 * max(1.0, abs(h[0, 1]))
 
 
 def test_tube_eps_validation():
-    sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 16)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(8)
     psi = np.ones(mesh.size)
     for bad in (0.0, -0.1, 1.01):
         with pytest.raises(PreconditionError):
-            rr.kinetic_form(sym, chart, psi, psi, profile, bad)
+            _forms(symbols.mexican_hat(1.0), potentials.zero(), mesh, psi, (bad,),
+                   transverse_order=8)
 
 
 # ------------------------------------------------------------ potential form
@@ -137,37 +141,27 @@ def test_potential_form_constant_kernel_is_eps_independent():
     # (sum_a v_a phi_a rho_a) = 1 exactly on the circle because the odd
     # rho part integrates to zero, leaving I = -v (sum w Psi)^2 = -2 pi R v
     mesh = surface.build_mesh(1.0, 2, 32)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(12)
     psi = np.full(mesh.size, 1.0 / np.sqrt(2.0 * np.pi))
     pot = _constant_kernel_potential(-0.7)
-    for eps in (1.0, 0.2, 0.05):
-        out = rr.potential_form(pot, chart, psi, psi, profile, eps)
-        npt.assert_allclose(out, -0.7 * 2.0 * np.pi, rtol=1e-12)
+    for h in _forms(_flat_symbol(0.0), pot, mesh, psi, (1.0, 0.2, 0.05)):
+        npt.assert_allclose(h[0, 0], -0.7 * 2.0 * np.pi, rtol=1e-12)
 
 
 def test_potential_form_zero_potential_is_zero():
     mesh = surface.build_mesh(1.0, 2, 16)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(8)
     psi = np.ones(mesh.size)
-    assert rr.potential_form(potentials.zero(), chart, psi, psi, profile, 0.3) == 0.0
+    (h,) = _forms(_flat_symbol(0.0), potentials.zero(), mesh, psi, (0.3,), transverse_order=8)
+    assert h[0, 0] == 0.0
 
 
 def test_potential_form_converges_to_discrete_eigenvalues():
+    # the flat symbol leaves h(eps) = the potential form on the two
+    # lowest eigenfunctions of the shell operator certify assembles
     mesh = surface.build_mesh(1.0, 2, 32)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(12)
     pot = potentials.gaussian_well(1.0, 1.0)
-    op = so.assemble(mesh, pot)
-    psi0 = op.eigenfunctions[:, 0]
-    psi1 = op.eigenfunctions[:, 1]
-    errors = []
-    off = []
-    for eps in (0.2, 0.05):
-        diag = rr.potential_form(pot, chart, psi0, psi0, profile, eps)
-        errors.append(abs(diag - op.eigenvalues[0]))
-        off.append(abs(rr.potential_form(pot, chart, psi0, psi1, profile, eps)))
+    cert = rr.certify(_flat_symbol(0.0), pot, mesh, 2, (0.2, 0.05))
+    errors = [abs(h[0, 0] - cert.limit_values[0]) for h in cert.matrices]
+    off = [abs(h[0, 1]) for h in cert.matrices]
     assert errors[1] < 0.3 * errors[0]
     assert off[1] < max(0.5 * off[0], 1e-12)
     assert errors[1] < 5e-4
@@ -175,15 +169,10 @@ def test_potential_form_converges_to_discrete_eigenvalues():
 
 def test_potential_form_hermitian_pairing():
     mesh = surface.build_mesh(1.0, 2, 24)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(12)
     pot = potentials.gaussian_well(1.0, 1.0)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
-    b = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
-    fwd = rr.potential_form(pot, chart, a, b, profile, 0.1)
-    bwd = rr.potential_form(pot, chart, b, a, profile, 0.1)
-    assert abs(fwd - np.conj(bwd)) < 1e-12 * max(1.0, abs(fwd))
+    psi, profile, tube = _random_pair(mesh, 7)
+    h = rr._potential(pot, mesh, psi, profile, tube, circulant=rr._circulant(pot, mesh))
+    assert abs(h[0, 1] - np.conj(h[1, 0])) < 1e-12 * max(1.0, abs(h[0, 1]))
 
 
 def test_potential_form_enforces_band_with_tube_margin():
@@ -192,11 +181,9 @@ def test_potential_form_enforces_band_with_tube_margin():
     table = potentials.tabulated(np.full((samples, samples), -1.0), edge)
     assert table.band < 2.5
     mesh = surface.build_mesh(1.0, 2, 16)
-    chart = surface.tubular_chart(mesh, 0.25)
-    profile = rr.TransverseProfile.build(8)
     psi = np.ones(mesh.size)
     with pytest.raises(ConfigurationError):
-        rr.potential_form(table, chart, psi, psi, profile, 0.2)
+        _forms(_flat_symbol(0.0), table, mesh, psi, (0.2,), transverse_order=8)
 
 
 # ----------------------------------------------------------------- certify
@@ -401,14 +388,14 @@ def test_block_circulant_zero_states():
 
 def test_block_circulant_potential_form_matches_dense():
     mesh = surface.build_mesh(1.0, 2, 24)
-    profile = rr.TransverseProfile.build(12)
     pot = potentials.gaussian_well(1.0, 1.0)
     rng = np.random.default_rng(13)
     a = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
     b = rng.standard_normal(mesh.size)
-    fast = rr.potential_form(pot, surface.tubular_chart(mesh), a, b, profile, 0.1)
-    dense = rr.potential_form(pot, surface.tubular_chart(_without_layout(mesh)), a, b, profile, 0.1)
-    assert abs(fast - dense) <= 1e-12 * abs(dense)
+    psi = np.stack([a, b], axis=1)
+    (fast,) = _forms(_flat_symbol(0.0), pot, mesh, psi, (0.1,))
+    (dense,) = _forms(_flat_symbol(0.0), pot, _without_layout(mesh), psi, (0.1,))
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_block_circulant_route_rejects_a_complex_radial_kernel():

@@ -103,8 +103,7 @@ def test_sector_spin_assembly_matches_dense(kernel_calls, assert_same_operator, 
     mesh = surface.build_mesh(symbol.find_minimum()[1], 2, 64)
     fast = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL)
     assert kernel_calls == [(mesh.size, 1)]  # no (M, M) kernel
-    dense = spin_orbit.assemble_spin_kernel(symbol, dataclasses.replace(mesh, rings=0), WELL)
-    assert_same_operator(fast, dense)
+    assert_same_operator(fast, _dense_reference(mesh, spin_orbit.band_frame(symbol, mesh.nodes)))
 
 
 def test_sector_spin_assembly_needs_a_turn_covariant_frame(circle, monkeypatch):
@@ -255,19 +254,26 @@ def test_gauge_deviation_needs_a_trial(circle):
         spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL, trials=0)
 
 
+def _dense_reference(mesh, frame):
+    # the band-projected operator, assembled densely and independently
+    # of the sector route
+    return surface_operator._band_matrix(surface_operator._weighted_kernel(mesh, WELL), frame)
+
+
 def test_unit_overlap_reproduces_scalar_operator(circle):
     frame = np.zeros((circle.size, 2), dtype=np.complex128)
     frame[:, 0] = 1.0
+    scalar = surface_operator._weighted_kernel(circle, WELL)
+    assert np.array_equal(_dense_reference(circle, frame), scalar)
     projected = surface_operator.assemble(circle, WELL, lambda points: frame)
-    scalar = surface_operator.assemble(circle, WELL)
-    np.testing.assert_allclose(projected.matrix, scalar.matrix, atol=1e-15)
-    np.testing.assert_allclose(projected.eigenvalues, scalar.eigenvalues, atol=1e-13)
+    np.testing.assert_allclose(projected.eigenvalues,
+                               surface_operator.assemble(circle, WELL).eigenvalues, atol=1e-13)
 
 
 def test_overlap_cannot_enlarge_entries(circle):
-    spin = spin_orbit.assemble_spin_kernel(spin_orbit.rashba(2.0), circle, WELL)
-    scalar = surface_operator.assemble(circle, WELL)
-    assert np.all(np.abs(spin.matrix) <= np.abs(scalar.matrix) + 1e-15)
+    spin = _dense_reference(circle, spin_orbit.band_frame(spin_orbit.rashba(2.0), circle.nodes))
+    scalar = surface_operator._weighted_kernel(circle, WELL)
+    assert np.all(np.abs(spin) <= np.abs(scalar) + 1e-15)
 
 
 def test_nonpositive_well_gives_nonpositive_spectrum(circle):

@@ -55,7 +55,7 @@ def test_constant_kernel_gives_rank_one_operator():
 def test_zero_potential_gives_zero_operator():
     mesh = surface.build_mesh(1.0, 2, 16)
     op = so.assemble(mesh, potentials.zero())
-    assert np.all(op.matrix == 0.0)
+    assert np.all(so._weighted_kernel(mesh, potentials.zero()) == 0.0)
     assert np.all(op.eigenvalues == 0.0)
     assert so.count_negative(op) == 0
 
@@ -96,9 +96,16 @@ def test_eigenfunctions_satisfy_the_integral_equation():
 
 
 def test_assembled_matrix_is_hermitian(tabulated_gaussian_2d):
+    # the dense reference is Hermitian, and the eigenpairs of either
+    # route (sector for the ball well, dense for the table) rebuild it
+    mesh = surface.build_mesh(1.0, 2, 32)
     for pot in (potentials.ball_well(1.0, 1.0), tabulated_gaussian_2d):
-        op = so.assemble(surface.build_mesh(1.0, 2, 32), pot)
-        npt.assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-15)
+        reference = so._weighted_kernel(mesh, pot)
+        npt.assert_allclose(reference, reference.conj().T, atol=1e-15)
+        op = so.assemble(mesh, pot)
+        vectors = np.sqrt(mesh.weights)[:, None] * op.eigenfunctions
+        rebuilt = (vectors * op.eigenvalues) @ vectors.conj().T
+        npt.assert_allclose(rebuilt, reference, atol=1e-13)
 
 
 def test_tabulated_assembly_matches_closed_form(tabulated_gaussian_2d):
@@ -213,8 +220,8 @@ def test_sector_assembly_matches_dense(kernel_calls, assert_same_operator, dimen
     pot = _radial_potential(kind, dimension)
     fast = so.assemble(mesh, pot)
     assert kernel_calls == [(mesh.size, mesh.rings)]  # no (M, M) kernel
-    assert fast.eigenvectors.dtype == np.float64  # real cos/sin modes
-    assert_same_operator(fast, so.assemble(dataclasses.replace(mesh, rings=0), pot))
+    assert fast.eigenfunctions.dtype == np.float64  # real cos/sin modes
+    assert_same_operator(fast, so._weighted_kernel(mesh, pot))
 
 
 def test_sector_assembly_without_mirror_symmetry_takes_the_fft_route(assert_same_operator):
@@ -230,8 +237,8 @@ def test_sector_assembly_without_mirror_symmetry_takes_the_fft_route(assert_same
                             is_radial=True)
     mesh = surface.build_mesh(1.0, 3, 6)
     fast = so.assemble(mesh, pot)
-    assert fast.eigenvectors.dtype == np.complex128
-    assert_same_operator(fast, so.assemble(dataclasses.replace(mesh, rings=0), pot))
+    assert fast.eigenfunctions.dtype == np.complex128
+    assert_same_operator(fast, so._weighted_kernel(mesh, pot))
 
 
 def test_sector_assembly_rejects_non_hermitian_slice():
@@ -270,9 +277,7 @@ def test_count_negative_thresholds():
     eigenvalues = np.array([-3.0, -1.0, 0.0, 2.0])
     op = so.SurfaceOperatorMatrix(
         mesh=surface.build_mesh(1.0, 2, 4),
-        matrix=np.diag(eigenvalues),
         eigenvalues=eigenvalues,
-        eigenvectors=np.eye(4),
         eigenfunctions=np.eye(4),
     )
     assert so.count_negative(op, 0.5) == 2
@@ -287,15 +292,16 @@ def test_count_negative_thresholds():
 def test_quadratic_form_matches_real_space_quadrature():
     # u* A u = (2 pi)^(-n/2) integral V(x) |g(x)|^2 dx with the shell
     # wave packet g(x) = sum_j w_j f_j exp(i <s_j, x>); this pins the
-    # transform convention end to end
+    # transform convention end to end, through the eigenpairs alone:
+    # u* A u = sum_j lambda_j |v_j^H u|^2 with v_j = sqrt(w) Psi_j
     mesh = surface.build_mesh(1.0, 2, 16)
     pot = potentials.gaussian_well(1.0, 1.0)
     op = so.assemble(mesh, pot)
     rng = np.random.default_rng(41)
     f = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
     u = np.sqrt(mesh.weights) * f
-    lhs = complex(u.conj() @ op.matrix @ u)
-    assert abs(lhs.imag) < 1e-12 * abs(lhs.real)
+    vectors = np.sqrt(mesh.weights)[:, None] * op.eigenfunctions
+    lhs = float(op.eigenvalues @ np.abs(vectors.conj().T @ u) ** 2)
 
     axis = np.linspace(-8.0, 8.0, 201)
     step = axis[1] - axis[0]
@@ -304,7 +310,7 @@ def test_quadratic_form_matches_real_space_quadrature():
     g = phases @ (mesh.weights * f)
     v_vals = pot.evaluate(grid)
     rhs = (2.0 * np.pi) ** -1 * np.sum(v_vals * np.abs(g) ** 2) * step**2
-    npt.assert_allclose(lhs.real, rhs, rtol=1e-6)
+    npt.assert_allclose(lhs, rhs, rtol=1e-6)
 
 
 # ------------------------------------------------------------ point matrices
