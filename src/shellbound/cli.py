@@ -8,12 +8,16 @@ Commands
     form, 1 on errors.
 ``shellbound compare <config.json>``
     Run the variational certification and the grid oracle on the same
-    problem and check ``oracle_count >= certified``. Exit status 3 on
-    violation (a bug by the variational inequality), otherwise as run.
+    problem and check ``oracle_count >= certified``. Exit status 0 when
+    the counts are consistent, even if the certification search found no
+    negative-definite trial form; 3 on violation (a bug by the
+    variational inequality); 1 on errors.
 
 Both commands accept ``--output <dir>``, ``--threads <k>`` and
-``--seed <u64>``. Identical config + seed + thread count reproduces
-byte-identical JSON output.
+``--seed <u64>``, and write ``<task>.json`` (``compare.json`` for
+``compare``) plus ``<task>.csv`` for the tasks with trial-form rows.
+Identical config + seed + thread count reproduces byte-identical JSON
+output.
 
 Config schema (JSON object; keys by task):
 
@@ -32,8 +36,11 @@ Config schema (JSON object; keys by task):
   "transverse_order": int}``.
 - ``oracle``: ``{"box_edge": float, "grid": int, "k_max": int,
   "delta_levels": float}``.
-- ``point_test``: ``{"n_points": int, "tolerance": float, "sets": int}``.
+- ``point_test``: ``{"n_points": int, "tolerance": float, "sets": int}``;
+  ``n_points`` and ``sets`` are at least 1.
 - ``output``: default output directory (overridden by ``--output``).
+
+Every ``int`` above rejects booleans and non-integral numbers.
 """
 
 from __future__ import annotations
@@ -47,19 +54,27 @@ import sys
 from pathlib import Path
 
 SCHEMA_VERSION = 1
-TASKS = (
-    "surface-spectrum",
-    "bound-count",
-    "rayleigh-ritz",
-    "point-test",
-    "oracle",
-    "spin-orbit",
-)
+# kind -> (constructor name in ``symbols`` / ``potentials``, parameter
+# names); the constructor is looked up on its module at call time
+SYMBOL_KINDS = {
+    "roton": ("roton", ("delta", "mu", "p0")),
+    "bcs": ("bcs", ("mu", "beta")),
+    "mexican-hat": ("mexican_hat", ("p0",)),
+    "custom-radial": ("custom_radial", ("radii", "values")),
+}
+POTENTIAL_KINDS = {
+    "none": ("zero", ()),
+    "gaussian-well": ("gaussian_well", ("c", "sigma")),
+    "ball-well": ("ball_well", ("c", "radius")),
+    "gaussian-dimple-mix": ("gaussian_dimple_mix", ("c1", "sigma1", "c2", "sigma2")),
+}
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    # BLAS/OpenMP pools size themselves at import; pin before numpy loads
+    # BLAS/OpenMP pools size themselves when numpy loads, and importing
+    # this module has already loaded numpy through shellbound/__init__,
+    # so these reach only pools started later (ROADMAP.md, item 7)
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
@@ -68,18 +83,29 @@ def main(argv=None) -> int:
     ):
         os.environ[var] = str(args.threads)
 
-    from .errors import ToolkitError
+    from .errors import ConfigurationError, ToolkitError
 
     try:
         config = _load_config(args.config)
         output_dir = Path(args.output or _need(config, "output", None, Path, Path(".")))
         output_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "run":
-            return _command_run(config, args, output_dir)
-        return _command_compare(config, args, output_dir)
+        task = "compare" if args.command == "compare" else config.get("task")
+        runnable = tuple(name for name in TASKS if name != "compare")
+        if args.command == "run" and task not in runnable:
+            raise ConfigurationError(f"config key 'task' must be one of {', '.join(runnable)}")
+        results, rows, status = TASKS[task](config, args.seed)
+        _write_json(output_dir / f"{task}.json", config, args, task, results)
+        if rows is not None:
+            _write_csv(output_dir / f"{task}.csv", rows)
     except (ToolkitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if status == 3:
+        print(
+            f"error: oracle count {results['oracle_count']} fell below certified {results['certified']}",
+            file=sys.stderr,
+        )
+    return status
 
 
 def _parse_args(argv):
@@ -109,7 +135,7 @@ def _load_config(path):
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ConfigurationError("config root must be a JSON object")
-    known = set(TASKS) | {
+    known = {
         "task", "symbol", "potential", "surface", "spin_orbit",
         "rayleigh_ritz", "oracle", "point_test", "output",
     }
@@ -151,36 +177,42 @@ def _need(block, name, path, kind=float, default=None):
         raise ConfigurationError(f"config key '{key}' is malformed: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A ``_need`` kind for integer keys: ``int(value)``, but no boolean or fraction."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value) -> int:
+    """A ``_need`` kind for counts that must be at least 1."""
+    value = _integer(value)
+    if value < 1:
+        raise ValueError(f"expected at least 1, got {value}")
+    return value
+
+
+def _construct(module, kinds, path, kind, block, dimension):
+    """``module.<constructor>(*params, dimension)`` for ``kind`` by the ``kinds`` table."""
+    from .errors import ConfigurationError
+
+    params = _block(block, "params", required=False)
+    if kind not in kinds:
+        raise ConfigurationError(f"unknown {path}.kind '{kind}'")
+    constructor, names = kinds[kind]
+    # custom-radial's profile samples are lists, every other parameter a float
+    value_kind = list if kind == "custom-radial" else float
+    values = [_need(params, name, f"{path}.params", value_kind) for name in names]
+    return getattr(module, constructor)(*values, dimension)
+
+
 def _build_symbol(config):
     from . import symbols
-    from .errors import ConfigurationError
 
     block = _block(config, "symbol")
     kind = _need(block, "kind", "symbol", str)
-    dimension = _need(block, "dimension", "symbol", int, 2)
-    params = _block(block, "params", required=False)
-    if kind == "roton":
-        return symbols.roton(
-            _need(params, "delta", "symbol.params"),
-            _need(params, "mu", "symbol.params"),
-            _need(params, "p0", "symbol.params"),
-            dimension,
-        )
-    if kind == "bcs":
-        return symbols.bcs(
-            _need(params, "mu", "symbol.params"),
-            _need(params, "beta", "symbol.params"),
-            dimension,
-        )
-    if kind == "mexican-hat":
-        return symbols.mexican_hat(_need(params, "p0", "symbol.params"), dimension)
-    if kind == "custom-radial":
-        return symbols.custom_radial(
-            _need(params, "radii", "symbol.params", list),
-            _need(params, "values", "symbol.params", list),
-            dimension,
-        )
-    raise ConfigurationError(f"unknown symbol.kind '{kind}'")
+    dimension = _need(block, "dimension", "symbol", _integer, 2)
+    return _construct(symbols, SYMBOL_KINDS, "symbol", kind, block, dimension)
 
 
 def _build_potential(config, dimension, required=True):
@@ -191,64 +223,15 @@ def _build_potential(config, dimension, required=True):
     if not block:
         return None
     kind = _need(block, "kind", "potential", str)
+    if kind != "tabulated":
+        return _construct(potentials, POTENTIAL_KINDS, "potential", kind, block, dimension)
     params = _block(block, "params", required=False)
-    if kind == "none":
-        return potentials.zero(dimension)
-    if kind == "gaussian-well":
-        return potentials.gaussian_well(
-            _need(params, "c", "potential.params"),
-            _need(params, "sigma", "potential.params"),
-            dimension,
+    loaded = potentials.tabulated_from_file(_need(params, "path", "potential.params", str))
+    if loaded.dimension != dimension:
+        raise ConfigurationError(
+            f"potential table dimension {loaded.dimension} does not match symbol dimension {dimension}"
         )
-    if kind == "ball-well":
-        return potentials.ball_well(
-            _need(params, "c", "potential.params"),
-            _need(params, "radius", "potential.params"),
-            dimension,
-        )
-    if kind == "gaussian-dimple-mix":
-        return potentials.gaussian_dimple_mix(
-            _need(params, "c1", "potential.params"),
-            _need(params, "sigma1", "potential.params"),
-            _need(params, "c2", "potential.params"),
-            _need(params, "sigma2", "potential.params"),
-            dimension,
-        )
-    if kind == "tabulated":
-        loaded = potentials.tabulated_from_file(_need(params, "path", "potential.params", str))
-        if loaded.dimension != dimension:
-            raise ConfigurationError(
-                f"potential table dimension {loaded.dimension} does not match symbol dimension {dimension}"
-            )
-        return loaded
-    raise ConfigurationError(f"unknown potential.kind '{kind}'")
-
-
-def _command_run(config, args, output_dir: Path) -> int:
-    from .errors import ConfigurationError
-
-    task = config.get("task")
-    if task not in TASKS:
-        raise ConfigurationError(f"config key 'task' must be one of {', '.join(TASKS)}")
-    results, sweep_rows, status = _run_task(task, config, args.seed)
-    _write_json(output_dir / f"{task}.json", config, args, task, results)
-    if sweep_rows is not None:
-        _write_csv(output_dir / f"{task}.csv", sweep_rows)
-    return status
-
-
-def _run_task(task, config, seed):
-    if task == "surface-spectrum":
-        return _task_surface_spectrum(config)
-    if task == "bound-count":
-        return _task_bound_count(config)
-    if task == "rayleigh-ritz":
-        return _task_rayleigh_ritz(config)
-    if task == "point-test":
-        return _task_point_test(config, seed)
-    if task == "oracle":
-        return _task_oracle(config, seed)
-    return _task_spin_orbit(config, seed)
+    return loaded
 
 
 def _scalar_problem(config):
@@ -257,7 +240,7 @@ def _scalar_problem(config):
     symbol = _build_symbol(config)
     potential = _build_potential(config, symbol.dimension)
     surface_block = _block(config, "surface")
-    resolution = _need(surface_block, "resolution", "surface", int)
+    resolution = _need(surface_block, "resolution", "surface", _integer)
     _, radius = symbol.find_minimum()
     mesh = surface.build_mesh(radius, symbol.dimension, resolution)
     return symbol, potential, mesh, surface_block
@@ -276,7 +259,7 @@ def _spectrum_payload(operator):
     }
 
 
-def _task_surface_spectrum(config):
+def _task_surface_spectrum(config, seed):
     from . import surface_operator as so
 
     symbol, potential, mesh, _ = _scalar_problem(config)
@@ -288,13 +271,13 @@ def _task_surface_spectrum(config):
     return results, None, 0
 
 
-def _task_bound_count(config):
+def _task_bound_count(config, seed):
     from . import surface, surface_operator as so
 
     symbol, potential, mesh, surface_block = _scalar_problem(config)
     coarse = so.assemble(mesh, potential)
-    fine_mesh = surface.build_mesh(mesh.radius, mesh.dimension, 2 * _need(surface_block, "resolution", "surface", int))
-    fine = so.assemble(fine_mesh, potential)
+    resolution = _need(surface_block, "resolution", "surface", _integer)
+    fine = so.assemble(surface.build_mesh(mesh.radius, mesh.dimension, 2 * resolution), potential)
     threshold = so._default_threshold(coarse)
     count = so.count_negative(coarse, threshold)
     count_doubled = so.count_negative(fine, threshold)
@@ -334,23 +317,22 @@ def _sweep_rows(certificate):
     return rows
 
 
-def _certify_from_config(config):
+def _certify(config, symbol, potential, mesh, surface_block):
     from . import rayleigh_ritz
 
-    symbol, potential, mesh, surface_block = _scalar_problem(config)
     rr = _block(config, "rayleigh_ritz")
     return rayleigh_ritz.certify(
         symbol, potential, mesh,
-        _need(rr, "n_states", "rayleigh_ritz", int),
+        _need(rr, "n_states", "rayleigh_ritz", _integer),
         _need(rr, "eps_schedule", "rayleigh_ritz", lambda values: [float(e) for e in values],
               rayleigh_ritz.DEFAULT_SCHEDULE),
         half_width_fraction=_need(surface_block, "half_width_fraction", "surface", float, 0.25),
-        transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", int, 12),
+        transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", _integer, 12),
     )
 
 
-def _task_rayleigh_ritz(config):
-    certificate = _certify_from_config(config)
+def _task_rayleigh_ritz(config, seed):
+    certificate = _certify(config, *_scalar_problem(config))
     status = 0 if certificate.certified else 2
     return _certificate_payload(certificate), _sweep_rows(certificate), status
 
@@ -363,9 +345,9 @@ def _task_point_test(config, seed):
     symbol = _build_symbol(config)
     potential = _build_potential(config, symbol.dimension)
     block = _block(config, "point_test")
-    n_points = _need(block, "n_points", "point_test", int)
+    n_points = _need(block, "n_points", "point_test", _count)
     tolerance = _need(block, "tolerance", "point_test", float, 1e-12)
-    sets = _need(block, "sets", "point_test", int, 1)
+    sets = _need(block, "sets", "point_test", _count, 1)
     _, radius = symbol.find_minimum()
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -403,17 +385,15 @@ def _sample_shell_points(rng, radius, dimension, count):
             return points
 
 
-def _oracle_from_config(config, seed):
+def _count_oracle(config, seed, symbol, potential):
     from . import direct_oracle
 
-    symbol = _build_symbol(config)
-    potential = _build_potential(config, symbol.dimension, required=False)
     block = _block(config, "oracle")
-    k_max = _need(block, "k_max", "oracle", int, 16)
+    k_max = _need(block, "k_max", "oracle", _integer, 16)
     ham = direct_oracle.build_hamiltonian(
         symbol, potential,
         _need(block, "box_edge", "oracle"),
-        _need(block, "grid", "oracle", int),
+        _need(block, "grid", "oracle", _integer),
         _need(block, "delta_levels", "oracle", float, 3.0),
     )
     outcome = direct_oracle.count_below(ham, k_max=k_max, seed=seed)
@@ -434,7 +414,9 @@ def _oracle_from_config(config, seed):
 
 
 def _task_oracle(config, seed):
-    _, payload = _oracle_from_config(config, seed)
+    symbol = _build_symbol(config)
+    potential = _build_potential(config, symbol.dimension, required=False)
+    _, payload = _count_oracle(config, seed, symbol, potential)
     return payload, None, 0
 
 
@@ -445,16 +427,13 @@ def _task_spin_orbit(config, seed):
     block = _block(config, "spin_orbit")
     kind = _need(block, "kind", "spin_orbit", str)
     alpha = _need(block, "alpha", "spin_orbit")
-    if kind == "rashba":
-        symbol = spin_orbit.rashba(alpha)
-    elif kind == "dresselhaus":
-        symbol = spin_orbit.dresselhaus(alpha)
-    else:
+    if kind not in ("rashba", "dresselhaus"):
         raise ConfigurationError(f"unknown spin_orbit.kind '{kind}'")
+    symbol = getattr(spin_orbit, kind)(alpha)
     potential = _build_potential(config, 2)
     surface_block = _block(config, "surface")
     minimum, radius = symbol.find_minimum()
-    mesh = surface.build_mesh(radius, 2, _need(surface_block, "resolution", "surface", int))
+    mesh = surface.build_mesh(radius, 2, _need(surface_block, "resolution", "surface", _integer))
     operator = spin_orbit.assemble_spin_kernel(symbol, mesh, potential)
     results = _spectrum_payload(operator)
     results.update({
@@ -467,9 +446,11 @@ def _task_spin_orbit(config, seed):
     return results, None, 0
 
 
-def _command_compare(config, args, output_dir: Path) -> int:
-    certificate = _certify_from_config(config)
-    outcome, oracle_payload = _oracle_from_config(config, args.seed)
+def _task_compare(config, seed):
+    """Certificate and oracle count on one symbol, potential and mesh; status 3 if they clash."""
+    symbol, potential, mesh, surface_block = _scalar_problem(config)
+    certificate = _certify(config, symbol, potential, mesh, surface_block)
+    outcome, oracle_payload = _count_oracle(config, seed, symbol, potential)
     consistent = outcome.count >= certificate.certified_count
     results = {
         "certified": certificate.certified_count,
@@ -479,15 +460,20 @@ def _command_compare(config, args, output_dir: Path) -> int:
         "certificate": _certificate_payload(certificate),
         "oracle": oracle_payload,
     }
-    _write_json(output_dir / "compare.json", config, args, "compare", results)
-    _write_csv(output_dir / "compare.csv", _sweep_rows(certificate))
-    if not consistent:
-        print(
-            f"error: oracle count {outcome.count} fell below certified {certificate.certified_count}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return results, _sweep_rows(certificate), 0 if consistent else 3
+
+
+# task name -> (config, seed) -> (results, CSV rows or None, exit status);
+# ``run`` takes every task but ``compare``, which has its own command
+TASKS = {
+    "surface-spectrum": _task_surface_spectrum,
+    "bound-count": _task_bound_count,
+    "rayleigh-ritz": _task_rayleigh_ritz,
+    "point-test": _task_point_test,
+    "oracle": _task_oracle,
+    "spin-orbit": _task_spin_orbit,
+    "compare": _task_compare,
+}
 
 
 def _write_json(path: Path, config, args, task, results) -> None:

@@ -181,13 +181,22 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
     )
 
 
+def _fourier_multiply(table: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A dual-lattice multiplier applied to a (G, ..., G, b) batch of real vectors.
+
+    ``table`` is the multiplier in fftfreq layout; its real-FFT half
+    (last grid axis cut to G//2 + 1) multiplies the real FFT of each
+    column, so the result is real.
+    """
+    axes = tuple(range(block.ndim - 1))
+    table_half = table[..., : block.shape[-2] // 2 + 1, None]
+    spectral = np.fft.rfftn(block, axes=axes)
+    return np.fft.irfftn(table_half * spectral, s=block.shape[:-1], axes=axes)
+
+
 def _apply_real_block(ham: GridHamiltonian, block: np.ndarray) -> np.ndarray:
     """H applied to a (G, ..., G, b) batch of real vectors via real FFTs."""
-    axes = tuple(range(ham.dimension))
-    half = ham.grid // 2 + 1
-    table_half = ham.symbol_table[..., :half, None]
-    spectral = np.fft.rfftn(block, axes=axes)
-    out = np.fft.irfftn(table_half * spectral, s=block.shape[: ham.dimension], axes=axes)
+    out = _fourier_multiply(ham.symbol_table, block)
     if ham.potential_table is not None:
         out += ham.potential_table[..., None] * block
     return out
@@ -224,10 +233,10 @@ def apply(ham: GridHamiltonian, psi) -> np.ndarray:
             f"state shape {psi.shape} does not match a grid of {ham.size} points"
         )
     if np.iscomplexobj(block):
-        axes = tuple(range(ham.dimension))
-        out = np.fft.ifftn(ham.symbol_table[..., None] * np.fft.fftn(block, axes=axes), axes=axes)
-        if ham.potential_table is not None:
-            out += ham.potential_table[..., None] * block
+        # H0 and V are real, so H acts on the real and imaginary parts
+        # apart: they go through as interleaved real columns
+        pairs = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
+        out = _apply_real_block(ham, pairs).view(np.complex128)
     else:
         out = _apply_real_block(ham, np.ascontiguousarray(block, dtype=np.float64))
     return out.reshape(psi.shape) if flat_in else out[..., 0]
@@ -422,11 +431,8 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     guards = 4
     block_size = min(k + guards, size)
     grid_shape = (ham.grid,) * ham.dimension
-    axes = tuple(range(ham.dimension))
-    half = ham.grid // 2 + 1
     shift = 0.02 * float(np.abs(ham.potential_table).max())
-    shifted = ham.symbol_table - ham.symbol_table.min() + shift
-    precond_half = (1.0 / shifted)[..., :half, None]
+    inverse = 1.0 / (ham.symbol_table - ham.symbol_table.min() + shift)
 
     def matmat(x):
         block = np.ascontiguousarray(x.reshape(grid_shape + (-1,)), dtype=np.float64)
@@ -434,8 +440,7 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
 
     def precond(x):
         block = np.ascontiguousarray(x.reshape(grid_shape + (-1,)), dtype=np.float64)
-        spectral = precond_half * np.fft.rfftn(block, axes=axes)
-        return np.fft.irfftn(spectral, s=grid_shape, axes=axes).reshape(x.shape)
+        return _fourier_multiply(inverse, block).reshape(x.shape)
 
     operator = LinearOperator((size, size), matvec=matmat, matmat=matmat, dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigurationError, InvalidInputError, OutOfBandError
+from .symbols import _check_dimension, _positive
 
 KINDS = ("gaussian-well", "ball-well", "gaussian-dimple-mix", "tabulated")
 
@@ -121,18 +122,6 @@ def require_band(potential: Potential, needed: float) -> None:
             f"potential resolved band {potential.band:.6g} is below the required "
             f"momentum range {needed:.6g}; enlarge the table box or refine sampling"
         )
-
-
-def _positive(name: str, value) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ConfigurationError(f"parameter {name} must be strictly positive")
-    return value
-
-
-def _check_dimension(dimension: int) -> None:
-    if dimension not in (2, 3):
-        raise ConfigurationError("dimension must be 2 or 3")
 
 
 def zero(dimension: int = 2) -> Potential:

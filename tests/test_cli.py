@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shellbound import cli
@@ -247,6 +248,145 @@ def test_config_errors_name_the_key(tmp_path, capsys):
         argv = ["run", config] if "output" in override else ["run", config, "--output", str(tmp_path)]
         assert cli.main(argv) == 1, key
         assert key in capsys.readouterr().err
+
+
+SPECTRUM = {"task": "surface-spectrum", "symbol": MEXICAN_HAT, "potential": WELL,
+            "surface": {"resolution": 16}}
+POINTS = {"task": "point-test", "symbol": MEXICAN_HAT, "potential": WELL,
+          "point_test": {"n_points": 4}}
+CERTIFY = {"task": "rayleigh-ritz", "symbol": MEXICAN_HAT, "potential": WELL,
+           "surface": {"resolution": 16}, "rayleigh_ritz": {"n_states": 1, "eps_schedule": [0.2]}}
+ORACLE = {"task": "oracle", "symbol": MEXICAN_HAT, "potential": WELL,
+          "oracle": {"box_edge": 51.2, "grid": 96, "k_max": 4}}
+
+
+BAD_COUNTS = [
+    (POINTS, "point_test", "sets", 0),
+    (POINTS, "point_test", "sets", -1),
+    (POINTS, "point_test", "sets", 1.5),
+    (POINTS, "point_test", "n_points", 0),
+    (POINTS, "point_test", "n_points", 1.5),
+    (POINTS, "point_test", "n_points", True),
+    (SPECTRUM, "surface", "resolution", 16.9),
+    (SPECTRUM, "surface", "resolution", True),
+    (SPECTRUM, "symbol", "dimension", True),
+    (SPECTRUM, "symbol", "dimension", 2.5),
+    (CERTIFY, "rayleigh_ritz", "n_states", 1.5),
+    (CERTIFY, "rayleigh_ritz", "n_states", False),
+    (CERTIFY, "rayleigh_ritz", "transverse_order", 12.5),
+    (CERTIFY, "rayleigh_ritz", "transverse_order", True),
+    (ORACLE, "oracle", "grid", 96.5),
+    (ORACLE, "oracle", "grid", True),
+    (ORACLE, "oracle", "k_max", 4.5),
+    (ORACLE, "oracle", "k_max", True),
+]
+
+
+@pytest.mark.parametrize("config, block, key, value", BAD_COUNTS,
+                         ids=[f"{block}.{key}={value!r}" for _, block, key, value in BAD_COUNTS])
+def test_count_keys_reject_booleans_fractions_and_empty_counts(
+        tmp_path, capsys, config, block, key, value):
+    config = dict(config, **{block: dict(config[block], **{key: value})})
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    assert f"config key '{block}.{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.glob(f"{config['task']}.*"))
+
+
+def test_count_keys_take_integral_numbers(tmp_path):
+    config = dict(SPECTRUM, surface={"resolution": 16.0})
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 0
+    assert read_json(tmp_path, "surface-spectrum.json")["results"]["mesh_size"] == 16
+
+
+# "oracle" names both a task and the oracle block, so it stays a valid key
+@pytest.mark.parametrize("name", ["surface-spectrum", "bound-count", "rayleigh-ritz",
+                                  "point-test", "spin-orbit", "compare"])
+def test_task_names_are_not_config_keys(tmp_path, capsys, name):
+    config = dict(POINTS, **{name: {"sets": 0}})
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    assert f"unknown config key '{name}'" in capsys.readouterr().err
+
+
+def test_run_rejects_compare_as_task(tmp_path, capsys):
+    config = dict(CERTIFY, task="compare")
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key 'task' must be one of surface-spectrum, bound-count, "
+        "rayleigh-ritz, point-test, oracle, spin-orbit\n"
+    )
+
+
+def test_compare_exits_3_after_writing_when_oracle_undercounts(tmp_path, capsys, monkeypatch):
+    from shellbound import direct_oracle
+
+    def undercount(ham, k_max, seed):
+        return direct_oracle.CountResult(
+            count=1, is_lower_bound=False, eigenvalues=np.zeros(k_max),
+            residuals=np.zeros(k_max), energy=ham.minimum - ham.delta, delta=ham.delta,
+            iterations=0, budget_exhausted=False, tolerance=0.0,
+        )
+
+    monkeypatch.setattr(direct_oracle, "count_below", undercount)
+    config = {key: CERTIFY[key] for key in ("symbol", "potential", "surface")}
+    config.update(rayleigh_ritz={"n_states": 2, "eps_schedule": [0.2, 0.1]},
+                  surface={"resolution": 48}, oracle=ORACLE["oracle"])
+    code = cli.main(["compare", write_config(tmp_path, config), "--output", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"wrote {tmp_path / 'compare.json'}",
+                                f"wrote {tmp_path / 'compare.csv'}"]
+    results = read_json(tmp_path, "compare.json")["results"]
+    assert (results["certified"], results["oracle_count"], results["consistent"]) == (2, 1, False)
+    assert (tmp_path / "compare.csv").read_text().startswith("eps,j,k,re_h,im_h\n")
+    assert err == "error: oracle count 1 fell below certified 2\n"
+    assert code == 3
+
+
+def test_compare_exits_0_when_certification_fails(tmp_path, capsys):
+    # the shallow well of test_rayleigh_ritz_failure_exits_2: run exits 2,
+    # but compare checks only the counts, and 0 certified is consistent
+    config = {
+        "symbol": MEXICAN_HAT,
+        "potential": {"kind": "gaussian-well", "params": {"c": 1e-3, "sigma": 1.0}},
+        "surface": {"resolution": 48},
+        "rayleigh_ritz": {"n_states": 1, "eps_schedule": [1.0]},
+        "oracle": ORACLE["oracle"],
+    }
+    assert cli.main(["compare", write_config(tmp_path, config), "--output", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    results = read_json(tmp_path, "compare.json")["results"]
+    assert results["certified"] == 0
+    assert results["certificate"]["negative_definite"] == [False]
+    assert results["consistent"]
+
+
+def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
+    from shellbound import potentials
+
+    samples, edge = 64, 32.0
+    axis = (np.arange(samples) - samples // 2) * (edge / samples)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    table = tmp_path / "well.txt"
+    table.write_text(f"2 {edge!r} {samples}\n"
+                     + "\n".join(map(repr, (-np.exp(-(x**2 + y**2) / 2.0)).ravel().tolist())) + "\n")
+    loads = []
+    original = potentials.tabulated_from_file
+
+    def spy(path):
+        loads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(potentials, "tabulated_from_file", spy)
+    config = {
+        "symbol": MEXICAN_HAT,
+        "potential": {"kind": "tabulated", "params": {"path": str(table)}},
+        "surface": {"resolution": 16},
+        "rayleigh_ritz": {"n_states": 1, "eps_schedule": [0.2]},
+        "oracle": ORACLE["oracle"],
+    }
+    assert cli.main(["compare", write_config(tmp_path, config), "--output", str(tmp_path)]) == 0
+    assert loads == [str(table)]
+    results = read_json(tmp_path, "compare.json")["results"]
+    assert results["certified"] == 1 and results["consistent"]
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):
