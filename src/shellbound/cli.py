@@ -35,9 +35,9 @@ Config schema (JSON object; keys by task):
 - ``rayleigh_ritz``: ``{"n_states": int, "eps_schedule": [floats],
   "transverse_order": int}``.
 - ``oracle``: ``{"box_edge": float, "grid": int, "k_max": int,
-  "delta_levels": float}``.
+  "delta_levels": float}``; ``box_edge``, ``delta_levels`` positive, finite.
 - ``point_test``: ``{"n_points": int, "tolerance": float, "sets": int}``;
-  ``n_points`` and ``sets`` are at least 1.
+  ``n_points`` and ``sets`` are at least 1, ``tolerance`` finite and >= 0.
 - ``output``: default output directory (overridden by ``--output``).
 
 Every ``int`` above rejects booleans and non-integral numbers.
@@ -441,7 +441,7 @@ def _task_spin_orbit(config, seed):
         "alpha": alpha,
         "band_minimum": minimum,
         "circle_radius": radius,
-        "gauge_deviation": spin_orbit.gauge_deviation(symbol, mesh, potential, trials=20, seed=seed),
+        "gauge_deviation": spin_orbit.gauge_deviation(symbol, mesh, potential, seed=seed),
     })
     return results, None, 0
 

@@ -128,8 +128,10 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
     """
     box_edge = float(box_edge)
     grid = int(grid)
-    if box_edge <= 0.0:
-        raise ConfigurationError("box_edge must be positive")
+    delta_levels = float(delta_levels)
+    for name, value in (("box_edge", box_edge), ("delta_levels", delta_levels)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
     if grid < 16:
         raise ConfigurationError("need at least 16 samples per edge")
     n = symbol.dimension
@@ -165,10 +167,8 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
         table = np.asarray(potential.evaluate(positions), dtype=np.float64)
         if np.any(table):
             potential_table = table
-    if delta_levels <= 0.0:
-        raise ConfigurationError("delta_levels must be positive")
     lowest = np.sort(np.partition(symbol_table.ravel(), 32)[:33])
-    delta = float(delta_levels) * float(lowest[32] - lowest[0]) / 32.0
+    delta = delta_levels * float(lowest[32] - lowest[0]) / 32.0
     return GridHamiltonian(
         dimension=n,
         box_edge=box_edge,
@@ -435,8 +435,7 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     inverse = 1.0 / (ham.symbol_table - ham.symbol_table.min() + shift)
 
     def matmat(x):
-        block = np.ascontiguousarray(x.reshape(grid_shape + (-1,)), dtype=np.float64)
-        return _apply_real_block(ham, block).reshape(x.shape)
+        return apply(ham, x)
 
     def precond(x):
         block = np.ascontiguousarray(x.reshape(grid_shape + (-1,)), dtype=np.float64)

@@ -146,6 +146,45 @@ def zero(dimension: int = 2) -> Potential:
     )
 
 
+def _gaussian_terms(kind, sign, params, terms, dimension) -> Potential:
+    """``V(x) = sum_m h_m exp(-|x|^2 / (2 s_m^2))`` from its (height h_m, sigma s_m) terms.
+
+    vhat(k) = sum_m h_m s_m^n exp(-s_m^2 |k|^2 / 2). Every form sums
+    from the first term on, and the integral is (2 pi)^(n/2) times the
+    sum of the amplitudes h_m s_m^n, so terms that cancel give exactly 0.
+    """
+    amps = np.array([height * sigma**dimension for height, sigma in terms])
+    rates = np.array([0.5 * sigma**2 for _, sigma in terms])
+
+    def vreal(x):
+        r2 = np.sum(x * x, axis=-1)
+        (height, sigma), *rest = terms
+        out = height * np.exp(-r2 / (2.0 * sigma**2))
+        for height, sigma in rest:
+            out = out + height * np.exp(-r2 / (2.0 * sigma**2))
+        return out
+
+    def vhat(k):
+        k2 = np.sum(k * k, axis=-1)
+        out = amps[0] * np.exp(-rates[0] * k2)
+        for amp, rate in zip(amps[1:], rates[1:]):
+            out = out + amp * np.exp(-rate * k2)
+        return out
+
+    return Potential(
+        dimension=dimension,
+        kind=kind,
+        sign=sign,
+        params=params,
+        is_radial=True,
+        band=None,
+        _evaluate=vreal,
+        _fourier=vhat,
+        _kernel=lambda p, q: kernels.gaussian_mix(p, q, amps, rates),
+        _integral=(2.0 * np.pi) ** (dimension / 2.0) * float(amps.sum()),
+    )
+
+
 def gaussian_well(c, sigma, dimension: int = 2) -> Potential:
     """Attractive well ``V(x) = -c exp(-|x|^2 / (2 sigma^2))``.
 
@@ -155,24 +194,8 @@ def gaussian_well(c, sigma, dimension: int = 2) -> Potential:
     c = _positive("c", c)
     sigma = _positive("sigma", sigma)
     _check_dimension(dimension)
-    amp = -c * sigma**dimension
-    rate = 0.5 * sigma**2
-
-    def vhat(k):
-        return amp * np.exp(-rate * np.sum(k * k, axis=-1))
-
-    return Potential(
-        dimension=dimension,
-        kind="gaussian-well",
-        sign="nonpositive",
-        params={"c": c, "sigma": sigma},
-        is_radial=True,
-        band=None,
-        _evaluate=lambda x: -c * np.exp(-np.sum(x * x, axis=-1) / (2.0 * sigma**2)),
-        _fourier=vhat,
-        _kernel=lambda p, q: kernels.gaussian_mix(p, q, [amp], [rate]),
-        _integral=-c * (2.0 * np.pi) ** (dimension / 2.0) * sigma**dimension,
-    )
+    return _gaussian_terms("gaussian-well", "nonpositive", {"c": c, "sigma": sigma},
+                           [(-c, sigma)], dimension)
 
 
 def gaussian_dimple_mix(c1, sigma1, c2, sigma2, dimension: int = 2) -> Potential:
@@ -188,29 +211,9 @@ def gaussian_dimple_mix(c1, sigma1, c2, sigma2, dimension: int = 2) -> Potential
     c2 = _positive("c2", c2)
     sigma2 = _positive("sigma2", sigma2)
     _check_dimension(dimension)
-    amps = np.array([-c1 * sigma1**dimension, c2 * sigma2**dimension])
-    rates = np.array([0.5 * sigma1**2, 0.5 * sigma2**2])
-
-    def vreal(x):
-        r2 = np.sum(x * x, axis=-1)
-        return -c1 * np.exp(-r2 / (2.0 * sigma1**2)) + c2 * np.exp(-r2 / (2.0 * sigma2**2))
-
-    def vhat(k):
-        k2 = np.sum(k * k, axis=-1)
-        return amps[0] * np.exp(-rates[0] * k2) + amps[1] * np.exp(-rates[1] * k2)
-
-    return Potential(
-        dimension=dimension,
-        kind="gaussian-dimple-mix",
-        sign="sign-changing",
-        params={"c1": c1, "sigma1": sigma1, "c2": c2, "sigma2": sigma2},
-        is_radial=True,
-        band=None,
-        _evaluate=vreal,
-        _fourier=vhat,
-        _kernel=lambda p, q: kernels.gaussian_mix(p, q, amps, rates),
-        _integral=(2.0 * np.pi) ** (dimension / 2.0) * float(amps.sum()),
-    )
+    return _gaussian_terms("gaussian-dimple-mix", "sign-changing",
+                           {"c1": c1, "sigma1": sigma1, "c2": c2, "sigma2": sigma2},
+                           [(-c1, sigma1), (c2, sigma2)], dimension)
 
 
 def ball_well(c, radius, dimension: int = 2) -> Potential:

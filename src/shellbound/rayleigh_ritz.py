@@ -20,7 +20,10 @@ The potential part of h(eps) pairs every tube point with every other.
 For a radial potential on a mesh with a ring layout
 (``SurfaceMesh.rings``, recorded by ``build_mesh``) that kernel is
 block-circulant in the azimuth index and unchanged by the mirror
-p -> -p, so each eps costs one kernel slice of
+p -> -p (the contract that the sector assembly of
+:func:`shellbound.surface_operator.assemble` checks on the mesh column,
+raising ``ConsistencyError`` where it fails), so each eps costs one
+kernel slice of
 (rings * (n/2 + 1) * T) x (rings * T) entries (azimuths 0..n/2 of the n
 per ring), a real GEMM of the (n/2 + 1)^2 cosine table with that slice,
 and an FFT of the trial columns over azimuth, instead of the dense
@@ -31,9 +34,12 @@ filled by the mirror. Trial columns take the real FFT, complex ones as
 their interleaved real and imaginary parts; the cosine table is built
 once per :func:`certify`. The result agrees with the dense product to
 roundoff. Non-radial potentials and meshes without a layout keep the
-dense product. A band ``frame`` (the spin-orbit certifier's) reaches
-the shell-operator assembly and multiplies the tube kernel by the
-rank-2 band overlap, which splits into two scalar forms of this route.
+dense product. The symbol carries its band structure: its
+``evaluate`` is the kinetic energy and its ``frame`` the band frame,
+None for a scalar symbol. The lower-band frame of a
+:class:`shellbound.spin_orbit.MatrixSymbol` reaches the shell-operator
+assembly and multiplies the tube kernel by the rank-2 band overlap,
+which splits into two scalar forms of this route.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .errors import ConsistencyError, PreconditionError
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
 from .surface_operator import assemble, count_negative
-from .symbols import DispersionSymbol
 
 __all__ = [
     "TransverseProfile",
@@ -137,9 +142,8 @@ def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
     if not 0.0 < eps <= 1.0:
         raise PreconditionError("eps must be a fraction of the chart half-width in (0, 1]")
     eps_abs = eps * chart.half_width
-    mesh = chart.mesh
     offsets = eps_abs * profile.nodes
-    cloud = mesh.nodes[:, None, :] + offsets[None, :, None] * mesh.normals()[:, None, :]
+    cloud = chart.map(chart.mesh.nodes[:, None, :], offsets[None, :])
     rho = chart.jacobian(offsets)
     return eps_abs, cloud, rho
 
@@ -268,17 +272,23 @@ def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulan
     return form.real
 
 
-def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
+def certify(symbol, potential: Potential, mesh: SurfaceMesh,
             n_states: int, eps_schedule=DEFAULT_SCHEDULE, *,
             half_width_fraction: float = 0.25, transverse_order: int = 12,
-            states=None, energy_fn=None, frame=None) -> Certificate:
+            states=None) -> Certificate:
     """Search the eps schedule for a negative-definite trial form.
 
     Parameters
     ----------
     symbol, potential, mesh
         Problem data; the shell operator is assembled on ``mesh`` unless
-        ``states`` is supplied.
+        ``states`` is supplied. The symbol gives the kinetic energy
+        (``evaluate``), its minimum m (``find_minimum``) and its band
+        ``frame``: None for a scalar symbol; for a
+        :class:`shellbound.spin_orbit.MatrixSymbol` the lower-band
+        frame, which multiplies the kernel by the band overlap
+        ``sum_c conj(u_c(x)) u_c(y)`` in the shell-operator assembly and
+        in the tube forms alike.
     n_states : int
         Number of eigenvalues of H below m to certify. Must not exceed
         the count of negative shell-operator eigenvalues (checked unless
@@ -289,13 +299,6 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         Caller-supplied surface spectrum and eigenfunction samples, in
         place of the assembled shell operator's. Skips the count
         precondition.
-    energy_fn, frame : optional
-        The band energy in place of ``symbol.evaluate``, and a band
-        frame, a callable from points (count, dim) to unit vectors
-        (count, bands) that multiplies the kernel by the band overlap
-        ``sum_c conj(u_c(x)) u_c(y)`` (used for matrix-symbol
-        Hamiltonians). The shell-operator assembly and the tube forms
-        take the same kernel route with a frame as without.
 
     Returns
     -------
@@ -315,7 +318,7 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
     profile = TransverseProfile.build(transverse_order)
 
     if states is None:
-        operator = assemble(mesh, potential, frame)
+        operator = assemble(mesh, potential, symbol.frame)
         available = count_negative(operator)
         if n_states > available:
             raise PreconditionError(
@@ -335,8 +338,6 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
         limit_values = values[:n_states].copy()
         psi = vectors[:, :n_states]
 
-    if energy_fn is None:
-        energy_fn = symbol.evaluate
     minimum = symbol.find_minimum()[0]
     require_band(potential, 2.0 * (mesh.radius + chart.half_width))
     circulant = _circulant(potential, mesh)
@@ -347,8 +348,8 @@ def certify(symbol: DispersionSymbol, potential: Potential, mesh: SurfaceMesh,
     certified_eps = None
     for eps in schedule:
         tube = _tube(chart, profile, eps)
-        h = (_kinetic(energy_fn, minimum, mesh, psi, profile, tube)
-             + _potential(potential, mesh, psi, profile, tube, frame, circulant))
+        h = (_kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
+             + _potential(potential, mesh, psi, profile, tube, symbol.frame, circulant))
         deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
         if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
             raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")

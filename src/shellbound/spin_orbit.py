@@ -7,14 +7,21 @@ The matrix symbol is ``[[p^2, a(p)], [conj(a(p)), p^2]]`` with
 radial with minimum ``-alpha^2/4`` on the circle ``|p| = |alpha|/2``.
 Projecting onto the lower band turns the shell operator kernel into
 ``vhat(s - s') <u(s), u(s')>`` with the band eigenvector frame u; its
-spectrum is independent of the per-node phase gauge of u. The scalar
-code does the rest with the band frame passed along:
+spectrum is independent of the per-node phase gauge of u.
+
+The band structure lives on the symbol: :meth:`MatrixSymbol.evaluate`
+is the lower band and :meth:`MatrixSymbol.frame` the frame of
+:func:`band_frame`, where a scalar symbol has ``frame = None``. So the
+scalar code serves the band-projected problem unchanged:
 :func:`assemble_spin_kernel` is
-:func:`shellbound.surface_operator.assemble`, whose sector route the
-gauge of :func:`band_frame` admits (the overlap depends only on the
-angle between s and s'), and :func:`certify_spin` is
-:func:`shellbound.rayleigh_ritz.certify` with the lower band as kinetic
-energy. The regauged matrices of
+:func:`shellbound.surface_operator.assemble` with ``symbol.frame``,
+whose sector route the gauge of :func:`band_frame` admits (the overlap
+depends only on the angle between s and s'), and :func:`certify_spin`
+is :func:`shellbound.rayleigh_ritz.certify` on the matrix symbol after
+the checks that the problem sits on the band-minimum circle in 2-D.
+The overlap itself is formed in one place,
+``surface_operator._band_matrix``, which the sector route and
+:func:`gauge_deviation` share. The regauged matrices of
 :func:`gauge_deviation` stay dense. Regauging by a
 diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
 ``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
@@ -85,10 +92,14 @@ class MatrixSymbol:
         p2 = float(p @ p)
         return np.array([[p2, a], [np.conj(a), p2]])
 
-    def lower_band(self, p):
-        """lambda_1(p) = |p|^2 - |alpha| |p|, vectorized over the last axis."""
+    def evaluate(self, p):
+        """The lower band lambda_1(p) = |p|^2 - |alpha| |p|, vectorized over the last axis."""
         r = np.linalg.norm(np.asarray(p, dtype=np.float64), axis=-1)
         return r * r - np.abs(self.alpha) * r
+
+    def frame(self, points) -> np.ndarray:
+        """The lower-band frame :func:`band_frame` at a batch of points."""
+        return band_frame(self, points)
 
     def find_minimum(self) -> tuple[float, float]:
         """(-alpha^2/4, |alpha|/2): band minimum and its circle radius."""
@@ -184,16 +195,16 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
         of the azimuth difference.
     """
     _check_problem(symbol, mesh, potential)
-    return assemble(mesh, potential, frame=lambda points: band_frame(symbol, points))
+    return assemble(mesh, potential, symbol.frame)
 
 
 def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential,
-                    trials: int = 20, seed: int = 0) -> float:
+                    seed: int = 0) -> float:
     """Weyl bound on the spectral deviation under random per-node phase regauging.
 
     Regauging the band frame by a diagonal unitary D (``u_i -> d_i u_i``)
     must turn the assembled matrix A into exactly ``D^H A D``, which has
-    the spectrum of A. Each of ``trials`` seeded regaugings assembles
+    the spectrum of A. Each of 20 seeded regaugings assembles
     A_theta afresh, checks that it is Hermitian and takes
     ``||A_theta - D^H A D||_F``. By Weyl's inequality every eigenvalue
     moves by at most that much:
@@ -208,13 +219,11 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     Raises
     ------
     PreconditionError
-        If ``trials < 1``, since zero trials would check nothing.
+        If the problem is not on the band-minimum circle in 2-D.
     ConsistencyError
         If a regauged matrix is not Hermitian within 1e-12 relative
         tolerance.
     """
-    if int(trials) < 1:
-        raise PreconditionError(f"gauge_deviation needs at least one trial, got {trials}")
     _check_problem(symbol, mesh, potential)
     what = "band-projected operator matrix"
     weighted = _weighted_kernel(mesh, potential)
@@ -225,7 +234,7 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     modulus = np.empty(shape)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(int(trials)):
+    for _ in range(20):
         phases = np.exp(2j * np.pi * rng.random(mesh.size))
         a = _band_matrix(weighted, frame * phases[:, None], out=regauged)
         np.conjugate(a.T, out=adjoint)
@@ -246,20 +255,16 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
                  transverse_order: int = 12) -> Certificate:
     """Variational certificate for the matrix Hamiltonian.
 
-    This is :func:`shellbound.rayleigh_ritz.certify` with the kinetic
-    form on the lower band and the band frame passed along, so it
-    assembles the band-projected shell operator and checks its count of
-    negative eigenvalues. The band overlap
+    This is :func:`shellbound.rayleigh_ritz.certify` on the matrix
+    symbol, whose kinetic energy is the lower band and whose frame
+    weights the kernel, after the checks of the problem's geometry; so
+    it assembles the band-projected shell operator and checks its count
+    of negative eigenvalues. The band overlap
     ``<u(x), u(y)> = sum_c conj(u_c(x)) u_c(y)`` has rank 2, so the
     band-projected tube form is a sum of two scalar tube forms, and a
     radial potential on a ring-layout mesh takes the block-circulant
     route.
     """
     _check_problem(symbol, mesh, potential)
-    return certify(
-        symbol, potential, mesh, n_states, eps_schedule,
-        half_width_fraction=half_width_fraction,
-        transverse_order=transverse_order,
-        energy_fn=symbol.lower_band,
-        frame=lambda points: band_frame(symbol, points),
-    )
+    return certify(symbol, potential, mesh, n_states, eps_schedule,
+                   half_width_fraction=half_width_fraction, transverse_order=transverse_order)

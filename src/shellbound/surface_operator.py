@@ -18,10 +18,15 @@ For a radial potential on a mesh with a ring layout
 of the mesh, so :func:`ring_operator` diagonalizes it one azimuthal
 frequency at a time from its (M, rings) column block against the
 azimuth-0 nodes: one batched rings x rings ``eigh`` in place of the
-dense M x M one, and no square kernel matrix. Tabulated potentials and
-meshes without a layout keep the dense assembly. A band frame u (see
-:mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
-``<u(s), u(s')>`` on either route: scalar and spin share one assembly.
+dense M x M one, and no square kernel matrix. The column must be real
+and unchanged by the azimuth mirror p -> -p, as the kernel of a real
+radial V is; a column that is not raises ``ConsistencyError`` rather
+than taking another route. Tabulated potentials and meshes without a
+layout keep the dense assembly. A band frame u (a symbol's ``frame``,
+see :mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
+``<u(s), u(s')>`` on either route, formed in one place,
+:func:`_band_matrix`: scalar and spin share one assembly, and the
+band-frame column is the one that takes the FFT over azimuth.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def ring_operator(mesh: SurfaceMesh, column: np.ndarray) -> SurfaceOperatorMatrix:
+def ring_operator(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> SurfaceOperatorMatrix:
     """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
 
     ``column[i, r]`` is the kernel between node i and node 0 of ring r
@@ -102,37 +107,56 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray) -> SurfaceOperatorMatri
     ``SurfaceMesh.rings``) the weighted blocks
     ``C[p][r, r'] = sqrt(w_r) column[(r, p), r'] sqrt(w_r')`` hold the
     whole operator, ``A[(r, p), (r', p')] = C[p - p' mod n]``, and the
-    azimuthal Fourier modes split it into n blocks of size rings:
+    azimuthal Fourier modes split it into n blocks of size rings. The
+    kernel of a real radial V is real and unchanged by the mirror
+    (r, p) -> (r, -p), so the column must be real with
+    ``C[-p] = C[p]``; the tube forms of
+    :func:`shellbound.rayleigh_ritz.certify` rely on the same contract.
 
-    - a real mirror-symmetric C (``C[-p] = C[p]``, radial kernels)
-      gives the real symmetric ``B_k = sum_p C[p] cos(2 pi k p / n)``,
-      k = 0..n/2, each of whose eigenvectors v yields ``v x cos`` and,
-      for 0 < k < n/2, ``v x sin`` (modes normalized by sqrt(2/n), by
-      sqrt(1/n) at k = 0 and k = n/2);
-    - any other Hermitian C gives ``B_k = sum_p C[p] exp(-2 pi i k p / n)``
-      (the FFT over p), with modes ``v x exp(2 pi i k p / n) / sqrt(n)``.
+    - The column alone gives the real symmetric
+      ``B_k = sum_p C[p] cos(2 pi k p / n)``, k = 0..n/2, each of whose
+      eigenvectors v yields ``v x cos`` and, for 0 < k < n/2,
+      ``v x sin`` (modes normalized by sqrt(2/n), by sqrt(1/n) at k = 0
+      and k = n/2).
+    - A band ``frame`` (shape (M, bands), turn-covariant, see
+      :func:`_require_turn_covariant`) multiplies the column by the
+      overlap of :func:`_band_matrix`. The complex Hermitian C this
+      gives takes ``B_k = sum_p C[p] exp(-2 pi i k p / n)`` (the FFT
+      over p), with modes ``v x exp(2 pi i k p / n) / sqrt(n)``.
 
     The eigenpairs are stable-sorted by eigenvalue.
 
     Raises
     ------
     ConsistencyError
-        If ``max |C[p] - C[-p]^H| > 1e-12 max(1, max |C|)``, the
-        Hermitian test of the dense assembly.
+        If the frame is not turn-covariant; if
+        ``max |C[p] - C[-p]^H| > 1e-12 max(1, max |C|)``, the Hermitian
+        test of the dense assembly; then if the column is complex or
+        misses ``C[-p] = C[p]`` by as much (measured on the column
+        before the frame's overlap).
     """
     rings = mesh.rings
     n = mesh.size // rings
+    p = np.arange(n)
+    mirror = -p % n
+    scalar = column.reshape(rings, n, rings)
+    if frame is not None:
+        _require_turn_covariant(frame, rings)
+        column = _band_matrix(column, frame, np.s_[::n])
     sqrt_w = np.sqrt(mesh.weights)
     blocks = (sqrt_w[:, None] * column * sqrt_w[::n][None, :])
     blocks = blocks.reshape(rings, n, rings).swapaxes(0, 1)
-    p = np.arange(n)
-    mirror = -p % n
     adjoint = blocks[mirror].conj().swapaxes(1, 2)
     _require_hermitian(blocks, adjoint, _ASSEMBLED)
     blocks = 0.5 * (blocks + adjoint)
+    deviation = np.abs(scalar - scalar[:, mirror]).max()
+    if np.iscomplexobj(scalar) or deviation > 1e-12 * max(1.0, np.abs(scalar).max()):
+        raise ConsistencyError(
+            f"radial kernel column ({scalar.dtype}) deviates from its azimuth mirror by "
+            f"{deviation:.3e}; the kernel of a real radial V is real and unchanged by p -> -p"
+        )
     angles = 2.0 * np.pi * p / n
-    if not np.iscomplexobj(blocks) and np.abs(blocks - blocks[mirror]).max() <= (
-            1e-12 * max(1.0, np.abs(blocks).max())):
+    if not np.iscomplexobj(blocks):
         k = np.arange(n // 2 + 1)
         cosines = np.cos(angles)[np.outer(k, p) % n]  # phases from k p mod n
         values, vectors = np.linalg.eigh(np.tensordot(cosines, blocks, axes=1))
@@ -162,13 +186,17 @@ def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
     return weighted
 
 
-def _band_matrix(weighted: np.ndarray, frame: np.ndarray, out=None) -> np.ndarray:
-    """Band-projected matrix ``weighted_ij <u_i, u_j>`` for one frame gauge, not yet hermitized.
+def _band_matrix(weighted: np.ndarray, frame: np.ndarray, columns=None, out=None) -> np.ndarray:
+    """Band-projected kernel ``weighted_ij <u_i, u_j>``, not yet hermitized.
 
-    ``weighted`` is the weight-symmetrized kernel of :func:`_weighted_kernel`;
-    ``out``, a complex array of its shape, takes the result when given.
+    The one home of the band overlap ``<u_i, u_j> = sum_c conj(u_c(s_i)) u_c(s_j)``.
+    ``weighted`` is a kernel between all nodes and the nodes ``columns``
+    selects (an index into ``frame``, all of them by default): the
+    weight-symmetrized M x M kernel of :func:`_weighted_kernel`, or the
+    (M, rings) column block of the sector route. ``out``, a complex
+    array of its shape, takes the result when given.
     """
-    projected = np.matmul(frame.conj(), frame.T, out=out)
+    projected = np.matmul(frame.conj(), (frame if columns is None else frame[columns]).T, out=out)
     projected *= weighted
     return projected
 
@@ -202,10 +230,10 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
     A radial potential on a mesh with a ring layout takes the sector
     route of :func:`ring_operator` (one (M, rings) kernel slice); any
     other problem assembles the dense M x M matrix and calls ``eigh``.
-    A band ``frame`` (points -> unit vectors (count, bands)) multiplies
-    the kernel by the overlap ``sum_c conj(u_c(s_i)) u_c(s_j)``; the
-    sector route first checks in O(M) that it depends only on the
-    azimuth difference.
+    A band ``frame`` (points -> unit vectors (count, bands), a
+    symbol's ``frame``; None for a scalar symbol) multiplies the kernel
+    by the overlap ``sum_c conj(u_c(s_i)) u_c(s_j)``; the sector route
+    first checks in O(M) that it depends only on the azimuth difference.
 
     Raises
     ------
@@ -214,7 +242,8 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
     ConsistencyError
         If the assembled matrix is not Hermitian within 1e-12 relative
         tolerance, or, on the sector route, if the frame overlap is not
-        a function of the azimuth difference.
+        a function of the azimuth difference or the kernel column is
+        not real and mirror-symmetric (see :func:`ring_operator`).
     """
     if mesh.dimension != potential.dimension:
         raise PreconditionError("mesh and potential dimensions differ")
@@ -222,11 +251,7 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
     u = None if frame is None else np.asarray(frame(mesh.nodes))
     if potential.is_radial and mesh.rings:
         n = mesh.size // mesh.rings
-        column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
-        if u is not None:
-            _require_turn_covariant(u, mesh.rings)
-            column = column * (u.conj() @ u[::n].T)
-        return ring_operator(mesh, column)
+        return ring_operator(mesh, np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n])), u)
     a = _weighted_kernel(mesh, potential)
     if u is not None:
         a = _band_matrix(a, u)
@@ -289,7 +314,16 @@ def point_matrix_test(potential: Potential, points, tolerance: float = 1e-12):
     Returns
     -------
     (matrix, is_negative_definite) : (ndarray, bool)
+
+    Raises
+    ------
+    PreconditionError
+        If ``tolerance`` is negative or not finite, or two points
+        coincide.
     """
+    tolerance = float(tolerance)
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise PreconditionError(f"tolerance must be finite and nonnegative, got {tolerance}")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] >= 2:
         diffs = points[:, None, :] - points[None, :, :]
@@ -299,4 +333,4 @@ def point_matrix_test(potential: Potential, points, tolerance: float = 1e-12):
             raise PreconditionError("points must be pairwise distinct")
     matrix = _hermitize(np.asarray(potential.kernel_matrix(points)), "point kernel matrix")
     largest = float(np.linalg.eigvalsh(matrix)[-1])
-    return matrix, bool(largest < -float(tolerance))
+    return matrix, bool(largest < -tolerance)

@@ -5,6 +5,12 @@ below, grows at infinity, and attains its minimum ``m`` on the shell
 ``|p| = R``. The toolkit never hard-codes the minimum value: it is
 always computed, analytically for the named kinds and by bracketed 1-D
 minimization for tabulated profiles.
+
+The pipeline reads a symbol through ``evaluate`` (the kinetic energy),
+``find_minimum`` and ``frame``, the band frame that weights the kernel
+by the band overlap. A scalar symbol has no frame;
+:class:`shellbound.spin_orbit.MatrixSymbol` has the same three
+members, so spin-orbit problems take the same certification path.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ class DispersionSymbol:
         One of ``roton``, ``bcs``, ``mexican-hat``, ``custom-radial``.
     params : dict
         Flat name -> float parameter record.
+    frame : None
+        A scalar symbol has one band and no band frame; see
+        ``spin_orbit.MatrixSymbol.frame`` for a symbol that has one.
     """
 
     dimension: int
@@ -43,6 +52,7 @@ class DispersionSymbol:
     _radial: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _minimum: tuple[float, float] | None = field(default=None, repr=False)
     _bracket: tuple[float, float] = field(default=(1e-8, 50.0), repr=False)
+    frame = None  # a class attribute, not a field
 
     def radial(self, r):
         """Profile value at radius |p| = r (vectorized)."""

@@ -165,7 +165,7 @@ def test_criterion_8_spin_orbit_band():
     operator = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL)
     norm = float(np.abs(operator.eigenvalues).max())
     nonpositive = operator.eigenvalues.max() <= 1e-10 * norm
-    deviation = spin_orbit.gauge_deviation(symbol, mesh, WELL, trials=20, seed=1)
+    deviation = spin_orbit.gauge_deviation(symbol, mesh, WELL, seed=1)
     verdict(
         8, band_ok and nonpositive and deviation <= 1e-10,
         f"band minimum ({minimum}, {radius}), spectrum nonpositive={nonpositive}, "

@@ -292,6 +292,31 @@ def test_count_keys_reject_booleans_fractions_and_empty_counts(
     assert not any(tmp_path.glob(f"{config['task']}.*"))
 
 
+BAD_SETTINGS = [
+    (ORACLE, "oracle", "delta_levels", float("nan")),
+    (ORACLE, "oracle", "delta_levels", float("inf")),
+    (ORACLE, "oracle", "delta_levels", -1.0),
+    (ORACLE, "oracle", "box_edge", float("nan")),
+    (ORACLE, "oracle", "box_edge", float("inf")),
+    (POINTS, "point_test", "tolerance", -1.0),
+    (POINTS, "point_test", "tolerance", float("nan")),
+    (POINTS, "point_test", "tolerance", float("inf")),
+]
+
+
+@pytest.mark.parametrize("config, block, key, value", BAD_SETTINGS,
+                         ids=[f"{block}.{key}={value!r}" for _, block, key, value in BAD_SETTINGS])
+def test_non_finite_and_negative_settings_are_rejected(tmp_path, capsys, config, block, key, value):
+    # NaN used to run to exit 0 (delta_levels, tolerance) or fail
+    # without naming the key (box_edge); -1 turned the point test into
+    # largest < 1
+    config = dict(config, **{block: dict(config[block], **{key: value})})
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err
+    assert not any(tmp_path.glob(f"{config['task']}.*"))
+
+
 def test_count_keys_take_integral_numbers(tmp_path):
     config = dict(SPECTRUM, surface={"resolution": 16.0})
     assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 0

@@ -25,11 +25,12 @@ def circle():
 
 def test_lower_band_values():
     sym = spin_orbit.rashba(1.0)
-    assert sym.lower_band(np.array([0.5, 0.0])) == pytest.approx(-0.25)
+    assert sym.evaluate(np.array([0.5, 0.0])) == pytest.approx(-0.25)
     assert sym.find_minimum() == (-0.25, 0.5)
     assert spin_orbit.rashba(2.0).find_minimum() == (-1.0, 1.0)
     batch = np.array([[1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(sym.lower_band(batch), [0.0, 2.0])
+    np.testing.assert_allclose(sym.evaluate(batch), [0.0, 2.0])
+    np.testing.assert_array_equal(sym.frame(batch), spin_orbit.band_frame(sym, batch))
 
 
 def test_band_decompose_closed_form():
@@ -122,7 +123,7 @@ def test_sector_spin_assembly_needs_a_turn_covariant_frame(circle, monkeypatch):
 
 
 def test_spectrum_is_gauge_invariant(circle):
-    dev = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL, trials=10)
+    dev = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
     assert dev < 1e-10
 
 
@@ -156,14 +157,14 @@ def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
     correct = spin_orbit._band_matrix
 
     def perturbed(weighted, frame, out=None):
-        a = correct(weighted, frame, out).copy()
+        a = correct(weighted, frame, out=out).copy()
         a[0, 1] += 1e-6
         a[1, 0] += 1e-6
         return a
 
     monkeypatch.setattr(spin_orbit, "_band_matrix", perturbed)
     symbol = spin_orbit.rashba(2.0)
-    bound = spin_orbit.gauge_deviation(symbol, circle, WELL, trials=20, seed=3)
+    bound = spin_orbit.gauge_deviation(symbol, circle, WELL, seed=3)
     weighted = _weighted(circle)
     frame = spin_orbit.band_frame(symbol, circle.nodes)
     base = np.linalg.eigvalsh(perturbed(weighted, frame))
@@ -219,7 +220,7 @@ def test_gauge_deviation_rejects_a_non_hermitian_regauging(circle, monkeypatch):
     calls = []
 
     def one_sided(weighted, frame, out=None):
-        a = correct(weighted, frame, out)
+        a = correct(weighted, frame, out=out)
         if calls:
             a[0, 1] += 1e-6
         calls.append(frame)
@@ -238,20 +239,15 @@ def test_gauge_deviation_hermitizes_each_regauging(circle, monkeypatch):
     calls = []
 
     def one_sided(weighted, frame, out=None):
-        a = correct(weighted, frame, out)
+        a = correct(weighted, frame, out=out)
         if calls:
             a[0, 1] += 1e-14
         calls.append(frame)
         return a
 
     monkeypatch.setattr(spin_orbit, "_band_matrix", one_sided)
-    bound = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL, trials=3)
+    bound = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
     assert abs(bound - 5e-15 * np.sqrt(2.0)) <= 1e-15
-
-
-def test_gauge_deviation_needs_a_trial(circle):
-    with pytest.raises(PreconditionError, match="trial"):
-        spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL, trials=0)
 
 
 def _dense_reference(mesh, frame):
@@ -307,6 +303,22 @@ def test_certify_spin(circle):
         spin_orbit.certify_spin(spin_orbit.rashba(2.0), WELL, circle, 99)
 
 
+@pytest.mark.parametrize("kind", ["rashba", "dresselhaus"])
+def test_certify_reads_the_band_structure_from_a_matrix_symbol(circle, kind):
+    # certify_spin is certify after the geometry checks: the same
+    # certificate, bit for bit, from the symbol's evaluate and frame
+    symbol = getattr(spin_orbit, kind)(2.0)
+    spin = spin_orbit.certify_spin(symbol, WELL, circle, 4)
+    plain = rayleigh_ritz.certify(symbol, WELL, circle, 4)
+    assert plain.certified_eps == spin.certified_eps == 0.2
+    assert plain.certified_count == spin.certified_count == 4
+    assert np.array_equal(plain.limit_values, spin.limit_values)
+    assert plain.top_eigenvalues == spin.top_eigenvalues
+    assert plain.max_errors == spin.max_errors
+    for a, b in zip(plain.matrices, spin.matrices, strict=True):
+        assert np.array_equal(a, b)
+
+
 def _dense_spin_forms(symbol, mesh, n_states):
     # h(eps) with the band-projected tube kernel K(x, y) <u(x), u(y)>
     # formed as one dense matrix over the whole tube cloud
@@ -324,7 +336,7 @@ def _dense_spin_forms(symbol, mesh, n_states):
         kernel = WELL.kernel_matrix(points) * (frame.conj() @ frame.T)
         weights = rayleigh_ritz._cloud_weights(mesh, profile, rho)
         columns = weights[:, None] * np.repeat(psi, profile.order, axis=0)
-        h = (rayleigh_ritz._kinetic(symbol.lower_band, minimum, mesh, psi, profile, tube)
+        h = (rayleigh_ritz._kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
              + columns.conj().T @ kernel @ columns)
         forms.append(0.5 * (h + h.conj().T))
     return forms

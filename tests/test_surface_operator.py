@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import iv
 
-from shellbound import potentials, surface, surface_operator as so
+from shellbound import potentials, rayleigh_ritz, surface, surface_operator as so, symbols
 from shellbound.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -224,21 +224,32 @@ def test_sector_assembly_matches_dense(kernel_calls, assert_same_operator, dimen
     assert_same_operator(fast, so._weighted_kernel(mesh, pot))
 
 
-def test_sector_assembly_without_mirror_symmetry_takes_the_fft_route(assert_same_operator):
+@pytest.mark.parametrize("gaussian", [1.0, -1.0])
+def test_sector_assembly_rejects_a_column_without_mirror_symmetry(gaussian):
     # exp(-|p - q|^2) + (p x q)_z (p_z - q_z) / 4 is real, symmetric and
-    # invariant under turns about z, but odd under the y mirror: the
-    # sector route must fall back from cosines to the FFT over azimuth
+    # invariant under turns about z, but odd under the y mirror that the
+    # sector assembly and the tube forms of certify both rely on
     def kernel(p, q):
         d = p[:, None, :] - q[None, :, :]
         cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
-        return np.exp(-np.sum(d * d, axis=-1)) + 0.25 * cross * d[..., 2]
+        return gaussian * np.exp(-np.sum(d * d, axis=-1)) + 0.25 * cross * d[..., 2]
 
     pot = _custom_potential(lambda k: np.zeros(k.shape[:-1]), kernel, dimension=3,
                             is_radial=True)
     mesh = surface.build_mesh(1.0, 3, 6)
-    fast = so.assemble(mesh, pot)
-    assert fast.eigenfunctions.dtype == np.complex128
-    assert_same_operator(fast, so._weighted_kernel(mesh, pot))
+    with pytest.raises(ConsistencyError, match="mirror"):
+        so.assemble(mesh, pot)
+    with pytest.raises(ConsistencyError, match="mirror"):
+        rayleigh_ritz.certify(symbols.roton(1.0, 1.0, 1.0, dimension=3), pot, mesh, 2)
+    # without the ring layout the dense assembly has no mirror to rely on
+    dense = so.assemble(dataclasses.replace(mesh, rings=0), pot)
+    assert dense.eigenfunctions.dtype == np.float64
+
+
+def test_sector_assembly_rejects_a_complex_column():
+    pot = _custom_potential(lambda k: np.full(k.shape[:-1], -0.5 + 0j), is_radial=True)
+    with pytest.raises(ConsistencyError, match="complex"):
+        so.assemble(surface.build_mesh(1.0, 2, 16), pot)
 
 
 def test_sector_assembly_rejects_non_hermitian_slice():
