@@ -48,8 +48,6 @@ class GridHamiltonian:
         V on the centered position grid; None means V identically 0.
     minimum : float
         m = min H0, the essential-spectrum edge of the continuum operator.
-    surface_radius : float
-        Radius of the symbol's extremum shell.
     delta : float
         Counting buffer below m (a few finite-box level spacings).
     """
@@ -60,7 +58,6 @@ class GridHamiltonian:
     symbol_table: np.ndarray
     potential_table: np.ndarray | None
     minimum: float
-    surface_radius: float
     delta: float
 
     @property
@@ -176,7 +173,6 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
         symbol_table=symbol_table,
         potential_table=potential_table,
         minimum=minimum,
-        surface_radius=radius,
         delta=delta,
     )
 
@@ -550,6 +546,16 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     one; ``is_lower_bound`` is set when the budget ran out before the
     count settled (``budget_exhausted``) or when all ``k_max`` values
     lie below the energy.
+
+    With V identically zero the ``k_max`` lowest entries of the symbol
+    table are exact eigenvalues: they take the same count with zero
+    residuals and 0 iterations, and no block iteration runs.
+
+    Raises
+    ------
+    PreconditionError
+        If ``k_max`` is outside 1..64, or the energy is not finite or not
+        below ``min H0 + max |V|``.
     """
     k_max = int(k_max)
     if not 1 <= k_max <= 64:
@@ -557,6 +563,8 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     if energy is None:
         energy = ham.minimum - ham.delta
     energy = float(energy)
+    if not np.isfinite(energy):
+        raise PreconditionError(f"counting energy must be finite, got {energy}")
     v_sup = 0.0
     if ham.potential_table is not None:
         v_sup = float(np.abs(ham.potential_table).max())
@@ -565,24 +573,14 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
             "counting energy must stay below the free spectral floor plus |V|"
         )
     tolerance = _residual_tolerance(ham)
-    if ham.is_free:
-        flat = np.sort(ham.symbol_table.ravel())[: max(k_max, 1)]
-        count = int(np.count_nonzero(ham.symbol_table < energy))
-        return CountResult(
-            count=count,
-            is_lower_bound=False,
-            eigenvalues=flat[:k_max],
-            residuals=np.zeros(min(k_max, flat.size)),
-            energy=energy,
-            delta=ham.delta,
-            iterations=0,
-            budget_exhausted=False,
-            tolerance=tolerance,
+    if ham.is_free:  # plane waves are exact eigenvectors
+        values = np.sort(ham.symbol_table.ravel())[:k_max]
+        residuals, iterations = np.zeros(values.size), 0
+    else:
+        values, residuals, iterations = _solve(
+            ham, k_max, seed, maxiter, tolerance,
+            lambda values, residuals: _kahan_count(values, residuals, energy)[1],
         )
-    values, residuals, iterations = _solve(
-        ham, k_max, seed, maxiter, tolerance,
-        lambda values, residuals: _kahan_count(values, residuals, energy)[1],
-    )
     count, final = _kahan_count(values, residuals, energy)
     return CountResult(
         count=count,

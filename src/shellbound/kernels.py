@@ -65,10 +65,6 @@ def gaussian_mix(p, q, amplitudes, rates) -> np.ndarray:
     Covers every Gaussian-type radial kernel in the toolkit (single well
     and well/dimple mixtures) in one fused pass.
     """
-    p = _as_cloud(p)
-    q = _as_cloud(q)
-    if p.shape[1] != q.shape[1]:
-        raise PreconditionError("point clouds differ in coordinate dimension")
     amplitudes = np.ascontiguousarray(amplitudes, dtype=np.float64)
     rates = np.ascontiguousarray(rates, dtype=np.float64)
     if amplitudes.shape != rates.shape or amplitudes.ndim != 1:

@@ -23,10 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, InvalidInputError, OutOfBandError
-from .symbols import _check_dimension, _positive
-
-KINDS = ("gaussian-well", "ball-well", "gaussian-dimple-mix", "tabulated")
+from .errors import ConfigurationError, OutOfBandError
+from .symbols import _check_dimension, _check_points, _positive
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,8 @@ class Potential:
         circle mesh, and on meshes with a ring layout
         (``SurfaceMesh.rings``) the sector assembly of the shell
         operator and the block-circulant tube forms of
-        ``rayleigh_ritz.certify``, which reject a complex kernel slice.
+        ``rayleigh_ritz.certify``, which reject a kernel slice that is
+        complex or changed by the azimuth mirror.
     band : float or None
         Largest per-axis |k| at which vhat is trusted; None means all of
         momentum space (analytic kinds).
@@ -66,7 +65,7 @@ class Potential:
 
     def evaluate(self, x):
         """V at one position (shape ``(n,)``) or a batch (shape ``(..., n)``)."""
-        x = self._check_points(x, "position")
+        x = _check_points(x, self.dimension, "position")
         out = self._evaluate(x)
         return float(out) if np.ndim(out) == 0 else out
 
@@ -78,7 +77,7 @@ class Potential:
         OutOfBandError
             For tabulated potentials queried outside the resolved band.
         """
-        k = self._check_points(k, "momentum")
+        k = _check_points(k, self.dimension, "momentum")
         if self.band is not None and np.any(np.abs(k) > self.band):
             raise OutOfBandError(
                 f"momentum outside the resolved band |k_axis| <= {self.band:.6g}"
@@ -96,19 +95,9 @@ class Potential:
         The workhorse of operator assembly; Gaussian-type kinds go
         through :func:`shellbound.kernels.gaussian_mix`.
         """
-        p = self._check_points(np.atleast_2d(p), "momentum")
-        q = p if q is None else self._check_points(np.atleast_2d(q), "momentum")
+        p = _check_points(np.atleast_2d(p), self.dimension, "momentum")
+        q = p if q is None else _check_points(np.atleast_2d(q), self.dimension, "momentum")
         return self._kernel(p, q)
-
-    def _check_points(self, arr, label) -> np.ndarray:
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 0 or arr.shape[-1] != self.dimension:
-            raise InvalidInputError(
-                f"expected {label} points with last axis {self.dimension}, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError(f"non-finite {label} coordinates")
-        return arr
 
 
 def require_band(potential: Potential, needed: float) -> None:

@@ -20,9 +20,12 @@ The potential part of h(eps) pairs every tube point with every other.
 For a radial potential on a mesh with a ring layout
 (``SurfaceMesh.rings``, recorded by ``build_mesh``) that kernel is
 block-circulant in the azimuth index and unchanged by the mirror
-p -> -p (the contract that the sector assembly of
-:func:`shellbound.surface_operator.assemble` checks on the mesh column,
-raising ``ConsistencyError`` where it fails), so each eps costs one
+p -> -p. The sector assembly of
+:func:`shellbound.surface_operator.assemble` checks that contract on the
+mesh column and the tube forms on every kernel slice they evaluate,
+with or without ``states``, raising ``ConsistencyError`` where it fails.
+:func:`shellbound.surface_operator.ring_layout` decides the route once
+per :func:`certify` and holds its cosine table. Each eps costs one
 kernel slice of
 (rings * (n/2 + 1) * T) x (rings * T) entries (azimuths 0..n/2 of the n
 per ring), a real GEMM of the (n/2 + 1)^2 cosine table with that slice,
@@ -31,11 +34,10 @@ and an FFT of the trial columns over azimuth, instead of the dense
 z-mirrored mesh (``SurfaceMesh.z_mirrored``, the built sphere) the
 slice is evaluated for the first ceil(rings/2) rings only and the rest
 filled by the mirror. Trial columns take the real FFT, complex ones as
-their interleaved real and imaginary parts; the cosine table is built
-once per :func:`certify`. The result agrees with the dense product to
-roundoff. Non-radial potentials and meshes without a layout keep the
-dense product. The symbol carries its band structure: its
-``evaluate`` is the kinetic energy and its ``frame`` the band frame,
+their interleaved real and imaginary parts. The result agrees with the
+dense product to roundoff. Non-radial potentials and meshes without a
+layout keep the dense product. The symbol carries its band structure:
+its ``evaluate`` is the kinetic energy and its ``frame`` the band frame,
 None for a scalar symbol. The lower-band frame of a
 :class:`shellbound.spin_orbit.MatrixSymbol` reaches the shell-operator
 assembly and multiplies the tube kernel by the rank-2 band overlap,
@@ -45,14 +47,13 @@ which splits into two scalar forms of this route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
-from .surface_operator import assemble, count_negative
+from .surface_operator import RingLayout, _require_mirror, assemble, count_negative, ring_layout
 
 __all__ = [
     "TransverseProfile",
@@ -160,36 +161,12 @@ def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
     return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
-class _Circulant(NamedTuple):
-    """The eps-independent part of the block-circulant route on one mesh."""
-
-    cosines: np.ndarray  # multiplicity[p] cos(2 pi k p / n), k, p = 0..n/2
-    multiplicity: np.ndarray  # 1 at p = 0 and p = n/2, else 2
-    mirrored: bool  # SurfaceMesh.z_mirrored
-
-
-def _circulant(potential, mesh: SurfaceMesh) -> _Circulant | None:
-    """What the block-circulant route keeps across eps, or None where it does not apply.
-
-    The route needs a radial potential and a ring layout. Its cosine
-    table depends only on the azimuth count and the z mirror only on the
-    nodes, so :func:`certify` finds both once for all of its eps.
-    """
-    if not (potential.is_radial and mesh.rings):
-        return None
-    n_phi = mesh.size // mesh.rings
-    k = np.arange(n_phi // 2 + 1)
-    # azimuths p and n - p share a block: weight 2, except p = 0 and p = n/2
-    multiplicity = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0)
-    cosines = np.cos(2.0 * np.pi * np.arange(n_phi) / n_phi)[np.outer(k, k) % n_phi]
-    return _Circulant(cosines * multiplicity, multiplicity, mesh.z_mirrored)
-
-
 def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube,
-               frame=None, circulant=None):
+               frame=None, layout=None):
     """h_pot for all column pairs of ``psi`` at once, on one precomputed tube.
 
-    With ``circulant`` (from :func:`_circulant`) the form takes the
+    With ``layout`` (the mesh's
+    :func:`shellbound.surface_operator.ring_layout`) the form takes the
     block-circulant route; without it, one dense kernel matrix over the
     whole tube cloud. A band ``frame`` (points -> (count, bands)) turns
     the kernel into ``K(x, y) sum_c conj(u_c(x)) u_c(y)``, whose form is
@@ -205,8 +182,8 @@ def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tu
         u = np.asarray(frame(points))
         bands = u.shape[1]
         columns = (u[:, :, None] * columns[:, None, :]).reshape(len(points), bands * psi.shape[1])
-    if circulant is not None:
-        form = _block_circulant_form(potential, cloud, columns, mesh.rings, circulant)
+    if layout is not None:
+        form = _block_circulant_form(potential, cloud, columns, mesh.rings, layout)
     else:
         form = columns.conj().T @ np.asarray(potential.kernel_matrix(points)) @ columns
     if bands == 1:
@@ -215,7 +192,7 @@ def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tu
     return np.einsum("cjck->jk", form.reshape(bands, count, bands, count))
 
 
-def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulant):
+def _block_circulant_form(potential, cloud, columns, rings, layout: RingLayout):
     """``columns^H K columns`` for the radial tube kernel K, one azimuthal frequency at a time.
 
     Cloud point (ring r, azimuth p, transverse node a) is point (r, 0, a)
@@ -239,11 +216,17 @@ def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulan
     form is the mean of ``multiplicity_k Re(X_k^H B_k X_k)``. Complex
     columns R + iI (the spin frame's) enter as the interleaved real view
     [R_0, I_0, R_1, ...], whose form recombines as
-    ``R^T K R + I^T K I + i (R^T K I - I^T K R)``. A complex kernel slice
-    raises ``ConsistencyError``: a real radial V has a real transform.
+    ``R^T K R + I^T K I + i (R^T K I - I^T K R)``.
+
+    The slice is checked before use: for a real symmetric kernel that
+    turns leave unchanged, entry (r', p, b, r, a) of the slice is
+    ``C[-p]`` at (r, a, r', b), so on the evaluated rings the slice
+    must equal that transpose of itself. A slice that is complex or
+    misses it by more than 1e-12 max(1, max |C|) raises
+    ``ConsistencyError``, as the sector assembly's column does.
     """
     if np.iscomplexobj(columns):
-        form = _block_circulant_form(potential, cloud, columns.view(np.float64), rings, circulant)
+        form = _block_circulant_form(potential, cloud, columns.view(np.float64), rings, layout)
         return form[::2, ::2] + form[1::2, 1::2] + 1j * (form[::2, 1::2] - form[1::2, ::2])
     nodes, order, dimension = cloud.shape
     n_phi = nodes // rings
@@ -251,22 +234,23 @@ def _block_circulant_form(potential, cloud, columns, rings, circulant: _Circulan
     width = rings * order
     count = columns.shape[1]
     points = cloud.reshape(rings, n_phi, order, dimension)
-    evaluated = (rings + 1) // 2 if circulant.mirrored else rings
+    evaluated = (rings + 1) // 2 if layout.mirrored else rings
     kernel = np.asarray(potential.kernel_matrix(
         points[:evaluated, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
     )).reshape(evaluated, half, order, rings, order)
-    if np.iscomplexobj(kernel):
-        raise ConsistencyError("radial tube kernel slice is complex; a real V has a real transform")
+    square = kernel[:, :, :, :evaluated]
+    _require_mirror(square, square.transpose(3, 1, 4, 0, 2), "radial tube kernel slice")
     blocks = np.empty((half, rings, order, rings, order))
     blocks[:, :evaluated] = kernel.swapaxes(0, 1)
     if evaluated < rings:  # ring r from ring rings-1-r, column rings reversed
         blocks[:, evaluated:] = kernel[rings - 1 - evaluated::-1, :, :, ::-1].swapaxes(0, 1)
-    blocks_hat = (circulant.cosines @ blocks.reshape(half, width * width)).reshape(half, width, width)
+    weighted = layout.cosines[:, :half] * layout.multiplicity
+    blocks_hat = (weighted @ blocks.reshape(half, width * width)).reshape(half, width, width)
     stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
     stacked_hat = np.fft.rfft(stacked, axis=0)
     # a real GEMM on the interleaved real and imaginary parts
     applied = (blocks_hat @ stacked_hat.view(np.float64)).view(np.complex128)
-    applied *= circulant.multiplicity[:, None, None]
+    applied *= layout.multiplicity[:, None, None]
     rows = half * width
     form = stacked_hat.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
     return form.real
@@ -340,7 +324,7 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
 
     minimum = symbol.find_minimum()[0]
     require_band(potential, 2.0 * (mesh.radius + chart.half_width))
-    circulant = _circulant(potential, mesh)
+    layout = ring_layout(mesh, potential)
 
     matrices = []
     max_errors = []
@@ -349,7 +333,7 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     for eps in schedule:
         tube = _tube(chart, profile, eps)
         h = (_kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
-             + _potential(potential, mesh, psi, profile, tube, symbol.frame, circulant))
+             + _potential(potential, mesh, psi, profile, tube, symbol.frame, layout))
         deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
         if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
             raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")

@@ -18,11 +18,15 @@ For a radial potential on a mesh with a ring layout
 of the mesh, so :func:`ring_operator` diagonalizes it one azimuthal
 frequency at a time from its (M, rings) column block against the
 azimuth-0 nodes: one batched rings x rings ``eigh`` in place of the
-dense M x M one, and no square kernel matrix. The column must be real
-and unchanged by the azimuth mirror p -> -p, as the kernel of a real
-radial V is; a column that is not raises ``ConsistencyError`` rather
-than taking another route. Tabulated potentials and meshes without a
-layout keep the dense assembly. A band frame u (a symbol's ``frame``,
+dense M x M one, and no square kernel matrix. :func:`ring_layout`
+decides this route, for the shell operator and for the tube forms of
+:func:`shellbound.rayleigh_ritz.certify` alike, and builds the cosine
+table both use. The kernel must be real and unchanged by the azimuth
+mirror p -> -p, as the kernel of a real radial V is; the column and
+every tube slice are checked by :func:`_require_mirror`, and one that
+is not raises ``ConsistencyError`` rather than taking another route.
+Tabulated potentials and meshes without a layout keep the dense
+assembly. A band frame u (a symbol's ``frame``,
 see :mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
 ``<u(s), u(s')>`` on either route, formed in one place,
 :func:`_band_matrix`: scalar and spin share one assembly, and the
@@ -32,6 +36,7 @@ band-frame column is the one that takes the FFT over azimuth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,12 +104,54 @@ def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def ring_operator(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> SurfaceOperatorMatrix:
+class RingLayout(NamedTuple):
+    """The azimuth tables of the block-circulant route on one mesh."""
+
+    cosines: np.ndarray  # cos(2 pi k p / n), k = 0..n/2, p = 0..n-1
+    multiplicity: np.ndarray  # 1 at k = 0 and k = n/2, else 2
+    mirrored: bool  # SurfaceMesh.z_mirrored
+
+
+def ring_layout(mesh: SurfaceMesh, potential: Potential) -> RingLayout | None:
+    """The tables of the block-circulant route, or None where the dense route applies.
+
+    The one place the route is decided: it needs a radial potential and
+    a ring layout. Frequencies k and n - k share a block, hence the
+    multiplicity. The tables depend only on the azimuth count and the
+    z mirror only on the nodes, so :func:`assemble` and
+    :func:`shellbound.rayleigh_ritz.certify` each build them once.
+    """
+    if not (potential.is_radial and mesh.rings):
+        return None
+    n = mesh.size // mesh.rings
+    p = np.arange(n)
+    k = p[:n // 2 + 1]
+    multiplicity = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    cosines = np.cos(2.0 * np.pi * p / n)[np.outer(k, p) % n]  # phases from k p mod n
+    return RingLayout(cosines, multiplicity, mesh.z_mirrored)
+
+
+def _require_mirror(block: np.ndarray, mirrored: np.ndarray, what: str) -> None:
+    """Raise unless a radial kernel block is real and equals its azimuth mirror image.
+
+    The tolerance is 1e-12 max(1, max |block|), that of the Hermitian test.
+    """
+    deviation = np.abs(block - mirrored).max()
+    if np.iscomplexobj(block) or deviation > 1e-12 * max(1.0, np.abs(block).max()):
+        raise ConsistencyError(
+            f"{what} ({block.dtype}) deviates from its azimuth mirror by "
+            f"{deviation:.3e}; the kernel of a real radial V is real and unchanged by p -> -p"
+        )
+
+
+def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
+                  frame=None) -> SurfaceOperatorMatrix:
     """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
 
     ``column[i, r]`` is the kernel between node i and node 0 of ring r
-    (shape (M, rings), unweighted). On a ring layout (see
-    ``SurfaceMesh.rings``) the weighted blocks
+    (shape (M, rings), unweighted); ``layout`` is the mesh's
+    :func:`ring_layout`. On a ring layout (see ``SurfaceMesh.rings``)
+    the weighted blocks
     ``C[p][r, r'] = sqrt(w_r) column[(r, p), r'] sqrt(w_r')`` hold the
     whole operator, ``A[(r, p), (r', p')] = C[p - p' mod n]``, and the
     azimuthal Fourier modes split it into n blocks of size rings. The
@@ -149,22 +196,15 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> SurfaceO
     adjoint = blocks[mirror].conj().swapaxes(1, 2)
     _require_hermitian(blocks, adjoint, _ASSEMBLED)
     blocks = 0.5 * (blocks + adjoint)
-    deviation = np.abs(scalar - scalar[:, mirror]).max()
-    if np.iscomplexobj(scalar) or deviation > 1e-12 * max(1.0, np.abs(scalar).max()):
-        raise ConsistencyError(
-            f"radial kernel column ({scalar.dtype}) deviates from its azimuth mirror by "
-            f"{deviation:.3e}; the kernel of a real radial V is real and unchanged by p -> -p"
-        )
+    _require_mirror(scalar, scalar[:, mirror], "radial kernel column")
     angles = 2.0 * np.pi * p / n
     if not np.iscomplexobj(blocks):
-        k = np.arange(n // 2 + 1)
-        cosines = np.cos(angles)[np.outer(k, p) % n]  # phases from k p mod n
-        values, vectors = np.linalg.eigh(np.tensordot(cosines, blocks, axes=1))
+        values, vectors = np.linalg.eigh(np.tensordot(layout.cosines, blocks, axes=1))
+        k = p[:n // 2 + 1]
         sines = k[1:(n + 1) // 2]
         sector = np.concatenate([k, sines])
-        modes = np.concatenate([cosines, np.sin(angles)[np.outer(sines, p) % n]])
-        modes *= np.where((sector == 0) | (2 * sector == n), np.sqrt(1.0 / n),
-                          np.sqrt(2.0 / n))[:, None]
+        modes = np.concatenate([layout.cosines, np.sin(angles)[np.outer(sines, p) % n]])
+        modes *= np.sqrt(layout.multiplicity[sector] / n)[:, None]
     else:
         sector = p
         values, vectors = np.linalg.eigh(np.fft.fft(blocks, axis=0))
@@ -249,9 +289,10 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
         raise PreconditionError("mesh and potential dimensions differ")
     require_band(potential, 2.0 * mesh.radius)
     u = None if frame is None else np.asarray(frame(mesh.nodes))
-    if potential.is_radial and mesh.rings:
-        n = mesh.size // mesh.rings
-        return ring_operator(mesh, np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n])), u)
+    layout = ring_layout(mesh, potential)
+    if layout is not None:
+        column = potential.kernel_matrix(mesh.nodes, mesh.nodes[::mesh.size // mesh.rings])
+        return ring_operator(mesh, np.asarray(column), layout, u)
     a = _weighted_kernel(mesh, potential)
     if u is not None:
         a = _band_matrix(a, u)

@@ -26,8 +26,6 @@ from .errors import (
     InvalidInputError,
 )
 
-KINDS = ("roton", "bcs", "mexican-hat", "custom-radial")
-
 
 @dataclass(frozen=True)
 class DispersionSymbol:
@@ -61,13 +59,7 @@ class DispersionSymbol:
 
     def evaluate(self, p):
         """H0 at one point (shape ``(n,)``) or a batch (shape ``(..., n)``)."""
-        p = np.asarray(p, dtype=np.float64)
-        if p.ndim == 0 or p.shape[-1] != self.dimension:
-            raise InvalidInputError(
-                f"expected points with last axis {self.dimension}, got shape {p.shape}"
-            )
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("non-finite momentum coordinates")
+        p = _check_points(p, self.dimension, "momentum")
         out = self._radial(np.linalg.norm(p, axis=-1))
         return float(out) if out.ndim == 0 else out
 
@@ -217,6 +209,18 @@ def custom_radial(radii, values, dimension: int = 2) -> DispersionSymbol:
         _minimum=None,
         _bracket=(max(float(radii[0]), 1e-8), float(radii[-1])),
     )
+
+
+def _check_points(arr, dimension: int, label: str) -> np.ndarray:
+    """Points as float64 with last axis ``dimension`` and finite coordinates."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim == 0 or arr.shape[-1] != dimension:
+        raise InvalidInputError(
+            f"expected {label} points with last axis {dimension}, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"non-finite {label} coordinates")
+    return arr
 
 
 def _check_dimension(dimension: int) -> None:

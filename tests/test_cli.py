@@ -366,6 +366,25 @@ def test_compare_exits_3_after_writing_when_oracle_undercounts(tmp_path, capsys,
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_compare_exits_0_when_a_flagged_oracle_count_falls_short(tmp_path, capsys):
+    # k_max 2 fills the oracle's window, so its count 2 is only a lower
+    # bound, and falling short of 3 certified states contradicts nothing
+    config = {
+        "symbol": MEXICAN_HAT,
+        "potential": WELL,
+        "surface": {"resolution": 64},
+        "rayleigh_ritz": {"n_states": 3},
+        "oracle": {"box_edge": 40.0, "grid": 64, "k_max": 2},
+    }
+    assert cli.main(["compare", write_config(tmp_path, config), "--output", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    results = read_json(tmp_path, "compare.json")["results"]
+    assert (results["certified"], results["oracle_count"]) == (3, 2)
+    assert results["oracle_count_is_lower_bound"]
+    assert results["consistent"]
+
+
 def test_compare_exits_0_when_certification_fails(tmp_path, capsys):
     # the shallow well of test_rayleigh_ritz_failure_exits_2: run exits 2,
     # but compare checks only the counts, and 0 certified is consistent

@@ -33,7 +33,6 @@ def test_tables_shapes_and_values():
     assert ham.symbol_table.shape == (96, 96)
     assert ham.symbol_table[0, 0] == 1.0  # (|0| - 1)^2
     assert ham.minimum == 0.0
-    assert ham.surface_radius == 1.0
     assert ham.size == 96 * 96
     assert not ham.is_free
     # position grid is centered on index G // 2
@@ -224,6 +223,15 @@ def test_solver_validation(dimple_ham):
         do.count_below(dimple_ham, k_max=0)
     with pytest.raises(PreconditionError, match="counting energy"):
         do.count_below(dimple_ham, energy=2.0)
+
+
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+def test_count_rejects_a_non_finite_energy(dimple_ham, energy):
+    # NaN passes every comparison with the spectral floor: the well would
+    # spend its whole budget and the free problem report a settled 0
+    for ham in (dimple_ham, quiet_build(SYMBOL, None, 15.0, 48)):
+        with pytest.raises(PreconditionError, match="counting energy must be finite"):
+            do.count_below(ham, energy=energy)
 
 
 def test_convergence_error_carries_diagnostics(dimple_ham):

@@ -171,7 +171,7 @@ def test_potential_form_hermitian_pairing():
     mesh = surface.build_mesh(1.0, 2, 24)
     pot = potentials.gaussian_well(1.0, 1.0)
     psi, profile, tube = _random_pair(mesh, 7)
-    h = rr._potential(pot, mesh, psi, profile, tube, circulant=rr._circulant(pot, mesh))
+    h = rr._potential(pot, mesh, psi, profile, tube, layout=so.ring_layout(mesh, pot))
     assert abs(h[0, 1] - np.conj(h[1, 0])) < 1e-12 * max(1.0, abs(h[0, 1]))
 
 
@@ -409,6 +409,59 @@ def test_block_circulant_route_rejects_a_complex_radial_kernel():
         rr.certify(symbols.mexican_hat(1.0), pot, mesh, 1, (0.2,), states=states)
 
 
+def _mirror_odd_kernel(p, q):
+    # the Gaussian-negated kernel of the sector assembly's mirror test:
+    # real, symmetric and unchanged by turns about z, but odd under p -> -p
+    d = p[:, None, :] - q[None, :, :]
+    cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
+    return -np.exp(-np.sum(d * d, axis=-1)) + 0.25 * cross * d[..., 2]
+
+
+def _off_shell_mirror_odd_kernel(p, q):
+    # equal to the Gaussian on the unit sphere, so the sector assembly's
+    # column passes, but odd under p -> -p on the tube around it
+    d = p[:, None, :] - q[None, :, :]
+    cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
+    radii = np.sum(p * p, axis=-1)[:, None] + np.sum(q * q, axis=-1)[None, :]
+    return -np.exp(-np.sum(d * d, axis=-1)) + 2.0 * cross * d[..., 2] * (radii - 2.0)
+
+
+@pytest.mark.parametrize("kernel, resolution, n_states, fraction", [
+    (_mirror_odd_kernel, 6, 2, 0.25),
+    (_off_shell_mirror_odd_kernel, 8, 3, 0.5),
+])
+def test_block_circulant_route_rejects_a_slice_without_mirror_symmetry(
+        kernel, resolution, n_states, fraction):
+    # the tube forms evaluate azimuths 0..n/2 only and rely on C[-p] = C[p]
+    # whether or not the sector assembly ran first
+    pot = dataclasses.replace(_constant_kernel_potential(0.0, 3), _kernel=kernel)
+    sym = symbols.roton(1.0, 1.0, 1.0, dimension=3)
+    mesh = surface.build_mesh(1.0, 3, resolution)
+    dense_mesh = _without_layout(mesh)
+    operator = so.assemble(dense_mesh, pot)
+    for states in (None, (operator.eigenvalues, operator.eigenfunctions)):
+        with pytest.raises(ConsistencyError, match="mirror"):
+            rr.certify(sym, pot, mesh, n_states, half_width_fraction=fraction, states=states)
+    # the dense route relies on no mirror
+    cert = rr.certify(sym, pot, dense_mesh, n_states, half_width_fraction=fraction)
+    assert len(cert.matrices) == len(rr.DEFAULT_SCHEDULE)
+
+
+def test_certify_rejects_a_non_hermitian_trial_form():
+    # a non-radial kernel with a part odd in p - q pairs the states 1 and
+    # cos(theta) unequally, and certify refuses to hermitize that away
+    def kernel(p, q):
+        d = p[:, None, :] - q[None, :, :]
+        return -np.exp(-np.sum(d * d, axis=-1)) + 1e-3 * d[..., 0]
+
+    pot = dataclasses.replace(_constant_kernel_potential(0.0), is_radial=False, _kernel=kernel)
+    mesh = surface.build_mesh(1.0, 2, 16)
+    theta = np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0])
+    states = (np.array([-1.0, -0.5]), np.stack([np.ones(mesh.size), np.cos(theta)], axis=1))
+    with pytest.raises(ConsistencyError, match="trial form deviates from Hermitian by 3.949e-02"):
+        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 2, states=states)
+
+
 def test_tabulated_potential_keeps_dense_path(kernel_calls):
     samples, edge = 64, 16.0
     axis = (np.arange(samples) - samples // 2) * (edge / samples)
@@ -510,12 +563,12 @@ def _unmirrored_sphere(resolution):
 def test_z_fold_matches_the_unfolded_slice(resolution, complex_columns):
     mesh = surface.build_mesh(1.0, 3, resolution)
     pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3, 3)
-    circulant = rr._circulant(pot, mesh)
-    assert circulant.mirrored
+    layout = so.ring_layout(mesh, pot)
+    assert layout.mirrored
     cloud, columns = _tube_problem(mesh, 3, complex_columns)
-    folded = rr._block_circulant_form(pot, cloud, columns, mesh.rings, circulant)
+    folded = rr._block_circulant_form(pot, cloud, columns, mesh.rings, layout)
     unfolded = rr._block_circulant_form(pot, cloud, columns, mesh.rings,
-                                        circulant._replace(mirrored=False))
+                                        layout._replace(mirrored=False))
     assert folded.dtype == unfolded.dtype
     assert np.abs(folded - unfolded).max() <= 1e-13 * np.abs(unfolded).max()
 
@@ -539,11 +592,11 @@ def test_unmirrored_ring_mesh_takes_the_unfolded_route(kernel_calls):
 def test_real_fft_route_matches_the_complex_route(dimension, resolution):
     mesh = surface.build_mesh(1.0, dimension, resolution)
     pot = potentials.gaussian_well(1.0, 1.0, dimension)
-    circulant = rr._circulant(pot, mesh)
+    layout = so.ring_layout(mesh, pot)
     cloud, columns = _tube_problem(mesh, 4, complex_columns=False)
-    real = rr._block_circulant_form(pot, cloud, columns, mesh.rings, circulant)
+    real = rr._block_circulant_form(pot, cloud, columns, mesh.rings, layout)
     as_complex = rr._block_circulant_form(pot, cloud, columns.astype(np.complex128),
-                                          mesh.rings, circulant)
+                                          mesh.rings, layout)
     reference = _reference_block_circulant_form(pot, cloud, columns, mesh.rings)
     assert real.dtype == np.float64 and as_complex.dtype == np.complex128
     scale = np.abs(reference).max()
@@ -557,6 +610,6 @@ def test_complex_columns_keep_the_full_fft_route(dimension, resolution):
     mesh = surface.build_mesh(1.0, dimension, resolution)
     pot = potentials.gaussian_well(1.0, 1.0, dimension)
     cloud, columns = _tube_problem(mesh, 4, complex_columns=True)
-    fast = rr._block_circulant_form(pot, cloud, columns, mesh.rings, rr._circulant(pot, mesh))
+    fast = rr._block_circulant_form(pot, cloud, columns, mesh.rings, so.ring_layout(mesh, pot))
     reference = _reference_block_circulant_form(pot, cloud, columns, mesh.rings)
     assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()
