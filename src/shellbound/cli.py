@@ -51,6 +51,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -85,21 +86,24 @@ def main(argv=None) -> int:
 
     from .errors import ConfigurationError, ToolkitError
 
-    try:
-        config = _load_config(args.config)
-        output_dir = Path(args.output or _need(config, "output", None, Path, Path(".")))
-        output_dir.mkdir(parents=True, exist_ok=True)
-        task = "compare" if args.command == "compare" else config.get("task")
-        runnable = tuple(name for name in TASKS if name != "compare")
-        if args.command == "run" and task not in runnable:
-            raise ConfigurationError(f"config key 'task' must be one of {', '.join(runnable)}")
-        results, rows, status = TASKS[task](config, args.seed)
-        _write_json(output_dir / f"{task}.json", config, args, task, results)
-        if rows is not None:
-            _write_csv(output_dir / f"{task}.csv", rows)
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings print as one line like the errors; the filters still apply
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = _load_config(args.config)
+            output_dir = Path(args.output or _need(config, "output", None, Path, Path(".")))
+            output_dir.mkdir(parents=True, exist_ok=True)
+            task = "compare" if args.command == "compare" else config.get("task")
+            runnable = tuple(name for name in TASKS if name != "compare")
+            if args.command == "run" and task not in runnable:
+                raise ConfigurationError(f"config key 'task' must be one of {', '.join(runnable)}")
+            results, rows, status = TASKS[task](config, args.seed)
+            _write_json(output_dir / f"{task}.json", config, args, task, results)
+            if rows is not None:
+                _write_csv(output_dir / f"{task}.csv", rows)
+        except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if status == 3:
         print(
             f"error: oracle count {results['oracle_count']} fell below certified {results['certified']}",

@@ -6,9 +6,9 @@ against the azimuth-0 points: the shell operator takes an (M, rings)
 column block (see :mod:`shellbound.surface_operator`) and each tube
 form, scalar or spin-orbit, the slice for half the azimuths, and on a
 z-mirrored 3-D mesh for half the rings (see
-:mod:`shellbound.rayleigh_ritz`). Tabulated potentials, meshes without
-a layout and the spin gauge check still assemble square matrices,
-quadratic in the cloud size.
+:mod:`shellbound.rayleigh_ritz`); the spin gauge check takes the shell
+operator's column. Tabulated potentials and meshes without a layout still assemble square
+matrices, quadratic in the cloud size.
 
 Both primitives evaluate with in-place ufuncs in the operation order of
 the plain expressions ``pp + qq - 2 p.q`` and ``sum_m a_m exp(-r_m d2)``,

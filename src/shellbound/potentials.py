@@ -383,19 +383,38 @@ def tabulated_from_file(path) -> Potential:
     Format: a header line ``dimension edge samples`` followed by
     ``samples**dimension`` whitespace-separated values in row-major
     order.
+
+    Raises
+    ------
+    ConfigurationError
+        If the header does not hold an integer dimension, a number edge
+        and an integer sample count, a sample is not a number, or the
+        value count is not ``samples**dimension``.
     """
     path = Path(path)
     with path.open() as handle:
         header = handle.readline().split()
         if len(header) != 3:
             raise ConfigurationError("header must be: dimension edge samples")
-        dimension = int(header[0])
-        edge = float(header[1])
-        samples = int(header[2])
-        data = np.loadtxt(handle).ravel()
+        dimension = _header_field(path, "dimension", int, header[0])
+        edge = _header_field(path, "edge", float, header[1])
+        samples = _header_field(path, "samples", int, header[2])
+        try:
+            data = np.loadtxt(handle).ravel()
+        except ValueError as exc:
+            message = f"grid file {path}: bad sample values after the header ({exc})"
+            raise ConfigurationError(message) from None
     expected = samples**dimension
     if data.size != expected:
         raise ConfigurationError(
             f"grid file holds {data.size} values, expected {expected}"
         )
     return tabulated(data.reshape((samples,) * dimension), edge, dimension)
+
+
+def _header_field(path: Path, name: str, kind: type, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        message = f"grid file {path}: header field {name} must be {kind.__name__}, got {text!r}"
+        raise ConfigurationError(message) from None

@@ -20,16 +20,17 @@ depends only on the angle between s and s'), and :func:`certify_spin`
 is :func:`shellbound.rayleigh_ritz.certify` on the matrix symbol after
 the checks that the problem sits on the band-minimum circle in 2-D.
 The overlap itself is formed in one place,
-``surface_operator._band_matrix``, which the sector route and
-:func:`gauge_deviation` share. The regauged matrices of
-:func:`gauge_deviation` stay dense. Regauging by a
-diagonal unitary D maps the matrix A to ``D^H A D`` exactly, so
-``gauge_deviation`` bounds the numerical deviation by Weyl's inequality,
-``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``, with no
-eigensolve; the bound holds up to the rounding of each entry of
-``D^H A D``, a few units in the last place. It weights the dense kernel
-by sqrt(w) once and forms every regauged matrix in the same
-preallocated M x M buffers.
+``surface_operator._band_matrix``, and the weighted Hermitian blocks of
+the operator in another, ``surface_operator._ring_blocks``, which
+:func:`assemble_spin_kernel` and :func:`gauge_deviation` share.
+Regauging by a diagonal unitary D maps the matrix A to ``D^H A D``
+exactly, so ``gauge_deviation`` bounds the numerical deviation by Weyl's
+inequality, ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``,
+with no eigensolve; the bound holds up to the rounding of each entry of
+``D^H A D``, a few units in the last place. On a ring layout it
+regauges with phases that keep the operator block-circulant and
+compares the (M, rings) column blocks alone, so no M x M matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -42,14 +43,7 @@ from .errors import ConfigurationError, GaugeSingularityError, PreconditionError
 from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
-from .surface_operator import (
-    SurfaceOperatorMatrix,
-    _band_matrix,
-    _check_hermitian,
-    _hermitize,
-    _weighted_kernel,
-    assemble,
-)
+from .surface_operator import SurfaceOperatorMatrix, _ring_blocks, assemble, ring_layout
 
 __all__ = [
     "MatrixSymbol",
@@ -200,52 +194,56 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
 
 def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential,
                     seed: int = 0) -> float:
-    """Weyl bound on the spectral deviation under random per-node phase regauging.
+    """Weyl bound on the spectral deviation under random phase regauging.
 
     Regauging the band frame by a diagonal unitary D (``u_i -> d_i u_i``)
-    must turn the assembled matrix A into exactly ``D^H A D``, which has
-    the spectrum of A. Each of 20 seeded regaugings assembles
-    A_theta afresh, checks that it is Hermitian and takes
-    ``||A_theta - D^H A D||_F``. By Weyl's inequality every eigenvalue
-    moves by at most that much:
+    must turn the assembled operator A into exactly ``D^H A D``, which
+    has the spectrum of A. The check reads A as :func:`assemble` does:
+    on the sector route (see ``surface_operator.ring_layout``) as the
+    blocks C[p] of its (M, rings) column, ``A[(r, p), (r', p')] =
+    C[p - p' mod n]``; otherwise as one (M, M) block, one azimuth per
+    ring. Each of 20 seeded regaugings takes
+    ``d(r, p) = exp(i theta_r) exp(2 pi i s p / n)``, a random phase per
+    ring and a random winding s (none when n = 1, where every node is
+    its own ring and d is a random phase per node). These keep the frame
+    turn-covariant and both operators block-circulant, so
+    ``||A_theta - D^H A D||_F = sqrt(n) ||C_theta - D^H C D||_F`` with
+    ``(D^H C D)[p][r, r'] = conj(d(r, p)) d(r', 0) C[p][r, r']``, and
+    each regauged C_theta must pass the Hermitian test of the assembly.
+    By Weyl's inequality every eigenvalue of the operator that
+    :func:`assemble` diagonalizes moves by at most that norm:
     ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_2
     <= ||A_theta - D^H A D||_F``, up to the rounding of each entry of
     ``D^H A D`` (a few units in the last place). The largest norm over
     the trials is returned: a bound on how far any eigenvalue of a
-    regauged operator can move, not a sample of it. Each trial costs
-    O(M^2) and no eigensolve is made; the dense kernel is weighted once,
-    and the trials reuse four M x M buffers.
+    regauged operator can move, not a sample of it. One
+    ``kernel_matrix`` call of shape (M, rings) serves every trial, and
+    no eigensolve is made.
 
     Raises
     ------
     PreconditionError
         If the problem is not on the band-minimum circle in 2-D.
     ConsistencyError
-        If a regauged matrix is not Hermitian within 1e-12 relative
-        tolerance.
+        If a regauged operator is not Hermitian within 1e-12 relative
+        tolerance, or, on the sector route, the frame is not
+        turn-covariant.
     """
     _check_problem(symbol, mesh, potential)
-    what = "band-projected operator matrix"
-    weighted = _weighted_kernel(mesh, potential)
+    n = 1 if ring_layout(mesh, potential) is None else mesh.size // mesh.rings
+    column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
     frame = band_frame(symbol, mesh.nodes)
-    base = _hermitize(_band_matrix(weighted, frame), what)
-    shape = base.shape
-    regauged, adjoint, difference = (np.empty(shape, dtype=np.complex128) for _ in range(3))
-    modulus = np.empty(shape)
+    base = _ring_blocks(mesh, column, frame)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
-        phases = np.exp(2j * np.pi * rng.random(mesh.size))
-        a = _band_matrix(weighted, frame * phases[:, None], out=regauged)
-        np.conjugate(a.T, out=adjoint)
-        np.subtract(a, adjoint, out=difference)
-        _check_hermitian(a, np.abs(difference, out=modulus).max(), what)
-        a += adjoint
-        a *= 0.5
-        np.multiply(phases.conj()[:, None], phases[None, :], out=difference)
-        difference *= base
-        difference -= a
-        worst = max(worst, float(np.linalg.norm(difference)))
+        ring_phases = np.exp(2j * np.pi * rng.random(mesh.size // n))
+        winding = rng.integers(n) if n > 1 else 0
+        # phase arguments reduced mod n, so the winding's table keeps its symmetry
+        d = ring_phases[:, None] * np.exp(2j * np.pi * ((winding * np.arange(n)) % n) / n)
+        regauged = _ring_blocks(mesh, column, frame * d.reshape(-1, 1))
+        difference = d.conj().T[:, :, None] * d[:, 0] * base - regauged
+        worst = max(worst, float(np.sqrt(n) * np.linalg.norm(difference)))
     return worst
 
 

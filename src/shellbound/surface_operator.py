@@ -26,7 +26,11 @@ mirror p -> -p, as the kernel of a real radial V is; the column and
 every tube slice are checked by :func:`_require_mirror`, and one that
 is not raises ``ConsistencyError`` rather than taking another route.
 Tabulated potentials and meshes without a layout keep the dense
-assembly. A band frame u (a symbol's ``frame``,
+assembly, which is the same computation with one azimuth per ring: its
+column is the whole M x M kernel. Both routes, and the spin gauge check
+of :func:`shellbound.spin_orbit.gauge_deviation`, read the weighted,
+Hermitian blocks of the operator from one function,
+:func:`_ring_blocks`. A band frame u (a symbol's ``frame``,
 see :mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
 ``<u(s), u(s')>`` on either route, formed in one place,
 :func:`_band_matrix`: scalar and spin share one assembly, and the
@@ -81,22 +85,18 @@ class SurfaceOperatorMatrix:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
 
-def _check_hermitian(a: np.ndarray, deviation: float, what: str) -> None:
-    """Raise unless ``deviation = max |a - a^H|`` is within 1e-12 max(1, max |a|).
+def _require_hermitian(a: np.ndarray, adjoint: np.ndarray, what: str) -> None:
+    """Raise unless ``max |a - adjoint|`` is within 1e-12 max(1, max |a|).
 
     The scale is at least 1, so ``max |a|`` is computed only when the
     deviation exceeds 1e-12.
     """
+    deviation = np.abs(a - adjoint).max(initial=0.0)
     if deviation > 1e-12 and deviation > 1e-12 * np.abs(a).max():
         raise ConsistencyError(
             f"{what} deviates from Hermitian by {deviation:.3e}; "
             "the transform convention upstream is broken"
         )
-
-
-def _require_hermitian(a: np.ndarray, adjoint: np.ndarray, what: str) -> None:
-    if a.size:
-        _check_hermitian(a, np.abs(a - adjoint).max(), what)
 
 
 def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
@@ -144,6 +144,45 @@ def _require_mirror(block: np.ndarray, mirrored: np.ndarray, what: str) -> None:
         )
 
 
+def _ring_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarray:
+    """The weighted, hermitized blocks C[p] of the shell operator, shape (n, rings, rings).
+
+    The one place the operator is weighted by sqrt(w), band-projected
+    and hermitized, for the sector route, the dense route and
+    :func:`shellbound.spin_orbit.gauge_deviation` alike.
+    ``column[i, r]`` is the kernel between node i and node 0 of ring r
+    (shape (M, rings), unweighted), where the nodes are read as rings
+    of n = M / rings azimuths, node (r, p) at index r n + p. Then
+    ``C[p][r, r'] = sqrt(w_(r, p)) column[(r, p), r'] sqrt(w_(r', 0))``,
+    and on a turn-invariant operator
+    ``A[(r, p), (r', p')] = C[p - p' mod n]``. With ``rings = M``
+    (one azimuth per ring) the column is the whole kernel and C[0] the
+    dense matrix A.
+
+    A band ``frame`` (shape (M, bands)) must be turn-covariant (see
+    :func:`_require_turn_covariant`) and multiplies the column by the
+    overlap of :func:`_band_matrix` before the weights. Each block is
+    then averaged with ``C[-p]^H``, the adjoint's block.
+
+    Raises
+    ------
+    ConsistencyError
+        If the frame is not turn-covariant, or if
+        ``max |C[p] - C[-p]^H| > 1e-12 max(1, max |C|)``.
+    """
+    rings = column.shape[1]
+    n = mesh.size // rings
+    if frame is not None:
+        _require_turn_covariant(frame, rings)
+        column = _band_matrix(column, frame, np.s_[::n])
+    sqrt_w = np.sqrt(mesh.weights)
+    blocks = (sqrt_w[:, None] * column * sqrt_w[::n][None, :])
+    blocks = blocks.reshape(rings, n, rings).swapaxes(0, 1)
+    adjoint = blocks[-np.arange(n) % n].conj().swapaxes(1, 2)
+    _require_hermitian(blocks, adjoint, _ASSEMBLED)
+    return 0.5 * (blocks + adjoint)
+
+
 def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
                   frame=None) -> SurfaceOperatorMatrix:
     """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
@@ -151,11 +190,10 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
     ``column[i, r]`` is the kernel between node i and node 0 of ring r
     (shape (M, rings), unweighted); ``layout`` is the mesh's
     :func:`ring_layout`. On a ring layout (see ``SurfaceMesh.rings``)
-    the weighted blocks
-    ``C[p][r, r'] = sqrt(w_r) column[(r, p), r'] sqrt(w_r')`` hold the
-    whole operator, ``A[(r, p), (r', p')] = C[p - p' mod n]``, and the
-    azimuthal Fourier modes split it into n blocks of size rings. The
-    kernel of a real radial V is real and unchanged by the mirror
+    the blocks C[p] of :func:`_ring_blocks` hold the whole operator,
+    ``A[(r, p), (r', p')] = C[p - p' mod n]``, and the azimuthal
+    Fourier modes split it into n blocks of size rings. The kernel of a
+    real radial V is real and unchanged by the mirror
     (r, p) -> (r, -p), so the column must be real with
     ``C[-p] = C[p]``; the tube forms of
     :func:`shellbound.rayleigh_ritz.certify` rely on the same contract.
@@ -165,38 +203,29 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
       eigenvectors v yields ``v x cos`` and, for 0 < k < n/2,
       ``v x sin`` (modes normalized by sqrt(2/n), by sqrt(1/n) at k = 0
       and k = n/2).
-    - A band ``frame`` (shape (M, bands), turn-covariant, see
-      :func:`_require_turn_covariant`) multiplies the column by the
-      overlap of :func:`_band_matrix`. The complex Hermitian C this
-      gives takes ``B_k = sum_p C[p] exp(-2 pi i k p / n)`` (the FFT
-      over p), with modes ``v x exp(2 pi i k p / n) / sqrt(n)``.
+    - A band ``frame`` (shape (M, bands), turn-covariant) multiplies
+      the column by the overlap of :func:`_band_matrix`. The complex
+      Hermitian C this gives takes
+      ``B_k = sum_p C[p] exp(-2 pi i k p / n)`` (the FFT over p), with
+      modes ``v x exp(2 pi i k p / n) / sqrt(n)``.
 
     The eigenpairs are stable-sorted by eigenvalue.
 
     Raises
     ------
     ConsistencyError
-        If the frame is not turn-covariant; if
-        ``max |C[p] - C[-p]^H| > 1e-12 max(1, max |C|)``, the Hermitian
-        test of the dense assembly; then if the column is complex or
-        misses ``C[-p] = C[p]`` by as much (measured on the column
-        before the frame's overlap).
+        If :func:`_ring_blocks` does (a frame that is not
+        turn-covariant, or blocks that are not Hermitian); then if the
+        column is complex or misses ``C[-p] = C[p]`` by more than
+        1e-12 max(1, max |column|) (measured on the column before the
+        frame's overlap).
     """
     rings = mesh.rings
     n = mesh.size // rings
     p = np.arange(n)
-    mirror = -p % n
+    blocks = _ring_blocks(mesh, column, frame)
     scalar = column.reshape(rings, n, rings)
-    if frame is not None:
-        _require_turn_covariant(frame, rings)
-        column = _band_matrix(column, frame, np.s_[::n])
-    sqrt_w = np.sqrt(mesh.weights)
-    blocks = (sqrt_w[:, None] * column * sqrt_w[::n][None, :])
-    blocks = blocks.reshape(rings, n, rings).swapaxes(0, 1)
-    adjoint = blocks[mirror].conj().swapaxes(1, 2)
-    _require_hermitian(blocks, adjoint, _ASSEMBLED)
-    blocks = 0.5 * (blocks + adjoint)
-    _require_mirror(scalar, scalar[:, mirror], "radial kernel column")
+    _require_mirror(scalar, scalar[:, -p % n], "radial kernel column")
     angles = 2.0 * np.pi * p / n
     if not np.iscomplexobj(blocks):
         values, vectors = np.linalg.eigh(np.tensordot(layout.cosines, blocks, axes=1))
@@ -213,8 +242,8 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
     order = np.argsort(values[sector].ravel(), kind="stable")
     mode, j = np.divmod(order, rings)
     vectors = (vectors[sector[mode], :, j].T[:, None, :] * modes[mode].T[None, :, :]).reshape(
-        mesh.size, mesh.size)
-    return SurfaceOperatorMatrix(mesh, values[sector].ravel()[order], vectors / sqrt_w[:, None])
+        mesh.size, mesh.size) / np.sqrt(mesh.weights)[:, None]
+    return SurfaceOperatorMatrix(mesh, values[sector].ravel()[order], vectors)
 
 
 def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
@@ -226,17 +255,16 @@ def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
     return weighted
 
 
-def _band_matrix(weighted: np.ndarray, frame: np.ndarray, columns=None, out=None) -> np.ndarray:
+def _band_matrix(weighted: np.ndarray, frame: np.ndarray, columns=None) -> np.ndarray:
     """Band-projected kernel ``weighted_ij <u_i, u_j>``, not yet hermitized.
 
     The one home of the band overlap ``<u_i, u_j> = sum_c conj(u_c(s_i)) u_c(s_j)``.
     ``weighted`` is a kernel between all nodes and the nodes ``columns``
     selects (an index into ``frame``, all of them by default): the
-    weight-symmetrized M x M kernel of :func:`_weighted_kernel`, or the
-    (M, rings) column block of the sector route. ``out``, a complex
-    array of its shape, takes the result when given.
+    column of :func:`_ring_blocks`, or the weight-symmetrized M x M
+    kernel of :func:`_weighted_kernel`.
     """
-    projected = np.matmul(frame.conj(), (frame if columns is None else frame[columns]).T, out=out)
+    projected = frame.conj() @ (frame if columns is None else frame[columns]).T
     projected *= weighted
     return projected
 
@@ -269,11 +297,13 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
 
     A radial potential on a mesh with a ring layout takes the sector
     route of :func:`ring_operator` (one (M, rings) kernel slice); any
-    other problem assembles the dense M x M matrix and calls ``eigh``.
-    A band ``frame`` (points -> unit vectors (count, bands), a
-    symbol's ``frame``; None for a scalar symbol) multiplies the kernel
-    by the overlap ``sum_c conj(u_c(s_i)) u_c(s_j)``; the sector route
-    first checks in O(M) that it depends only on the azimuth difference.
+    other problem is the case of one azimuth per ring: its (M, M)
+    column is the whole kernel, and ``eigh`` takes the one block of
+    :func:`_ring_blocks`. A band ``frame`` (points -> unit vectors
+    (count, bands), a symbol's ``frame``; None for a scalar symbol)
+    multiplies the kernel by the overlap ``sum_c conj(u_c(s_i)) u_c(s_j)``;
+    the sector route first checks in O(M) that it depends only on the
+    azimuth difference.
 
     Raises
     ------
@@ -290,13 +320,11 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
     require_band(potential, 2.0 * mesh.radius)
     u = None if frame is None else np.asarray(frame(mesh.nodes))
     layout = ring_layout(mesh, potential)
+    n = 1 if layout is None else mesh.size // mesh.rings
+    column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
     if layout is not None:
-        column = potential.kernel_matrix(mesh.nodes, mesh.nodes[::mesh.size // mesh.rings])
-        return ring_operator(mesh, np.asarray(column), layout, u)
-    a = _weighted_kernel(mesh, potential)
-    if u is not None:
-        a = _band_matrix(a, u)
-    eigenvalues, vectors = np.linalg.eigh(_hermitize(a, _ASSEMBLED))
+        return ring_operator(mesh, column, layout, u)
+    eigenvalues, vectors = np.linalg.eigh(_ring_blocks(mesh, column, u)[0])
     return SurfaceOperatorMatrix(mesh, eigenvalues, vectors / np.sqrt(mesh.weights)[:, None])
 
 
@@ -332,12 +360,18 @@ def _default_threshold(op: SurfaceOperatorMatrix) -> float:
 
 
 def count_negative(op: SurfaceOperatorMatrix, threshold: float | None = None) -> int:
-    """Number of eigenvalues below ``-threshold``, by default ``_default_threshold(op)``."""
+    """Number of eigenvalues below ``-threshold``, by default ``_default_threshold(op)``.
+
+    Raises
+    ------
+    PreconditionError
+        If ``threshold`` is not finite and positive.
+    """
     if threshold is None:
         threshold = _default_threshold(op)
     threshold = float(threshold)
-    if threshold <= 0.0:
-        raise PreconditionError("threshold must be positive")
+    if not (np.isfinite(threshold) and threshold > 0.0):
+        raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
     return int(np.count_nonzero(op.eigenvalues < -threshold))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,42 @@ def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
     assert loads == [str(table)]
     results = read_json(tmp_path, "compare.json")["results"]
     assert results["certified"] == 1 and results["consistent"]
+
+
+@pytest.mark.parametrize("contents, field", [
+    ("2 abc 16\n-1.0\n", "header field edge must be float, got 'abc'"),
+    ("2.5 8.0 16\n-1.0\n", "header field dimension must be int, got '2.5'"),
+    ("2 8.0 2\n-1.0\n-1.0\nx\n-1.0\n", "bad sample values"),
+])
+def test_malformed_grid_file_is_one_error_line(tmp_path, capsys, contents, field):
+    table = tmp_path / "table.txt"
+    table.write_text(contents)
+    config = dict(SPECTRUM, potential={"kind": "tabulated", "params": {"path": str(table)}})
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: grid file {table}: {field}")
+    assert len(err.splitlines()) == 1
+
+
+# the free problem on a 20-unit box: dual-lattice spacing 2 pi / 20 > R / 8
+COARSE_ORACLE = {"task": "oracle", "symbol": MEXICAN_HAT, "potential": {"kind": "none"},
+                 "oracle": {"box_edge": 20.0, "grid": 32}}
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_warnings_print_one_line_without_the_source(tmp_path, capsys):
+    shown = warnings.showwarning
+    assert cli.main(["run", write_config(tmp_path, COARSE_ORACLE), "--output", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: dual-lattice spacing 0.3142 is coarse relative to the shell ")
+    assert len(err.splitlines()) == 1 and "cli.py" not in err
+    assert warnings.showwarning is shown
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_warning_filters_still_apply(tmp_path):
+    with pytest.raises(UserWarning, match="dual-lattice spacing"):
+        cli.main(["run", write_config(tmp_path, COARSE_ORACLE), "--output", str(tmp_path)])
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):

@@ -127,60 +127,84 @@ def test_spectrum_is_gauge_invariant(circle):
     assert dev < 1e-10
 
 
-def _without_conjugate(weighted, frame, out=None):
-    # <u_i, u_j> computed as u_i . u_j; averaged by hand, since the
-    # result is complex symmetric and the Hermitian test would reject it
-    a = weighted * (frame @ frame.T)
-    return 0.5 * (a + a.conj().T)
+def _without_conjugate(weighted, frame, columns):
+    # <u_i, u_j> computed as u_i . u_j: complex symmetric, not Hermitian
+    return weighted * (frame @ frame[columns].T)
 
 
-def _conjugate_on_the_wrong_factor(weighted, frame, out=None):
+def _conjugate_on_the_wrong_factor(weighted, frame, columns):
     # Hermitian and a unitary similarity of the right matrix, so its
     # spectrum is gauge invariant; only the matrix itself is wrong
-    return weighted * (frame @ frame.conj().T)
+    return weighted * (frame @ frame[columns].conj().T)
 
 
 @pytest.mark.parametrize("broken", [_without_conjugate, _conjugate_on_the_wrong_factor])
 def test_gauge_deviation_detects_a_broken_overlap(circle, monkeypatch, broken):
-    monkeypatch.setattr(spin_orbit, "_band_matrix", broken)
-    assert spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL) >= 0.1
+    monkeypatch.setattr(surface_operator, "_band_matrix", broken)
+    if broken is _without_conjugate:
+        with pytest.raises(ConsistencyError, match="Hermitian"):
+            spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
+    else:
+        assert spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL) >= 0.1
 
 
-def _weighted(mesh):
-    sqrt_w = np.sqrt(mesh.weights)
-    return sqrt_w[:, None] * np.asarray(WELL.kernel_matrix(mesh.nodes)) * sqrt_w[None, :]
+def _regaugings(mesh, trials, seed):
+    # the phases d(r, p) of gauge_deviation, drawn in its order
+    rings = mesh.rings or mesh.size
+    n = mesh.size // rings
+    p = np.arange(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        ring_phases = np.exp(2j * np.pi * rng.random(rings))
+        winding = rng.integers(n) if n > 1 else 0
+        yield (ring_phases[:, None] * np.exp(2j * np.pi * ((winding * p) % n) / n)).ravel()
+
+
+def _one_sided_after_the_base(value):
+    # _band_matrix plus ``value`` at column entry (1, 0), the block C[1]
+    # alone, on every call after the first, which forms the base blocks
+    correct = surface_operator._band_matrix
+    calls = []
+
+    def one_sided(weighted, frame, columns):
+        a = correct(weighted, frame, columns)
+        if calls:
+            a[1, 0] += value
+        calls.append(frame)
+        return a
+
+    return one_sided, calls
 
 
 def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
-    # a fixed 1e-6 entry does not follow the regauging; Weyl's inequality
-    # says the returned norm is at least the largest eigenvalue shift
-    correct = spin_orbit._band_matrix
+    # a 1e-6 column entry and its mirror do not follow the regauging;
+    # Weyl's inequality says the returned norm is at least the largest
+    # eigenvalue shift of the assembled operator
+    n = circle.size
+    correct = surface_operator._band_matrix
 
-    def perturbed(weighted, frame, out=None):
-        a = correct(weighted, frame, out=out).copy()
-        a[0, 1] += 1e-6
-        a[1, 0] += 1e-6
+    def perturbed(weighted, frame, columns):
+        a = correct(weighted, frame, columns)
+        a[[1, n - 1], 0] += 1e-6
         return a
 
-    monkeypatch.setattr(spin_orbit, "_band_matrix", perturbed)
+    monkeypatch.setattr(surface_operator, "_band_matrix", perturbed)
     symbol = spin_orbit.rashba(2.0)
     bound = spin_orbit.gauge_deviation(symbol, circle, WELL, seed=3)
-    weighted = _weighted(circle)
-    frame = spin_orbit.band_frame(symbol, circle.nodes)
-    base = np.linalg.eigvalsh(perturbed(weighted, frame))
-    rng = np.random.default_rng(3)
-    dense = 0.0
-    for _ in range(20):
-        phases = np.exp(2j * np.pi * rng.random(circle.size))
-        spectrum = np.linalg.eigvalsh(perturbed(weighted, frame * phases[:, None]))
-        dense = max(dense, float(np.abs(spectrum - base).max()))
-    assert dense > 1e-8
-    assert bound >= dense
-    assert bound <= 2.0 * np.sqrt(2.0) * 1e-6 * 1.01
+    base = surface_operator.assemble(circle, WELL, symbol.frame).eigenvalues
+    shift = 0.0
+    for d in _regaugings(circle, 20, 3):
+        regauged = surface_operator.assemble(
+            circle, WELL, lambda points: symbol.frame(points) * d[:, None])
+        shift = max(shift, float(np.abs(regauged.eigenvalues - base).max()))
+    assert shift > 1e-9
+    assert bound >= shift
+    # the perturbation of A has Frobenius norm 1e-6 w sqrt(2n); D^H A D doubles it at most
+    assert bound <= 2.0 * 1e-6 * circle.weights[0] * np.sqrt(2.0 * n) * 1.01
 
 
 def _dense_gauge_deviation(symbol, mesh, trials, seed):
-    # the check before its buffers, kept verbatim: a fresh hermitized band
+    # the dense check, kept as the reference: a fresh hermitized M x M band
     # matrix and a fresh outer product per trial
     def band_matrix(kernel, frame):
         sqrt_w = np.sqrt(mesh.weights)
@@ -205,49 +229,86 @@ def _dense_gauge_deviation(symbol, mesh, trials, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_buffered_gauge_check_equals_the_dense_formula(seed):
+def test_gauge_check_without_rings_equals_the_dense_formula(seed):
+    # one azimuth per ring: a random phase per node on the dense matrix
     symbol = spin_orbit.rashba(1.0)
-    mesh = surface.build_mesh(0.5, 2, 256)
-    buffered = spin_orbit.gauge_deviation(symbol, mesh, WELL, seed=seed)
+    mesh = dataclasses.replace(surface.build_mesh(0.5, 2, 256), rings=0)
+    check = spin_orbit.gauge_deviation(symbol, mesh, WELL, seed=seed)
     dense = _dense_gauge_deviation(symbol, mesh, 20, seed)
-    assert buffered < 1e-10
-    assert abs(buffered - dense) <= 1e-15
+    assert check < 1e-10
+    assert abs(check - dense) <= 1e-15
+
+
+def test_gauge_check_evaluates_one_kernel_column(kernel_calls, circle, tabulated_gaussian_2d):
+    # the certify-radial spin job: one (M, 1) column, and no M x M array
+    mesh = surface.build_mesh(0.5, 2, 256)
+    assert spin_orbit.gauge_deviation(spin_orbit.rashba(1.0), mesh, WELL) <= 1e-15
+    assert kernel_calls == [(mesh.size, 1)]
+    kernel_calls.clear()
+    # a tabulated V is not radial, so it takes the dense route on the same mesh
+    deviation = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, tabulated_gaussian_2d)
+    assert deviation < 1e-10
+    assert kernel_calls == [(circle.size, circle.size)]
+
+
+def _expand(blocks):
+    # the block-circulant A[(r, p), (r', p')] = C[p - p' mod n][r, r']
+    n, rings, _ = blocks.shape
+    p = np.arange(n)
+    full = blocks[(p[:, None] - p[None, :]) % n].transpose(2, 0, 3, 1)
+    return full.reshape(rings * n, rings * n)
+
+
+def test_column_deviation_is_the_block_circulant_deviation(circle, monkeypatch):
+    # two coincident rings, so the per-ring phases of a regauging differ
+    # within a block; a fixed column entry that does not follow the
+    # regauging makes the deviation large enough to compare
+    mesh = surface.SurfaceMesh(2, 1.0, np.concatenate([circle.nodes, circle.nodes]),
+                               np.concatenate([circle.weights, circle.weights]) / 2.0, rings=2)
+    n = circle.size
+    symbol = spin_orbit.rashba(2.0)
+    column = np.asarray(WELL.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
+    frame = symbol.frame(mesh.nodes)
+    base = surface_operator._ring_blocks(mesh, column, frame)
+    dense = surface_operator._hermitize(
+        _dense_reference(dataclasses.replace(mesh, rings=0), frame), "reference")
+    assert np.abs(_expand(base) - dense).max() <= 1e-15
+    correct = surface_operator._band_matrix
+
+    def perturbed(weighted, frame, columns):
+        a = correct(weighted, frame, columns)
+        a[[n + 1, n - 1], [0, 1]] += 1e-6  # C[1][1, 0] and its adjoint entry C[-1][0, 1]
+        return a
+
+    monkeypatch.setattr(surface_operator, "_band_matrix", perturbed)
+    check = spin_orbit.gauge_deviation(symbol, mesh, WELL, seed=4)
+    base = _expand(surface_operator._ring_blocks(mesh, column, frame))
+    worst = 0.0
+    for d in _regaugings(mesh, 20, 4):
+        regauged = _expand(surface_operator._ring_blocks(mesh, column, frame * d[:, None]))
+        worst = max(worst, float(np.linalg.norm(regauged - d.conj()[:, None] * base * d)))
+    assert worst > 1e-8
+    assert check == pytest.approx(worst, rel=1e-12)
 
 
 def test_gauge_deviation_rejects_a_non_hermitian_regauging(circle, monkeypatch):
-    # the base matrix is right; every regauged one gains a one-sided 1e-6 entry
-    correct = spin_orbit._band_matrix
-    calls = []
-
-    def one_sided(weighted, frame, out=None):
-        a = correct(weighted, frame, out=out)
-        if calls:
-            a[0, 1] += 1e-6
-        calls.append(frame)
-        return a
-
-    monkeypatch.setattr(spin_orbit, "_band_matrix", one_sided)
+    # the base column is right; every regauged one gains a one-sided 1e-6 entry
+    one_sided, calls = _one_sided_after_the_base(1e-6)
+    monkeypatch.setattr(surface_operator, "_band_matrix", one_sided)
     with pytest.raises(ConsistencyError, match="Hermitian"):
         spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
     assert len(calls) == 2  # raised at the first regauging
 
 
 def test_gauge_deviation_hermitizes_each_regauging(circle, monkeypatch):
-    # a one-sided 1e-14 entry passes the Hermitian test; hermitized, it is
-    # 5e-15 on both sides, so the norm is 5e-15 sqrt(2), not 1e-14
-    correct = spin_orbit._band_matrix
-    calls = []
-
-    def one_sided(weighted, frame, out=None):
-        a = correct(weighted, frame, out=out)
-        if calls:
-            a[0, 1] += 1e-14
-        calls.append(frame)
-        return a
-
-    monkeypatch.setattr(spin_orbit, "_band_matrix", one_sided)
+    # a one-sided column entry e passes the Hermitian test; hermitized, it
+    # is w e / 2 in the blocks C[1] and C[-1], so the deviation is
+    # sqrt(n) sqrt(2) w e / 2, not the sqrt(n) w e of the entry left one-sided
+    one_sided, _ = _one_sided_after_the_base(1e-12)
+    monkeypatch.setattr(surface_operator, "_band_matrix", one_sided)
     bound = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
-    assert abs(bound - 5e-15 * np.sqrt(2.0)) <= 1e-15
+    scale = np.sqrt(circle.size) * circle.weights[0] * 1e-12
+    assert abs(bound - scale / np.sqrt(2.0)) <= 0.01 * scale
 
 
 def _dense_reference(mesh, frame):

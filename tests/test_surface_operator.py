@@ -298,6 +298,9 @@ def test_count_negative_thresholds():
         so.count_negative(op, 0.0)
     with pytest.raises(PreconditionError):
         so.count_negative(op, -1.0)
+    for threshold in (np.nan, np.inf, -np.inf):  # nan <= 0 is false, so NaN would count 0
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            so.count_negative(op, threshold)
 
 
 def test_quadratic_form_matches_real_space_quadrature():
