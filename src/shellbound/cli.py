@@ -253,7 +253,7 @@ def _scalar_problem(config):
 def _spectrum_payload(operator):
     from . import surface_operator as so
 
-    threshold = so._default_threshold(operator)
+    threshold = so._default_threshold(operator.eigenvalues)
     return {
         "mesh_size": operator.mesh.size,
         "surface_radius": operator.mesh.radius,
@@ -282,7 +282,7 @@ def _task_bound_count(config, seed):
     coarse = so.assemble(mesh, potential)
     resolution = _need(surface_block, "resolution", "surface", _integer)
     fine = so.assemble(surface.build_mesh(mesh.radius, mesh.dimension, 2 * resolution), potential)
-    threshold = so._default_threshold(coarse)
+    threshold = so._default_threshold(coarse.eigenvalues)
     count = so.count_negative(coarse, threshold)
     count_doubled = so.count_negative(fine, threshold)
     results = {

@@ -41,12 +41,14 @@ class Potential:
     params : dict
     is_radial : bool
         True when vhat depends on k only through |k|; vhat is then real
-        for a real V. Enables the circulant spectrum on the one-ring
-        circle mesh, and on meshes with a ring layout
-        (``SurfaceMesh.rings``) the sector assembly of the shell
-        operator and the block-circulant tube forms of
-        ``rayleigh_ritz.certify``, which reject a kernel slice that is
-        complex or changed by the azimuth mirror.
+        for a real V. On meshes with a ring layout
+        (``SurfaceMesh.rings``) it enables the sector assembly of the
+        shell operator, which rejects a kernel column that is complex or
+        changed by the azimuth mirror, and the angular-channel route of
+        ``rayleigh_ritz.certify``, which rejects a complex kernel or one
+        whose channel kernels are not Hermitian. In 3-D that route reads
+        the kernel between poles and a meridian only, so it trusts this
+        flag for every other pair of directions.
     band : float or None
         Largest per-axis |k| at which vhat is trusted; None means all of
         momentum space (analytic kinds).
@@ -395,7 +397,7 @@ def tabulated_from_file(path) -> Potential:
     with path.open() as handle:
         header = handle.readline().split()
         if len(header) != 3:
-            raise ConfigurationError("header must be: dimension edge samples")
+            raise ConfigurationError(f"grid file {path}: header must be: dimension edge samples")
         dimension = _header_field(path, "dimension", int, header[0])
         edge = _header_field(path, "edge", float, header[1])
         samples = _header_field(path, "samples", int, header[2])
@@ -407,7 +409,7 @@ def tabulated_from_file(path) -> Potential:
     expected = samples**dimension
     if data.size != expected:
         raise ConfigurationError(
-            f"grid file holds {data.size} values, expected {expected}"
+            f"grid file {path}: holds {data.size} values, expected {expected}"
         )
     return tabulated(data.reshape((samples,) * dimension), edge, dimension)
 

@@ -11,37 +11,38 @@ eps, H has at least N eigenvalues below m. As eps -> 0,
 with the shell-operator eigenvalues E_j, at a linear-in-eps rate: the
 kinetic term is O(eps) and the kernel smearing is O(eps) as well, so the
 convergence table reported by :func:`certify` should contract by about
-one half per halving of eps. The form is ``_kinetic + _potential``, each
-evaluated for all column pairs of the trial span at once; :func:`certify`
-is the one caller, and its ``states`` argument takes the surface
-spectrum in place of the assembled shell operator's.
+one half per halving of eps. On the dense route the form is
+``_kinetic + _potential``, each evaluated for all column pairs of the
+trial span at once; :func:`certify` is the one caller, and its
+``states`` argument takes the surface spectrum in place of the
+assembled shell operator's.
 
-The potential part of h(eps) pairs every tube point with every other.
 For a radial potential on a mesh with a ring layout
-(``SurfaceMesh.rings``, recorded by ``build_mesh``) that kernel is
-block-circulant in the azimuth index and unchanged by the mirror
-p -> -p. The sector assembly of
-:func:`shellbound.surface_operator.assemble` checks that contract on the
-mesh column and the tube forms on every kernel slice they evaluate,
-with or without ``states``, raising ``ConsistencyError`` where it fails.
-:func:`shellbound.surface_operator.ring_layout` decides the route once
-per :func:`certify` and holds its cosine table. Each eps costs one
-kernel slice of
-(rings * (n/2 + 1) * T) x (rings * T) entries (azimuths 0..n/2 of the n
-per ring), a real GEMM of the (n/2 + 1)^2 cosine table with that slice,
-and an FFT of the trial columns over azimuth, instead of the dense
-(M * T)^2 matrix; M is the mesh size and T the transverse order. On a
-z-mirrored mesh (``SurfaceMesh.z_mirrored``, the built sphere) the
-slice is evaluated for the first ceil(rings/2) rings only and the rest
-filled by the mirror. Trial columns take the real FFT, complex ones as
-their interleaved real and imaginary parts. The result agrees with the
-dense product to roundoff. Non-radial potentials and meshes without a
-layout keep the dense product. The symbol carries its band structure:
-its ``evaluate`` is the kinetic energy and its ``frame`` the band frame,
-None for a scalar symbol. The lower-band frame of a
-:class:`shellbound.spin_orbit.MatrixSymbol` reaches the shell-operator
-assembly and multiplies the tube kernel by the rank-2 band overlap,
-which splits into two scalar forms of this route.
+(``SurfaceMesh.rings``, recorded by ``build_mesh``; the route is decided
+by :func:`shellbound.surface_operator.ring_layout`) and no ``states``,
+:func:`certify` works in angular channels instead. A radial H0 and a
+radial V commute with rotations, so the shell operator and every tube
+form split into channels: the Fourier modes m in 2-D and, by the
+Funk-Hecke theorem, the spherical harmonics of degree l in 3-D, each
+2 l + 1 times. :func:`_channel_kernel` forms the tube kernel of every
+channel, a T x T matrix over the T tube radii, from one kernel slice
+of T x (T n) entries (n the mesh's azimuth count) and an FFT over the
+azimuth (2-D) or a Legendre projection on n Gauss-Legendre nodes (3-D),
+in numpy alone. The shell eigenvalues are that kernel at the shell
+radius, and h(eps) is diagonal, one entry per state's channel: no shell
+operator is assembled and no eigenfunction matrix formed. A real radial
+V has a real kernel, Hermitian in the radii; a kernel that is not
+raises ``ConsistencyError``. Everything else, ``states``, non-radial
+potentials and meshes without a layout, takes the dense route: the
+assembled (or supplied) surface states and one kernel matrix over the
+whole tube cloud, (M * T)^2 entries for a mesh of M nodes.
+
+The symbol carries its band structure: its ``evaluate`` is the kinetic
+energy and its ``frame`` the band frame, None for a scalar symbol. The
+lower-band frame of a :class:`shellbound.spin_orbit.MatrixSymbol`
+multiplies the kernel by the band overlap on either route; on the
+channel route it does so before the FFT, so scalar and spin problems
+share it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ import numpy as np
 from .errors import ConsistencyError, PreconditionError
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
-from .surface_operator import RingLayout, _require_mirror, assemble, count_negative, ring_layout
+from .surface_operator import (
+    _band_matrix, _count_below, _require_hermitian, assemble, ring_layout,
+)
 
 __all__ = [
     "TransverseProfile",
@@ -149,11 +152,21 @@ def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
     return eps_abs, cloud, rho
 
 
+def _kinetic_integral(shifted, profile: TransverseProfile, tube, surface_weights=1.0):
+    """``sum_a shifted_a w_a b_a^2 rho_a / eps_abs`` (times ``surface_weights``): h_kin's tube integral.
+
+    ``shifted`` holds H0 - m at the T tube radii, or at each node's T
+    tube points (shape (M, T), with the mesh weights as
+    ``surface_weights``).
+    """
+    eps_abs, _, rho = tube
+    return (shifted @ (profile.weights * profile.values**2 * rho)) * surface_weights / eps_abs
+
+
 def _kinetic(energy_fn, minimum, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube):
     """h_kin for all column pairs of ``psi`` at once, on one precomputed tube."""
-    eps_abs, cloud, rho = tube
-    shifted = energy_fn(cloud) - minimum
-    node_factor = (shifted @ (profile.weights * profile.values**2 * rho)) * mesh.weights / eps_abs
+    _, cloud, _ = tube
+    node_factor = _kinetic_integral(energy_fn(cloud) - minimum, profile, tube, mesh.weights)
     return (psi.conj().T * node_factor) @ psi
 
 
@@ -161,99 +174,104 @@ def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
     return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
-def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube,
-               frame=None, layout=None):
-    """h_pot for all column pairs of ``psi`` at once, on one precomputed tube.
+def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube, frame=None):
+    """h_pot for all column pairs of ``psi`` at once, from one dense kernel over the tube cloud.
 
-    With ``layout`` (the mesh's
-    :func:`shellbound.surface_operator.ring_layout`) the form takes the
-    block-circulant route; without it, one dense kernel matrix over the
-    whole tube cloud. A band ``frame`` (points -> (count, bands)) turns
-    the kernel into ``K(x, y) sum_c conj(u_c(x)) u_c(y)``, whose form is
-    ``sum_c (u_c X)^H K (u_c X)``: the columns u_c X are stacked before
-    the route choice and the diagonal blocks of the result are summed,
-    so both routes serve it with the plain scalar kernel K.
+    A band ``frame`` (points -> (count, bands)) multiplies the kernel by
+    the overlap ``sum_c conj(u_c(x)) u_c(y)``.
     """
     _, cloud, rho = tube
     points = cloud.reshape(-1, mesh.dimension)
     columns = _cloud_weights(mesh, profile, rho)[:, None] * np.repeat(psi, profile.order, axis=0)
-    bands = 1
+    kernel = np.asarray(potential.kernel_matrix(points))
     if frame is not None:
-        u = np.asarray(frame(points))
-        bands = u.shape[1]
-        columns = (u[:, :, None] * columns[:, None, :]).reshape(len(points), bands * psi.shape[1])
-    if layout is not None:
-        form = _block_circulant_form(potential, cloud, columns, mesh.rings, layout)
-    else:
-        form = columns.conj().T @ np.asarray(potential.kernel_matrix(points)) @ columns
-    if bands == 1:
-        return form
-    count = psi.shape[1]
-    return np.einsum("cjck->jk", form.reshape(bands, count, bands, count))
+        kernel = _band_matrix(kernel, np.asarray(frame(points)))
+    return columns.conj().T @ kernel @ columns
 
 
-def _block_circulant_form(potential, cloud, columns, rings, layout: RingLayout):
-    """``columns^H K columns`` for the radial tube kernel K, one azimuthal frequency at a time.
+def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
+    """The radial tube kernel by angular channel: kappa[c, a, b] and each channel's multiplicity.
 
-    Cloud point (ring r, azimuth p, transverse node a) is point (r, 0, a)
-    turned by p azimuth steps, so a radial kernel between (r, p, a) and
-    (r', p', b) equals the one between (r, p - p' mod n, a) and
-    (r', 0, b): K is block-circulant, ``K[p, p'] = C[p - p']``, and its
-    slice against the azimuth-0 points holds all of it. Point (r, -p, a)
-    mirrors (r, p, a), so ``C[-p] = C[p]`` and the slice is evaluated
-    only for azimuths 0..n/2. On a z-mirrored mesh ring rings-1-r is
-    ring r reflected in z, and so is its tube; the rows of that ring are
-    those of ring r against the column rings in reverse order, so the
-    slice is evaluated only for the first ceil(rings/2) rings. That
-    leaves (ceil(rings/2) * (n/2 + 1) * T) x (rings * T) entries, or
-    (rings * (n/2 + 1) * T) x (rings * T) without the mirror.
+    For a radial V the kernel between the shells of radius r_a and r_b
+    depends on the angle between its points alone, so turns of the
+    momentum space split it into channels; kappa[c] is the kernel's
+    eigenvalue in channel c, a T x T matrix over the T = len(radii)
+    radii, with the shell measure of ``mesh`` (radius R). One
+    ``kernel_matrix`` call of shape (T, T n) serves every channel, where
+    n = M / rings is the mesh's azimuth count; the shell's eigenvalues
+    are ``kappa[:, 0, 0]`` at ``radii = [R]``.
 
-    The cosine transform ``B_k = sum_p C[p] cos(2 pi k p / n)`` gives the
-    frequency blocks for k = 0..n/2, with ``B_{n-k} = B_k``; by Parseval
-    the form is the mean over frequencies of ``X_k^H B_k X_k``, where X_k
-    is the FFT of the columns over azimuth. Real columns have
-    ``X_{n-k} = conj(X_k)``, so the real FFT's k = 0..n/2 suffice and the
-    form is the mean of ``multiplicity_k Re(X_k^H B_k X_k)``. Complex
-    columns R + iI (the spin frame's) enter as the interleaved real view
-    [R_0, I_0, R_1, ...], whose form recombines as
-    ``R^T K R + I^T K I + i (R^T K I - I^T K R)``.
+    - 2-D: the rows are the points (r_a, 0), the columns the n turned
+      points r_b (cos theta_p, sin theta_p), theta_p = 2 pi p / n. A band
+      ``frame`` multiplies the kernel by the overlap
+      ``<u(row), u(column)>``. The FFT over p, times 2 pi R / n, gives
+      the channels m = 0..n-1, each once.
+    - 3-D (Funk-Hecke): the rows are the poles (0, 0, r_a), the columns
+      a meridian of radius r_b at the n Gauss-Legendre nodes
+      t_q = cos(gamma_q). The projection
+      ``2 pi R^2 sum_q w_q kernel(t_q) P_l(t_q)`` gives the channels
+      l = 0..n-1, each with multiplicity 2 l + 1. The rule reads only
+      the mesh's dimension, radius and n.
 
-    The slice is checked before use: for a real symmetric kernel that
-    turns leave unchanged, entry (r', p, b, r, a) of the slice is
-    ``C[-p]`` at (r, a, r', b), so on the evaluated rings the slice
-    must equal that transpose of itself. A slice that is complex or
-    misses it by more than 1e-12 max(1, max |C|) raises
-    ``ConsistencyError``, as the sector assembly's column does.
+    Raises
+    ------
+    ConsistencyError
+        If the kernel is complex, or kappa misses Hermitian symmetry in
+        (a, b) by more than 1e-12 max(1, max |kappa|): at the shell
+        radius in 2-D that is the mirror symmetry of the kernel row.
+        The kernel of a real radial V is real and has both.
     """
-    if np.iscomplexobj(columns):
-        form = _block_circulant_form(potential, cloud, columns.view(np.float64), rings, layout)
-        return form[::2, ::2] + form[1::2, 1::2] + 1j * (form[::2, 1::2] - form[1::2, ::2])
-    nodes, order, dimension = cloud.shape
-    n_phi = nodes // rings
-    half = n_phi // 2 + 1
-    width = rings * order
-    count = columns.shape[1]
-    points = cloud.reshape(rings, n_phi, order, dimension)
-    evaluated = (rings + 1) // 2 if layout.mirrored else rings
-    kernel = np.asarray(potential.kernel_matrix(
-        points[:evaluated, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
-    )).reshape(evaluated, half, order, rings, order)
-    square = kernel[:, :, :, :evaluated]
-    _require_mirror(square, square.transpose(3, 1, 4, 0, 2), "radial tube kernel slice")
-    blocks = np.empty((half, rings, order, rings, order))
-    blocks[:, :evaluated] = kernel.swapaxes(0, 1)
-    if evaluated < rings:  # ring r from ring rings-1-r, column rings reversed
-        blocks[:, evaluated:] = kernel[rings - 1 - evaluated::-1, :, :, ::-1].swapaxes(0, 1)
-    weighted = layout.cosines[:, :half] * layout.multiplicity
-    blocks_hat = (weighted @ blocks.reshape(half, width * width)).reshape(half, width, width)
-    stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
-    stacked_hat = np.fft.rfft(stacked, axis=0)
-    # a real GEMM on the interleaved real and imaginary parts
-    applied = (blocks_hat @ stacked_hat.view(np.float64)).view(np.complex128)
-    applied *= layout.multiplicity[:, None, None]
-    rows = half * width
-    form = stacked_hat.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
-    return form.real
+    radii = np.asarray(radii, dtype=np.float64)
+    count = radii.size
+    n = mesh.size // mesh.rings
+    rows = np.zeros((count, mesh.dimension))
+    if mesh.dimension == 2:
+        angles = 2.0 * np.pi * np.arange(n) / n
+        rows[:, 0] = radii
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        cosines, weights = np.polynomial.legendre.leggauss(n)
+        rows[:, 2] = radii
+        directions = np.stack([np.sqrt(1.0 - cosines**2), np.zeros(n), cosines], axis=1)
+    points = (radii[:, None, None] * directions).reshape(-1, mesh.dimension)
+    kernel = np.asarray(potential.kernel_matrix(rows, points))
+    if np.iscomplexobj(kernel):
+        raise ConsistencyError(
+            f"radial tube kernel is {kernel.dtype}, not real; "
+            "the kernel of a real radial V is real"
+        )
+    if frame is not None:
+        kernel = _band_matrix(kernel, np.asarray(frame(rows)), np.asarray(frame(points)))
+    kernel = kernel.reshape(count, count, n)
+    if mesh.dimension == 2:
+        kappa = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / n)
+        multiplicity = np.ones(n, dtype=int)
+    else:
+        legendre = np.polynomial.legendre.legvander(cosines, n - 1)
+        kappa = kernel @ ((2.0 * np.pi * mesh.radius**2 * weights)[:, None] * legendre)
+        multiplicity = 2 * np.arange(n) + 1
+    kappa = np.moveaxis(kappa, 2, 0)
+    _require_hermitian(kappa, kappa.conj().swapaxes(1, 2), "radial channel kernel")
+    return kappa, multiplicity
+
+
+def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: TransverseProfile,
+                  tube):
+    """The diagonal of h(eps) in every angular channel of :func:`_channel_kernel`.
+
+    In channel c the trial function is the channel's unit surface
+    eigenfunction times the transverse bump, so its form is the kinetic
+    integral over the T tube radii r_a plus ``x^T kappa_c x`` with
+    ``x_a = w_a b_a rho_a``.
+    """
+    eps_abs, _, rho = tube
+    radii = mesh.radius + eps_abs * profile.nodes
+    kappa, _ = _channel_kernel(potential, mesh, radii, symbol.frame)
+    points = np.zeros((radii.size, mesh.dimension))
+    points[:, 0] = radii
+    kinetic = _kinetic_integral(symbol.evaluate(points) - minimum, profile, tube)
+    x = profile.weights * profile.values * rho
+    return kinetic + (kappa.real @ x) @ x
 
 
 def certify(symbol, potential: Potential, mesh: SurfaceMesh,
@@ -265,18 +283,22 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     Parameters
     ----------
     symbol, potential, mesh
-        Problem data; the shell operator is assembled on ``mesh`` unless
-        ``states`` is supplied. The symbol gives the kinetic energy
+        Problem data. A radial potential on a ring-layout mesh takes the
+        channel route (see the module docstring), where ``mesh`` gives
+        only its dimension, radius and azimuth count; otherwise the
+        shell operator is assembled on ``mesh`` unless ``states`` is
+        supplied. The symbol gives the kinetic energy
         (``evaluate``), its minimum m (``find_minimum``) and its band
         ``frame``: None for a scalar symbol; for a
         :class:`shellbound.spin_orbit.MatrixSymbol` the lower-band
         frame, which multiplies the kernel by the band overlap
-        ``sum_c conj(u_c(x)) u_c(y)`` in the shell-operator assembly and
-        in the tube forms alike.
+        ``sum_c conj(u_c(x)) u_c(y)`` in the shell operator and in the
+        tube forms alike.
     n_states : int
         Number of eigenvalues of H below m to certify. Must not exceed
-        the count of negative shell-operator eigenvalues (checked unless
-        ``states`` overrides them).
+        the count of shell eigenvalues below -1e-8 max(1, max |E|), the
+        threshold of :func:`shellbound.surface_operator.count_negative`
+        (checked unless ``states`` overrides them).
     eps_schedule : iterable of float
         Fractions of the chart half-width, default (0.2, 0.1, 0.05, 0.025).
     states : (values, vectors), optional
@@ -301,15 +323,18 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     chart = tubular_chart(mesh, half_width_fraction)
     profile = TransverseProfile.build(transverse_order)
 
-    if states is None:
+    if mesh.dimension != potential.dimension:
+        raise PreconditionError("mesh and potential dimensions differ")
+    channels = states is None and ring_layout(mesh, potential)
+    if channels:
+        shell, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], symbol.frame)
+        expanded = np.repeat(shell[:, 0, 0].real, multiplicity)
+        order = np.argsort(expanded, kind="stable")
+        values = expanded[order]
+        channel = np.repeat(np.arange(multiplicity.size), multiplicity)[order][:n_states]
+    elif states is None:
         operator = assemble(mesh, potential, symbol.frame)
-        available = count_negative(operator)
-        if n_states > available:
-            raise PreconditionError(
-                f"requested {n_states} states but the shell operator has only "
-                f"{available} negative eigenvalues at this resolution"
-            )
-        limit_values = operator.eigenvalues[:n_states].copy()
+        values = operator.eigenvalues
         psi = operator.eigenfunctions[:, :n_states]
     else:
         values, vectors = states
@@ -319,12 +344,18 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
             raise PreconditionError("state vectors must be columns sampled on the mesh")
         if n_states > values.size or n_states > vectors.shape[1]:
             raise PreconditionError("fewer supplied states than n_states")
-        limit_values = values[:n_states].copy()
         psi = vectors[:, :n_states]
+    if states is None:
+        available = _count_below(values)
+        if n_states > available:
+            raise PreconditionError(
+                f"requested {n_states} states but the shell operator has only "
+                f"{available} negative eigenvalues at this resolution"
+            )
+    limit_values = values[:n_states].copy()
 
     minimum = symbol.find_minimum()[0]
     require_band(potential, 2.0 * (mesh.radius + chart.half_width))
-    layout = ring_layout(mesh, potential)
 
     matrices = []
     max_errors = []
@@ -332,12 +363,15 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     certified_eps = None
     for eps in schedule:
         tube = _tube(chart, profile, eps)
-        h = (_kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
-             + _potential(potential, mesh, psi, profile, tube, symbol.frame, layout))
-        deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
-        if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
-            raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")
-        h = 0.5 * (h + h.conj().T)
+        if channels:
+            h = np.diag(_channel_form(symbol, minimum, potential, mesh, profile, tube)[channel])
+        else:
+            h = (_kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
+                 + _potential(potential, mesh, psi, profile, tube, symbol.frame))
+            deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
+            if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
+                raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")
+            h = 0.5 * (h + h.conj().T)
         matrices.append(h)
         max_errors.append(
             float(np.abs(h - np.diag(limit_values)).max()) if h.size else 0.0

@@ -18,7 +18,9 @@ scalar code serves the band-projected problem unchanged:
 whose sector route the gauge of :func:`band_frame` admits (the overlap
 depends only on the angle between s and s'), and :func:`certify_spin`
 is :func:`shellbound.rayleigh_ritz.certify` on the matrix symbol after
-the checks that the problem sits on the band-minimum circle in 2-D.
+the checks that the problem sits on the band-minimum circle in 2-D; on
+a radial potential it takes the angular-channel route, where the
+overlap multiplies the kernel row before the FFT over the angle.
 The overlap itself is formed in one place,
 ``surface_operator._band_matrix``, and the weighted Hermitian blocks of
 the operator in another, ``surface_operator._ring_blocks``, which
@@ -230,7 +232,7 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
         turn-covariant.
     """
     _check_problem(symbol, mesh, potential)
-    n = 1 if ring_layout(mesh, potential) is None else mesh.size // mesh.rings
+    n = mesh.size // mesh.rings if ring_layout(mesh, potential) else 1
     column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
     frame = band_frame(symbol, mesh.nodes)
     base = _ring_blocks(mesh, column, frame)
@@ -255,13 +257,13 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
 
     This is :func:`shellbound.rayleigh_ritz.certify` on the matrix
     symbol, whose kinetic energy is the lower band and whose frame
-    weights the kernel, after the checks of the problem's geometry; so
-    it assembles the band-projected shell operator and checks its count
-    of negative eigenvalues. The band overlap
-    ``<u(x), u(y)> = sum_c conj(u_c(x)) u_c(y)`` has rank 2, so the
-    band-projected tube form is a sum of two scalar tube forms, and a
-    radial potential on a ring-layout mesh takes the block-circulant
-    route.
+    weights the kernel, after the checks of the problem's geometry. A
+    radial potential on a ring-layout mesh takes certify's
+    angular-channel route: the band overlap ``<u(x), u(y)>`` multiplies
+    the kernel between the T tube radii and the turned points before
+    the FFT over the angle, so the count precondition and h(eps) need
+    no band-projected shell operator. Otherwise certify assembles it and
+    takes the dense tube kernel times the overlap.
     """
     _check_problem(symbol, mesh, potential)
     return certify(symbol, potential, mesh, n_states, eps_schedule,

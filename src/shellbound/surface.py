@@ -40,16 +40,16 @@ class SurfaceMesh:
         that ring turned by ``2 pi p / n`` about the origin (2-D) or the
         z axis (3-D), with the same weight. Node ``(r, -p)`` is then the
         mirror image of node ``(r, p)`` in y. Radial kernels on such a
-        mesh are block-circulant in the azimuth index and unchanged by
-        the mirror, which :func:`shellbound.surface_operator.assemble`
-        (for scalar and band-projected kernels alike) and
-        :func:`shellbound.rayleigh_ritz.certify` use to work one
-        azimuthal frequency at a time. ``build_mesh`` records 1 ring of
-        M nodes for the circle and ``resolution`` rings of
-        ``2 * resolution`` nodes for the sphere. A 2-D mesh with one
-        ring is a circle of M equally spaced angles with equal weights,
-        the mesh that :func:`shellbound.surface_operator.circulant_oracle`
-        requires. The layout is checked
+        mesh are block-circulant in the azimuth index, which
+        :func:`shellbound.surface_operator.assemble` (for scalar and
+        band-projected kernels alike) uses to work one azimuthal
+        frequency at a time. :func:`shellbound.rayleigh_ritz.certify`
+        reads from the layout only the azimuth count ``n``: it works in
+        the angular channels of the continuum shell, the n Fourier modes
+        of the circle and, on the sphere, the spherical harmonics of
+        degree below n from an n-node Gauss-Legendre rule. ``build_mesh``
+        records 1 ring of M nodes for the circle and ``resolution`` rings
+        of ``2 * resolution`` nodes for the sphere. The layout is checked
         on construction in O(M) (nodes to 1e-12 R, weights to 1e-12
         relative); a mesh that does not have it raises
         ``PreconditionError``.
@@ -88,24 +88,6 @@ class SurfaceMesh:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    @property
-    def z_mirrored(self) -> bool:
-        """Whether ring ``r`` is ring ``rings - 1 - r`` reflected in z, node by node.
-
-        Read from the nodes in O(M), to the 1e-12 R of the layout check;
-        False without a ring layout or without a z axis. The sphere of
-        ``build_mesh`` has it, since its Gauss-Legendre polar nodes are
-        symmetric about the equator; the block-circulant tube forms of
-        :func:`shellbound.rayleigh_ritz.certify` then evaluate their
-        kernel slice for half of the rings.
-        """
-        if not self.rings or self.nodes.shape[1] < 3:
-            return False
-        nodes = np.asarray(self.nodes, dtype=np.float64).reshape(self.rings, -1, self.nodes.shape[1])
-        reflected = nodes[::-1].copy()
-        reflected[..., 2] *= -1.0
-        return bool(np.abs(nodes - reflected).max() <= 1e-12 * self.radius)
 
     def normals(self) -> np.ndarray:
         """Outward unit normals n(s) = s/|s| at the nodes."""

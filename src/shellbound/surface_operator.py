@@ -19,16 +19,16 @@ of the mesh, so :func:`ring_operator` diagonalizes it one azimuthal
 frequency at a time from its (M, rings) column block against the
 azimuth-0 nodes: one batched rings x rings ``eigh`` in place of the
 dense M x M one, and no square kernel matrix. :func:`ring_layout`
-decides this route, for the shell operator and for the tube forms of
-:func:`shellbound.rayleigh_ritz.certify` alike, and builds the cosine
-table both use. The kernel must be real and unchanged by the azimuth
-mirror p -> -p, as the kernel of a real radial V is; the column and
-every tube slice are checked by :func:`_require_mirror`, and one that
-is not raises ``ConsistencyError`` rather than taking another route.
-Tabulated potentials and meshes without a layout keep the dense
-assembly, which is the same computation with one azimuth per ring: its
-column is the whole M x M kernel. Both routes, and the spin gauge check
-of :func:`shellbound.spin_orbit.gauge_deviation`, read the weighted,
+decides this route, for :func:`assemble`, the spin gauge check and the
+angular-channel route of :func:`shellbound.rayleigh_ritz.certify`
+alike. The kernel must be real and unchanged by the azimuth mirror
+p -> -p, as the kernel of a real radial V is; :func:`_require_mirror`
+checks the column, and one that is not raises ``ConsistencyError``
+rather than taking another route. Tabulated potentials and meshes
+without a layout keep the dense assembly, which is the same computation
+with one azimuth per ring: its column is the whole M x M kernel. Both
+routes, and the spin gauge check of
+:func:`shellbound.spin_orbit.gauge_deviation`, read the weighted,
 Hermitian blocks of the operator from one function,
 :func:`_ring_blocks`. A band frame u (a symbol's ``frame``,
 see :mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
@@ -40,8 +40,6 @@ band-frame column is the one that takes the FFT over azimuth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
@@ -51,7 +49,6 @@ from .surface import SurfaceMesh
 __all__ = [
     "SurfaceOperatorMatrix",
     "assemble",
-    "circulant_oracle",
     "count_negative",
     "point_matrix_test",
 ]
@@ -104,31 +101,16 @@ def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-class RingLayout(NamedTuple):
-    """The azimuth tables of the block-circulant route on one mesh."""
+def ring_layout(mesh: SurfaceMesh, potential: Potential) -> bool:
+    """Whether the problem has the rotational symmetry the ring routes use.
 
-    cosines: np.ndarray  # cos(2 pi k p / n), k = 0..n/2, p = 0..n-1
-    multiplicity: np.ndarray  # 1 at k = 0 and k = n/2, else 2
-    mirrored: bool  # SurfaceMesh.z_mirrored
-
-
-def ring_layout(mesh: SurfaceMesh, potential: Potential) -> RingLayout | None:
-    """The tables of the block-circulant route, or None where the dense route applies.
-
-    The one place the route is decided: it needs a radial potential and
-    a ring layout. Frequencies k and n - k share a block, hence the
-    multiplicity. The tables depend only on the azimuth count and the
-    z mirror only on the nodes, so :func:`assemble` and
-    :func:`shellbound.rayleigh_ritz.certify` each build them once.
+    The one place the route is decided: a radial potential on a mesh
+    with a ring layout (``SurfaceMesh.rings``). :func:`assemble` and
+    :func:`shellbound.spin_orbit.gauge_deviation` then read the
+    (M, rings) kernel column, and :func:`shellbound.rayleigh_ritz.certify`
+    works in angular channels; otherwise all three take the dense route.
     """
-    if not (potential.is_radial and mesh.rings):
-        return None
-    n = mesh.size // mesh.rings
-    p = np.arange(n)
-    k = p[:n // 2 + 1]
-    multiplicity = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-    cosines = np.cos(2.0 * np.pi * p / n)[np.outer(k, p) % n]  # phases from k p mod n
-    return RingLayout(cosines, multiplicity, mesh.z_mirrored)
+    return bool(potential.is_radial and mesh.rings)
 
 
 def _require_mirror(block: np.ndarray, mirrored: np.ndarray, what: str) -> None:
@@ -174,7 +156,7 @@ def _ring_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarra
     n = mesh.size // rings
     if frame is not None:
         _require_turn_covariant(frame, rings)
-        column = _band_matrix(column, frame, np.s_[::n])
+        column = _band_matrix(column, frame, frame[::n])
     sqrt_w = np.sqrt(mesh.weights)
     blocks = (sqrt_w[:, None] * column * sqrt_w[::n][None, :])
     blocks = blocks.reshape(rings, n, rings).swapaxes(0, 1)
@@ -183,26 +165,23 @@ def _ring_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarra
     return 0.5 * (blocks + adjoint)
 
 
-def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
-                  frame=None) -> SurfaceOperatorMatrix:
+def ring_operator(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> SurfaceOperatorMatrix:
     """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
 
     ``column[i, r]`` is the kernel between node i and node 0 of ring r
-    (shape (M, rings), unweighted); ``layout`` is the mesh's
-    :func:`ring_layout`. On a ring layout (see ``SurfaceMesh.rings``)
+    (shape (M, rings), unweighted). On a ring layout (see ``SurfaceMesh.rings``)
     the blocks C[p] of :func:`_ring_blocks` hold the whole operator,
     ``A[(r, p), (r', p')] = C[p - p' mod n]``, and the azimuthal
     Fourier modes split it into n blocks of size rings. The kernel of a
     real radial V is real and unchanged by the mirror
     (r, p) -> (r, -p), so the column must be real with
-    ``C[-p] = C[p]``; the tube forms of
-    :func:`shellbound.rayleigh_ritz.certify` rely on the same contract.
+    ``C[-p] = C[p]``.
 
     - The column alone gives the real symmetric
       ``B_k = sum_p C[p] cos(2 pi k p / n)``, k = 0..n/2, each of whose
       eigenvectors v yields ``v x cos`` and, for 0 < k < n/2,
       ``v x sin`` (modes normalized by sqrt(2/n), by sqrt(1/n) at k = 0
-      and k = n/2).
+      and k = n/2, where frequencies k and n - k do not share a block).
     - A band ``frame`` (shape (M, bands), turn-covariant) multiplies
       the column by the overlap of :func:`_band_matrix`. The complex
       Hermitian C this gives takes
@@ -228,12 +207,14 @@ def ring_operator(mesh: SurfaceMesh, column: np.ndarray, layout: RingLayout,
     _require_mirror(scalar, scalar[:, -p % n], "radial kernel column")
     angles = 2.0 * np.pi * p / n
     if not np.iscomplexobj(blocks):
-        values, vectors = np.linalg.eigh(np.tensordot(layout.cosines, blocks, axes=1))
         k = p[:n // 2 + 1]
+        multiplicity = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+        cosines = np.cos(angles)[np.outer(k, p) % n]  # phases from k p mod n
+        values, vectors = np.linalg.eigh(np.tensordot(cosines, blocks, axes=1))
         sines = k[1:(n + 1) // 2]
         sector = np.concatenate([k, sines])
-        modes = np.concatenate([layout.cosines, np.sin(angles)[np.outer(sines, p) % n]])
-        modes *= np.sqrt(layout.multiplicity[sector] / n)[:, None]
+        modes = np.concatenate([cosines, np.sin(angles)[np.outer(sines, p) % n]])
+        modes *= np.sqrt(multiplicity[sector] / n)[:, None]
     else:
         sector = p
         values, vectors = np.linalg.eigh(np.fft.fft(blocks, axis=0))
@@ -258,13 +239,14 @@ def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
 def _band_matrix(weighted: np.ndarray, frame: np.ndarray, columns=None) -> np.ndarray:
     """Band-projected kernel ``weighted_ij <u_i, u_j>``, not yet hermitized.
 
-    The one home of the band overlap ``<u_i, u_j> = sum_c conj(u_c(s_i)) u_c(s_j)``.
-    ``weighted`` is a kernel between all nodes and the nodes ``columns``
-    selects (an index into ``frame``, all of them by default): the
-    column of :func:`_ring_blocks`, or the weight-symmetrized M x M
-    kernel of :func:`_weighted_kernel`.
+    The one home of the band overlap ``<u_i, u_j> = sum_c conj(u_c(p_i)) u_c(q_j)``.
+    ``weighted`` is a kernel between the points p_i of the rows, whose
+    frame is ``frame``, and the points q_j of the columns, whose frame is
+    ``columns`` (``frame`` by default): the column of :func:`_ring_blocks`,
+    the weight-symmetrized M x M kernel of :func:`_weighted_kernel`, or
+    a tube kernel of :func:`shellbound.rayleigh_ritz.certify`.
     """
-    projected = frame.conj() @ (frame if columns is None else frame[columns]).T
+    projected = frame.conj() @ (frame if columns is None else columns).T
     projected *= weighted
     return projected
 
@@ -319,60 +301,44 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
         raise PreconditionError("mesh and potential dimensions differ")
     require_band(potential, 2.0 * mesh.radius)
     u = None if frame is None else np.asarray(frame(mesh.nodes))
-    layout = ring_layout(mesh, potential)
-    n = 1 if layout is None else mesh.size // mesh.rings
+    sectors = ring_layout(mesh, potential)
+    n = mesh.size // mesh.rings if sectors else 1
     column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
-    if layout is not None:
-        return ring_operator(mesh, column, layout, u)
+    if sectors:
+        return ring_operator(mesh, column, u)
     eigenvalues, vectors = np.linalg.eigh(_ring_blocks(mesh, column, u)[0])
     return SurfaceOperatorMatrix(mesh, eigenvalues, vectors / np.sqrt(mesh.weights)[:, None])
 
 
-def circulant_oracle(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
-    """Independent spectrum via the discrete Fourier transform.
-
-    For a radial potential on the one-ring circle mesh (``rings == 1``:
-    equal angle steps and weights) the kernel depends only on the angle
-    difference, so the assembled matrix is circulant and its eigenvalues
-    are the weight times the DFT of the first kernel row. Returned
-    sorted ascending; they approximate the continuum angular eigenvalues
-    ``E_m = R * integral k(theta) exp(-i m theta)``.
-    """
-    if mesh.dimension != 2 or mesh.rings != 1:
-        raise PreconditionError("circulant route needs the one-ring circle mesh")
-    if not potential.is_radial:
-        raise PreconditionError("circulant route needs a radial potential")
-    row = np.asarray(potential.kernel_matrix(mesh.nodes[:1], mesh.nodes))[0]
-    weight = float(mesh.weights[0])
-    spectrum = weight * np.fft.fft(row)
-    # symmetric real row: the transform is real up to roundoff
-    return np.sort(spectrum.real)
-
-
-def _default_threshold(op: SurfaceOperatorMatrix) -> float:
-    """``1e-8 * max(1, ||A||)``, the default cutoff of :func:`count_negative`.
+def _default_threshold(eigenvalues: np.ndarray) -> float:
+    """``1e-8 * max(1, max |eigenvalues|)``, the default cutoff of :func:`count_negative`.
 
     It scales with the operator because the continuum spectrum
     accumulates at zero: a fixed absolute cutoff would make the count
     mesh-dependent in an uncontrolled way.
     """
-    return 1e-8 * max(1.0, op.norm)
+    return 1e-8 * max(1.0, float(np.abs(eigenvalues).max(initial=0.0)))
 
 
 def count_negative(op: SurfaceOperatorMatrix, threshold: float | None = None) -> int:
-    """Number of eigenvalues below ``-threshold``, by default ``_default_threshold(op)``.
+    """Number of eigenvalues below ``-threshold``, by default ``_default_threshold``.
 
     Raises
     ------
     PreconditionError
         If ``threshold`` is not finite and positive.
     """
+    return _count_below(op.eigenvalues, threshold)
+
+
+def _count_below(eigenvalues: np.ndarray, threshold: float | None = None) -> int:
+    """The count of :func:`count_negative` on an ascending spectrum, shared with ``certify``."""
     if threshold is None:
-        threshold = _default_threshold(op)
+        threshold = _default_threshold(eigenvalues)
     threshold = float(threshold)
     if not (np.isfinite(threshold) and threshold > 0.0):
         raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
-    return int(np.count_nonzero(op.eigenvalues < -threshold))
+    return int(np.count_nonzero(eigenvalues < -threshold))
 
 
 def point_matrix_test(potential: Potential, points, tolerance: float = 1e-12):

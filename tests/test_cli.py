@@ -438,6 +438,8 @@ def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
     ("2 abc 16\n-1.0\n", "header field edge must be float, got 'abc'"),
     ("2.5 8.0 16\n-1.0\n", "header field dimension must be int, got '2.5'"),
     ("2 8.0 2\n-1.0\n-1.0\nx\n-1.0\n", "bad sample values"),
+    ("2 8.0\n-1.0\n", "header must be: dimension edge samples"),
+    ("2 8.0 2\n-1.0\n-1.0\n-1.0\n", "holds 3 values, expected 4"),
 ])
 def test_malformed_grid_file_is_one_error_line(tmp_path, capsys, contents, field):
     table = tmp_path / "table.txt"
@@ -512,8 +514,10 @@ def test_cli_import_leaves_optional_scipy_unloaded():
 
 
 def test_cli_and_oracle_count_load_no_scipy():
-    # the grid oracle's block eigensolver is numpy only, so neither the
-    # front end nor an oracle count on the oracle-stall problem loads scipy
+    # the grid oracle's block eigensolver and the radial certify paths are
+    # numpy only, so neither the front end, nor an oracle count on the
+    # oracle-stall problem, nor the certify-radial jobs' certificates and
+    # spin checks load scipy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -522,13 +526,21 @@ def test_cli_and_oracle_count_load_no_scipy():
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules if m.startswith('scipy'))",
         "after_import = scipy_modules()",
-        "from shellbound import direct_oracle, potentials, symbols",
+        "from shellbound import direct_oracle, potentials, rayleigh_ritz, spin_orbit, surface, symbols",
         "with warnings.catch_warnings():",
         "    warnings.simplefilter('ignore')",
         "    ham = direct_oracle.build_hamiltonian(",
         "        symbols.mexican_hat(dimension=2, p0=1.0),",
         "        potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 64)",
         "count = direct_oracle.count_below(ham, k_max=8).count",
+        "well_2d = potentials.gaussian_well(1.0, 1.0, dimension=2)",
+        "rayleigh_ritz.certify(symbols.mexican_hat(1.0), well_2d, surface.build_mesh(1.0, 2, 512), 9)",
+        "rayleigh_ritz.certify(symbols.roton(1.0, 0.5, 1.0), potentials.gaussian_well(1.0, 1.0, 3),",
+        "                      surface.build_mesh(1.0, 3, 12), 3)",
+        "rashba = spin_orbit.rashba(1.0)",
+        "circle = surface.build_mesh(0.5, 2, 256)",
+        "spin_orbit.assemble_spin_kernel(rashba, circle, well_2d)",
+        "spin_orbit.gauge_deviation(rashba, circle, well_2d)",
         "print(after_import, scipy_modules(), count)",
     ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

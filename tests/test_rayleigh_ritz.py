@@ -171,7 +171,7 @@ def test_potential_form_hermitian_pairing():
     mesh = surface.build_mesh(1.0, 2, 24)
     pot = potentials.gaussian_well(1.0, 1.0)
     psi, profile, tube = _random_pair(mesh, 7)
-    h = rr._potential(pot, mesh, psi, profile, tube, layout=so.ring_layout(mesh, pot))
+    h = rr._potential(pot, mesh, psi, profile, tube)
     assert abs(h[0, 1] - np.conj(h[1, 0])) < 1e-12 * max(1.0, abs(h[0, 1]))
 
 
@@ -280,7 +280,7 @@ def test_certify_forced_states_shape_checks():
         )
 
 
-# ------------------------------------------------ block-circulant tube forms
+# ----------------------------------------- radial problems by angular channel
 
 
 def _radial_potential(kind, dimension):
@@ -351,9 +351,9 @@ def test_sector_certify_matches_dense(dimension, resolution, n_states):
 
 @pytest.mark.parametrize("n_states", [8, 9])
 def test_sector_states_certify_like_dense_states(n_states):
-    # M = 512: the dense tube kernel would hold 6144^2 entries, so only
-    # the shell operator is swapped for its dense assembly
-    mesh = surface.build_mesh(1.0, 2, 512)
+    # the channel route against the dense tube kernel on the eigenpairs of
+    # the dense shell operator; n_states = 8 splits a degenerate pair
+    mesh = surface.build_mesh(1.0, 2, 64)
     pot = potentials.gaussian_well(1.0, 1.0)
     dense = so.assemble(_without_layout(mesh), pot)
     fast = rr.certify(symbols.mexican_hat(1.0), pot, mesh, n_states)
@@ -399,52 +399,33 @@ def test_block_circulant_potential_form_matches_dense():
 
 
 def test_block_circulant_route_rejects_a_complex_radial_kernel():
-    # a real radial V has a real transform; a complex kernel slice means
-    # the potential's transform convention is broken upstream
-    pot = dataclasses.replace(_constant_kernel_potential(-0.7),
-                              _kernel=lambda p, q: np.full((p.shape[0], q.shape[0]), -0.7 + 0j))
-    mesh = surface.build_mesh(1.0, 2, 16)
-    states = (np.array([-1.0]), np.ones((mesh.size, 1)))
-    with pytest.raises(ConsistencyError, match="complex"):
-        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 1, (0.2,), states=states)
+    # a real radial V has a real transform; a complex kernel means the
+    # potential's transform convention is broken upstream
+    for dimension, symbol in ((2, symbols.mexican_hat(1.0)), (3, symbols.roton(1.0, 0.5, 1.0))):
+        pot = dataclasses.replace(
+            _constant_kernel_potential(-0.7, dimension),
+            _kernel=lambda p, q: np.full((p.shape[0], q.shape[0]), -0.7 + 0j))
+        mesh = surface.build_mesh(1.0, dimension, 16 if dimension == 2 else 6)
+        with pytest.raises(ConsistencyError, match="complex"):
+            rr.certify(symbol, pot, mesh, 1, (0.2,))
 
 
-def _mirror_odd_kernel(p, q):
-    # the Gaussian-negated kernel of the sector assembly's mirror test:
-    # real, symmetric and unchanged by turns about z, but odd under p -> -p
-    d = p[:, None, :] - q[None, :, :]
-    cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
-    return -np.exp(-np.sum(d * d, axis=-1)) + 0.25 * cross * d[..., 2]
+def test_channel_route_rejects_a_mirror_odd_row():
+    # (p x q) is real and unchanged by turns but odd under the mirror, so
+    # the kernel row at the shell radius has an odd part: the shell channel
+    # values come out complex, which no real symmetric kernel gives
+    def kernel(p, q):
+        d = p[:, None, :] - q[None, :, :]
+        cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
+        return -np.exp(-np.sum(d * d, axis=-1)) + 0.25 * cross
 
-
-def _off_shell_mirror_odd_kernel(p, q):
-    # equal to the Gaussian on the unit sphere, so the sector assembly's
-    # column passes, but odd under p -> -p on the tube around it
-    d = p[:, None, :] - q[None, :, :]
-    cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
-    radii = np.sum(p * p, axis=-1)[:, None] + np.sum(q * q, axis=-1)[None, :]
-    return -np.exp(-np.sum(d * d, axis=-1)) + 2.0 * cross * d[..., 2] * (radii - 2.0)
-
-
-@pytest.mark.parametrize("kernel, resolution, n_states, fraction", [
-    (_mirror_odd_kernel, 6, 2, 0.25),
-    (_off_shell_mirror_odd_kernel, 8, 3, 0.5),
-])
-def test_block_circulant_route_rejects_a_slice_without_mirror_symmetry(
-        kernel, resolution, n_states, fraction):
-    # the tube forms evaluate azimuths 0..n/2 only and rely on C[-p] = C[p]
-    # whether or not the sector assembly ran first
-    pot = dataclasses.replace(_constant_kernel_potential(0.0, 3), _kernel=kernel)
-    sym = symbols.roton(1.0, 1.0, 1.0, dimension=3)
-    mesh = surface.build_mesh(1.0, 3, resolution)
-    dense_mesh = _without_layout(mesh)
-    operator = so.assemble(dense_mesh, pot)
-    for states in (None, (operator.eigenvalues, operator.eigenfunctions)):
-        with pytest.raises(ConsistencyError, match="mirror"):
-            rr.certify(sym, pot, mesh, n_states, half_width_fraction=fraction, states=states)
-    # the dense route relies on no mirror
-    cert = rr.certify(sym, pot, dense_mesh, n_states, half_width_fraction=fraction)
-    assert len(cert.matrices) == len(rr.DEFAULT_SCHEDULE)
+    pot = dataclasses.replace(_constant_kernel_potential(0.0), _kernel=kernel)
+    mesh = surface.build_mesh(1.0, 2, 32)
+    with pytest.raises(ConsistencyError, match="Hermitian"):
+        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 1)
+    # the dense route hermitizes nothing away either
+    with pytest.raises(ConsistencyError, match="Hermitian"):
+        rr.certify(symbols.mexican_hat(1.0), pot, _without_layout(mesh), 1)
 
 
 def test_certify_rejects_a_non_hermitian_trial_form():
@@ -489,127 +470,92 @@ def test_hand_built_mesh_keeps_dense_path(kernel_calls):
 @pytest.mark.parametrize("dimension, resolution", [(2, 64), (3, 8), (3, 24)])
 def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resolution):
     # a dense tube kernel at resolution 24 would hold 13824^2 entries (1.5 GB);
-    # the operator takes one (M, rings) column block, each eps the tube
-    # slice for azimuths 0..n/2 against the azimuth-0 points, and on the
-    # z-mirrored sphere for its first ceil(rings/2) rings (the one ring in 2-D)
+    # the channel route takes the shell row of n points and, per eps, the
+    # T radii against T meridians (2-D: circles) of n points, where n is
+    # the azimuth count: M on the circle, 2 * resolution on the sphere
     mesh = surface.build_mesh(1.0, dimension, resolution)
     transverse = 12
     cert = rr.certify(_shell_symbol(dimension), potentials.gaussian_well(1.0, 1.0, dimension),
                       mesh, 3, transverse_order=transverse)
     assert cert.certified
-    rings = mesh.rings
-    half = mesh.size // rings // 2 + 1
-    slice_shape = ((rings + 1) // 2 * half * transverse, rings * transverse)
-    assert kernel_calls == [(mesh.size, rings)] + [slice_shape] * 4
+    n = mesh.size // mesh.rings
+    assert kernel_calls == [(1, n)] + [(transverse, transverse * n)] * 4
 
 
-# ------------------------------------ z-mirror fold and the real-column route
+# ------------------------------------------------------ closed-form channels
 
 
-def _reference_block_circulant_form(potential, cloud, columns, rings):
-    # the route before the z fold and the real FFT, kept verbatim
-    nodes, order, dimension = cloud.shape
-    n_phi = nodes // rings
-    half = n_phi // 2 + 1
-    width = rings * order
-    count = columns.shape[1]
-    points = cloud.reshape(rings, n_phi, order, dimension)
-    kernel = np.asarray(potential.kernel_matrix(
-        points[:, :half].reshape(-1, dimension), points[:, 0].reshape(width, dimension)
-    ))
-    blocks = kernel.reshape(rings, half, order, width).swapaxes(0, 1).reshape(half, width * width)
-    k = np.arange(half)
-    multiplicity = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0)
-    cosines = np.cos(2.0 * np.pi * np.arange(n_phi) / n_phi)[np.outer(k, k) % n_phi]
-    blocks_hat = ((cosines * multiplicity) @ blocks).reshape(half, width, width)
-    stacked = columns.reshape(rings, n_phi, order, count).swapaxes(0, 1).reshape(n_phi, width, count)
-    stacked_hat = np.fft.fft(stacked, axis=0)
-    paired = np.stack([stacked_hat[:half], stacked_hat[-k]], axis=2).reshape(half, width, 2 * count)
-    if np.iscomplexobj(blocks_hat):
-        applied = blocks_hat @ paired
-    else:
-        applied = (blocks_hat @ paired.view(np.float64)).view(np.complex128)
-    applied *= np.where(multiplicity == 1.0, 0.5, 1.0)[:, None, None]
-    rows = 2 * half * width
-    form = paired.reshape(rows, count).conj().T @ applied.reshape(rows, count) / n_phi
-    return form if np.iscomplexobj(kernel) or np.iscomplexobj(columns) else form.real
+def _gaussian_channel(dimension, radius, p, q, terms=((-1.0, 1.0),)):
+    """Continuum channel values of a Gaussian mix at radii p, q (vhat's scale).
+
+    For the term h exp(-|x|^2 / (2 s^2)) and a = s^2 p q: in 2-D channel
+    m, 2 pi R h s^2 exp(-s^2 (p - q)^2 / 2) Ie_m(a); in 3-D channel l,
+    4 pi R^2 h s^3 exp(-s^2 (p - q)^2 / 2) sqrt(pi / (2 a)) Ie_{l+1/2}(a),
+    with Ie the exponentially scaled modified Bessel function.
+    """
+    from scipy.special import ive
+
+    p, q = np.asarray(p, dtype=float)[..., None], np.asarray(q, dtype=float)[..., None]
+    orders = np.arange(200 if dimension == 2 else 48)
+    total = 0.0
+    for height, sigma in terms:
+        a = sigma**2 * p * q
+        envelope = height * np.exp(-0.5 * sigma**2 * (p - q) ** 2)
+        if dimension == 2:
+            total = total + 2.0 * np.pi * radius * sigma**2 * envelope * ive(orders, a)
+        else:
+            total = total + (4.0 * np.pi * radius**2 * sigma**3 * envelope
+                             * np.sqrt(np.pi / (2.0 * a)) * ive(orders + 0.5, a))
+    return total
 
 
-def _tube_problem(mesh, count, complex_columns, seed=17, eps=0.1):
-    profile = rr.TransverseProfile.build(12)
-    _, cloud, _ = rr._tube(surface.tubular_chart(mesh), profile, eps)
-    rng = np.random.default_rng(seed)
-    columns = rng.standard_normal((cloud.shape[0] * cloud.shape[1], count))
-    if complex_columns:
-        columns = columns + 1j * rng.standard_normal(columns.shape)
-    return cloud, columns
+@pytest.mark.parametrize("terms", [((-1.0, 1.0),), ((-1.0, 1.0), (0.5, 0.3))],
+                         ids=["well", "dimple-mix"])
+def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
+    radius, m_count = 1.3, 64
+    pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3) if len(terms) == 2 else \
+        potentials.gaussian_well(1.0, 1.0)
+    mesh = surface.build_mesh(radius, 2, m_count)
+    kappa, multiplicity = rr._channel_kernel(pot, mesh, [radius])
+    assert kappa.shape == (m_count, 1, 1) and np.all(multiplicity == 1)
+    channel = np.minimum(np.arange(m_count), m_count - np.arange(m_count))  # |m|
+    expected = _gaussian_channel(2, radius, radius, radius, terms)[channel]
+    assert np.abs(kappa[:, 0, 0] - expected).max() <= 1e-13
 
 
-def _unmirrored_sphere(resolution):
-    # a valid ring layout whose polar rings are not symmetric about z = 0
-    cosines, weights = np.polynomial.legendre.leggauss(resolution)
-    cosines = 0.9 * cosines + 0.05
-    n_phi = 2 * resolution
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    sines = np.sqrt(1.0 - cosines**2)
-    nodes = np.stack([np.outer(sines, np.cos(phi)).ravel(), np.outer(sines, np.sin(phi)).ravel(),
-                      np.repeat(cosines, n_phi)], axis=1)
-    weights = (2.0 * np.pi / n_phi) * np.repeat(weights, n_phi)
-    return surface.SurfaceMesh(3, 1.0, nodes, weights, rings=resolution)
-
-
-@pytest.mark.parametrize("resolution", [8, 9])
-@pytest.mark.parametrize("complex_columns", [False, True])
-def test_z_fold_matches_the_unfolded_slice(resolution, complex_columns):
+@pytest.mark.parametrize("resolution", [4, 6, 8, 12, 16, 24])
+def test_channel_spectrum_matches_the_closed_form_on_the_sphere(resolution):
+    # the n = 2 * resolution node rule resolves the degrees l < resolution
+    # to roundoff; its top degrees lose digits on a coarse rule (8e-9 at
+    # resolution 4, l = 7), where their values are below 1e-5
     mesh = surface.build_mesh(1.0, 3, resolution)
-    pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3, 3)
-    layout = so.ring_layout(mesh, pot)
-    assert layout.mirrored
-    cloud, columns = _tube_problem(mesh, 3, complex_columns)
-    folded = rr._block_circulant_form(pot, cloud, columns, mesh.rings, layout)
-    unfolded = rr._block_circulant_form(pot, cloud, columns, mesh.rings,
-                                        layout._replace(mirrored=False))
-    assert folded.dtype == unfolded.dtype
-    assert np.abs(folded - unfolded).max() <= 1e-13 * np.abs(unfolded).max()
+    kappa, multiplicity = rr._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh, [1.0])
+    n = 2 * resolution
+    assert kappa.shape == (n, 1, 1)
+    assert np.array_equal(multiplicity, 2 * np.arange(n) + 1)
+    expected = _gaussian_channel(3, 1.0, 1.0, 1.0)[:resolution]
+    assert np.abs(kappa[:resolution, 0, 0] - expected).max() <= 1e-13
 
 
-def test_unmirrored_ring_mesh_takes_the_unfolded_route(kernel_calls):
-    mesh = _unmirrored_sphere(8)
-    assert mesh.rings == 8 and not mesh.z_mirrored
-    pot = potentials.gaussian_well(1.0, 1.0, 3)
-    transverse = 12
-    fast = rr.certify(_shell_symbol(3), pot, mesh, 2, transverse_order=transverse)
-    half = mesh.size // mesh.rings // 2 + 1
-    slice_shape = (mesh.rings * half * transverse, mesh.rings * transverse)
-    assert kernel_calls == [(mesh.size, mesh.rings)] + [slice_shape] * 4
-    dense = rr.certify(_shell_symbol(3), pot, _without_layout(mesh), 2,
-                       transverse_order=transverse,
-                       states=(fast.limit_values, so.assemble(mesh, pot).eigenfunctions))
-    _assert_same_certificate(fast, dense)
-
-
-@pytest.mark.parametrize("dimension, resolution", [(2, 64), (2, 63), (3, 8)])
-def test_real_fft_route_matches_the_complex_route(dimension, resolution):
-    mesh = surface.build_mesh(1.0, dimension, resolution)
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_channel_tube_form_matches_the_closed_form(dimension):
+    # one entry of h(eps): the kinetic integral over the tube radii plus
+    # x^T kappa x with the continuum kappa between every pair of radii
+    radius, eps, transverse = 1.0, 0.1, 12
+    mesh = surface.build_mesh(radius, dimension, 64 if dimension == 2 else 12)
+    sym = _shell_symbol(dimension)
     pot = potentials.gaussian_well(1.0, 1.0, dimension)
-    layout = so.ring_layout(mesh, pot)
-    cloud, columns = _tube_problem(mesh, 4, complex_columns=False)
-    real = rr._block_circulant_form(pot, cloud, columns, mesh.rings, layout)
-    as_complex = rr._block_circulant_form(pot, cloud, columns.astype(np.complex128),
-                                          mesh.rings, layout)
-    reference = _reference_block_circulant_form(pot, cloud, columns, mesh.rings)
-    assert real.dtype == np.float64 and as_complex.dtype == np.complex128
-    scale = np.abs(reference).max()
-    assert np.abs(real - as_complex).max() <= 1e-13 * scale
-    assert np.abs(real - reference).max() <= 1e-13 * scale
-
-
-@pytest.mark.parametrize("dimension, resolution", [(2, 64), (3, 8)])
-def test_complex_columns_keep_the_full_fft_route(dimension, resolution):
-    # the spin frame's complex columns give the same form as before the change
-    mesh = surface.build_mesh(1.0, dimension, resolution)
-    pot = potentials.gaussian_well(1.0, 1.0, dimension)
-    cloud, columns = _tube_problem(mesh, 4, complex_columns=True)
-    fast = rr._block_circulant_form(pot, cloud, columns, mesh.rings, so.ring_layout(mesh, pot))
-    reference = _reference_block_circulant_form(pot, cloud, columns, mesh.rings)
-    assert np.abs(fast - reference).max() <= 1e-15 * np.abs(reference).max()
+    cert = rr.certify(sym, pot, mesh, 4, (eps,), transverse_order=transverse)
+    profile = rr.TransverseProfile.build(transverse)
+    offsets = eps * 0.25 * radius * profile.nodes
+    radii = radius + offsets
+    rho = (radii / radius) ** (dimension - 1)
+    kinetic = profile.weights * profile.values**2 * rho / (eps * 0.25 * radius)
+    energy = sym.radial(radii) - sym.find_minimum()[0]
+    x = profile.weights * profile.values * rho
+    kappa = _gaussian_channel(dimension, radius, radii[:, None], radii[None, :])
+    # states 0..3: m = 0, +-1, then one of +-2 in 2-D; l = 0, then l = 1 three times in 3-D
+    channels = [0, 1, 1, 2] if dimension == 2 else [0, 1, 1, 1]
+    expected = [energy @ kinetic + x @ kappa[:, :, c] @ x for c in channels]
+    np.testing.assert_allclose(np.diag(cert.matrices[0]), expected, rtol=0, atol=1e-13)
+    assert np.count_nonzero(cert.matrices[0] - np.diag(np.diag(cert.matrices[0]))) == 0

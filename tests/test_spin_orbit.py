@@ -129,13 +129,13 @@ def test_spectrum_is_gauge_invariant(circle):
 
 def _without_conjugate(weighted, frame, columns):
     # <u_i, u_j> computed as u_i . u_j: complex symmetric, not Hermitian
-    return weighted * (frame @ frame[columns].T)
+    return weighted * (frame @ columns.T)
 
 
 def _conjugate_on_the_wrong_factor(weighted, frame, columns):
     # Hermitian and a unitary similarity of the right matrix, so its
     # spectrum is gauge invariant; only the matrix itself is wrong
-    return weighted * (frame @ frame[columns].conj().T)
+    return weighted * (frame @ columns.conj().T)
 
 
 @pytest.mark.parametrize("broken", [_without_conjugate, _conjugate_on_the_wrong_factor])
@@ -425,14 +425,13 @@ def test_certify_spin_matches_dense_tube_kernel(kind, alpha, layout):
 
 
 def test_certify_spin_kernel_calls_are_bounded(kernel_calls):
-    # the tube forms take the scalar slice for azimuths 0..n/2 against
-    # the azimuth-0 points; only the operator's (M, rings) column is taller
+    # the channel route takes the scalar shell row of M points and, per
+    # eps, the T radii against T circles of M points; the band overlap
+    # multiplies the kernel before the FFT
     symbol = spin_orbit.dresselhaus(-0.7)
     mesh = surface.build_mesh(symbol.find_minimum()[1], 2, 64)
     transverse = 12
     cert = spin_orbit.certify_spin(symbol, WELL, mesh, 4, transverse_order=transverse)
     assert cert.certified
-    rings = mesh.rings
-    half = mesh.size // rings // 2 + 1
-    slice_shape = (rings * half * transverse, rings * transverse)
-    assert kernel_calls == [(mesh.size, rings)] + [slice_shape] * len(cert.eps_schedule)
+    steps = len(cert.eps_schedule)
+    assert kernel_calls == [(1, mesh.size)] + [(transverse, transverse * mesh.size)] * steps

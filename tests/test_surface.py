@@ -185,17 +185,3 @@ def test_tubular_chart_fraction_validation():
     for bad in (0.0, -0.1, 0.51, 1.0):
         with pytest.raises(ConfigurationError):
             surface.tubular_chart(mesh, bad)
-
-
-def test_z_mirror_is_read_from_the_nodes():
-    for resolution in (8, 9):
-        assert surface.build_mesh(2.0, 3, resolution).z_mirrored
-    assert not surface.build_mesh(1.0, 2, 16).z_mirrored  # no z axis
-    sphere = surface.build_mesh(1.0, 3, 8)
-    assert not dataclasses.replace(sphere, rings=0).z_mirrored
-    # swapping two rings keeps a valid layout but breaks ring r <-> rings-1-r
-    order = [1, 0] + list(range(2, 8))
-    swapped = surface.SurfaceMesh(
-        3, 1.0, sphere.nodes.reshape(8, -1, 3)[order].reshape(-1, 3),
-        sphere.weights.reshape(8, -1)[order].ravel(), rings=8)
-    assert not swapped.z_mirrored

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import iv
 
-from shellbound import potentials, rayleigh_ritz, surface, surface_operator as so, symbols
+from shellbound import potentials, rayleigh_ritz, surface, surface_operator as so
 from shellbound.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -36,6 +36,13 @@ def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
     )
 
 
+def _channel_spectrum(mesh, pot):
+    # the shell values of certify's channel route, sorted: an FFT of one
+    # kernel row, independent of the sector assembly's cosine transform
+    kappa, _ = rayleigh_ritz._channel_kernel(pot, mesh, [mesh.radius])
+    return np.sort(kappa[:, 0, 0].real)
+
+
 # ------------------------------------------------------------------ assembly
 
 
@@ -48,8 +55,7 @@ def test_constant_kernel_gives_rank_one_operator():
     op = so.assemble(mesh, pot)
     npt.assert_allclose(op.eigenvalues[0], -2.0 * np.pi * v, rtol=1e-13)
     assert np.abs(op.eigenvalues[1:]).max() < 1e-14
-    spectrum = so.circulant_oracle(mesh, pot)
-    npt.assert_allclose(spectrum, op.eigenvalues, atol=1e-13)
+    npt.assert_allclose(_channel_spectrum(mesh, pot), op.eigenvalues, atol=1e-13)
 
 
 def test_zero_potential_gives_zero_operator():
@@ -154,7 +160,7 @@ def test_hermitian_test_tolerance_is_relative_above_one(scale, deviation, reject
         so._hermitize(a, "test matrix")
 
 
-# ------------------------------------------------------------ circulant route
+# -------------------------------------------------------------- channel route
 
 
 @pytest.mark.parametrize("resolution", [32, 64, 128])
@@ -167,38 +173,32 @@ def test_hermitian_test_tolerance_is_relative_above_one(scale, deviation, reject
     ],
     ids=lambda p: p.kind,
 )
-def test_circulant_oracle_matches_dense_spectrum(pot, resolution):
+def test_channel_spectrum_matches_dense_spectrum(pot, resolution):
     mesh = surface.build_mesh(1.0, 2, resolution)
     dense = so.assemble(dataclasses.replace(mesh, rings=0), pot).eigenvalues
-    fast = so.circulant_oracle(mesh, pot)
-    assert np.abs(dense - fast).max() < 1e-10
+    assert np.abs(dense - _channel_spectrum(mesh, pot)).max() < 1e-10
 
 
-def test_circulant_oracle_preconditions(tabulated_gaussian_2d):
-    sphere = surface.build_mesh(1.0, 3, 8)
-    with pytest.raises(PreconditionError):
-        so.circulant_oracle(sphere, potentials.gaussian_well(1.0, 1.0, dimension=3))
+def test_ring_layout_decides_the_route(tabulated_gaussian_2d):
+    # a radial potential on a mesh with a recorded ring layout, nothing else
+    assert so.ring_layout(surface.build_mesh(1.0, 3, 8), potentials.gaussian_well(1.0, 1.0, 3))
     circle = surface.build_mesh(1.0, 2, 16)
-    with pytest.raises(PreconditionError):
-        so.circulant_oracle(circle, tabulated_gaussian_2d)  # not radial
+    assert so.ring_layout(circle, potentials.gaussian_well(1.0, 1.0))
+    assert not so.ring_layout(circle, tabulated_gaussian_2d)  # not radial
     scrambled = surface.SurfaceMesh(2, 1.0, circle.nodes, circle.weights)
-    with pytest.raises(PreconditionError):
-        so.circulant_oracle(scrambled, potentials.gaussian_well(1.0, 1.0))
+    assert not so.ring_layout(scrambled, potentials.gaussian_well(1.0, 1.0))
 
 
-def test_circulant_oracle_rejects_an_unequally_spaced_circle():
+def test_unequally_spaced_circle_has_no_ring_layout():
     # equal weights on sorted random angles: not circulant, so the DFT
     # of one kernel row would not be the spectrum; the one-ring layout
-    # that circulant_oracle requires is refused at construction
+    # is refused at construction
     angles = np.sort(np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 64))
     angles[0] = 0.0
     nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     weights = np.full(64, 2.0 * np.pi / 64)
     with pytest.raises(PreconditionError, match="uniform turns"):
         surface.SurfaceMesh(2, 1.0, nodes, weights, rings=1)
-    with pytest.raises(PreconditionError, match="one-ring circle"):
-        so.circulant_oracle(surface.SurfaceMesh(2, 1.0, nodes, weights),
-                            potentials.gaussian_well(1.0, 1.0))
 
 
 # ----------------------------------------------------- azimuthal sectors
@@ -228,7 +228,7 @@ def test_sector_assembly_matches_dense(kernel_calls, assert_same_operator, dimen
 def test_sector_assembly_rejects_a_column_without_mirror_symmetry(gaussian):
     # exp(-|p - q|^2) + (p x q)_z (p_z - q_z) / 4 is real, symmetric and
     # invariant under turns about z, but odd under the y mirror that the
-    # sector assembly and the tube forms of certify both rely on
+    # sector assembly relies on
     def kernel(p, q):
         d = p[:, None, :] - q[None, :, :]
         cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
@@ -239,8 +239,6 @@ def test_sector_assembly_rejects_a_column_without_mirror_symmetry(gaussian):
     mesh = surface.build_mesh(1.0, 3, 6)
     with pytest.raises(ConsistencyError, match="mirror"):
         so.assemble(mesh, pot)
-    with pytest.raises(ConsistencyError, match="mirror"):
-        rayleigh_ritz.certify(symbols.roton(1.0, 1.0, 1.0, dimension=3), pot, mesh, 2)
     # without the ring layout the dense assembly has no mirror to rely on
     dense = so.assemble(dataclasses.replace(mesh, rings=0), pot)
     assert dense.eigenfunctions.dtype == np.float64
