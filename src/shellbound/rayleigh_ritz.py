@@ -2,9 +2,11 @@
 
 The trial functions are products of a transverse bump squeezed into an
 epsilon-tube around the shell with surface eigenfunctions of the shell
-operator. The quadratic form of H - m on the span of N such functions
-is an N x N Hermitian matrix h(eps); if it is negative definite for some
-eps, H has at least N eigenvalues below m. As eps -> 0,
+operator. The quadratic form of H - m on the span of N such functions,
+times (2 pi)^(n/2) in n dimensions (the scale of the transform vhat that
+the shell operator keeps), is an N x N Hermitian matrix h(eps); if it
+is negative definite for some eps, H has at least N eigenvalues below
+m. As eps -> 0,
 
     h(eps) -> diag(E_1, ..., E_N)
 
@@ -152,21 +154,28 @@ def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
     return eps_abs, cloud, rho
 
 
-def _kinetic_integral(shifted, profile: TransverseProfile, tube, surface_weights=1.0):
-    """``sum_a shifted_a w_a b_a^2 rho_a / eps_abs`` (times ``surface_weights``): h_kin's tube integral.
+def _kinetic_integral(shifted, profile: TransverseProfile, tube, dimension: int,
+                      surface_weights=1.0):
+    """``(2 pi)^(n/2) sum_a shifted_a w_a b_a^2 rho_a / eps_abs`` (times ``surface_weights``).
 
-    ``shifted`` holds H0 - m at the T tube radii, or at each node's T
-    tube points (shape (M, T), with the mesh weights as
-    ``surface_weights``).
+    h_kin's tube integral in n dimensions. ``shifted`` holds H0 - m at
+    the T tube radii, or at each node's T tube points (shape (M, T),
+    with the mesh weights as ``surface_weights``). The potential form
+    pairs the trial function with vhat, which is (2 pi)^(n/2) times the
+    kernel by which V acts in momentum space; the factor puts the kinetic
+    form on the same scale, so h(eps) is (2 pi)^(n/2) times the form of
+    H - m.
     """
     eps_abs, _, rho = tube
-    return (shifted @ (profile.weights * profile.values**2 * rho)) * surface_weights / eps_abs
+    weights = (2.0 * np.pi) ** (dimension / 2.0) * profile.weights * profile.values**2 * rho
+    return (shifted @ weights) * surface_weights / eps_abs
 
 
 def _kinetic(energy_fn, minimum, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube):
     """h_kin for all column pairs of ``psi`` at once, on one precomputed tube."""
     _, cloud, _ = tube
-    node_factor = _kinetic_integral(energy_fn(cloud) - minimum, profile, tube, mesh.weights)
+    node_factor = _kinetic_integral(energy_fn(cloud) - minimum, profile, tube, mesh.dimension,
+                                    mesh.weights)
     return (psi.conj().T * node_factor) @ psi
 
 
@@ -269,7 +278,7 @@ def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: Transv
     kappa, _ = _channel_kernel(potential, mesh, radii, symbol.frame)
     points = np.zeros((radii.size, mesh.dimension))
     points[:, 0] = radii
-    kinetic = _kinetic_integral(symbol.evaluate(points) - minimum, profile, tube)
+    kinetic = _kinetic_integral(symbol.evaluate(points) - minimum, profile, tube, mesh.dimension)
     x = profile.weights * profile.values * rho
     return kinetic + (kappa.real @ x) @ x
 

@@ -213,11 +213,12 @@ def test_certify_reports_largest_working_eps():
     sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 64)
     weak = potentials.gaussian_well(1e-3, 1.0)
-    cert = rr.certify(sym, weak, mesh, 1, eps_schedule=(1.0, 0.2, 0.025))
-    assert cert.certified_eps == 0.025
+    cert = rr.certify(sym, weak, mesh, 1, eps_schedule=(1.0, 0.2, 0.025, 0.0125))
+    assert cert.certified_eps == 0.0125
     assert cert.certified_count == 1
     assert cert.matrices[0][0, 0].real > 0.0  # eps too wide, kinetic wins
-    assert cert.matrices[2][0, 0].real < 0.0
+    assert cert.matrices[2][0, 0].real > 0.0  # +1.2e-4 at the physical scale
+    assert cert.matrices[3][0, 0].real < 0.0
 
 
 def test_certify_failure_is_a_result_not_an_exception():
@@ -538,24 +539,29 @@ def test_channel_spectrum_matches_the_closed_form_on_the_sphere(resolution):
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
-def test_channel_tube_form_matches_the_closed_form(dimension):
-    # one entry of h(eps): the kinetic integral over the tube radii plus
-    # x^T kappa x with the continuum kappa between every pair of radii
+def test_trial_form_is_the_physical_form_of_h_minus_m(dimension):
+    # one entry of h(eps) against the physical form of H - m on the trial
+    # function: the kinetic integral over the tube radii plus V, which acts
+    # in momentum space with the kernel (2 pi)^(-n/2) vhat(p - q), here the
+    # continuum channel kernel between every pair of radii; h(eps) is that
+    # form times (2 pi)^(n/2)
     radius, eps, transverse = 1.0, 0.1, 12
     mesh = surface.build_mesh(radius, dimension, 64 if dimension == 2 else 12)
     sym = _shell_symbol(dimension)
     pot = potentials.gaussian_well(1.0, 1.0, dimension)
     cert = rr.certify(sym, pot, mesh, 4, (eps,), transverse_order=transverse)
     profile = rr.TransverseProfile.build(transverse)
-    offsets = eps * 0.25 * radius * profile.nodes
-    radii = radius + offsets
+    eps_abs = eps * 0.25 * radius
+    radii = radius + eps_abs * profile.nodes
     rho = (radii / radius) ** (dimension - 1)
-    kinetic = profile.weights * profile.values**2 * rho / (eps * 0.25 * radius)
-    energy = sym.radial(radii) - sym.find_minimum()[0]
+    kinetic = (sym.radial(radii) - sym.find_minimum()[0]) @ (
+        profile.weights * profile.values**2 * rho) / eps_abs
     x = profile.weights * profile.values * rho
     kappa = _gaussian_channel(dimension, radius, radii[:, None], radii[None, :])
+    scale = (2.0 * np.pi) ** (dimension / 2.0)
     # states 0..3: m = 0, +-1, then one of +-2 in 2-D; l = 0, then l = 1 three times in 3-D
     channels = [0, 1, 1, 2] if dimension == 2 else [0, 1, 1, 1]
-    expected = [energy @ kinetic + x @ kappa[:, :, c] @ x for c in channels]
-    np.testing.assert_allclose(np.diag(cert.matrices[0]), expected, rtol=0, atol=1e-13)
+    physical = [kinetic + x @ kappa[:, :, c] @ x / scale for c in channels]
+    np.testing.assert_allclose(np.diag(cert.matrices[0]), scale * np.array(physical),
+                               rtol=0, atol=1e-13)
     assert np.count_nonzero(cert.matrices[0] - np.diag(np.diag(cert.matrices[0]))) == 0
