@@ -40,6 +40,7 @@ band-frame column is the one that takes the FFT over azimuth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
