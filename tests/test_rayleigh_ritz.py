@@ -444,6 +444,27 @@ def test_certify_rejects_a_non_hermitian_trial_form():
         rr.certify(symbols.mexican_hat(1.0), pot, mesh, 2, states=states)
 
 
+def test_channel_route_reads_only_the_azimuth_count():
+    # a valid ring layout whose polar rings are not the Gauss-Legendre ones
+    # certifies the sphere's operator, exactly as the built sphere does
+    resolution = 8
+    cosines, weights = np.polynomial.legendre.leggauss(resolution)
+    cosines = 0.9 * cosines + 0.05
+    n_phi = 2 * resolution
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sines = np.sqrt(1.0 - cosines**2)
+    nodes = np.stack([np.outer(sines, np.cos(phi)).ravel(), np.outer(sines, np.sin(phi)).ravel(),
+                      np.repeat(cosines, n_phi)], axis=1)
+    hand_built = surface.SurfaceMesh(3, 1.0, nodes, (2.0 * np.pi / n_phi) * np.repeat(weights, n_phi),
+                                     rings=resolution)
+    pot = potentials.gaussian_well(1.0, 1.0, 3)
+    cert = rr.certify(_shell_symbol(3), pot, hand_built, 4)
+    built = rr.certify(_shell_symbol(3), pot, surface.build_mesh(1.0, 3, resolution), 4)
+    assert np.array_equal(cert.limit_values, built.limit_values)
+    for a, b in zip(cert.matrices, built.matrices, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_tabulated_potential_keeps_dense_path(kernel_calls):
     samples, edge = 64, 16.0
     axis = (np.arange(samples) - samples // 2) * (edge / samples)
@@ -528,13 +549,16 @@ def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
 def test_channel_spectrum_matches_the_closed_form_on_the_sphere(resolution):
     # the n = 2 * resolution node rule resolves the degrees l < resolution
     # to roundoff; its top degrees lose digits on a coarse rule (8e-9 at
-    # resolution 4, l = 7), where their values are below 1e-5
-    mesh = surface.build_mesh(1.0, 3, resolution)
-    kappa, multiplicity = rr._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh, [1.0])
+    # resolution 4, l = 7, on the unit sphere), where their values are
+    # below 1e-5
+    radius = 0.8
+    mesh = surface.build_mesh(radius, 3, resolution)
+    kappa, multiplicity = rr._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh,
+                                             [radius])
     n = 2 * resolution
     assert kappa.shape == (n, 1, 1)
     assert np.array_equal(multiplicity, 2 * np.arange(n) + 1)
-    expected = _gaussian_channel(3, 1.0, 1.0, 1.0)[:resolution]
+    expected = _gaussian_channel(3, radius, radius, radius)[:resolution]
     assert np.abs(kappa[:resolution, 0, 0] - expected).max() <= 1e-13
 
 
