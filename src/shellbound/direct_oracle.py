@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, PreconditionError
+from .errors import ConfigurationError, ConsistencyError, ConvergenceError, PreconditionError
 from .potentials import Potential
 from .symbols import DispersionSymbol
 
@@ -180,12 +180,16 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
 def _fourier_multiply(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     """A dual-lattice multiplier applied to a (G, ..., G, b) batch of real vectors.
 
-    ``table`` is the multiplier in fftfreq layout; its real-FFT half
-    (last grid axis cut to G//2 + 1) multiplies the real FFT of each
-    column, so the result is real.
+    ``table`` is the multiplier in fftfreq layout, one for every column
+    (shape (G, ..., G)) or one per column (shape (G, ..., G, b)). Only
+    its real-FFT half (last grid axis cut to G//2 + 1) is read, so the
+    table may be given as that half alone; it multiplies the real FFT of
+    each column, so the result is real.
     """
     axes = tuple(range(block.ndim - 1))
-    table_half = table[..., : block.shape[-2] // 2 + 1, None]
+    if table.ndim < block.ndim:
+        table = table[..., None]
+    table_half = table[..., : block.shape[-2] // 2 + 1, :]
     spectral = np.fft.rfftn(block, axes=axes)
     return np.fft.irfftn(table_half * spectral, s=block.shape[:-1], axes=axes)
 
@@ -377,32 +381,35 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     iterations, while the exact free-resolvent preconditioner (diagonal
     in the dual lattice) makes block convergence grid-independent.
 
-    The preconditioner is (H0 - min H0 + s)^-1 with s = 0.02 max|V|, so
-    the shift scales with H: multiplying H0 and V by lambda multiplies s
-    by lambda. A fixed unit shift is far larger than the binding
-    energies the count must resolve (-3.5e-5 to -0.51 on a unit-depth
-    Gaussian well), so it is almost flat across the shell band where
-    every bound state lives, and on the first three rows below the count
-    settles 5-10 times later. Iterations to settle ``count_below`` (range
-    over seeds) on the 2-D mexican hat with a Gaussian well of depth c
-    and width 1, box 40/p0, grid 64, k_max 8, for a fixed s = 1 and for
-    s as multiples of max|V|:
+    Column j is preconditioned by (H0 - sigma_j)^-1 with sigma_j =
+    min(theta_j, min H0 - delta), where theta_j is its latest Ritz value
+    (Davidson's shift, capped so that H0 - sigma_j >= delta > 0). Before
+    the first iteration's callback sigma_j is the cap for every column.
+    The callback keeps the Ritz values and mirrors lobpcg's lock rule, so
+    the preconditioner shifts exactly the unlocked columns it receives,
+    and raises ``ConsistencyError`` on a block of any other width.
+    theta, delta and H0 all scale with H, so multiplying H0 and V by
+    lambda multiplies the preconditioner by 1/lambda and leaves the
+    iterates unchanged. A single shift fitted to one depth cannot serve
+    both the ground state (-0.51 on a unit-depth Gaussian well) and the
+    states at the edge. Iterations to settle ``count_below`` (range over
+    seeds) on the 2-D mexican hat with a Gaussian well of depth c and
+    width 1, box 40/p0, grid 64, k_max 8, for the earlier fixed shift
+    0.02 max|V| and for the Ritz shift:
 
-        ======  =======  =====  =====  =====  =====  =====  =====  =====
-        c, p0   fixed 1  0.001  0.005  0.01   0.02   0.04   0.05   0.08
-        ======  =======  =====  =====  =====  =====  =====  =====  =====
-        1, 1    139-179  66-77  36-38  28     21-25  19-33  22-38  33-50
-        0.5, 1  169-183  26-30  18-19  15-16  18-19  22-25  24-29  33-38
-        1, 0.5  186-224  88-90  45-46  33     29-43  39-65  45-68  56-87
-        1, 2    18-21    40-41  20     15     12     9      8-9    7-8
-        ======  =======  =====  =====  =====  =====  =====  =====  =====
+        ======  ===========  ==========
+        c, p0   0.02 max|V|  Ritz shift
+        ======  ===========  ==========
+        1, 1    21-25        6-14
+        0.5, 1  18-19        8-13
+        1, 0.5  29-43        7-11
+        1, 2    12           4
+        ======  ===========  ==========
 
     (12 seeds in the first row, 4 in the others; each row gives the same
-    count at every shift and seed, 7, 5, 5 and 8, and in the last row
-    all k_max values lie below the energy, so that count is flagged.)
-    When the solver restarted every 50 iterations, dropping its search
-    directions, the fixed unit shift took 150-300 iterations on the
-    first and third rows and ran out of 1500 on the c = 0.5 well.
+    count with either preconditioner at every seed, 7, 5, 5 and 8, and
+    in the last row all k_max values lie below the energy, so that count
+    is flagged.)
 
     After every iteration, never on the start block, the k wanted Ritz
     values are tested with their residual norms ||H x_i - theta_i x_i||,
@@ -427,15 +434,27 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     guards = 4
     block_size = min(k + guards, size)
     grid_shape = (ham.grid,) * ham.dimension
-    shift = 0.02 * float(np.abs(ham.potential_table).max())
-    inverse = 1.0 / (ham.symbol_table - ham.symbol_table.min() + shift)
+    lock = 0.5 * tolerance
+    floor = float(ham.symbol_table.min())
+    # H0 - min H0 on the real-FFT half of the dual lattice, the only part
+    # that _fourier_multiply reads
+    shifted = (ham.symbol_table - floor)[..., : ham.grid // 2 + 1, None]
+    # min H0 - sigma_j per column, and lobpcg's unlocked columns (its lock
+    # rule mirrored); before the first callback sigma is the cap
+    gaps = np.full(block_size, ham.delta)
+    unlocked = np.ones(block_size, dtype=bool)
 
     def matmat(x):
         return apply(ham, x)
 
     def precond(x):
+        columns = int(np.count_nonzero(unlocked))
+        if x.shape[1] != columns:
+            raise ConsistencyError(
+                f"preconditioner got {x.shape[1]} columns, but {columns} are unlocked"
+            )
         block = np.ascontiguousarray(x.reshape(grid_shape + (-1,)), dtype=np.float64)
-        return _fourier_multiply(inverse, block).reshape(x.shape)
+        return _fourier_multiply(1.0 / (shifted + gaps[unlocked]), block).reshape(x.shape)
 
     operator = LinearOperator((size, size), matvec=matmat, matmat=matmat, dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
@@ -451,8 +470,10 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
         return np.linalg.norm(matmat(wanted) - wanted * values, axis=0)
 
     def settled(values, vectors, residuals):
-        nonlocal latest, used
+        nonlocal latest, used, gaps, unlocked
         used += 1
+        gaps = np.maximum(floor - values, ham.delta)
+        unlocked = unlocked & (residuals > lock)
         latest = (values[:k], vectors, residuals[:k], False)
         if used < maxiter and not done(values[:k], residuals[:k]):
             return False
@@ -460,7 +481,7 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
         return done(latest[0], latest[2])
 
     try:
-        lobpcg(operator, start, M=preconditioner, tol=0.5 * tolerance, maxiter=maxiter,
+        lobpcg(operator, start, M=preconditioner, tol=lock, maxiter=maxiter,
                callback=settled)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(

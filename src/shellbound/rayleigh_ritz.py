@@ -143,15 +143,20 @@ class Certificate:
         return self.certified_count == self.requested
 
 
-def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
+def _tube(chart: TubularChart, profile: TransverseProfile, eps: float, cloud: bool = True):
+    """(eps_abs, cloud, rho): the tube's half-width, its (M, T, n) points and Jacobian.
+
+    The cloud maps every mesh node to its T tube points; the channel
+    route reads only eps_abs and rho, so it passes ``cloud=False`` and
+    gets None in its place.
+    """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise PreconditionError("eps must be a fraction of the chart half-width in (0, 1]")
     eps_abs = eps * chart.half_width
     offsets = eps_abs * profile.nodes
-    cloud = chart.map(chart.mesh.nodes[:, None, :], offsets[None, :])
-    rho = chart.jacobian(offsets)
-    return eps_abs, cloud, rho
+    points = chart.map(chart.mesh.nodes[:, None, :], offsets[None, :]) if cloud else None
+    return eps_abs, points, chart.jacobian(offsets)
 
 
 def _kinetic_integral(shifted, profile: TransverseProfile, tube, dimension: int,
@@ -371,7 +376,7 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     top_eigenvalues = []
     certified_eps = None
     for eps in schedule:
-        tube = _tube(chart, profile, eps)
+        tube = _tube(chart, profile, eps, cloud=not channels)
         if channels:
             h = np.diag(_channel_form(symbol, minimum, potential, mesh, profile, tube)[channel])
         else:

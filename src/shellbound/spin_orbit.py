@@ -45,7 +45,9 @@ from .errors import ConfigurationError, GaugeSingularityError, PreconditionError
 from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
-from .surface_operator import SurfaceOperatorMatrix, _ring_blocks, assemble, ring_layout
+from .surface_operator import (
+    SurfaceOperatorMatrix, _covariant_blocks, _ring_blocks, assemble, ring_layout,
+)
 
 __all__ = [
     "MatrixSymbol",
@@ -208,7 +210,8 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     ``d(r, p) = exp(i theta_r) exp(2 pi i s p / n)``, a random phase per
     ring and a random winding s (none when n = 1, where every node is
     its own ring and d is a random phase per node). These keep the frame
-    turn-covariant and both operators block-circulant, so
+    turn-covariant, so only the base frame is tested for that, and both
+    operators block-circulant, so
     ``||A_theta - D^H A D||_F = sqrt(n) ||C_theta - D^H C D||_F`` with
     ``(D^H C D)[p][r, r'] = conj(d(r, p)) d(r', 0) C[p][r, r']``, and
     each regauged C_theta must pass the Hermitian test of the assembly.
@@ -243,7 +246,7 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
         winding = rng.integers(n) if n > 1 else 0
         # phase arguments reduced mod n, so the winding's table keeps its symmetry
         d = ring_phases[:, None] * np.exp(2j * np.pi * ((winding * np.arange(n)) % n) / n)
-        regauged = _ring_blocks(mesh, column, frame * d.reshape(-1, 1))
+        regauged = _covariant_blocks(mesh, column, frame * d.reshape(-1, 1))
         difference = d.conj().T[:, :, None] * d[:, 0] * base - regauged
         worst = max(worst, float(np.sqrt(n) * np.linalg.norm(difference)))
     return worst

@@ -153,10 +153,20 @@ def _ring_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarra
         If the frame is not turn-covariant, or if
         ``max |C[p] - C[-p]^H| > 1e-12 max(1, max |C|)``.
     """
+    if frame is not None:
+        _require_turn_covariant(frame, column.shape[1])
+    return _covariant_blocks(mesh, column, frame)
+
+
+def _covariant_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarray:
+    """:func:`_ring_blocks` for a frame already known to be turn-covariant.
+
+    Serves :func:`shellbound.spin_orbit.gauge_deviation`, whose regauged
+    frames are turn-covariant by construction once the base frame is.
+    """
     rings = column.shape[1]
     n = mesh.size // rings
     if frame is not None:
-        _require_turn_covariant(frame, rings)
         column = _band_matrix(column, frame, frame[::n])
     sqrt_w = np.sqrt(mesh.weights)
     blocks = (sqrt_w[:, None] * column * sqrt_w[::n][None, :])

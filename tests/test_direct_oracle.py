@@ -1,5 +1,6 @@
 """Grid-oracle tests: tables, FFT application, eigensolves, counting."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from shellbound import direct_oracle as do
 from shellbound import potentials, rayleigh_ritz, surface, symbols
-from shellbound.errors import ConfigurationError, ConvergenceError, PreconditionError
+from shellbound.errors import (
+    ConfigurationError, ConsistencyError, ConvergenceError, PreconditionError,
+)
 
 SYMBOL = symbols.mexican_hat(dimension=2, p0=1.0)
 
@@ -263,7 +266,7 @@ def test_count_settles_before_the_guard_converges(stall_ham, seed):
     res = do.count_below(stall_ham, k_max=8, seed=seed)
     assert res.count == 7
     assert not res.is_lower_bound and not res.budget_exhausted
-    assert res.iterations <= 40
+    assert res.iterations <= 16
     # Kahan's bound proves the 7 and the 8th Ritz value clears the energy
     assert res.eigenvalues[6] + np.linalg.norm(res.residuals[:7]) < res.energy
     assert res.eigenvalues[7] - res.residuals[7] > res.energy
@@ -272,15 +275,35 @@ def test_count_settles_before_the_guard_converges(stall_ham, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_weak_well_settles_in_one_chunk(seed):
-    # a half-depth well binds far less than a fixed unit preconditioner
-    # shift, with which all 1500 iterations run and 5 is flagged as a
-    # lower bound; dense eigvalsh of the 4096^2 operator has 5
-    # eigenvalues below m - delta = -3.07e-4 and the next pair at -2.95e-4
+    # the half-depth well's states lie far closer to the edge than the
+    # full well's, and the pair above the energy sits only 1.2e-5 above
+    # it; each column's own Ritz shift still settles the count as fast.
+    # Dense eigvalsh of the 4096^2 operator has 5 eigenvalues below
+    # m - delta = -3.07e-4 and the next pair at -2.95e-4
     ham = quiet_build(SYMBOL, potentials.gaussian_well(0.5, 1.0, dimension=2), 40.0, 64)
     res = do.count_below(ham, k_max=8, seed=seed)
     assert res.count == 5
     assert not res.is_lower_bound and not res.budget_exhausted
-    assert res.iterations <= 100
+    assert res.iterations <= 16
+
+
+@pytest.mark.parametrize("scale", [4.0, 0.25])
+def test_count_is_invariant_under_scaling_h(stall_ham, scale):
+    # theta, delta and H0 all scale with H, so the preconditioner of each
+    # column scales by 1 / scale and the iterates do not change
+    scaled = dataclasses.replace(
+        stall_ham,
+        symbol_table=scale * stall_ham.symbol_table,
+        potential_table=scale * stall_ham.potential_table,
+        minimum=scale * stall_ham.minimum,
+        delta=scale * stall_ham.delta,
+    )
+    for seed in (0, 1, 2):
+        base = do.count_below(stall_ham, k_max=8, seed=seed)
+        res = do.count_below(scaled, k_max=8, seed=seed)
+        assert (res.count, res.is_lower_bound, res.iterations) == (
+            base.count, base.is_lower_bound, base.iterations)
+        np.testing.assert_allclose(res.eigenvalues, scale * base.eigenvalues, rtol=1e-10)
 
 
 def test_budget_exhaustion_flags_lower_bound(stall_ham):
@@ -392,6 +415,65 @@ def test_solve_returns_fresh_residuals(stall_ham, monkeypatch, maxiter):
     assert np.abs(vectors.T @ vectors - np.eye(vectors.shape[1])).max() < 1e-12
     fresh = np.linalg.norm(do.apply(stall_ham, wanted) - wanted * values, axis=0)
     np.testing.assert_allclose(residuals, fresh, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [8, 4])
+def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(stall_ham, monkeypatch, k):
+    # each call gets exactly the residual columns that the previous norms
+    # left unlocked (lobpcg locks a column for good once its norm falls to
+    # tol), and applies (H0 - sigma_j)^-1 with sigma_j = min(theta_j,
+    # min H0 - delta) from the previous Ritz values; before the first
+    # callback sigma_j is that cap. lowest_eigenvalues(k=4) runs until
+    # its wanted columns lock
+    calls = []
+    solver = do.lobpcg
+
+    def spy(A, X, M=None, tol=0.0, callback=None, **kwargs):
+        state = {"active": np.ones(X.shape[1], dtype=bool), "values": None}
+
+        def record(values, vectors, residuals):
+            state["active"] = state["active"] & (residuals > tol)
+            state["values"] = values.copy()
+            return callback(values, vectors, residuals)
+
+        def checked(block):
+            out = M.dot(block)
+            calls.append((block.copy(), out, state["active"].copy(), state["values"]))
+            return out
+
+        watched = do.LinearOperator(A.shape, matvec=checked)
+        return solver(A, X, M=watched, tol=tol, callback=record, **kwargs)
+
+    monkeypatch.setattr(do, "lobpcg", spy)
+    if k == 8:
+        do.count_below(stall_ham, k_max=k)
+    else:
+        do.lowest_eigenvalues(stall_ham, k)
+    cap = stall_ham.symbol_table.min() - stall_ham.delta
+    grid_shape = (stall_ham.grid,) * stall_ham.dimension
+    for block, out, active, values in calls:
+        assert block.shape[1] == np.count_nonzero(active)
+        sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values[active], cap)
+        spectral = np.fft.fftn(block.reshape(grid_shape + (-1,)), axes=(0, 1))
+        table = 1.0 / (stall_ham.symbol_table[..., None] - sigma)
+        expected = np.fft.ifftn(table * spectral, axes=(0, 1)).real.reshape(block.shape)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+    widths = [block.shape[1] for block, _, _, _ in calls]
+    assert widths[0] == k + 4
+    if k == 4:
+        assert min(widths) < k + 4  # columns locked during the run
+
+
+def test_preconditioner_rejects_a_block_of_the_wrong_width(stall_ham, monkeypatch):
+    solver = do.lobpcg
+
+    def too_narrow(A, X, M=None, **kwargs):
+        M.dot(X[:, :1])
+        return solver(A, X, M=M, **kwargs)
+
+    monkeypatch.setattr(do, "lobpcg", too_narrow)
+    with pytest.raises(ConsistencyError, match="got 1 columns, but 12 are unlocked"):
+        do.count_below(stall_ham, k_max=8)
 
 
 def test_breakdown_raises_convergence_error(stall_ham, monkeypatch):
