@@ -6,10 +6,20 @@ discretization errors are the box truncation of the potential and the
 momentum cutoff. The lowest part of the spectrum is computed matrix-free
 and counted below the essential-spectrum edge with a buffer that
 separates genuine bound states from the finite-box quasi-continuum.
+
+When both tables of an even grid are even under j -> -j mod G on every
+axis (a radial problem on the centered grid), H commutes with each axis
+reflection and splits into parity sectors: vectors even or odd in each
+axis, set by their values on the fundamental domain j = 0..G/2.
+Sectors that an axis permutation maps onto each other are solved once
+and counted with a multiplicity, but only when both tables are exactly
+invariant under that permutation. Every other problem is the one sector
+of the whole grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +32,7 @@ from .symbols import DispersionSymbol
 __all__ = [
     "GridHamiltonian",
     "CountResult",
+    "SectorCount",
     "build_hamiltonian",
     "apply",
     "lowest_eigenvalues",
@@ -77,19 +88,47 @@ class GridHamiltonian:
 
 
 @dataclass(frozen=True)
+class SectorCount:
+    """The count of one parity sector, with the diagnostics of its solve.
+
+    ``parities`` holds +1 (even) or -1 (odd) per axis, and is empty for
+    the one sector of the whole grid. ``multiplicity`` is the number of
+    sectors with this spectrum: the sector itself and those an exact
+    axis permutation symmetry of the tables maps it onto. ``count`` is
+    the sector's Kahan-proven count (not multiplied), ``settled`` says
+    whether its stop rule held, and ``eigenvalues`` and ``residuals``
+    are its wanted Ritz values and fresh residual norms.
+    """
+
+    parities: tuple[int, ...]
+    multiplicity: int
+    count: int
+    settled: bool
+    iterations: int
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
+
+
+@dataclass(frozen=True)
 class CountResult:
     """Bound-state count with its diagnostics.
 
-    ``count`` is backed by Kahan's bound: the c lowest Ritz values
-    satisfy theta_c + ||R_{:,1..c}||_F < energy, so at least ``count``
-    eigenvalues of the grid operator lie below the energy.
-    ``is_lower_bound`` is set when the count did not settle: the
-    iteration budget ran out first (``budget_exhausted``), or every one
-    of the ``k_max`` Ritz values lies below the energy, so more states
-    may follow beyond the window. ``tolerance`` is the residual norm at
-    which an eigenpair counts as converged (1e-8 of the spectral scale).
-    ``iterations`` is the exact number of block iterations run: the
-    stop rule is tested after each one.
+    Each sector's count is backed by Kahan's bound: the c lowest Ritz
+    values of the sector satisfy theta_c + ||R_{:,1..c}||_F < energy, so
+    at least c eigenvalues of the sector lie below the energy. Sectors
+    are orthogonal invariant subspaces of the grid operator, so the sum
+    of their counts, each times its multiplicity, is a proven lower
+    count; ``count`` is that sum capped at ``k_max``. ``is_lower_bound``
+    is set when the count did not settle: the iteration budget ran out
+    before every sector's count settled (``budget_exhausted``), or the
+    sum reached ``k_max``, so more states may follow beyond the window.
+    ``eigenvalues`` and ``residuals`` are the ``k_max`` lowest sector
+    Ritz values, each repeated by its multiplicity, with their residual
+    norms; ``sectors`` holds the per-sector counts. ``tolerance`` is the
+    residual norm at which an eigenpair counts as converged (1e-8 of the
+    spectral scale). ``iterations`` is the exact number of block
+    iterations run over all sectors: the stop rule is tested after each
+    one.
     """
 
     count: int
@@ -101,6 +140,7 @@ class CountResult:
     iterations: int
     budget_exhausted: bool
     tolerance: float
+    sectors: tuple[SectorCount, ...] = ()
 
     def __int__(self) -> int:
         return self.count
@@ -194,12 +234,142 @@ def _fourier_multiply(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(table_half * spectral, s=block.shape[:-1], axes=axes)
 
 
-def _apply_real_block(ham: GridHamiltonian, block: np.ndarray) -> np.ndarray:
-    """H applied to a (G, ..., G, b) batch of real vectors via real FFTs."""
-    out = _fourier_multiply(ham.symbol_table, block)
+def _domain(grid: int, parity: int) -> np.ndarray:
+    """Fundamental-domain indices of one axis, which are also its dual-lattice indices."""
+    half = grid // 2
+    return np.arange(half + 1) if parity > 0 else np.arange(1, half)
+
+
+def _parity_basis(grid: int, parity: int) -> np.ndarray:
+    """The orthogonal, symmetric DCT-I (parity +1) or DST-I (parity -1) matrix.
+
+    Its columns are the cosines (sines) of the dual lattice k = 0..G/2
+    (k = 1..G/2-1) on the fundamental domain j = 0..G/2 (j = 1..G/2-1),
+    normalized on the whole grid and written in the coordinates
+    sqrt(w_j) v_j, where w_j is the number of grid points that the
+    reflection j -> -j mod G maps onto j (1 at j = 0 and G/2, else 2).
+    Those coordinates make the domain of a sector isometric to the
+    sector's subspace of the grid.
+    """
+    j = _domain(grid, parity)
+    weights = np.where((j == 0) | (j == grid // 2), 1.0, 2.0)
+    waves = (np.cos if parity > 0 else np.sin)(2.0 * np.pi * (np.outer(j, j) % grid) / grid)
+    return np.sqrt(np.outer(weights, weights) / grid) * waves
+
+
+def _separable_multiply(bases, table: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A dual-lattice multiplier applied to a (d_1, ..., d_n, b) batch of sector vectors.
+
+    Each axis is taken to its dual lattice by its orthogonal symmetric
+    basis (one GEMM per axis, which then moves that axis behind the
+    others, so n of them restore the order), multiplied by ``table``
+    (shape (d_1, ..., d_n) or (d_1, ..., d_n, b)) and taken back.
+    """
+    rotate = tuple(range(1, len(bases))) + (0, len(bases))
+
+    def transform(values):
+        for basis in bases:
+            shape = values.shape
+            values = (basis @ values.reshape(shape[0], -1)).reshape(shape).transpose(rotate)
+        return values
+
+    if table.ndim < block.ndim:
+        table = table[..., None]
+    return transform(table * transform(block))
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """An invariant subspace of H and the tables that act on it.
+
+    ``bases`` holds one parity basis per axis, or is None for the whole
+    grid, on which H0 acts by real FFT. ``symbol`` is H0 on the sector's
+    dual-lattice indices (for the whole grid its real-FFT half, the only
+    part that ``_fourier_multiply`` reads) and ``potential`` is V on its
+    domain, or None.
+    """
+
+    parities: tuple[int, ...]
+    multiplicity: int
+    shape: tuple[int, ...]
+    bases: tuple[np.ndarray, ...] | None
+    symbol: np.ndarray
+    potential: np.ndarray | None
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    def multiply(self, table: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """The dual-lattice multiplier ``table`` applied to a grid-shaped block."""
+        if self.bases is None:
+            return _fourier_multiply(table, block)
+        return _separable_multiply(self.bases, table, block)
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """H applied to a grid-shaped (..., b) block of real vectors."""
+        out = self.multiply(self.symbol, block)
+        if self.potential is not None:
+            out += self.potential[..., None] * block
+        return out
+
+    def matmat(self, x: np.ndarray) -> np.ndarray:
+        """H applied to a (size, b) block of real vectors."""
+        block = np.ascontiguousarray(x, dtype=np.float64).reshape(self.shape + (-1,))
+        return self.apply(block).reshape(x.shape)
+
+
+def _full_sector(ham: GridHamiltonian) -> _Sector:
+    return _Sector(
+        parities=(),
+        multiplicity=1,
+        shape=(ham.grid,) * ham.dimension,
+        bases=None,
+        symbol=ham.symbol_table[..., : ham.grid // 2 + 1],
+        potential=ham.potential_table,
+    )
+
+
+def _sectors(ham: GridHamiltonian) -> list[_Sector]:
+    """The sectors that ``count_below`` and ``lowest_eigenvalues`` solve one at a time.
+
+    Parity sectors need an even grid and tables that are each exactly
+    even under j -> -j mod G on every axis; two sectors merge into one
+    with multiplicity 2 (or more) when an axis permutation maps one onto
+    the other and leaves both tables exactly unchanged. Anything else is
+    the one sector of the whole grid.
+    """
+    tables = [ham.symbol_table]
     if ham.potential_table is not None:
-        out += ham.potential_table[..., None] * block
-    return out
+        tables.append(ham.potential_table)
+    n, grid = ham.dimension, ham.grid
+    mirrored = grid % 2 == 0 and all(
+        np.array_equal(table, np.roll(np.flip(table, axis), 1, axis))
+        for table in tables for axis in range(n)
+    )
+    if not mirrored:
+        return [_full_sector(ham)]
+    symmetries = [
+        permutation for permutation in itertools.permutations(range(n))
+        if all(np.array_equal(table, table.transpose(permutation)) for table in tables)
+    ]
+    bases = {parity: _parity_basis(grid, parity) for parity in (1, -1)}
+    sectors, seen = [], set()
+    for parities in itertools.product((1, -1), repeat=n):
+        if parities in seen:
+            continue
+        orbit = {tuple(parities[axis] for axis in permutation) for permutation in symmetries}
+        seen |= orbit
+        domain = np.ix_(*(_domain(grid, parity) for parity in parities))
+        sectors.append(_Sector(
+            parities=parities,
+            multiplicity=len(orbit),
+            shape=tuple(bases[parity].shape[0] for parity in parities),
+            bases=tuple(bases[parity] for parity in parities),
+            symbol=ham.symbol_table[domain],
+            potential=None if ham.potential_table is None else ham.potential_table[domain],
+        ))
+    return sectors
 
 
 def apply(ham: GridHamiltonian, psi) -> np.ndarray:
@@ -232,13 +402,14 @@ def apply(ham: GridHamiltonian, psi) -> np.ndarray:
         raise PreconditionError(
             f"state shape {psi.shape} does not match a grid of {ham.size} points"
         )
+    whole = _full_sector(ham)
     if np.iscomplexobj(block):
         # H0 and V are real, so H acts on the real and imaginary parts
         # apart: they go through as interleaved real columns
         pairs = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-        out = _apply_real_block(ham, pairs).view(np.complex128)
+        out = whole.apply(pairs).view(np.complex128)
     else:
-        out = _apply_real_block(ham, np.ascontiguousarray(block, dtype=np.float64))
+        out = whole.apply(np.ascontiguousarray(block, dtype=np.float64))
     return out.reshape(psi.shape) if flat_in else out[..., 0]
 
 
@@ -371,45 +542,46 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
     return values, X
 
 
-def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float, done):
-    """Block iteration for the k lowest states.
+def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: np.random.Generator,
+           maxiter: int, tolerance: float, done):
+    """Block iteration for the k lowest states of one sector.
 
     A preconditioned block solver (``lobpcg``, numpy only) is used
     rather than a single-vector Krylov iteration: the low spectrum
-    contains exact double degeneracies and sits a tiny relative gap
-    below a dense quasi-continuum, which stalls restarted single-vector
-    iterations, while the exact free-resolvent preconditioner (diagonal
-    in the dual lattice) makes block convergence grid-independent.
+    sits a tiny relative gap below a dense quasi-continuum, which stalls
+    restarted single-vector iterations, while the exact free-resolvent
+    preconditioner (diagonal in the dual lattice) makes block
+    convergence grid-independent. The sector's start block is drawn
+    from ``rng``, so the sectors of one count share one seeded stream.
 
     Column j is preconditioned by (H0 - sigma_j)^-1 with sigma_j =
     min(theta_j, min H0 - delta), where theta_j is its latest Ritz value
-    (Davidson's shift, capped so that H0 - sigma_j >= delta > 0). Before
-    the first iteration's callback sigma_j is the cap for every column.
-    The callback keeps the Ritz values and mirrors lobpcg's lock rule, so
-    the preconditioner shifts exactly the unlocked columns it receives,
-    and raises ``ConsistencyError`` on a block of any other width.
-    theta, delta and H0 all scale with H, so multiplying H0 and V by
-    lambda multiplies the preconditioner by 1/lambda and leaves the
-    iterates unchanged. A single shift fitted to one depth cannot serve
-    both the ground state (-0.51 on a unit-depth Gaussian well) and the
-    states at the edge. Iterations to settle ``count_below`` (range over
-    seeds) on the 2-D mexican hat with a Gaussian well of depth c and
-    width 1, box 40/p0, grid 64, k_max 8, for the earlier fixed shift
-    0.02 max|V| and for the Ritz shift:
+    (Davidson's shift, capped so that H0 - sigma_j >= delta > 0) and
+    min H0 is taken over the whole dual lattice. Before the first
+    iteration's callback sigma_j is the cap for every column. The
+    callback keeps the Ritz values and mirrors lobpcg's lock rule, so the
+    preconditioner shifts exactly the unlocked columns it receives, and
+    raises ``ConsistencyError`` on a block of any other width. theta,
+    delta and H0 all scale with H, so multiplying H0 and V by lambda
+    multiplies the preconditioner by 1/lambda and leaves the iterates
+    unchanged. Iterations to settle ``count_below`` in each sector (range
+    over seeds) on the 2-D mexican hat with a Gaussian well of depth c
+    and width 1, box 40/p0, grid 64, k_max 8, and the whole-grid route
+    on the same problems for comparison:
 
-        ======  ===========  ==========
-        c, p0   0.02 max|V|  Ritz shift
-        ======  ===========  ==========
-        1, 1    21-25        6-14
-        0.5, 1  18-19        8-13
-        1, 0.5  29-43        7-11
-        1, 2    12           4
-        ======  ===========  ==========
+        ======  ===  ===  ===  =====  ==========
+        c, p0   EE   EO   OO   total  whole grid
+        ======  ===  ===  ===  =====  ==========
+        1, 1    4    4-5  3    11-12  6-14
+        0.5, 1  4    4    2-3  10-11  8-13
+        1, 0.5  6    3    3    12     7-11
+        1, 2    4    4    3    11     4
+        ======  ===  ===  ===  =====  ==========
 
-    (12 seeds in the first row, 4 in the others; each row gives the same
-    count with either preconditioner at every seed, 7, 5, 5 and 8, and
-    in the last row all k_max values lie below the energy, so that count
-    is flagged.)
+    (12 seeds in the first row, 4 in the others; both routes give the
+    same count at every seed, 7, 5, 5 and 8, and in the last row the
+    sector counts add up to more than k_max, so that count is flagged.
+    A sector iteration works on vectors a quarter of the grid's size.)
 
     After every iteration, never on the start block, the k wanted Ritz
     values are tested with their residual norms ||H x_i - theta_i x_i||,
@@ -420,9 +592,9 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     orthonormal Ritz vectors and ``done`` must hold again on them, so
     the returned residuals and any Kahan proof drawn from them are
     fresh. ``lowest_eigenvalues`` stops once every residual is below
-    ``tolerance``. ``count_below`` stops once its count is settled:
-    theta_c + ||R_{:,1..c}||_F < energy for the c values below the
-    energy (Kahan's bound, see ``_kahan_count``) and theta_{c+1} -
+    ``tolerance``. ``count_below`` stops once the sector's count is
+    settled: theta_c + ||R_{:,1..c}||_F < energy for the c values below
+    the energy (Kahan's bound, see ``_kahan_count``) and theta_{c+1} -
     ||r_{c+1}|| > energy, so the guard value next to the
     quasi-continuum need not converge. The extra guard vectors are
     never tested. With ``maxiter`` 0 no iterate is tested: the values
@@ -430,22 +602,17 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
 
     Returns (values, residuals, iterations), values ascending.
     """
-    size = ham.size
+    size = sector.size
     guards = 4
     block_size = min(k + guards, size)
-    grid_shape = (ham.grid,) * ham.dimension
     lock = 0.5 * tolerance
     floor = float(ham.symbol_table.min())
-    # H0 - min H0 on the real-FFT half of the dual lattice, the only part
-    # that _fourier_multiply reads
-    shifted = (ham.symbol_table - floor)[..., : ham.grid // 2 + 1, None]
+    # H0 - min H0 on the sector's dual-lattice indices
+    shifted = (sector.symbol - floor)[..., None]
     # min H0 - sigma_j per column, and lobpcg's unlocked columns (its lock
     # rule mirrored); before the first callback sigma is the cap
     gaps = np.full(block_size, ham.delta)
     unlocked = np.ones(block_size, dtype=bool)
-
-    def matmat(x):
-        return apply(ham, x)
 
     def precond(x):
         columns = int(np.count_nonzero(unlocked))
@@ -453,12 +620,12 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
             raise ConsistencyError(
                 f"preconditioner got {x.shape[1]} columns, but {columns} are unlocked"
             )
-        block = np.ascontiguousarray(x.reshape(grid_shape + (-1,)), dtype=np.float64)
-        return _fourier_multiply(1.0 / (shifted + gaps[unlocked]), block).reshape(x.shape)
+        block = np.ascontiguousarray(x, dtype=np.float64).reshape(sector.shape + (-1,))
+        return sector.multiply(1.0 / (shifted + gaps[unlocked]), block).reshape(x.shape)
 
-    operator = LinearOperator((size, size), matvec=matmat, matmat=matmat, dtype=np.float64)
+    operator = LinearOperator((size, size), matvec=sector.matmat, matmat=sector.matmat,
+                              dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
-    rng = np.random.default_rng(seed)
     start = rng.standard_normal((size, block_size))
     # wanted values, Ritz vectors, residual norms, and whether those norms
     # come from a fresh apply
@@ -467,7 +634,7 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
 
     def fresh_residuals(values, vectors):
         wanted = vectors[:, :k]
-        return np.linalg.norm(matmat(wanted) - wanted * values, axis=0)
+        return np.linalg.norm(sector.matmat(wanted) - wanted * values, axis=0)
 
     def settled(values, vectors, residuals):
         nonlocal latest, used, gaps, unlocked
@@ -494,10 +661,39 @@ def _solve(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: flo
     return values, residuals, used
 
 
+def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,
+                   done) -> list[tuple[_Sector, np.ndarray, np.ndarray, int]]:
+    """``_solve`` on each sector in turn, within one budget and one random stream.
+
+    Each sector gets the iterations that the earlier ones left, so the
+    total stays within ``maxiter``. Returns (sector, values, residuals,
+    iterations) per sector.
+    """
+    rng = np.random.default_rng(seed)
+    solved, used = [], 0
+    for sector in _sectors(ham):
+        values, residuals, iterations = _solve(
+            ham, sector, min(k, sector.size), rng, maxiter - used, tolerance, done)
+        used += iterations
+        solved.append((sector, values, residuals, iterations))
+    return solved
+
+
+def _lowest(solved, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest values of ``_solve_sectors``, each repeated by its sector's multiplicity."""
+    values = np.concatenate([np.repeat(v, s.multiplicity) for s, v, _, _ in solved])
+    residuals = np.concatenate([np.repeat(r, s.multiplicity) for s, _, r, _ in solved])
+    order = np.argsort(values, kind="stable")[:k]
+    return values[order], residuals[order]
+
+
 def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
                        maxiter: int = 1500) -> np.ndarray:
     """The k smallest eigenvalues, residuals below 1e-8 of the spectral scale.
 
+    Each sector (see ``_sectors``) is solved for its own k lowest states
+    within one shared budget of ``maxiter`` block iterations; the result
+    merges them, each value repeated by its sector's multiplicity.
     With V identically zero the operator is diagonal in the plane-wave
     basis and the sorted symbol table is returned directly (exact, no
     iteration).
@@ -505,9 +701,9 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     Raises
     ------
     ConvergenceError
-        If some requested state misses the residual tolerance within the
-        iteration budget; the error carries the Ritz values and
-        residual norms reached.
+        If some sector's requested state misses the residual tolerance
+        within the iteration budget; the error carries the k lowest Ritz
+        values and their residual norms.
     """
     k = int(k)
     if not 1 <= k <= 64:
@@ -517,13 +713,15 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     if ham.is_free:
         return np.sort(ham.symbol_table.ravel())[:k]
     tolerance = _residual_tolerance(ham)
-    values, residuals, _ = _solve(ham, k, seed, maxiter, tolerance,
-                                  lambda values, residuals: residuals.max() < tolerance)
-    if residuals.max() >= tolerance:
-        bad = int(np.count_nonzero(residuals >= tolerance))
+    solved = _solve_sectors(ham, k, seed, maxiter, tolerance,
+                            lambda values, residuals: residuals.max() < tolerance)
+    missed = sum(int(np.count_nonzero(~(residuals < tolerance))) for _, _, residuals, _ in solved)
+    values, residuals = _lowest(solved, k)
+    if missed:
+        worst = max(float(np.max(residuals)) for _, _, residuals, _ in solved)
         raise ConvergenceError(
-            f"{bad} of {k} states missed residual tolerance {tolerance:.3e} "
-            f"(worst {residuals.max():.3e}) within {maxiter} iterations",
+            f"{missed} sector states missed residual tolerance {tolerance:.3e} "
+            f"(worst {worst:.3e}) within {maxiter} iterations",
             eigenvalues=values,
             residuals=residuals,
         )
@@ -557,20 +755,25 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     minus the finite-box buffer, so quasi-continuum states piled up at
     the edge are not mistaken for bound states.
 
-    The block iteration stops as soon as the count is settled rather
-    than when every Ritz value meets the residual tolerance: the c Ritz
-    values below the energy satisfy theta_c + ||R_{:,1..c}||_F < energy,
-    which by Kahan's theorem proves c eigenvalues below it, and the next
-    Ritz value clears the energy by more than its residual norm. The
-    guard value just above the energy sits in the quasi-continuum and
-    need not converge. The reported count is always the Kahan-proven
-    one; ``is_lower_bound`` is set when the budget ran out before the
-    count settled (``budget_exhausted``) or when all ``k_max`` values
-    lie below the energy.
+    Each sector (see ``_sectors``) is solved for its ``k_max`` lowest
+    states, one after another, and its block iteration stops as soon as
+    its count is settled rather than when every Ritz value meets the
+    residual tolerance: the c Ritz values below the energy satisfy
+    theta_c + ||R_{:,1..c}||_F < energy, which by Kahan's theorem proves
+    c eigenvalues of the sector below it, and the next Ritz value clears
+    the energy by more than its residual norm. The guard value just
+    above the energy sits in the quasi-continuum and need not converge.
+    ``maxiter`` bounds the block iterations of all sectors together:
+    each sector gets what the earlier ones left. The reported count is
+    the sum of the Kahan-proven sector counts, each times its
+    multiplicity, capped at ``k_max``; ``is_lower_bound`` is set when
+    the budget ran out before every sector's count settled
+    (``budget_exhausted``) or when that sum reaches ``k_max``.
 
     With V identically zero the ``k_max`` lowest entries of the symbol
     table are exact eigenvalues: they take the same count with zero
-    residuals and 0 iterations, and no block iteration runs.
+    residuals and 0 iterations, as the one sector of the whole grid, and
+    no block iteration runs.
 
     Raises
     ------
@@ -596,21 +799,29 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     tolerance = _residual_tolerance(ham)
     if ham.is_free:  # plane waves are exact eigenvectors
         values = np.sort(ham.symbol_table.ravel())[:k_max]
-        residuals, iterations = np.zeros(values.size), 0
+        solved = [(_full_sector(ham), values, np.zeros(values.size), 0)]
     else:
-        values, residuals, iterations = _solve(
+        solved = _solve_sectors(
             ham, k_max, seed, maxiter, tolerance,
             lambda values, residuals: _kahan_count(values, residuals, energy)[1],
         )
-    count, final = _kahan_count(values, residuals, energy)
+    sectors = tuple(
+        SectorCount(sector.parities, sector.multiplicity,
+                    *_kahan_count(values, residuals, energy), iterations, values, residuals)
+        for sector, values, residuals, iterations in solved
+    )
+    total = sum(sector.count * sector.multiplicity for sector in sectors)
+    settled = all(sector.settled for sector in sectors)
+    values, residuals = _lowest(solved, k_max)
     return CountResult(
-        count=count,
-        is_lower_bound=not final or count == k_max,
+        count=min(total, k_max),
+        is_lower_bound=not settled or total >= k_max,
         eigenvalues=values,
         residuals=residuals,
         energy=energy,
         delta=ham.delta,
-        iterations=iterations,
-        budget_exhausted=not final,
+        iterations=sum(sector.iterations for sector in sectors),
+        budget_exhausted=not settled,
         tolerance=tolerance,
+        sectors=sectors,
     )
