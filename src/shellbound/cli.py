@@ -50,6 +50,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -353,10 +354,10 @@ def _task_point_test(config, seed):
     tolerance = _need(block, "tolerance", "point_test", float, 1e-12)
     sets = _need(block, "sets", "point_test", _count, 1)
     _, radius = symbol.find_minimum()
-    rng = np.random.default_rng(seed)
+    stream = random.Random(seed)
     outcomes = []
     for _ in range(sets):
-        points = _sample_shell_points(rng, radius, symbol.dimension, n_points)
+        points = _sample_shell_points(stream, radius, symbol.dimension, n_points)
         matrix, negative_definite = so.point_matrix_test(potential, points, tolerance)
         outcomes.append({
             "largest_eigenvalue": float(np.linalg.eigvalsh(matrix)[-1]),
@@ -371,16 +372,26 @@ def _task_point_test(config, seed):
     return results, None, 0
 
 
-def _sample_shell_points(rng, radius, dimension, count):
+def _sample_shell_points(stream, radius, dimension, count):
+    """``count`` distinct points, uniform on the circle or sphere of the given radius.
+
+    In 3-D the height is uniform on [-1, 1) (Archimedes' hat-box
+    theorem), which makes the points uniform on the sphere.
+    """
     import numpy as np
+
+    from . import kernels
 
     while True:
         if dimension == 2:
-            angles = rng.uniform(0.0, 2.0 * np.pi, count)
+            angles = np.pi * kernels.uniform(stream, count)
             points = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         else:
-            raw = rng.standard_normal((count, dimension))
-            points = radius * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            height, angles = kernels.uniform(stream, (2, count))
+            angles = np.pi * angles
+            ring = np.sqrt(1.0 - height**2)
+            points = radius * np.stack([ring * np.cos(angles), ring * np.sin(angles), height],
+                                       axis=1)
         if count < 2:
             return points
         diffs = points[:, None, :] - points[None, :, :]

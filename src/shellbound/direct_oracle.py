@@ -13,18 +13,23 @@ reflection and splits into parity sectors: vectors even or odd in each
 axis, set by their values on the fundamental domain j = 0..G/2.
 Sectors that an axis permutation maps onto each other are solved once
 and counted with a multiplicity, but only when both tables are exactly
-invariant under that permutation. Every other problem is the one sector
-of the whole grid.
+invariant under that permutation. H0 and a radial V are evaluated on
+sorted absolute coordinates, so on a radial problem every permutation
+holds exactly: 2-D solves EE, EO (x2) and OO, 3-D EEE, EEO (x3), EOO
+(x3) and OOO. Every other problem is the one sector of the whole grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, ConsistencyError, ConvergenceError, PreconditionError
 from .potentials import Potential
 from .symbols import DispersionSymbol
@@ -159,9 +164,14 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
     ConfigurationError
         If the dual lattice is too coarse to resolve the extremum shell
         (spacing above R/2), the momentum cutoff fails to cover the
-        confining growth (below 4R), or a 3-D grid exceeds the G <= 96
-        desk-scale limit. Spacings between R/8 and R/2 only warn: they
-        are coarser than ideal but measured to give stable counts.
+        confining growth (below 4R), a 3-D grid exceeds the G <= 96
+        desk-scale limit, or V is not identically zero and the 33 lowest
+        lattice values of H0 are equal, which would leave a counting
+        buffer of 0 (a 3-D lattice whose shell holds that many points at
+        one distance). Spacings between R/8 and R/2 only warn: they are
+        coarser than ideal but measured to give stable counts. A free
+        problem needs no buffer, since its count takes no solve, and
+        keeps delta 0 there.
     """
     box_edge = float(box_edge)
     grid = int(grid)
@@ -193,18 +203,30 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
         raise ConfigurationError(
             f"momentum cutoff {cutoff:.4g} is below 4 R = {4.0 * radius:.4g}"
         )
-    axes_k = [2.0 * np.pi * np.fft.fftfreq(grid, d=box_edge / grid)] * n
-    momenta = np.stack(np.meshgrid(*axes_k, indexing="ij"), axis=-1)
-    symbol_table = symbol.evaluate(momenta)
+    step = box_edge / grid
+    # the dual lattice in fftfreq layout, bitwise numpy.fft.fftfreq(grid, step)
+    lattice = (np.arange(grid) + grid // 2) % grid - grid // 2
+    axis_k = 2.0 * np.pi * (lattice * (1.0 / (grid * step)))
+    # H0 depends on |p| alone, so it is evaluated on the sorted absolute
+    # components: the table is then exactly invariant under every axis
+    # reflection and permutation, whatever the order of the float sums
+    symbol_table = symbol.evaluate(_canonical(axis_k, n))
     potential_table = None
     if potential is not None:
-        step = box_edge / grid
         axis_x = (np.arange(grid) - grid // 2) * step
-        positions = np.stack(np.meshgrid(*([axis_x] * n), indexing="ij"), axis=-1)
+        if potential.is_radial:
+            positions = _canonical(axis_x, n)
+        else:
+            positions = np.stack(np.meshgrid(*([axis_x] * n), indexing="ij"), axis=-1)
         table = np.asarray(potential.evaluate(positions), dtype=np.float64)
         if np.any(table):
             potential_table = table
     lowest = np.sort(np.partition(symbol_table.ravel(), 32)[:33])
+    if lowest[32] == lowest[0] and potential_table is not None:
+        raise ConfigurationError(
+            f"the 33 lowest lattice levels of H0 are equal on box edge {box_edge:.6g}, "
+            f"grid {grid}, so the counting buffer delta would be 0; change the box edge"
+        )
     delta = delta_levels * float(lowest[32] - lowest[0]) / 32.0
     return GridHamiltonian(
         dimension=n,
@@ -215,6 +237,12 @@ def build_hamiltonian(symbol: DispersionSymbol, potential: Potential | None,
         minimum=minimum,
         delta=delta,
     )
+
+
+def _canonical(axis: np.ndarray, n: int) -> np.ndarray:
+    """Grid points of ``axis`` in n dimensions, each as its sorted absolute components."""
+    points = np.stack(np.meshgrid(*([np.abs(axis)] * n), indexing="ij"), axis=-1)
+    return np.sort(points, axis=-1)
 
 
 def _fourier_multiply(table: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -542,7 +570,7 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
     return values, X
 
 
-def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: np.random.Generator,
+def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
            maxiter: int, tolerance: float, done):
     """Block iteration for the k lowest states of one sector.
 
@@ -551,8 +579,10 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: np.random.Generat
     sits a tiny relative gap below a dense quasi-continuum, which stalls
     restarted single-vector iterations, while the exact free-resolvent
     preconditioner (diagonal in the dual lattice) makes block
-    convergence grid-independent. The sector's start block is drawn
-    from ``rng``, so the sectors of one count share one seeded stream.
+    convergence grid-independent. The sector's start block, k + 4
+    columns uniform on [-1, 1), is drawn from ``rng`` (a
+    ``random.Random``, see ``kernels.uniform``), so the sectors of one
+    count share one seeded stream.
 
     Column j is preconditioned by (H0 - sigma_j)^-1 with sigma_j =
     min(theta_j, min H0 - delta), where theta_j is its latest Ritz value
@@ -566,16 +596,17 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: np.random.Generat
     multiplies the preconditioner by 1/lambda and leaves the iterates
     unchanged. Iterations to settle ``count_below`` in each sector (range
     over seeds) on the 2-D mexican hat with a Gaussian well of depth c
-    and width 1, box 40/p0, grid 64, k_max 8, and the whole-grid route
-    on the same problems for comparison:
+    and width 1, box 40/p0, grid 64, k_max 8 (so EO, of multiplicity 2,
+    is solved for 4 states), and the whole-grid route on the same
+    problems for comparison:
 
         ======  ===  ===  ===  =====  ==========
         c, p0   EE   EO   OO   total  whole grid
         ======  ===  ===  ===  =====  ==========
-        1, 1    4    4-5  3    11-12  6-14
-        0.5, 1  4    4    2-3  10-11  8-13
-        1, 0.5  6    3    3    12     7-11
-        1, 2    4    4    3    11     4
+        1, 1    4    5    3    12     7-16
+        0.5, 1  4    4    2-3  10-11  10-14
+        1, 0.5  6    3    3    12     7-10
+        1, 2    3-4  4    3    10-11  4
         ======  ===  ===  ===  =====  ==========
 
     (12 seeds in the first row, 4 in the others; both routes give the
@@ -626,7 +657,7 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: np.random.Generat
     operator = LinearOperator((size, size), matvec=sector.matmat, matmat=sector.matmat,
                               dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
-    start = rng.standard_normal((size, block_size))
+    start = kernels.uniform(rng, (size, block_size))
     # wanted values, Ritz vectors, residual norms, and whether those norms
     # come from a fresh apply
     latest = (np.full(k, np.nan), None, np.full(k, np.inf), True)
@@ -665,15 +696,20 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
                    done) -> list[tuple[_Sector, np.ndarray, np.ndarray, int]]:
     """``_solve`` on each sector in turn, within one budget and one random stream.
 
-    Each sector gets the iterations that the earlier ones left, so the
-    total stays within ``maxiter``. Returns (sector, values, residuals,
-    iterations) per sector.
+    A sector of multiplicity m is solved for its ceil(k / m) lowest
+    states (at most its size): each of its values fills m places of the
+    merged list, so that many fill the k places alone. Every start block
+    is drawn from one ``random.Random(seed)``, and each sector gets the
+    iterations that the earlier ones left, so the total stays within
+    ``maxiter``. Returns (sector, values, residuals, iterations) per
+    sector.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     solved, used = [], 0
     for sector in _sectors(ham):
+        window = min(math.ceil(k / sector.multiplicity), sector.size)
         values, residuals, iterations = _solve(
-            ham, sector, min(k, sector.size), rng, maxiter - used, tolerance, done)
+            ham, sector, window, rng, maxiter - used, tolerance, done)
         used += iterations
         solved.append((sector, values, residuals, iterations))
     return solved
@@ -691,9 +727,10 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
                        maxiter: int = 1500) -> np.ndarray:
     """The k smallest eigenvalues, residuals below 1e-8 of the spectral scale.
 
-    Each sector (see ``_sectors``) is solved for its own k lowest states
-    within one shared budget of ``maxiter`` block iterations; the result
-    merges them, each value repeated by its sector's multiplicity.
+    Each sector (see ``_sectors``) of multiplicity m is solved for its
+    own ceil(k / m) lowest states within one shared budget of ``maxiter``
+    block iterations; the result merges them, each value repeated by its
+    sector's multiplicity, and keeps the k lowest.
     With V identically zero the operator is diagonal in the plane-wave
     basis and the sorted symbol table is returned directly (exact, no
     iteration).
@@ -739,6 +776,12 @@ def _kahan_count(values: np.ndarray, residuals: np.ndarray, energy: float) -> tu
     Ritz value below the energy is proven this way and either the next
     one clears the energy by more than its residual norm,
     theta_{c+1} - ||r_{c+1}|| > energy, or the window holds no next one.
+    A full window is final only as a lower count: more states may lie
+    beyond it. ``count_below`` solves a sector of multiplicity m for
+    ceil(k_max / m) states, so a full sector window adds at least
+    m ceil(k_max / m) >= k_max to the sum, and the count is capped at
+    k_max and flagged; a window cut to the sector's size holds the whole
+    sector and is exact.
     """
     below = int(np.count_nonzero(values < energy))
     proven = int(np.count_nonzero(values + np.sqrt(np.cumsum(residuals**2)) < energy))
@@ -755,10 +798,11 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     minus the finite-box buffer, so quasi-continuum states piled up at
     the edge are not mistaken for bound states.
 
-    Each sector (see ``_sectors``) is solved for its ``k_max`` lowest
-    states, one after another, and its block iteration stops as soon as
-    its count is settled rather than when every Ritz value meets the
-    residual tolerance: the c Ritz values below the energy satisfy
+    Each sector (see ``_sectors``) of multiplicity m is solved for its
+    ceil(k_max / m) lowest states, one after another, with start blocks
+    drawn from one ``random.Random(seed)``, and its block iteration
+    stops as soon as its count is settled rather than when every Ritz
+    value meets the residual tolerance: the c Ritz values below the energy satisfy
     theta_c + ||R_{:,1..c}||_F < energy, which by Kahan's theorem proves
     c eigenvalues of the sector below it, and the next Ritz value clears
     the energy by more than its residual norm. The guard value just

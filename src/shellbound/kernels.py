@@ -24,6 +24,18 @@ import numpy as np
 from .errors import PreconditionError
 
 
+def uniform(stream, shape) -> np.ndarray:
+    """A block of the given shape, uniform on [-1, 1), drawn from a ``random.Random``.
+
+    Each entry takes 4 bytes of ``stream.randbytes``, read as a
+    little-endian unsigned integer u, and is u 2**-31 - 1, so the same
+    stream state gives the same block on every platform.
+    """
+    count = int(np.prod(shape))
+    words = np.frombuffer(stream.randbytes(4 * count), dtype="<u4")
+    return (words * 2.0**-31 - 1.0).reshape(shape)
+
+
 def _as_cloud(p) -> np.ndarray:
     arr = np.ascontiguousarray(p, dtype=np.float64)
     if arr.ndim != 2:

@@ -16,6 +16,7 @@ documented band).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -352,8 +353,7 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
 
     # sign flag: exact table scan plus interpolated sampling, since the
     # cubic surrogate can overshoot between samples
-    rng = np.random.default_rng(0)
-    probes = rng.uniform(-edge / 2, edge / 2, size=(100_000, dimension))
+    probes = kernels.uniform(random.Random(0), (100_000, dimension)) * (edge / 2)
     probe_vals = real_interp(probes)
     vmax = max(values.max(), probe_vals.max())
     vmin = min(values.min(), probe_vals.min())

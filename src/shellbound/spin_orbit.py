@@ -37,10 +37,12 @@ formed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, GaugeSingularityError, PreconditionError
 from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
@@ -206,7 +208,7 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     on the sector route (see ``surface_operator.ring_layout``) as the
     blocks C[p] of its (M, rings) column, ``A[(r, p), (r', p')] =
     C[p - p' mod n]``; otherwise as one (M, M) block, one azimuth per
-    ring. Each of 20 seeded regaugings takes
+    ring. Each of 20 regaugings, drawn from ``random.Random(seed)``, takes
     ``d(r, p) = exp(i theta_r) exp(2 pi i s p / n)``, a random phase per
     ring and a random winding s (none when n = 1, where every node is
     its own ring and d is a random phase per node). These keep the frame
@@ -239,11 +241,11 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
     frame = band_frame(symbol, mesh.nodes)
     base = _ring_blocks(mesh, column, frame)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(20):
-        ring_phases = np.exp(2j * np.pi * rng.random(mesh.size // n))
-        winding = rng.integers(n) if n > 1 else 0
+        ring_phases = np.exp(1j * np.pi * kernels.uniform(rng, mesh.size // n))
+        winding = rng.randrange(n) if n > 1 else 0
         # phase arguments reduced mod n, so the winding's table keeps its symmetry
         d = ring_phases[:, None] * np.exp(2j * np.pi * ((winding * np.arange(n)) % n) / n)
         regauged = _covariant_blocks(mesh, column, frame * d.reshape(-1, 1))

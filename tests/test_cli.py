@@ -546,3 +546,36 @@ def test_cli_and_oracle_count_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[] [] 7"
+
+
+def test_oracle_count_and_spin_check_leave_lazy_numpy_modules_unloaded():
+    # numpy loads numpy.random and numpy.fft on first use only; the seeded
+    # draws come from the stdlib's random, and the oracle's parity sectors
+    # transform by matrices, so an oracle count on the oracle-stall problem
+    # loads neither, and a spin check does not load numpy.random
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "\n".join([
+        "import sys, warnings, shellbound.cli",
+        "def lazy():",
+        "    return sorted(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules)",
+        "after_import = lazy()",
+        "from shellbound import direct_oracle, potentials, spin_orbit, surface, symbols",
+        "with warnings.catch_warnings():",
+        "    warnings.simplefilter('ignore')",
+        "    ham = direct_oracle.build_hamiltonian(",
+        "        symbols.mexican_hat(dimension=2, p0=1.0),",
+        "        potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 64)",
+        "count = direct_oracle.count_below(ham, k_max=8).count",
+        "after_count = lazy()",
+        "well_2d = potentials.gaussian_well(1.0, 1.0, dimension=2)",
+        "rashba = spin_orbit.rashba(1.0)",
+        "circle = surface.build_mesh(0.5, 2, 256)",
+        "spin_orbit.assemble_spin_kernel(rashba, circle, well_2d)",
+        "spin_orbit.gauge_deviation(rashba, circle, well_2d)",
+        "print(after_import, after_count, 'numpy.random' in sys.modules, count)",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[] [] False 7"

@@ -1,13 +1,15 @@
 """Grid-oracle tests: tables, FFT application, eigensolves, counting."""
 
 import dataclasses
+import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from shellbound import direct_oracle as do
-from shellbound import potentials, rayleigh_ritz, surface, symbols
+from shellbound import kernels, potentials, rayleigh_ritz, surface, symbols
 from shellbound.errors import (
     ConfigurationError, ConsistencyError, ConvergenceError, PreconditionError,
 )
@@ -69,6 +71,19 @@ def test_build_validation():
         quiet_build(SYMBOL, pot, 20.0, 64, delta_levels=0.0)
     with pytest.raises(PreconditionError, match="dimensions"):
         do.build_hamiltonian(SYMBOL, potentials.gaussian_well(1.0, 1.0, dimension=3), 51.2, 96)
+
+
+def test_degenerate_lowest_level_is_rejected():
+    # the 3-D mexican hat at box 24, grid 48 has 48 dual-lattice points at
+    # its lowest value, which would leave a counting buffer of 0 and a
+    # preconditioner that divides by zero; a free problem takes no solve
+    # and keeps its buffer of 0
+    symbol = symbols.mexican_hat(dimension=3, p0=1.0)
+    well = potentials.gaussian_well(1.0, 1.0, dimension=3)
+    with pytest.raises(ConfigurationError, match=r"box edge 24, grid 48"):
+        quiet_build(symbol, well, 24.0, 48)
+    assert quiet_build(symbol, None, 24.0, 48).delta == 0.0
+    assert quiet_build(symbol, well, 25.0, 48).delta > 0.0
 
 
 def test_coarse_lattice_warns():
@@ -371,12 +386,70 @@ def test_budget_exhaustion_flags_lower_bound(stall_ham):
 
 def test_full_window_is_flagged(stall_ham):
     # 7 states lie below the energy, so a window of 5 cannot see the rest;
-    # a window of 7 is full too, though no sector's own window is
-    for k_max in (5, 7):
+    # a window of 7 is full too, though no sector's own window is. At
+    # k_max 3 the merged EO sector's own window of ceil(3 / 2) = 2 is
+    # full: its 2 states fill 4 places, so the count is capped and flagged
+    for k_max in (3, 5, 7):
         res = do.count_below(stall_ham, k_max=k_max)
         assert res.count == k_max
         assert res.is_lower_bound and not res.budget_exhausted
         assert np.all(res.eigenvalues < res.energy)
+        merged = res.sectors[1]
+        assert merged.multiplicity == 2 and merged.eigenvalues.size == math.ceil(k_max / 2)
+        full = merged.count == merged.eigenvalues.size
+        assert merged.settled and full == (k_max == 3)
+
+
+def _windows(monkeypatch, whole=None):
+    """Record (multiplicity, window) of each sector solve; ``whole`` overrides every window."""
+    windows, solve = [], do._solve
+
+    def spy(ham, sector, k, *args):
+        k = k if whole is None else min(whole, sector.size)
+        windows.append((sector.multiplicity, k))
+        return solve(ham, sector, k, *args)
+
+    monkeypatch.setattr(do, "_solve", spy)
+    return windows
+
+
+def test_merged_sectors_are_solved_for_their_share_of_the_window(stall_ham, monkeypatch):
+    # a sector of multiplicity m fills m places of the merged list per
+    # value, so ceil(k / m) values fill the window; solving each sector
+    # for the whole window gives the same counts and flags at every seed
+    windows = _windows(monkeypatch)
+    counts = [do.count_below(stall_ham, k_max=8, seed=seed) for seed in range(12)]
+    assert windows[:3] == [(1, 8), (2, 4), (1, 8)]
+    windows.clear()
+    do.lowest_eigenvalues(stall_ham, 5)
+    assert windows == [(1, 5), (2, 3), (1, 5)]
+    windows = _windows(monkeypatch, whole=8)
+    for seed, res in enumerate(counts):
+        full = do.count_below(stall_ham, k_max=8, seed=seed)
+        assert (res.count, res.is_lower_bound) == (full.count, full.is_lower_bound) == (7, False)
+        assert [s.count for s in res.sectors] == [s.count for s in full.sectors] == [2, 2, 1]
+    assert windows[:3] == [(1, 8), (2, 8), (1, 8)]
+
+
+def test_start_blocks_come_from_one_seeded_stream(stall_ham, monkeypatch):
+    starts, solver = [], do.lobpcg
+
+    def spy(A, X, **kwargs):
+        starts.append(X.copy())
+        return solver(A, X, **kwargs)
+
+    monkeypatch.setattr(do, "lobpcg", spy)
+    runs = []
+    for seed in (0, 0, 1):
+        starts.clear()
+        do.count_below(stall_ham, k_max=8, seed=seed)
+        runs.append(list(starts))
+    assert len(runs[0]) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0], runs[1]))
+    assert not any(np.array_equal(a, b) for a, b in zip(runs[0], runs[2]))
+    # the sectors draw their blocks one after another from one stream
+    stream = random.Random(0)
+    assert all(np.array_equal(start, kernels.uniform(stream, start.shape)) for start in runs[0])
 
 
 def test_count_matches_dense_across_seeds(dimple_ham, monkeypatch):
@@ -406,6 +479,33 @@ def test_sector_count_matches_the_whole_grid_in_3d(monkeypatch):
     assert res.count == whole.count == 9
     assert not res.is_lower_bound and not whole.is_lower_bound
     np.testing.assert_allclose(lowest, do.lowest_eigenvalues(ham, 9), rtol=0.0, atol=1e-9)
+
+
+def test_3d_radial_tables_are_exactly_swap_symmetric(monkeypatch):
+    # H0 and a radial V are evaluated on sorted absolute components, so
+    # every axis permutation leaves both tables unchanged and the 8 parity
+    # sectors merge into 4; tables evaluated in axis order miss the swaps
+    # with z in the last bits and split into 6, with the same count
+    symbol = symbols.mexican_hat(dimension=3, p0=1.0)
+    well = potentials.gaussian_well(1.0, 1.0, dimension=3)
+    ham = quiet_build(symbol, well, 14.0, 20)
+    assert [(s.parities, s.multiplicity) for s in do._sectors(ham)] == [
+        ((1, 1, 1), 1), ((1, 1, -1), 3), ((1, -1, -1), 3), ((-1, -1, -1), 1)]
+    axis_k = 2.0 * np.pi * np.fft.fftfreq(20, d=14.0 / 20)
+    axis_x = (np.arange(20) - 10) * (14.0 / 20)
+    in_axis_order = dataclasses.replace(
+        ham,
+        symbol_table=symbol.evaluate(np.stack(np.meshgrid(*[axis_k] * 3, indexing="ij"), -1)),
+        potential_table=well.evaluate(np.stack(np.meshgrid(*[axis_x] * 3, indexing="ij"), -1)),
+    )
+    np.testing.assert_allclose(in_axis_order.symbol_table, ham.symbol_table, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(in_axis_order.potential_table, ham.potential_table, rtol=0,
+                               atol=1e-16)
+    assert len(do._sectors(in_axis_order)) == 6
+    res, unsorted = do.count_below(ham, k_max=16), do.count_below(in_axis_order, k_max=16)
+    assert res.count == unsorted.count == 9
+    assert not res.is_lower_bound and not unsorted.is_lower_bound
+    assert res.iterations < unsorted.iterations
 
 
 @pytest.mark.parametrize("grid", [16, 64, 384])
@@ -543,7 +643,7 @@ def test_solve_returns_fresh_residuals(route_hams, monkeypatch, maxiter):
         tolerance = do._residual_tolerance(ham)
         energy = ham.minimum - ham.delta
         values, residuals, used = do._solve(
-            ham, sector, 8, np.random.default_rng(0), maxiter, tolerance,
+            ham, sector, 8, random.Random(0), maxiter, tolerance,
             lambda values, residuals: do._kahan_count(values, residuals, energy)[1])
         assert used == len(steps) <= maxiter
         last_values, vectors = steps[-1]

@@ -1,5 +1,7 @@
 """Pairwise kernel primitives against direct formulas."""
 
+import random
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -122,3 +124,21 @@ def test_near_coincident_points_clip_to_zero():
     assert new.min() == 0.0
     assert np.array_equal(kernels.gaussian_mix(p, q, np.array([-1.0]), np.array([0.5])),
                           _old_gaussian_mix(p, q, np.array([-1.0]), np.array([0.5])))
+
+
+def test_uniform_block_is_seeded_and_in_range():
+    block = kernels.uniform(random.Random(7), (500, 4))
+    assert block.shape == (500, 4) and block.dtype == np.float64
+    assert block.min() >= -1.0 and block.max() < 1.0
+    # about uniform: the mean is near 0 and each quarter of [-1, 1) is hit
+    assert abs(block.mean()) < 0.05
+    assert np.all(np.histogram(block, bins=4, range=(-1.0, 1.0))[0] > 400)
+    assert np.array_equal(block, kernels.uniform(random.Random(7), (500, 4)))
+    # each entry is one little-endian 32-bit word of the stream
+    words = random.Random(7).randbytes(8)
+    assert kernels.uniform(random.Random(7), 2).tolist() == [
+        int.from_bytes(words[i : i + 4], "little") * 2.0**-31 - 1.0 for i in (0, 4)]
+    # draws go on along the stream
+    stream = random.Random(7)
+    first, second = kernels.uniform(stream, 3), kernels.uniform(stream, 3)
+    assert np.array_equal(np.concatenate([first, second]), kernels.uniform(random.Random(7), 6))

@@ -1,12 +1,13 @@
 """Band-projected spin-orbit operators: frames, spectra, certification."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 from scipy.special import iv
 
-from shellbound import potentials, rayleigh_ritz, spin_orbit, surface, surface_operator
+from shellbound import kernels, potentials, rayleigh_ritz, spin_orbit, surface, surface_operator
 from shellbound.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -153,10 +154,10 @@ def _regaugings(mesh, trials, seed):
     rings = mesh.rings or mesh.size
     n = mesh.size // rings
     p = np.arange(n)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(trials):
-        ring_phases = np.exp(2j * np.pi * rng.random(rings))
-        winding = rng.integers(n) if n > 1 else 0
+        ring_phases = np.exp(1j * np.pi * kernels.uniform(rng, rings))
+        winding = rng.randrange(n) if n > 1 else 0
         yield (ring_phases[:, None] * np.exp(2j * np.pi * ((winding * p) % n) / n)).ravel()
 
 
