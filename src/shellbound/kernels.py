@@ -2,13 +2,14 @@
 
 The primitives build ``K[i, j] = k(|P_i - Q_j|)`` between two point
 clouds. Radial potentials on meshes with a ring layout only need slices
-against a few points: the shell operator and the spin gauge check take
-an (M, rings) column block against the azimuth-0 nodes (see
-:mod:`shellbound.surface_operator`), and the angular channels of
-:func:`shellbound.rayleigh_ritz.certify` one (T, T n) slice per eps,
-the T tube radii against n points on each of T circles (2-D) or
-meridians (3-D). Tabulated potentials and meshes without a layout still
-assemble square matrices, quadratic in the cloud size.
+against a few points: the angular channels of
+:mod:`shellbound.surface_operator` take one row, the shell radius
+against n points of the circle (2-D) or 2 n of a meridian (3-D), for the
+shell operator and the spin gauge check, and
+:func:`shellbound.rayleigh_ritz.certify` one such slice per eps, the T
+tube radii against T circles or meridians. Tabulated potentials and
+meshes without a layout still assemble square matrices, quadratic in
+the cloud size.
 
 Both primitives evaluate with in-place ufuncs in the operation order of
 the plain expressions ``pp + qq - 2 p.q`` and ``sum_m a_m exp(-r_m d2)``,

@@ -43,13 +43,13 @@ class Potential:
     is_radial : bool
         True when vhat depends on k only through |k|; vhat is then real
         for a real V. On meshes with a ring layout
-        (``SurfaceMesh.rings``) it enables the sector assembly of the
-        shell operator, which rejects a kernel column that is complex or
-        changed by the azimuth mirror, and the angular-channel route of
+        (``SurfaceMesh.rings``) it enables the angular-channel route of
+        ``surface_operator.assemble``, the spin gauge check and
         ``rayleigh_ritz.certify``, which rejects a complex kernel or one
         whose channel kernels are not Hermitian. In 3-D that route reads
-        the kernel between poles and a meridian only, so it trusts this
-        flag for every other pair of directions.
+        the kernel between poles and a meridian, and one pair off the
+        meridian against its y mirror image, so it trusts this flag for
+        every other pair of directions.
     band : float or None
         Largest per-axis |k| at which vhat is trusted; None means all of
         momentum space (analytic kinds).

@@ -26,15 +26,18 @@ by :func:`shellbound.surface_operator.ring_layout`) and no ``states``,
 radial V commute with rotations, so the shell operator and every tube
 form split into channels: the Fourier modes m in 2-D and, by the
 Funk-Hecke theorem, the spherical harmonics of degree l in 3-D, each
-2 l + 1 times. :func:`_channel_kernel` forms the tube kernel of every
-channel, a T x T matrix over the T tube radii, from one kernel slice
-of T x (T n) entries (n the mesh's azimuth count) and an FFT over the
-azimuth (2-D) or a Legendre projection on n Gauss-Legendre nodes (3-D),
-in numpy alone. The shell eigenvalues are that kernel at the shell
-radius, and h(eps) is diagonal, one entry per state's channel: no shell
-operator is assembled and no eigenfunction matrix formed. A real radial
-V has a real kernel, Hermitian in the radii; a kernel that is not
-raises ``ConsistencyError``. Everything else, ``states``, non-radial
+2 l + 1 times. ``surface_operator._channel_kernel`` forms the tube
+kernel of every channel, a T x T matrix over the T tube radii, from one
+kernel slice of T x (T n) entries (n the mesh's azimuth count) and an
+FFT over the azimuth (2-D), or of T x (2 T n) entries and a Legendre
+projection on 2 n Gauss-Legendre nodes (3-D), in numpy alone. The shell
+eigenvalues are that kernel at the shell radius, the same list that
+``surface_operator.assemble`` returns on this route, and h(eps) is
+diagonal, one entry per state's channel: no shell operator is
+assembled and no eigenfunction matrix formed. A real radial V has a
+real kernel, Hermitian in the radii and, in 3-D, unchanged by the
+mirror probe off the meridian; a kernel that is not raises
+``ConsistencyError``. Everything else, ``states``, non-radial
 potentials and meshes without a layout, takes the dense route: the
 assembled (or supplied) surface states and one kernel matrix over the
 whole tube cloud, (M * T)^2 entries for a mesh of M nodes.
@@ -57,7 +60,7 @@ from .errors import ConsistencyError, PreconditionError
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
 from .surface_operator import (
-    _band_matrix, _count_below, _require_hermitian, assemble, ring_layout,
+    _band_matrix, _channel_kernel, _count_below, _shell_channels, assemble, ring_layout,
 )
 
 __all__ = [
@@ -203,72 +206,6 @@ def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tu
     return columns.conj().T @ kernel @ columns
 
 
-def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
-    """The radial tube kernel by angular channel: kappa[c, a, b] and each channel's multiplicity.
-
-    For a radial V the kernel between the shells of radius r_a and r_b
-    depends on the angle between its points alone, so turns of the
-    momentum space split it into channels; kappa[c] is the kernel's
-    eigenvalue in channel c, a T x T matrix over the T = len(radii)
-    radii, with the shell measure of ``mesh`` (radius R). One
-    ``kernel_matrix`` call of shape (T, T n) serves every channel, where
-    n = M / rings is the mesh's azimuth count; the shell's eigenvalues
-    are ``kappa[:, 0, 0]`` at ``radii = [R]``.
-
-    - 2-D: the rows are the points (r_a, 0), the columns the n turned
-      points r_b (cos theta_p, sin theta_p), theta_p = 2 pi p / n. A band
-      ``frame`` multiplies the kernel by the overlap
-      ``<u(row), u(column)>``. The FFT over p, times 2 pi R / n, gives
-      the channels m = 0..n-1, each once.
-    - 3-D (Funk-Hecke): the rows are the poles (0, 0, r_a), the columns
-      a meridian of radius r_b at the n Gauss-Legendre nodes
-      t_q = cos(gamma_q). The projection
-      ``2 pi R^2 sum_q w_q kernel(t_q) P_l(t_q)`` gives the channels
-      l = 0..n-1, each with multiplicity 2 l + 1. The rule reads only
-      the mesh's dimension, radius and n.
-
-    Raises
-    ------
-    ConsistencyError
-        If the kernel is complex, or kappa misses Hermitian symmetry in
-        (a, b) by more than 1e-12 max(1, max |kappa|): at the shell
-        radius in 2-D that is the mirror symmetry of the kernel row.
-        The kernel of a real radial V is real and has both.
-    """
-    radii = np.asarray(radii, dtype=np.float64)
-    count = radii.size
-    n = mesh.size // mesh.rings
-    rows = np.zeros((count, mesh.dimension))
-    if mesh.dimension == 2:
-        angles = 2.0 * np.pi * np.arange(n) / n
-        rows[:, 0] = radii
-        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        cosines, weights = np.polynomial.legendre.leggauss(n)
-        rows[:, 2] = radii
-        directions = np.stack([np.sqrt(1.0 - cosines**2), np.zeros(n), cosines], axis=1)
-    points = (radii[:, None, None] * directions).reshape(-1, mesh.dimension)
-    kernel = np.asarray(potential.kernel_matrix(rows, points))
-    if np.iscomplexobj(kernel):
-        raise ConsistencyError(
-            f"radial tube kernel is {kernel.dtype}, not real; "
-            "the kernel of a real radial V is real"
-        )
-    if frame is not None:
-        kernel = _band_matrix(kernel, np.asarray(frame(rows)), np.asarray(frame(points)))
-    kernel = kernel.reshape(count, count, n)
-    if mesh.dimension == 2:
-        kappa = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / n)
-        multiplicity = np.ones(n, dtype=int)
-    else:
-        legendre = np.polynomial.legendre.legvander(cosines, n - 1)
-        kappa = kernel @ ((2.0 * np.pi * mesh.radius**2 * weights)[:, None] * legendre)
-        multiplicity = 2 * np.arange(n) + 1
-    kappa = np.moveaxis(kappa, 2, 0)
-    _require_hermitian(kappa, kappa.conj().swapaxes(1, 2), "radial channel kernel")
-    return kappa, multiplicity
-
-
 def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: TransverseProfile,
                   tube):
     """The diagonal of h(eps) in every angular channel of :func:`_channel_kernel`.
@@ -341,11 +278,8 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
         raise PreconditionError("mesh and potential dimensions differ")
     channels = states is None and ring_layout(mesh, potential)
     if channels:
-        shell, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], symbol.frame)
-        expanded = np.repeat(shell[:, 0, 0].real, multiplicity)
-        order = np.argsort(expanded, kind="stable")
-        values = expanded[order]
-        channel = np.repeat(np.arange(multiplicity.size), multiplicity)[order][:n_states]
+        values, channel = _shell_channels(mesh, potential, symbol.frame)
+        channel = channel[:n_states]
     elif states is None:
         operator = assemble(mesh, potential, symbol.frame)
         values = operator.eigenvalues

@@ -14,25 +14,26 @@ is the lower band and :meth:`MatrixSymbol.frame` the frame of
 :func:`band_frame`, where a scalar symbol has ``frame = None``. So the
 scalar code serves the band-projected problem unchanged:
 :func:`assemble_spin_kernel` is
-:func:`shellbound.surface_operator.assemble` with ``symbol.frame``,
-whose sector route the gauge of :func:`band_frame` admits (the overlap
-depends only on the angle between s and s'), and :func:`certify_spin`
-is :func:`shellbound.rayleigh_ritz.certify` on the matrix symbol after
-the checks that the problem sits on the band-minimum circle in 2-D; on
-a radial potential it takes the angular-channel route, where the
-overlap multiplies the kernel row before the FFT over the angle.
-The overlap itself is formed in one place,
-``surface_operator._band_matrix``, and the weighted Hermitian blocks of
-the operator in another, ``surface_operator._ring_blocks``, which
-:func:`assemble_spin_kernel` and :func:`gauge_deviation` share.
-Regauging by a diagonal unitary D maps the matrix A to ``D^H A D``
-exactly, so ``gauge_deviation`` bounds the numerical deviation by Weyl's
-inequality, ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``,
-with no eigensolve; the bound holds up to the rounding of each entry of
+:func:`shellbound.surface_operator.assemble` with ``symbol.frame``, and
+:func:`certify_spin` is :func:`shellbound.rayleigh_ritz.certify` on the
+matrix symbol, each after the checks that the problem sits on the
+band-minimum circle in 2-D. On a radial potential both take the
+angular-channel route, which the gauge of :func:`band_frame` admits
+(the overlap depends only on the angle between s and s'): the overlap
+multiplies the kernel row before the FFT over the angle. The overlap
+itself is formed in one place, ``surface_operator._band_matrix``, the
+channels of a row in another, ``surface_operator._channels``, and the
+weighted Hermitian matrix of the dense route in a third,
+``surface_operator._dense_operator``; :func:`assemble_spin_kernel` and
+:func:`gauge_deviation` share them. Regauging by a diagonal unitary D
+maps the matrix A to ``D^H A D`` exactly, so ``gauge_deviation`` bounds
+the numerical deviation by Weyl's inequality,
+``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_F``, with
+no eigensolve; the bound holds up to the rounding of each entry of
 ``D^H A D``, a few units in the last place. On a ring layout it
-regauges with phases that keep the operator block-circulant and
-compares the (M, rings) column blocks alone, so no M x M matrix is
-formed.
+regauges with a phase and a winding, which shift the channels of the
+kernel row, and computes the norm over the channels by Parseval, so no
+M x M matrix is formed.
 """
 
 from __future__ import annotations
@@ -48,14 +49,13 @@ from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
 from .surface_operator import (
-    SurfaceOperatorMatrix, _covariant_blocks, _ring_blocks, assemble, ring_layout,
+    SurfaceOperatorMatrix, _channel_points, _channels, _dense_operator, assemble, ring_layout,
 )
 
 __all__ = [
     "MatrixSymbol",
     "rashba",
     "dresselhaus",
-    "band_decompose",
     "band_frame",
     "assemble_spin_kernel",
     "gauge_deviation",
@@ -146,24 +146,6 @@ def band_frame(symbol: MatrixSymbol, points) -> np.ndarray:
     return frame
 
 
-def band_decompose(symbol: MatrixSymbol, p):
-    """Closed-form band decomposition at one point.
-
-    Returns
-    -------
-    (lambda_1, lambda_2, u) : (float, float, ndarray shape (2,))
-        Band energies ``|p|^2 -/+ |a(p)|`` and the gauge-fixed lower-band
-        unit eigenvector.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (2,):
-        raise PreconditionError("band_decompose expects a single 2-D momentum")
-    p2 = float(p @ p)
-    gap = float(np.abs(symbol.offdiagonal(p)))
-    u = band_frame(symbol, p[None, :])[0]
-    return p2 - gap, p2 + gap, u
-
-
 def _check_problem(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potential) -> None:
     if mesh.dimension != 2 or potential.dimension != 2:
         raise PreconditionError("spin-orbit operators live on 2-D momentum space")
@@ -183,7 +165,8 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
     for nonpositive V the spectrum is nonpositive (the overlap Gram
     factor preserves the sign of the quadratic form). This is
     :func:`shellbound.surface_operator.assemble` with the band frame,
-    whose sector route needs only the (M, rings) column block.
+    whose channel route needs only the (1, M) kernel row and lists no
+    eigenfunctions.
 
     Raises
     ------
@@ -191,8 +174,9 @@ def assemble_spin_kernel(symbol: MatrixSymbol, mesh: SurfaceMesh,
         If the problem is not on the band-minimum circle in 2-D.
     ConsistencyError
         If the matrix is not Hermitian within 1e-12 relative tolerance,
-        or, on the sector route, if the frame overlap is not a function
-        of the azimuth difference.
+        or, on the channel route, if a channel value is not real, as when
+        the frame overlap depends on more than the angle between the
+        points.
     """
     _check_problem(symbol, mesh, potential)
     return assemble(mesh, potential, symbol.frame)
@@ -204,28 +188,31 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
 
     Regauging the band frame by a diagonal unitary D (``u_i -> d_i u_i``)
     must turn the assembled operator A into exactly ``D^H A D``, which
-    has the spectrum of A. The check reads A as :func:`assemble` does:
-    on the sector route (see ``surface_operator.ring_layout``) as the
-    blocks C[p] of its (M, rings) column, ``A[(r, p), (r', p')] =
-    C[p - p' mod n]``; otherwise as one (M, M) block, one azimuth per
-    ring. Each of 20 regaugings, drawn from ``random.Random(seed)``, takes
-    ``d(r, p) = exp(i theta_r) exp(2 pi i s p / n)``, a random phase per
-    ring and a random winding s (none when n = 1, where every node is
-    its own ring and d is a random phase per node). These keep the frame
-    turn-covariant, so only the base frame is tested for that, and both
-    operators block-circulant, so
-    ``||A_theta - D^H A D||_F = sqrt(n) ||C_theta - D^H C D||_F`` with
-    ``(D^H C D)[p][r, r'] = conj(d(r, p)) d(r', 0) C[p][r, r']``, and
-    each regauged C_theta must pass the Hermitian test of the assembly.
-    By Weyl's inequality every eigenvalue of the operator that
-    :func:`assemble` diagonalizes moves by at most that norm:
-    ``|lambda_j(A_theta) - lambda_j(A)| <= ||A_theta - D^H A D||_2
-    <= ||A_theta - D^H A D||_F``, up to the rounding of each entry of
-    ``D^H A D`` (a few units in the last place). The largest norm over
-    the trials is returned: a bound on how far any eigenvalue of a
-    regauged operator can move, not a sample of it. One
-    ``kernel_matrix`` call of shape (M, rings) serves every trial, and
-    no eigensolve is made.
+    has the spectrum of A. By Weyl's inequality every eigenvalue of the
+    operator moves by at most ``||A_theta - D^H A D||_F``, up to the
+    rounding of each entry of ``D^H A D`` (a few units in the last
+    place). The largest norm over 20 regaugings drawn from
+    ``random.Random(seed)`` is returned: a bound on how far any
+    eigenvalue of a regauged operator can move, not a sample of it. One
+    ``kernel_matrix`` call serves every trial, and no eigensolve is made.
+    The check reads A as :func:`assemble` does (see
+    ``surface_operator.ring_layout``):
+
+    - Channel route: the (1, n) kernel row of
+      ``surface_operator._channel_points`` at the shell radius. Each
+      regauging takes ``d(p) = exp(i phi) exp(2 pi i s p / n)``, a random
+      phase and a random winding s, on the row point (p = 0) and the n
+      column points alike, through ``surface_operator._band_matrix``;
+      the FFT of the regauged row gives channels kappa_theta that must
+      pass the Hermitian test of the assembly (be real). A has the
+      circulant form of the row, so D^H A D has the channels of kappa
+      shifted by s, ``roll(kappa, s)``, and by Parseval
+      ``||A_theta - D^H A D||_F = ||kappa_theta - roll(kappa, s)||_2``.
+      The phase on the row makes a product without the conjugate
+      complex, so the Hermitian test catches it.
+    - Dense route: the (M, M) kernel, a random phase per node, and each
+      regauged A_theta from ``surface_operator._dense_operator``, with
+      its Hermitian test.
 
     Raises
     ------
@@ -233,24 +220,35 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
         If the problem is not on the band-minimum circle in 2-D.
     ConsistencyError
         If a regauged operator is not Hermitian within 1e-12 relative
-        tolerance, or, on the sector route, the frame is not
-        turn-covariant.
+        tolerance (on the channel route: a channel value is not real).
     """
     _check_problem(symbol, mesh, potential)
-    n = mesh.size // mesh.rings if ring_layout(mesh, potential) else 1
-    column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
-    frame = band_frame(symbol, mesh.nodes)
-    base = _ring_blocks(mesh, column, frame)
     rng = random.Random(seed)
     worst = 0.0
+    if not ring_layout(mesh, potential):
+        kernel = np.asarray(potential.kernel_matrix(mesh.nodes))
+        frame = band_frame(symbol, mesh.nodes)
+        base = _dense_operator(mesh, kernel, frame)
+        for _ in range(20):
+            d = np.exp(1j * np.pi * kernels.uniform(rng, mesh.size))
+            regauged = _dense_operator(mesh, kernel, frame * d[:, None])
+            worst = max(worst, float(np.linalg.norm(d.conj()[:, None] * base * d - regauged)))
+        return worst
+    rows, points, _ = _channel_points(mesh, [mesh.radius])
+    row = np.asarray(potential.kernel_matrix(rows, points))
+    frame = band_frame(symbol, points)
+    n = points.shape[0]
+
+    def channels(d):
+        return _channels(mesh, row, frames=(frame[:1] * d[0], frame * d[:, None]))[:, 0, 0].real
+
+    base = channels(np.ones(n))
     for _ in range(20):
-        ring_phases = np.exp(1j * np.pi * kernels.uniform(rng, mesh.size // n))
-        winding = rng.randrange(n) if n > 1 else 0
+        phase = np.exp(1j * np.pi * kernels.uniform(rng, 1))
+        winding = rng.randrange(n)
         # phase arguments reduced mod n, so the winding's table keeps its symmetry
-        d = ring_phases[:, None] * np.exp(2j * np.pi * ((winding * np.arange(n)) % n) / n)
-        regauged = _covariant_blocks(mesh, column, frame * d.reshape(-1, 1))
-        difference = d.conj().T[:, :, None] * d[:, 0] * base - regauged
-        worst = max(worst, float(np.sqrt(n) * np.linalg.norm(difference)))
+        d = phase * np.exp(2j * np.pi * ((winding * np.arange(n)) % n) / n)
+        worst = max(worst, float(np.linalg.norm(channels(d) - np.roll(base, winding))))
     return worst
 
 

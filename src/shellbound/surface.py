@@ -39,15 +39,15 @@ class SurfaceMesh:
         y = 0, x >= 0 in 3-D), and node ``p`` of a ring is node 0 of
         that ring turned by ``2 pi p / n`` about the origin (2-D) or the
         z axis (3-D), with the same weight. Node ``(r, -p)`` is then the
-        mirror image of node ``(r, p)`` in y. Radial kernels on such a
-        mesh are block-circulant in the azimuth index, which
-        :func:`shellbound.surface_operator.assemble` (for scalar and
-        band-projected kernels alike) uses to work one azimuthal
-        frequency at a time. :func:`shellbound.rayleigh_ritz.certify`
-        reads from the layout only the azimuth count ``n``: it works in
-        the angular channels of the continuum shell, the n Fourier modes
-        of the circle and, on the sphere, the spherical harmonics of
-        degree below n from an n-node Gauss-Legendre rule. ``build_mesh``
+        mirror image of node ``(r, p)`` in y. With a radial potential
+        the layout selects the angular-channel route of
+        :func:`shellbound.surface_operator.assemble`, the spin gauge check
+        and :func:`shellbound.rayleigh_ritz.certify` (for scalar and
+        band-projected kernels alike), which reads from the layout only
+        the azimuth count ``n``: it works in the angular channels of the
+        continuum shell, the n Fourier modes of the circle and, on the
+        sphere, the spherical harmonics of degree below n from a
+        2 n-node Gauss-Legendre rule. ``build_mesh``
         records 1 ring of M nodes for the circle and ``resolution`` rings
         of ``2 * resolution`` nodes for the sphere. The layout is checked
         on construction in O(M) (nodes to 1e-12 R, weights to 1e-12

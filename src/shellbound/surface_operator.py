@@ -1,40 +1,43 @@
 """Discretized shell convolution operator and its spectrum.
 
 The continuum object is the integral operator on L^2(S, omega) with
-kernel ``vhat(s - s')``. On a quadrature mesh it is represented by the
-weight-symmetrized Hermitian matrix
+kernel ``vhat(s - s')``. Negative eigenvalues of this operator are what
+the variational pipeline converts into certified bound states of the
+full Hamiltonian, and the spectrum is all that :func:`assemble`
+returns: the operator itself is never kept.
+
+For a radial potential on a mesh with a ring layout
+(``SurfaceMesh.rings``; :func:`ring_layout` decides this route for
+:func:`assemble`, the spin gauge check and
+:func:`shellbound.rayleigh_ritz.certify` alike) the operator commutes
+with rotations, so it splits into angular channels: the Fourier modes
+m of the circle and, by the Funk-Hecke theorem, the spherical
+harmonics of degree l on the sphere, each 2 l + 1 times.
+:func:`_channel_kernel` gives every channel's value from one kernel
+slice (see :func:`_channel_points`), :func:`assemble` lists them, each
+repeated by its multiplicity, and ``certify`` reads the same values for
+its count check and the same slice at its tube radii for its trial
+forms. No square kernel is formed and no eigensolve made. A real radial
+V has a real kernel with real channel values, unchanged in 3-D by the
+mirror y -> -y of a point off the meridian that the slice reads; a
+kernel that is not raises ``ConsistencyError`` rather than taking
+another route.
+
+Tabulated potentials and meshes without a layout take the dense route:
+the weight-symmetrized Hermitian matrix
 
     A_ij = sqrt(w_i) * vhat(s_i - s_j) * sqrt(w_j),
 
 whose eigenvalues approximate the operator's and whose eigenvectors,
-divided by sqrt(w), sample its eigenfunctions. Negative eigenvalues of
-this operator are what the variational pipeline converts into certified
-bound states of the full Hamiltonian, and the eigenpairs are all that
-:func:`assemble` returns: the certificate never reads A itself, and
-:func:`_weighted_kernel` rebuilds it densely as an independent reference.
-
-For a radial potential on a mesh with a ring layout
-(``SurfaceMesh.rings``) the operator commutes with the azimuthal turns
-of the mesh, so :func:`ring_operator` diagonalizes it one azimuthal
-frequency at a time from its (M, rings) column block against the
-azimuth-0 nodes: one batched rings x rings ``eigh`` in place of the
-dense M x M one, and no square kernel matrix. :func:`ring_layout`
-decides this route, for :func:`assemble`, the spin gauge check and the
-angular-channel route of :func:`shellbound.rayleigh_ritz.certify`
-alike. The kernel must be real and unchanged by the azimuth mirror
-p -> -p, as the kernel of a real radial V is; :func:`_require_mirror`
-checks the column, and one that is not raises ``ConsistencyError``
-rather than taking another route. Tabulated potentials and meshes
-without a layout keep the dense assembly, which is the same computation
-with one azimuth per ring: its column is the whole M x M kernel. Both
-routes, and the spin gauge check of
-:func:`shellbound.spin_orbit.gauge_deviation`, read the weighted,
-Hermitian blocks of the operator from one function,
-:func:`_ring_blocks`. A band frame u (a symbol's ``frame``,
-see :mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
+divided by sqrt(w), sample its eigenfunctions. :func:`_dense_operator`
+weights and hermitizes it, for :func:`assemble` and the dense spin gauge
+check alike, and :func:`_weighted_kernel` rebuilds it independently as
+a reference. A band frame u (a symbol's ``frame``, see
+:mod:`shellbound.spin_orbit`) multiplies the kernel by the overlap
 ``<u(s), u(s')>`` on either route, formed in one place,
-:func:`_band_matrix`: scalar and spin share one assembly, and the
-band-frame column is the one that takes the FFT over azimuth.
+:func:`_band_matrix`: scalar and spin share one assembly, and on the
+channel route the overlap multiplies the kernel slice before the
+transform over the angle.
 """
 
 from __future__ import annotations
@@ -59,23 +62,30 @@ _ASSEMBLED = "assembled operator matrix"
 
 @dataclass(frozen=True)
 class SurfaceOperatorMatrix:
-    """Spectral data of an assembled shell operator: its eigenpairs, not A itself.
+    """Spectral data of an assembled shell operator: its spectrum, not A itself.
 
     Attributes
     ----------
     mesh : SurfaceMesh
-    eigenvalues : ndarray, shape (M,)
-        Ascending.
-    eigenfunctions : ndarray, shape (M, M)
-        Columns ``Psi_j(s_i) = v_ij / sqrt(w_i)`` for orthonormal
-        eigenvectors v_j of the weight-symmetrized A, aligned with
-        ``eigenvalues``: the quadrature samples of the operator's
-        eigenfunctions, normalized by ``sum_i w_i |Psi_j(s_i)|^2 = 1``.
+    eigenvalues : ndarray
+        Ascending. On the dense route the M eigenvalues of A; on the
+        channel route the channel values of :func:`_channel_kernel`,
+        each repeated by its multiplicity: M values on the circle, and
+        ``n^2`` on the sphere (degrees l = 0..n-1, each 2 l + 1 times,
+        with n the mesh's azimuth count, so 4 resolution^2 for
+        ``build_mesh``'s M = 2 resolution^2 nodes).
+    eigenfunctions : ndarray, shape (M, M), or None
+        On the dense route, columns ``Psi_j(s_i) = v_ij / sqrt(w_i)``
+        for orthonormal eigenvectors v_j of the weight-symmetrized A,
+        aligned with ``eigenvalues``: the quadrature samples of the
+        operator's eigenfunctions, normalized by
+        ``sum_i w_i |Psi_j(s_i)|^2 = 1``. None on the channel route,
+        whose eigenfunctions are the channels' angular modes.
     """
 
     mesh: SurfaceMesh
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
+    eigenfunctions: np.ndarray | None
 
     @property
     def norm(self) -> float:
@@ -103,139 +113,156 @@ def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def ring_layout(mesh: SurfaceMesh, potential: Potential) -> bool:
-    """Whether the problem has the rotational symmetry the ring routes use.
+    """Whether the problem has the rotational symmetry the channel route uses.
 
     The one place the route is decided: a radial potential on a mesh
-    with a ring layout (``SurfaceMesh.rings``). :func:`assemble` and
-    :func:`shellbound.spin_orbit.gauge_deviation` then read the
-    (M, rings) kernel column, and :func:`shellbound.rayleigh_ritz.certify`
-    works in angular channels; otherwise all three take the dense route.
+    with a ring layout (``SurfaceMesh.rings``). :func:`assemble`,
+    :func:`shellbound.spin_orbit.gauge_deviation` and
+    :func:`shellbound.rayleigh_ritz.certify` then work in angular
+    channels; otherwise all three take the dense route.
     """
     return bool(potential.is_radial and mesh.rings)
 
 
-def _require_mirror(block: np.ndarray, mirrored: np.ndarray, what: str) -> None:
-    """Raise unless a radial kernel block is real and equals its azimuth mirror image.
+def _channel_points(mesh: SurfaceMesh, radii):
+    """(rows, columns, legendre): the kernel slice of :func:`_channel_kernel` and its transform.
 
-    The tolerance is 1e-12 max(1, max |block|), that of the Hermitian test.
+    n = M / rings is the mesh's azimuth count, and the rows are the
+    T = len(radii) points of radius r_a on the axis the columns turn
+    about.
+
+    - 2-D: the rows are (r_a, 0), the columns the n turned points
+      r_b (cos theta_p, sin theta_p), theta_p = 2 pi p / n, of each
+      radius in turn; the transform is the FFT over p, and
+      ``legendre`` is None.
+    - 3-D: the rows are the poles (0, 0, r_a), the columns a meridian
+      of each radius r_b at the 2 n Gauss-Legendre nodes
+      t_q = cos(gamma_q); ``legendre[q, l] = 2 pi R^2 w_q P_l(t_q)``,
+      shape (2 n, n), projects on the degrees l = 0..n-1. Twice as
+      many nodes as degrees keep the top degrees at roundoff.
     """
-    deviation = np.abs(block - mirrored).max()
-    if np.iscomplexobj(block) or deviation > 1e-12 * max(1.0, np.abs(block).max()):
+    radii = np.asarray(radii, dtype=np.float64)
+    n = mesh.size // mesh.rings
+    rows = np.zeros((radii.size, mesh.dimension))
+    legendre = None
+    if mesh.dimension == 2:
+        angles = 2.0 * np.pi * np.arange(n) / n
+        rows[:, 0] = radii
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        cosines, weights = np.polynomial.legendre.leggauss(2 * n)
+        rows[:, 2] = radii
+        directions = np.stack([np.sqrt(1.0 - cosines**2), np.zeros(2 * n), cosines], axis=1)
+        legendre = np.polynomial.legendre.legvander(cosines, n - 1)
+        legendre *= (2.0 * np.pi * mesh.radius**2 * weights)[:, None]
+    points = (radii[:, None, None] * directions).reshape(-1, mesh.dimension)
+    return rows, points, legendre
+
+
+def _channels(mesh: SurfaceMesh, kernel: np.ndarray, legendre=None, frames=None) -> np.ndarray:
+    """kappa[c, a, b], the channels of a (T, T nodes) kernel slice of :func:`_channel_points`.
+
+    ``frames`` (the band frames of the rows and of the columns), if
+    given, multiply the slice by the overlap of :func:`_band_matrix`.
+    Then the FFT over the nodes times 2 pi R / n (2-D; ``legendre``
+    None), or the projection on ``legendre`` (3-D).
+
+    Raises
+    ------
+    ConsistencyError
+        If kappa misses Hermitian symmetry in (a, b) by more than
+        1e-12 max(1, max |kappa|): at one radius, if a channel value
+        is not real.
+    """
+    count = kernel.shape[0]
+    if frames is not None:
+        kernel = _band_matrix(kernel, *frames)
+    kernel = kernel.reshape(count, count, -1)
+    if legendre is None:
+        kappa = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / kernel.shape[2])
+    else:
+        kappa = kernel @ legendre
+    kappa = np.moveaxis(kappa, 2, 0)
+    _require_hermitian(kappa, kappa.conj().swapaxes(1, 2), "radial channel kernel")
+    return kappa
+
+
+def _probe_mirror(potential: Potential, radius: float) -> None:
+    """Raise unless k(p, q) = k(p, q') for a meridian point p and the y mirror q' of q.
+
+    The 3-D slice of :func:`_channel_points` reads pole-meridian pairs
+    alone, where a kernel that is invariant under turns about z but odd
+    under the mirror y -> -y looks radial; this probe reads one pair
+    off the meridian. The tolerance is 1e-12 max(1, max |k|), that of
+    the Hermitian test.
+    """
+    # p off the pole in y = 0, q off that half plane and at another height,
+    # so terms such as (p x q)_z (p_z - q_z) do not vanish
+    p = radius * np.array([[0.6, 0.0, 0.8]])
+    q = radius * np.array([[0.48, 0.64, -0.6], [0.48, -0.64, -0.6]])
+    k = np.asarray(potential.kernel_matrix(p, q))[0]
+    deviation = abs(k[0] - k[1])
+    if deviation > 1e-12 * max(1.0, np.abs(k).max()):
         raise ConsistencyError(
-            f"{what} ({block.dtype}) deviates from its azimuth mirror by "
-            f"{deviation:.3e}; the kernel of a real radial V is real and unchanged by p -> -p"
+            f"radial kernel deviates from its y mirror by {deviation:.3e}; "
+            "the kernel of a real radial V is unchanged by y -> -y"
         )
 
 
-def _ring_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarray:
-    """The weighted, hermitized blocks C[p] of the shell operator, shape (n, rings, rings).
+def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
+    """The radial tube kernel by angular channel: kappa[c, a, b] and each channel's multiplicity.
 
-    The one place the operator is weighted by sqrt(w), band-projected
-    and hermitized, for the sector route, the dense route and
-    :func:`shellbound.spin_orbit.gauge_deviation` alike.
-    ``column[i, r]`` is the kernel between node i and node 0 of ring r
-    (shape (M, rings), unweighted), where the nodes are read as rings
-    of n = M / rings azimuths, node (r, p) at index r n + p. Then
-    ``C[p][r, r'] = sqrt(w_(r, p)) column[(r, p), r'] sqrt(w_(r', 0))``,
-    and on a turn-invariant operator
-    ``A[(r, p), (r', p')] = C[p - p' mod n]``. With ``rings = M``
-    (one azimuth per ring) the column is the whole kernel and C[0] the
-    dense matrix A.
+    For a radial V the kernel between the shells of radius r_a and r_b
+    depends on the angle between its points alone, so turns of the
+    momentum space split it into channels; kappa[c] is the kernel's
+    eigenvalue in channel c, a T x T matrix over the T = len(radii)
+    radii, with the shell measure of ``mesh`` (radius R). One
+    ``kernel_matrix`` call on the slice of :func:`_channel_points`
+    serves every channel; the shell's eigenvalues are
+    ``kappa[:, 0, 0]`` at ``radii = [R]``. The rule reads only the
+    mesh's dimension, radius and azimuth count n.
 
-    A band ``frame`` (shape (M, bands)) must be turn-covariant (see
-    :func:`_require_turn_covariant`) and multiplies the column by the
-    overlap of :func:`_band_matrix` before the weights. Each block is
-    then averaged with ``C[-p]^H``, the adjoint's block.
-
-    Raises
-    ------
-    ConsistencyError
-        If the frame is not turn-covariant, or if
-        ``max |C[p] - C[-p]^H| > 1e-12 max(1, max |C|)``.
-    """
-    if frame is not None:
-        _require_turn_covariant(frame, column.shape[1])
-    return _covariant_blocks(mesh, column, frame)
-
-
-def _covariant_blocks(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> np.ndarray:
-    """:func:`_ring_blocks` for a frame already known to be turn-covariant.
-
-    Serves :func:`shellbound.spin_orbit.gauge_deviation`, whose regauged
-    frames are turn-covariant by construction once the base frame is.
-    """
-    rings = column.shape[1]
-    n = mesh.size // rings
-    if frame is not None:
-        column = _band_matrix(column, frame, frame[::n])
-    sqrt_w = np.sqrt(mesh.weights)
-    blocks = (sqrt_w[:, None] * column * sqrt_w[::n][None, :])
-    blocks = blocks.reshape(rings, n, rings).swapaxes(0, 1)
-    adjoint = blocks[-np.arange(n) % n].conj().swapaxes(1, 2)
-    _require_hermitian(blocks, adjoint, _ASSEMBLED)
-    return 0.5 * (blocks + adjoint)
-
-
-def ring_operator(mesh: SurfaceMesh, column: np.ndarray, frame=None) -> SurfaceOperatorMatrix:
-    """Spectral data of a ring-layout operator from its column block, by azimuthal sector.
-
-    ``column[i, r]`` is the kernel between node i and node 0 of ring r
-    (shape (M, rings), unweighted). On a ring layout (see ``SurfaceMesh.rings``)
-    the blocks C[p] of :func:`_ring_blocks` hold the whole operator,
-    ``A[(r, p), (r', p')] = C[p - p' mod n]``, and the azimuthal
-    Fourier modes split it into n blocks of size rings. The kernel of a
-    real radial V is real and unchanged by the mirror
-    (r, p) -> (r, -p), so the column must be real with
-    ``C[-p] = C[p]``.
-
-    - The column alone gives the real symmetric
-      ``B_k = sum_p C[p] cos(2 pi k p / n)``, k = 0..n/2, each of whose
-      eigenvectors v yields ``v x cos`` and, for 0 < k < n/2,
-      ``v x sin`` (modes normalized by sqrt(2/n), by sqrt(1/n) at k = 0
-      and k = n/2, where frequencies k and n - k do not share a block).
-    - A band ``frame`` (shape (M, bands), turn-covariant) multiplies
-      the column by the overlap of :func:`_band_matrix`. The complex
-      Hermitian C this gives takes
-      ``B_k = sum_p C[p] exp(-2 pi i k p / n)`` (the FFT over p), with
-      modes ``v x exp(2 pi i k p / n) / sqrt(n)``.
-
-    The eigenpairs are stable-sorted by eigenvalue.
+    - 2-D: the channels m = 0..n-1, each once. A band ``frame``
+      (points -> (count, bands)) multiplies the kernel by the overlap
+      ``<u(row), u(column)>`` before the FFT.
+    - 3-D (Funk-Hecke): the degrees l = 0..n-1, each with multiplicity
+      2 l + 1, after the mirror probe of :func:`_probe_mirror`.
 
     Raises
     ------
     ConsistencyError
-        If :func:`_ring_blocks` does (a frame that is not
-        turn-covariant, or blocks that are not Hermitian); then if the
-        column is complex or misses ``C[-p] = C[p]`` by more than
-        1e-12 max(1, max |column|) (measured on the column before the
-        frame's overlap).
+        If the kernel is complex, fails the mirror probe (3-D), or its
+        channels miss Hermitian symmetry (see :func:`_channels`): at the
+        shell radius in 2-D that is the mirror symmetry of the kernel
+        row. The kernel of a real radial V is real and has all three.
     """
-    rings = mesh.rings
-    n = mesh.size // rings
-    p = np.arange(n)
-    blocks = _ring_blocks(mesh, column, frame)
-    scalar = column.reshape(rings, n, rings)
-    _require_mirror(scalar, scalar[:, -p % n], "radial kernel column")
-    angles = 2.0 * np.pi * p / n
-    if not np.iscomplexobj(blocks):
-        k = p[:n // 2 + 1]
-        multiplicity = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-        cosines = np.cos(angles)[np.outer(k, p) % n]  # phases from k p mod n
-        values, vectors = np.linalg.eigh(np.tensordot(cosines, blocks, axes=1))
-        sines = k[1:(n + 1) // 2]
-        sector = np.concatenate([k, sines])
-        modes = np.concatenate([cosines, np.sin(angles)[np.outer(sines, p) % n]])
-        modes *= np.sqrt(multiplicity[sector] / n)[:, None]
-    else:
-        sector = p
-        values, vectors = np.linalg.eigh(np.fft.fft(blocks, axis=0))
-        modes = np.exp(1j * angles)[np.outer(p, p) % n] / np.sqrt(n)
-    # eigenpair (mode m, ring vector j) is entry m * rings + j before sorting
-    order = np.argsort(values[sector].ravel(), kind="stable")
-    mode, j = np.divmod(order, rings)
-    vectors = (vectors[sector[mode], :, j].T[:, None, :] * modes[mode].T[None, :, :]).reshape(
-        mesh.size, mesh.size) / np.sqrt(mesh.weights)[:, None]
-    return SurfaceOperatorMatrix(mesh, values[sector].ravel()[order], vectors)
+    rows, points, legendre = _channel_points(mesh, radii)
+    kernel = np.asarray(potential.kernel_matrix(rows, points))
+    if np.iscomplexobj(kernel):
+        raise ConsistencyError(
+            f"radial tube kernel is {kernel.dtype}, not real; "
+            "the kernel of a real radial V is real"
+        )
+    if legendre is not None:
+        _probe_mirror(potential, mesh.radius)
+    frames = None if frame is None else (np.asarray(frame(rows)), np.asarray(frame(points)))
+    kappa = _channels(mesh, kernel, legendre, frames)
+    degrees = np.arange(kappa.shape[0])
+    return kappa, np.ones_like(degrees) if legendre is None else 2 * degrees + 1
+
+
+def _shell_channels(mesh: SurfaceMesh, potential: Potential, frame=None):
+    """(values, channel): the shell's channel values, each repeated by its multiplicity.
+
+    Ascending (stable-sorted), with the channel index of each value: the
+    spectrum that :func:`assemble` lists on the channel route and that
+    ``certify`` counts and certifies.
+    """
+    kappa, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], frame)
+    channel = np.repeat(np.arange(multiplicity.size), multiplicity)
+    values = kappa[channel, 0, 0].real
+    order = np.argsort(values, kind="stable")
+    return values[order], channel[order]
 
 
 def _weighted_kernel(mesh: SurfaceMesh, potential: Potential) -> np.ndarray:
@@ -253,50 +280,48 @@ def _band_matrix(weighted: np.ndarray, frame: np.ndarray, columns=None) -> np.nd
     The one home of the band overlap ``<u_i, u_j> = sum_c conj(u_c(p_i)) u_c(q_j)``.
     ``weighted`` is a kernel between the points p_i of the rows, whose
     frame is ``frame``, and the points q_j of the columns, whose frame is
-    ``columns`` (``frame`` by default): the column of :func:`_ring_blocks`,
-    the weight-symmetrized M x M kernel of :func:`_weighted_kernel`, or
-    a tube kernel of :func:`shellbound.rayleigh_ritz.certify`.
+    ``columns`` (``frame`` by default): the M x M kernel of
+    :func:`_dense_operator` or :func:`_weighted_kernel`, the slice of
+    :func:`_channel_kernel`, or a tube kernel of
+    :func:`shellbound.rayleigh_ritz.certify`.
     """
     projected = frame.conj() @ (frame if columns is None else columns).T
     projected *= weighted
     return projected
 
 
-def _require_turn_covariant(frame: np.ndarray, rings: int) -> None:
-    """Check in O(M) that the frame overlap depends only on the azimuth difference.
+def _dense_operator(mesh: SurfaceMesh, kernel: np.ndarray, frame=None) -> np.ndarray:
+    """The weighted, hermitized M x M matrix A of the dense route.
 
-    With ``frame[(r, p + 1), c] = g_c frame[(r, p), c]`` for one phase
-    g_c per component (cyclically in p, the same on every ring), the
-    overlap ``<u(r, p), u(r', p')> = sum_c conj(u(r, 0)_c) u(r', 0)_c
-    g_c^(p' - p)`` depends on p and p' only through p - p'. The gauge
-    of :func:`shellbound.spin_orbit.band_frame` has this form on a ring
-    layout: its first component is constant and its second turns with
-    the azimuth.
+    ``kernel`` is the unweighted M x M kernel on the mesh nodes; a band
+    ``frame`` (shape (M, bands)) multiplies it by the overlap of
+    :func:`_band_matrix` before the weights. The one place the dense
+    operator is weighted by sqrt(w) and hermitized, for :func:`assemble`
+    and :func:`shellbound.spin_orbit.gauge_deviation` alike.
+
+    Raises
+    ------
+    ConsistencyError
+        If ``max |A - A^H| > 1e-12 max(1, max |A|)``.
     """
-    f = frame.reshape(rings, -1, frame.shape[-1])
-    following = np.roll(f, -1, axis=1)
-    mass = np.einsum("rpc,rpc->c", f.conj(), f).real
-    step = np.einsum("rpc,rpc->c", f.conj(), following) / np.where(mass > 0.0, mass, 1.0)
-    deviation = np.abs(following - step * f).max()
-    if deviation > 1e-12 * max(1.0, np.abs(f).max()):
-        raise ConsistencyError(
-            f"band frame overlap depends on more than the azimuth difference "
-            f"(deviation {deviation:.3e}); the sector assembly needs a turn-covariant gauge"
-        )
+    if frame is not None:
+        kernel = _band_matrix(kernel, frame)
+    sqrt_w = np.sqrt(mesh.weights)
+    return _hermitize(sqrt_w[:, None] * kernel * sqrt_w[None, :], _ASSEMBLED)
 
 
 def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOperatorMatrix:
-    """Assemble and fully diagonalize the shell operator matrix.
+    """The spectrum of the shell operator.
 
-    A radial potential on a mesh with a ring layout takes the sector
-    route of :func:`ring_operator` (one (M, rings) kernel slice); any
-    other problem is the case of one azimuth per ring: its (M, M)
-    column is the whole kernel, and ``eigh`` takes the one block of
-    :func:`_ring_blocks`. A band ``frame`` (points -> unit vectors
-    (count, bands), a symbol's ``frame``; None for a scalar symbol)
-    multiplies the kernel by the overlap ``sum_c conj(u_c(s_i)) u_c(s_j)``;
-    the sector route first checks in O(M) that it depends only on the
-    azimuth difference.
+    A radial potential on a mesh with a ring layout takes the channel
+    route: the channel values of :func:`_channel_kernel` at the shell
+    radius, each repeated by its multiplicity and sorted, from one
+    kernel slice, with ``eigenfunctions`` None. Any other problem takes
+    the dense route: one (M, M) kernel, weighted and hermitized by
+    :func:`_dense_operator`, and a full ``eigh``. A band ``frame``
+    (points -> unit vectors (count, bands), a symbol's ``frame``; None
+    for a scalar symbol) multiplies the kernel by the overlap
+    ``sum_c conj(u_c(s_i)) u_c(s_j)`` on either route.
 
     Raises
     ------
@@ -304,20 +329,19 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
         If mesh and potential dimensions differ.
     ConsistencyError
         If the assembled matrix is not Hermitian within 1e-12 relative
-        tolerance, or, on the sector route, if the frame overlap is not
-        a function of the azimuth difference or the kernel column is
-        not real and mirror-symmetric (see :func:`ring_operator`).
+        tolerance, or, on the channel route, if the kernel is complex,
+        fails the mirror probe (3-D) or has a complex channel value
+        (see :func:`_channel_kernel`).
     """
     if mesh.dimension != potential.dimension:
         raise PreconditionError("mesh and potential dimensions differ")
     require_band(potential, 2.0 * mesh.radius)
+    if ring_layout(mesh, potential):
+        values, _ = _shell_channels(mesh, potential, frame)
+        return SurfaceOperatorMatrix(mesh, values, None)
     u = None if frame is None else np.asarray(frame(mesh.nodes))
-    sectors = ring_layout(mesh, potential)
-    n = mesh.size // mesh.rings if sectors else 1
-    column = np.asarray(potential.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
-    if sectors:
-        return ring_operator(mesh, column, u)
-    eigenvalues, vectors = np.linalg.eigh(_ring_blocks(mesh, column, u)[0])
+    matrix = _dense_operator(mesh, np.asarray(potential.kernel_matrix(mesh.nodes)), u)
+    eigenvalues, vectors = np.linalg.eigh(matrix)
     return SurfaceOperatorMatrix(mesh, eigenvalues, vectors / np.sqrt(mesh.weights)[:, None])
 
 

@@ -38,21 +38,20 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.fixture
-def assert_same_operator():
-    """Check a sector assembly's eigenpairs against the dense reference matrix A_ref.
+def assert_same_spectrum():
+    """Check a channel-route spectrum against the dense reference matrix A_ref.
 
-    With V = sqrt(w) * eigenfunctions: the residual A_ref V - V Lambda
-    and V^H V - I stay at roundoff, and the eigenvalues are ascending and
-    equal to those of ``eigh(A_ref)``.
+    The channel route lists no eigenfunctions, its values are ascending,
+    and the lowest M of them (all of them on the circle; the sphere
+    lists n^2 > M channel values) equal those of ``eigh(A_ref)`` to
+    ``tolerance * max(1, max |E|)``.
     """
 
-    def check(fast, reference):
-        size = fast.mesh.size
+    def check(fast, reference, tolerance=1e-12):
         expected = np.linalg.eigvalsh(reference)
-        assert np.abs(fast.eigenvalues - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        assert fast.eigenfunctions is None
         assert np.all(np.diff(fast.eigenvalues) >= 0.0)
-        vectors = np.sqrt(fast.mesh.weights)[:, None] * fast.eigenfunctions
-        assert np.abs(reference @ vectors - vectors * fast.eigenvalues).max() <= 1e-12
-        assert np.abs(vectors.conj().T @ vectors - np.eye(size)).max() <= 1e-12
+        head = fast.eigenvalues[:expected.size]
+        assert np.abs(head - expected).max() <= tolerance * max(1.0, np.abs(expected).max())
 
     return check

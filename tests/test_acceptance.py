@@ -71,7 +71,7 @@ def test_criterion_2_circulant_equivalence():
             dense_mesh = dataclasses.replace(mesh, rings=0)
             dense = surface_operator.assemble(dense_mesh, potential).eigenvalues
             # the shell values of certify's channel route: the FFT of one kernel row
-            kappa, _ = rayleigh_ritz._channel_kernel(potential, mesh, [mesh.radius])
+            kappa, _ = surface_operator._channel_kernel(potential, mesh, [mesh.radius])
             fast = np.sort(kappa[:, 0, 0].real)
             worst = max(worst, float(np.abs(dense - fast).max()))
     verdict(2, worst <= 1e-10, f"dense vs channel spectra deviate by {worst:.2e}",

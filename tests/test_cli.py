@@ -200,6 +200,22 @@ def test_spin_orbit_run(tmp_path):
     assert results["gauge_deviation"] <= 1e-10
 
 
+@pytest.mark.parametrize("config, rows", [
+    ({"task": "surface-spectrum", "symbol": MEXICAN_HAT, "potential": WELL,
+      "surface": {"resolution": 2048}}, [2048]),
+    ({"task": "bound-count", "symbol": MEXICAN_HAT, "potential": WELL,
+      "surface": {"resolution": 64}}, [64, 128]),
+    # one row for the spectrum, one for the gauge check
+    ({"task": "spin-orbit", "spin_orbit": {"kind": "rashba", "alpha": 1.0}, "potential": WELL,
+      "surface": {"resolution": 256}}, [256, 256]),
+], ids=["surface-spectrum", "bound-count", "spin-orbit"])
+def test_spectrum_tasks_read_one_kernel_row_per_mesh(tmp_path, kernel_calls, config, rows):
+    # on ring-layout meshes the spectrum tasks take the channel route: a
+    # (1, M) kernel row per spectrum, never an (M, M) kernel
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 0
+    assert kernel_calls == [(1, m) for m in rows]
+
+
 def test_config_errors_name_the_key(tmp_path, capsys):
     base = {
         "task": "rayleigh-ritz",

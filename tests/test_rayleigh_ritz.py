@@ -493,15 +493,19 @@ def test_hand_built_mesh_keeps_dense_path(kernel_calls):
 def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resolution):
     # a dense tube kernel at resolution 24 would hold 13824^2 entries (1.5 GB);
     # the channel route takes the shell row of n points and, per eps, the
-    # T radii against T meridians (2-D: circles) of n points, where n is
-    # the azimuth count: M on the circle, 2 * resolution on the sphere
+    # T radii against T circles of n points, where n is the azimuth count
+    # (M on the circle); on the sphere, with n = 2 * resolution, the T
+    # meridians have 2 n points each, and each slice has its mirror probe
     mesh = surface.build_mesh(1.0, dimension, resolution)
     transverse = 12
     cert = rr.certify(_shell_symbol(dimension), potentials.gaussian_well(1.0, 1.0, dimension),
                       mesh, 3, transverse_order=transverse)
     assert cert.certified
     n = mesh.size // mesh.rings
-    assert kernel_calls == [(1, n)] + [(transverse, transverse * n)] * 4
+    if dimension == 2:
+        assert kernel_calls == [(1, n)] + [(transverse, transverse * n)] * 4
+    else:
+        assert kernel_calls == [(1, 2 * n), (1, 2)] + [(transverse, transverse * 2 * n), (1, 2)] * 4
 
 
 # ------------------------------------------------------ closed-form channels
@@ -538,7 +542,7 @@ def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
     pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3) if len(terms) == 2 else \
         potentials.gaussian_well(1.0, 1.0)
     mesh = surface.build_mesh(radius, 2, m_count)
-    kappa, multiplicity = rr._channel_kernel(pot, mesh, [radius])
+    kappa, multiplicity = so._channel_kernel(pot, mesh, [radius])
     assert kappa.shape == (m_count, 1, 1) and np.all(multiplicity == 1)
     channel = np.minimum(np.arange(m_count), m_count - np.arange(m_count))  # |m|
     expected = _gaussian_channel(2, radius, radius, radius, terms)[channel]
@@ -547,19 +551,18 @@ def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
 
 @pytest.mark.parametrize("resolution", [4, 6, 8, 12, 16, 24])
 def test_channel_spectrum_matches_the_closed_form_on_the_sphere(resolution):
-    # the n = 2 * resolution node rule resolves the degrees l < resolution
-    # to roundoff; its top degrees lose digits on a coarse rule (8e-9 at
-    # resolution 4, l = 7, on the unit sphere), where their values are
-    # below 1e-5
+    # every listed degree l < n = 2 * resolution, to roundoff: the
+    # projection takes 2 n Gauss-Legendre nodes (on n nodes the top degree
+    # missed by 8e-9 at resolution 4 on the unit sphere)
     radius = 0.8
     mesh = surface.build_mesh(radius, 3, resolution)
-    kappa, multiplicity = rr._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh,
+    kappa, multiplicity = so._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh,
                                              [radius])
     n = 2 * resolution
     assert kappa.shape == (n, 1, 1)
     assert np.array_equal(multiplicity, 2 * np.arange(n) + 1)
-    expected = _gaussian_channel(3, radius, radius, radius)[:resolution]
-    assert np.abs(kappa[:resolution, 0, 0] - expected).max() <= 1e-13
+    expected = _gaussian_channel(3, radius, radius, radius)[:n]
+    assert np.abs(kappa[:, 0, 0] - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

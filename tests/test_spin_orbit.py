@@ -34,20 +34,22 @@ def test_lower_band_values():
     np.testing.assert_array_equal(sym.frame(batch), spin_orbit.band_frame(sym, batch))
 
 
-def test_band_decompose_closed_form():
+def test_band_frame_is_the_lower_eigenvector():
     sym = spin_orbit.rashba(1.3)
-    p = np.array([0.4, -0.7])
-    low, high, u = spin_orbit.band_decompose(sym, p)
-    r = np.hypot(*p)
-    assert high - low == pytest.approx(2.0 * 1.3 * r, rel=1e-14)
-    assert low == pytest.approx(r * r - 1.3 * r, rel=1e-14)
-    matrix = sym.matrix(p)
-    np.testing.assert_allclose(np.linalg.eigvalsh(matrix), [low, high], rtol=1e-14)
-    assert np.linalg.norm(matrix @ u - low * u) < 1e-12
-    assert u[0] == pytest.approx(1.0 / np.sqrt(2.0))  # gauge: first component real
-    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(PreconditionError):
-        spin_orbit.band_decompose(sym, np.zeros((2, 2)))
+    p = np.array([[0.4, -0.7], [-1.1, 0.2]])
+    u = spin_orbit.band_frame(sym, p)
+    np.testing.assert_array_equal(sym.frame(p), u)
+    r = np.hypot(p[:, 0], p[:, 1])
+    low = sym.evaluate(p)
+    np.testing.assert_allclose(low, r * r - 1.3 * r, rtol=1e-14)
+    for point, vector, energy, radius in zip(p, u, low, r):
+        matrix = sym.matrix(point)
+        bands = np.linalg.eigvalsh(matrix)
+        assert bands[1] - bands[0] == pytest.approx(2.0 * 1.3 * radius, rel=1e-14)
+        assert bands[0] == pytest.approx(energy, rel=1e-14)
+        assert np.linalg.norm(matrix @ vector - energy * vector) < 1e-12
+        assert vector[0] == 1.0 / np.sqrt(2.0)  # gauge: first component real
+        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_matrix_is_hermitian():
@@ -61,7 +63,7 @@ def test_gauge_singularity_at_origin():
     with pytest.raises(GaugeSingularityError):
         spin_orbit.band_frame(sym, np.zeros((1, 2)))
     with pytest.raises(GaugeSingularityError):
-        spin_orbit.band_decompose(sym, np.zeros(2))
+        sym.frame(np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 def test_alpha_validation():
@@ -100,24 +102,30 @@ def test_dresselhaus_spectrum_equals_rashba(circle):
 
 @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.7, -0.7])
 @pytest.mark.parametrize("kind", ["rashba", "dresselhaus"])
-def test_sector_spin_assembly_matches_dense(kernel_calls, assert_same_operator, kind, alpha):
+def test_sector_spin_assembly_matches_dense(kernel_calls, assert_same_spectrum, kind, alpha):
+    # the channel values of the band-projected row against the dense operator
     symbol = getattr(spin_orbit, kind)(alpha)
     mesh = surface.build_mesh(symbol.find_minimum()[1], 2, 64)
     fast = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL)
-    assert kernel_calls == [(mesh.size, 1)]  # no (M, M) kernel
-    assert_same_operator(fast, _dense_reference(mesh, spin_orbit.band_frame(symbol, mesh.nodes)))
+    assert kernel_calls == [(1, mesh.size)]  # no (M, M) kernel
+    assert_same_spectrum(fast, _dense_reference(mesh, spin_orbit.band_frame(symbol, mesh.nodes)))
 
 
 def test_sector_spin_assembly_needs_a_turn_covariant_frame(circle, monkeypatch):
-    # random per-node phases leave the spectrum alone but make the
-    # overlap depend on more than the azimuth difference
+    # a random phase per azimuth leaves the spectrum alone but makes the
+    # overlap depend on more than the azimuth difference; the channels of
+    # the row then come out complex, and the channel route refuses them
     symbol = spin_orbit.rashba(2.0)
     reference = spin_orbit.assemble_spin_kernel(symbol, circle, WELL).eigenvalues
     phases = np.exp(2j * np.pi * np.random.default_rng(5).random(circle.size))
     correct = spin_orbit.band_frame
-    monkeypatch.setattr(spin_orbit, "band_frame",
-                        lambda sym, points: correct(sym, points) * phases[:, None])
-    with pytest.raises(ConsistencyError, match="azimuth difference"):
+
+    def regauged(sym, points):
+        azimuth = np.arctan2(points[:, 1], points[:, 0]) * circle.size / (2.0 * np.pi)
+        return correct(sym, points) * phases[np.rint(azimuth).astype(int) % circle.size, None]
+
+    monkeypatch.setattr(spin_orbit, "band_frame", regauged)
+    with pytest.raises(ConsistencyError, match="Hermitian"):
         spin_orbit.assemble_spin_kernel(symbol, circle, WELL)
     dense = spin_orbit.assemble_spin_kernel(symbol, dataclasses.replace(circle, rings=0), WELL)
     np.testing.assert_allclose(dense.eigenvalues, reference, atol=1e-12)
@@ -150,58 +158,90 @@ def test_gauge_deviation_detects_a_broken_overlap(circle, monkeypatch, broken):
 
 
 def _regaugings(mesh, trials, seed):
-    # the phases d(r, p) of gauge_deviation, drawn in its order
-    rings = mesh.rings or mesh.size
-    n = mesh.size // rings
+    # the phases d(p) = exp(i phi) exp(2 pi i s p / n) of gauge_deviation on
+    # the circle, drawn in its order, with their windings s
+    n = mesh.size
     p = np.arange(n)
     rng = random.Random(seed)
     for _ in range(trials):
-        ring_phases = np.exp(1j * np.pi * kernels.uniform(rng, rings))
-        winding = rng.randrange(n) if n > 1 else 0
-        yield (ring_phases[:, None] * np.exp(2j * np.pi * ((winding * p) % n) / n)).ravel()
+        phase = np.exp(1j * np.pi * kernels.uniform(rng, 1))
+        winding = rng.randrange(n)
+        yield phase * np.exp(2j * np.pi * ((winding * p) % n) / n), winding
 
 
 def _one_sided_after_the_base(value):
-    # _band_matrix plus ``value`` at column entry (1, 0), the block C[1]
-    # alone, on every call after the first, which forms the base blocks
+    # _band_matrix plus ``value`` at row entry (0, 1) alone, on every call
+    # after the first, which forms the base row
     correct = surface_operator._band_matrix
     calls = []
 
     def one_sided(weighted, frame, columns):
         a = correct(weighted, frame, columns)
         if calls:
-            a[1, 0] += value
+            a[0, 1] += value
         calls.append(frame)
         return a
 
     return one_sided, calls
 
 
-def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
-    # a 1e-6 column entry and its mirror do not follow the regauging;
-    # Weyl's inequality says the returned norm is at least the largest
-    # eigenvalue shift of the assembled operator
-    n = circle.size
+def _perturbed_row(value):
+    # _band_matrix plus ``value`` at row entries (0, 1) and (0, n - 1): the
+    # entries next to the diagonal of the circulant operator, which do not
+    # follow the regauging
     correct = surface_operator._band_matrix
 
     def perturbed(weighted, frame, columns):
         a = correct(weighted, frame, columns)
-        a[[1, n - 1], 0] += 1e-6
+        a[0, [1, -1]] += value
         return a
 
-    monkeypatch.setattr(surface_operator, "_band_matrix", perturbed)
+    return perturbed
+
+
+def _perturbed_dense(symbol, mesh, d, value):
+    # the dense operator of the regauged frame plus the perturbation of
+    # _perturbed_row, w value at every entry next to the diagonal (cyclically)
+    dense = surface_operator._hermitize(
+        _dense_reference(dataclasses.replace(mesh, rings=0), symbol.frame(mesh.nodes) * d[:, None]),
+        "reference")
+    shift = np.roll(np.eye(mesh.size), 1, axis=1)
+    return dense + mesh.weights[0] * value * (shift + shift.T)
+
+
+def test_gauge_deviation_bounds_the_dense_deviation(circle, monkeypatch):
+    # a 1e-6 perturbation next to the diagonal does not follow the
+    # regauging; Weyl's inequality says the returned norm is at least the
+    # largest eigenvalue shift of the dense operator
+    n = circle.size
     symbol = spin_orbit.rashba(2.0)
-    bound = spin_orbit.gauge_deviation(symbol, circle, WELL, seed=3)
-    base = surface_operator.assemble(circle, WELL, symbol.frame).eigenvalues
+    base = np.linalg.eigvalsh(_perturbed_dense(symbol, circle, np.ones(n), 1e-6))
     shift = 0.0
-    for d in _regaugings(circle, 20, 3):
-        regauged = surface_operator.assemble(
-            circle, WELL, lambda points: symbol.frame(points) * d[:, None])
-        shift = max(shift, float(np.abs(regauged.eigenvalues - base).max()))
+    for d, _ in _regaugings(circle, 20, 3):
+        regauged = np.linalg.eigvalsh(_perturbed_dense(symbol, circle, d, 1e-6))
+        shift = max(shift, float(np.abs(regauged - base).max()))
+    monkeypatch.setattr(surface_operator, "_band_matrix", _perturbed_row(1e-6))
+    bound = spin_orbit.gauge_deviation(symbol, circle, WELL, seed=3)
     assert shift > 1e-9
     assert bound >= shift
     # the perturbation of A has Frobenius norm 1e-6 w sqrt(2n); D^H A D doubles it at most
     assert bound <= 2.0 * 1e-6 * circle.weights[0] * np.sqrt(2.0 * n) * 1.01
+
+
+def test_channel_deviation_is_the_dense_frobenius_deviation(circle, monkeypatch):
+    # by Parseval the channel check is ||A_theta - D^H A D||_F of the dense
+    # operators, on the same regaugings; a perturbation that does not follow
+    # the regauging makes the deviation large enough to compare
+    symbol = spin_orbit.rashba(2.0)
+    base = _perturbed_dense(symbol, circle, np.ones(circle.size), 1e-6)
+    worst = 0.0
+    for d, _ in _regaugings(circle, 20, 4):
+        regauged = _perturbed_dense(symbol, circle, d, 1e-6)
+        worst = max(worst, float(np.linalg.norm(regauged - d.conj()[:, None] * base * d)))
+    monkeypatch.setattr(surface_operator, "_band_matrix", _perturbed_row(1e-6))
+    check = spin_orbit.gauge_deviation(symbol, circle, WELL, seed=4)
+    assert worst > 1e-8
+    assert check == pytest.approx(worst, rel=1e-9)
 
 
 def _dense_gauge_deviation(symbol, mesh, trials, seed):
@@ -241,10 +281,10 @@ def test_gauge_check_without_rings_equals_the_dense_formula(seed):
 
 
 def test_gauge_check_evaluates_one_kernel_column(kernel_calls, circle, tabulated_gaussian_2d):
-    # the certify-radial spin job: one (M, 1) column, and no M x M array
+    # the certify-radial spin job: one (1, M) row, and no M x M array
     mesh = surface.build_mesh(0.5, 2, 256)
     assert spin_orbit.gauge_deviation(spin_orbit.rashba(1.0), mesh, WELL) <= 1e-15
-    assert kernel_calls == [(mesh.size, 1)]
+    assert kernel_calls == [(1, mesh.size)]
     kernel_calls.clear()
     # a tabulated V is not radial, so it takes the dense route on the same mesh
     deviation = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, tabulated_gaussian_2d)
@@ -252,48 +292,8 @@ def test_gauge_check_evaluates_one_kernel_column(kernel_calls, circle, tabulated
     assert kernel_calls == [(circle.size, circle.size)]
 
 
-def _expand(blocks):
-    # the block-circulant A[(r, p), (r', p')] = C[p - p' mod n][r, r']
-    n, rings, _ = blocks.shape
-    p = np.arange(n)
-    full = blocks[(p[:, None] - p[None, :]) % n].transpose(2, 0, 3, 1)
-    return full.reshape(rings * n, rings * n)
-
-
-def test_column_deviation_is_the_block_circulant_deviation(circle, monkeypatch):
-    # two coincident rings, so the per-ring phases of a regauging differ
-    # within a block; a fixed column entry that does not follow the
-    # regauging makes the deviation large enough to compare
-    mesh = surface.SurfaceMesh(2, 1.0, np.concatenate([circle.nodes, circle.nodes]),
-                               np.concatenate([circle.weights, circle.weights]) / 2.0, rings=2)
-    n = circle.size
-    symbol = spin_orbit.rashba(2.0)
-    column = np.asarray(WELL.kernel_matrix(mesh.nodes, mesh.nodes[::n]))
-    frame = symbol.frame(mesh.nodes)
-    base = surface_operator._ring_blocks(mesh, column, frame)
-    dense = surface_operator._hermitize(
-        _dense_reference(dataclasses.replace(mesh, rings=0), frame), "reference")
-    assert np.abs(_expand(base) - dense).max() <= 1e-15
-    correct = surface_operator._band_matrix
-
-    def perturbed(weighted, frame, columns):
-        a = correct(weighted, frame, columns)
-        a[[n + 1, n - 1], [0, 1]] += 1e-6  # C[1][1, 0] and its adjoint entry C[-1][0, 1]
-        return a
-
-    monkeypatch.setattr(surface_operator, "_band_matrix", perturbed)
-    check = spin_orbit.gauge_deviation(symbol, mesh, WELL, seed=4)
-    base = _expand(surface_operator._ring_blocks(mesh, column, frame))
-    worst = 0.0
-    for d in _regaugings(mesh, 20, 4):
-        regauged = _expand(surface_operator._ring_blocks(mesh, column, frame * d[:, None]))
-        worst = max(worst, float(np.linalg.norm(regauged - d.conj()[:, None] * base * d)))
-    assert worst > 1e-8
-    assert check == pytest.approx(worst, rel=1e-12)
-
-
 def test_gauge_deviation_rejects_a_non_hermitian_regauging(circle, monkeypatch):
-    # the base column is right; every regauged one gains a one-sided 1e-6 entry
+    # the base row is right; every regauged one gains a one-sided 1e-6 entry
     one_sided, calls = _one_sided_after_the_base(1e-6)
     monkeypatch.setattr(surface_operator, "_band_matrix", one_sided)
     with pytest.raises(ConsistencyError, match="Hermitian"):
@@ -302,9 +302,10 @@ def test_gauge_deviation_rejects_a_non_hermitian_regauging(circle, monkeypatch):
 
 
 def test_gauge_deviation_hermitizes_each_regauging(circle, monkeypatch):
-    # a one-sided column entry e passes the Hermitian test; hermitized, it
-    # is w e / 2 in the blocks C[1] and C[-1], so the deviation is
-    # sqrt(n) sqrt(2) w e / 2, not the sqrt(n) w e of the entry left one-sided
+    # a one-sided row entry e passes the Hermitian test; the real part of
+    # its channels, w e cos(2 pi c / n), is that of w e / 2 at row entries 1
+    # and -1, so the deviation is sqrt(n) sqrt(2) w e / 2, not the
+    # sqrt(n) w e of the entry left one-sided
     one_sided, _ = _one_sided_after_the_base(1e-12)
     monkeypatch.setattr(surface_operator, "_band_matrix", one_sided)
     bound = spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
@@ -314,16 +315,20 @@ def test_gauge_deviation_hermitizes_each_regauging(circle, monkeypatch):
 
 def _dense_reference(mesh, frame):
     # the band-projected operator, assembled densely and independently
-    # of the sector route
+    # of the channel route
     return surface_operator._band_matrix(surface_operator._weighted_kernel(mesh, WELL), frame)
 
 
-def test_unit_overlap_reproduces_scalar_operator(circle):
-    frame = np.zeros((circle.size, 2), dtype=np.complex128)
+def _unit_frame(points):
+    frame = np.zeros((len(points), 2), dtype=np.complex128)
     frame[:, 0] = 1.0
+    return frame
+
+
+def test_unit_overlap_reproduces_scalar_operator(circle):
     scalar = surface_operator._weighted_kernel(circle, WELL)
-    assert np.array_equal(_dense_reference(circle, frame), scalar)
-    projected = surface_operator.assemble(circle, WELL, lambda points: frame)
+    assert np.array_equal(_dense_reference(circle, _unit_frame(circle.nodes)), scalar)
+    projected = surface_operator.assemble(circle, WELL, _unit_frame)
     np.testing.assert_allclose(projected.eigenvalues,
                                surface_operator.assemble(circle, WELL).eigenvalues, atol=1e-13)
 
@@ -381,11 +386,22 @@ def test_certify_reads_the_band_structure_from_a_matrix_symbol(circle, kind):
         assert np.array_equal(a, b)
 
 
+def _channel_modes(symbol, mesh, n_states):
+    # the states of the channel route, sampled on the mesh: the Fourier mode
+    # exp(-i c theta) / sqrt(2 pi R) of each listed channel c
+    _, channel = surface_operator._shell_channels(mesh, WELL, symbol.frame)
+    angles = 2.0 * np.pi * np.arange(mesh.size) / mesh.size
+    return np.exp(-1j * np.outer(angles, channel[:n_states])) / np.sqrt(2.0 * np.pi * mesh.radius)
+
+
 def _dense_spin_forms(symbol, mesh, n_states):
     # h(eps) with the band-projected tube kernel K(x, y) <u(x), u(y)>
-    # formed as one dense matrix over the whole tube cloud
-    operator = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL)
-    psi = operator.eigenfunctions[:, :n_states]
+    # formed as one dense matrix over the whole tube cloud, on the states
+    # of the route that certify takes
+    if mesh.rings:
+        psi = _channel_modes(symbol, mesh, n_states)
+    else:
+        psi = spin_orbit.assemble_spin_kernel(symbol, mesh, WELL).eigenfunctions[:, :n_states]
     chart = surface.tubular_chart(mesh, 0.25)
     profile = rayleigh_ritz.TransverseProfile.build(12)
     minimum = symbol.find_minimum()[0]

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import iv
 
-from shellbound import potentials, rayleigh_ritz, surface, surface_operator as so
+from shellbound import potentials, rayleigh_ritz, surface, symbols, surface_operator as so
 from shellbound.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -38,9 +38,14 @@ def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
 
 def _channel_spectrum(mesh, pot):
     # the shell values of certify's channel route, sorted: an FFT of one
-    # kernel row, independent of the sector assembly's cosine transform
-    kappa, _ = rayleigh_ritz._channel_kernel(pot, mesh, [mesh.radius])
+    # kernel row
+    kappa, _ = so._channel_kernel(pot, mesh, [mesh.radius])
     return np.sort(kappa[:, 0, 0].real)
+
+
+def _dense_spectrum(mesh, pot):
+    # the same mesh without its ring layout: the dense assembly and eigh
+    return so.assemble(dataclasses.replace(mesh, rings=0), pot).eigenvalues
 
 
 # ------------------------------------------------------------------ assembly
@@ -55,7 +60,7 @@ def test_constant_kernel_gives_rank_one_operator():
     op = so.assemble(mesh, pot)
     npt.assert_allclose(op.eigenvalues[0], -2.0 * np.pi * v, rtol=1e-13)
     assert np.abs(op.eigenvalues[1:]).max() < 1e-14
-    npt.assert_allclose(_channel_spectrum(mesh, pot), op.eigenvalues, atol=1e-13)
+    npt.assert_allclose(_dense_spectrum(mesh, pot), op.eigenvalues, atol=1e-13)
 
 
 def test_zero_potential_gives_zero_operator():
@@ -88,8 +93,9 @@ def test_eigenvalues_stable_under_mesh_refinement():
 
 def test_eigenfunctions_satisfy_the_integral_equation():
     # quadrature form of the eigenvalue problem:
-    # sum_j w_j vhat(s_i - s_j) Psi(s_j) = lambda Psi(s_i)
-    mesh = surface.build_mesh(1.0, 2, 48)
+    # sum_j w_j vhat(s_i - s_j) Psi(s_j) = lambda Psi(s_i), on the dense
+    # route, the one that lists eigenfunctions
+    mesh = dataclasses.replace(surface.build_mesh(1.0, 2, 48), rings=0)
     op = so.assemble(mesh, potentials.gaussian_well(1.0, 1.0))
     kernel = potentials.gaussian_well(1.0, 1.0).kernel_matrix(mesh.nodes)
     for j in (0, 1, 5):
@@ -102,13 +108,15 @@ def test_eigenfunctions_satisfy_the_integral_equation():
 
 
 def test_assembled_matrix_is_hermitian(tabulated_gaussian_2d):
-    # the dense reference is Hermitian, and the eigenpairs of either
-    # route (sector for the ball well, dense for the table) rebuild it
+    # the dense reference is Hermitian, and the eigenpairs of the dense
+    # route (the ball well without the layout, the table with it) rebuild it
     mesh = surface.build_mesh(1.0, 2, 32)
-    for pot in (potentials.ball_well(1.0, 1.0), tabulated_gaussian_2d):
+    routes = ((potentials.ball_well(1.0, 1.0), dataclasses.replace(mesh, rings=0)),
+              (tabulated_gaussian_2d, mesh))
+    for pot, route_mesh in routes:
         reference = so._weighted_kernel(mesh, pot)
         npt.assert_allclose(reference, reference.conj().T, atol=1e-15)
-        op = so.assemble(mesh, pot)
+        op = so.assemble(route_mesh, pot)
         vectors = np.sqrt(mesh.weights)[:, None] * op.eigenfunctions
         rebuilt = (vectors * op.eigenvalues) @ vectors.conj().T
         npt.assert_allclose(rebuilt, reference, atol=1e-13)
@@ -175,8 +183,7 @@ def test_hermitian_test_tolerance_is_relative_above_one(scale, deviation, reject
 )
 def test_channel_spectrum_matches_dense_spectrum(pot, resolution):
     mesh = surface.build_mesh(1.0, 2, resolution)
-    dense = so.assemble(dataclasses.replace(mesh, rings=0), pot).eigenvalues
-    assert np.abs(dense - _channel_spectrum(mesh, pot)).max() < 1e-10
+    assert np.abs(_dense_spectrum(mesh, pot) - _channel_spectrum(mesh, pot)).max() < 1e-10
 
 
 def test_ring_layout_decides_the_route(tabulated_gaussian_2d):
@@ -201,7 +208,7 @@ def test_unequally_spaced_circle_has_no_ring_layout():
         surface.SurfaceMesh(2, 1.0, nodes, weights, rings=1)
 
 
-# ----------------------------------------------------- azimuthal sectors
+# ------------------------------------------------- channel route of assemble
 
 
 def _radial_potential(kind, dimension):
@@ -214,21 +221,30 @@ def _radial_potential(kind, dimension):
 
 @pytest.mark.parametrize("kind", ["gaussian-well", "ball-well", "dimple-mix"])
 @pytest.mark.parametrize("dimension, resolution", [(2, 63), (2, 64), (2, 512), (3, 8), (3, 12)])
-def test_sector_assembly_matches_dense(kernel_calls, assert_same_operator, dimension,
+def test_sector_assembly_matches_dense(kernel_calls, assert_same_spectrum, dimension,
                                        resolution, kind):
+    # the channel values against the dense mesh operator: equal on the
+    # circle; on the sphere the mesh converges to them, to 2.5e-8 relative
+    # at resolution 8 and to roundoff at 12
     mesh = surface.build_mesh(1.0, dimension, resolution)
     pot = _radial_potential(kind, dimension)
     fast = so.assemble(mesh, pot)
-    assert kernel_calls == [(mesh.size, mesh.rings)]  # no (M, M) kernel
-    assert fast.eigenfunctions.dtype == np.float64  # real cos/sin modes
-    assert_same_operator(fast, so._weighted_kernel(mesh, pot))
+    n = mesh.size // mesh.rings
+    # one kernel row, no (M, M) kernel; on the sphere a meridian of 2 n
+    # nodes and the two points of the mirror probe
+    assert kernel_calls == ([(1, n)] if dimension == 2 else [(1, 2 * n), (1, 2)])
+    tolerance = 1e-7 if (dimension, resolution) == (3, 8) else 1e-12
+    assert_same_spectrum(fast, so._weighted_kernel(mesh, pot), tolerance)
+    assert fast.eigenvalues.size == (mesh.size if dimension == 2 else n * n)
 
 
 @pytest.mark.parametrize("gaussian", [1.0, -1.0])
 def test_sector_assembly_rejects_a_column_without_mirror_symmetry(gaussian):
     # exp(-|p - q|^2) + (p x q)_z (p_z - q_z) / 4 is real, symmetric and
-    # invariant under turns about z, but odd under the y mirror that the
-    # sector assembly relies on
+    # invariant under turns about z, but odd under the y mirror; its pole-
+    # meridian pairs, all that the channel slice reads, miss the odd term,
+    # so the mirror probe off the meridian must reject it, for assemble and
+    # certify alike
     def kernel(p, q):
         d = p[:, None, :] - q[None, :, :]
         cross = p[:, None, 0] * q[None, :, 1] - p[:, None, 1] * q[None, :, 0]
@@ -239,6 +255,8 @@ def test_sector_assembly_rejects_a_column_without_mirror_symmetry(gaussian):
     mesh = surface.build_mesh(1.0, 3, 6)
     with pytest.raises(ConsistencyError, match="mirror"):
         so.assemble(mesh, pot)
+    with pytest.raises(ConsistencyError, match="mirror"):
+        rayleigh_ritz.certify(symbols.roton(1.0, 0.5, 1.0), pot, mesh, 1)
     # without the ring layout the dense assembly has no mirror to rely on
     dense = so.assemble(dataclasses.replace(mesh, rings=0), pot)
     assert dense.eigenfunctions.dtype == np.float64
@@ -306,7 +324,7 @@ def test_quadratic_form_matches_real_space_quadrature():
     # wave packet g(x) = sum_j w_j f_j exp(i <s_j, x>); this pins the
     # transform convention end to end, through the eigenpairs alone:
     # u* A u = sum_j lambda_j |v_j^H u|^2 with v_j = sqrt(w) Psi_j
-    mesh = surface.build_mesh(1.0, 2, 16)
+    mesh = dataclasses.replace(surface.build_mesh(1.0, 2, 16), rings=0)
     pot = potentials.gaussian_well(1.0, 1.0)
     op = so.assemble(mesh, pot)
     rng = np.random.default_rng(41)
