@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -73,7 +74,7 @@ POTENTIAL_KINDS = {
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     # BLAS/OpenMP pools size themselves when numpy loads, and importing
     # this module has already loaded numpy through shellbound/__init__,
     # so these reach only pools started later (ROADMAP.md, item 7)
@@ -113,7 +114,9 @@ def main(argv=None) -> int:
     return status
 
 
-def _parse_args(argv):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="shellbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (("run", "execute the configured task"),
@@ -123,7 +126,7 @@ def _parse_args(argv):
         cmd.add_argument("--output", default=None, help="output directory")
         cmd.add_argument("--threads", type=int, default=1, help="worker thread count")
         cmd.add_argument("--seed", type=_seed, default=0, help="random seed (u64)")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _seed(text: str) -> int:

@@ -30,14 +30,22 @@ Funk-Hecke theorem, the spherical harmonics of degree l in 3-D, each
 kernel of every channel, a T x T matrix over the T tube radii, from one
 kernel slice of T x (T n) entries (n the mesh's azimuth count) and an
 FFT over the azimuth (2-D), or of T x (2 T n) entries and a Legendre
-projection on 2 n Gauss-Legendre nodes (3-D), in numpy alone. The shell
+projection on 2 n Gauss-Legendre nodes (3-D), in numpy alone. The slice
+is all that an eps step adds: the angular rule, the Gauss-Legendre
+projection included, and the transverse rule of
+:class:`TransverseProfile` are built once and reused by every step and
+every later certificate. A real 2-D slice takes a real FFT, whose
+channels m = 0..n/2 stand for m and n - m alike, so the form is
+evaluated on that half and read by each state's channel; a
+band-projected slice is complex and keeps the full FFT. The shell
 eigenvalues are that kernel at the shell radius, the same list that
 ``surface_operator.assemble`` returns on this route, and h(eps) is
 diagonal, one entry per state's channel: no shell operator is
 assembled and no eigenfunction matrix formed. A real radial V has a
 real kernel, Hermitian in the radii and, in 3-D, unchanged by the
-mirror probe off the meridian; a kernel that is not raises
-``ConsistencyError``. Everything else, ``states``, non-radial
+mirror probe off the meridian, made once with the shell values; a
+kernel that is not raises ``ConsistencyError``. Everything else,
+``states``, non-radial
 potentials and meshes without a layout, takes the dense route: the
 assembled (or supplied) surface states and one kernel matrix over the
 whole tube cloud, (M * T)^2 entries for a mesh of M nodes.
@@ -52,6 +60,7 @@ share it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,19 +106,19 @@ class TransverseProfile:
     normalizer: float
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def build(cls, order: int = 12) -> "TransverseProfile":
+        """The profile on ``order`` nodes, built once per order; its arrays are read-only."""
         if order < 4:
             raise PreconditionError("transverse quadrature order must be at least 4")
         nodes, weights = np.polynomial.legendre.leggauss(int(order))
         raw = np.exp(-1.0 / (1.0 - nodes**2))
         normalizer = 1.0 / float(weights @ raw)
-        return cls(
-            order=int(order),
-            nodes=nodes,
-            weights=weights,
-            values=normalizer * raw,
-            normalizer=normalizer,
-        )
+        values = normalizer * raw
+        for array in (nodes, weights, values):
+            array.flags.writeable = False
+        return cls(order=int(order), nodes=nodes, weights=weights, values=values,
+                   normalizer=normalizer)
 
     def bump(self, t):
         """Normalized bump at arbitrary points; zero outside (-1, 1)."""
@@ -208,12 +217,15 @@ def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tu
 
 def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: TransverseProfile,
                   tube):
-    """The diagonal of h(eps) in every angular channel of :func:`_channel_kernel`.
+    """The diagonal of h(eps) in every angular channel that :func:`_channel_kernel` lists.
 
     In channel c the trial function is the channel's unit surface
     eigenfunction times the transverse bump, so its form is the kinetic
     integral over the T tube radii r_a plus ``x^T kappa_c x`` with
-    ``x_a = w_a b_a rho_a``.
+    ``x_a = w_a b_a rho_a``. For a real 2-D slice the list is the half
+    m = 0..n/2 of the real FFT, and the form of m serves n - m too:
+    ``certify`` indexes it by the channels of ``_shell_channels``, which
+    are listed the same way.
     """
     eps_abs, _, rho = tube
     radii = mesh.radius + eps_abs * profile.nodes

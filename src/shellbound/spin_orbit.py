@@ -33,7 +33,7 @@ no eigensolve; the bound holds up to the rounding of each entry of
 ``D^H A D``, a few units in the last place. On a ring layout it
 regauges with a phase and a winding, which shift the channels of the
 kernel row, and computes the norm over the channels by Parseval, so no
-M x M matrix is formed.
+M x M matrix is formed; the 20 regaugings are transformed as one stack.
 """
 
 from __future__ import annotations
@@ -204,7 +204,11 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
       phase and a random winding s, on the row point (p = 0) and the n
       column points alike, through ``surface_operator._band_matrix``;
       the FFT of the regauged row gives channels kappa_theta that must
-      pass the Hermitian test of the assembly (be real). A has the
+      pass the Hermitian test of the assembly (be real). The base gauge
+      and the 20 regaugings form one stack of frames, which goes through
+      ``_band_matrix``, the FFT and the Hermitian test of
+      ``surface_operator._channels`` at once, with the values of one
+      trial at a time. A has the
       circulant form of the row, so D^H A D has the channels of kappa
       shifted by s, ``roll(kappa, s)``, and by Parseval
       ``||A_theta - D^H A D||_F = ||kappa_theta - roll(kappa, s)||_2``.
@@ -224,8 +228,8 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     """
     _check_problem(symbol, mesh, potential)
     rng = random.Random(seed)
-    worst = 0.0
     if not ring_layout(mesh, potential):
+        worst = 0.0
         kernel = np.asarray(potential.kernel_matrix(mesh.nodes))
         frame = band_frame(symbol, mesh.nodes)
         base = _dense_operator(mesh, kernel, frame)
@@ -238,18 +242,18 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     row = np.asarray(potential.kernel_matrix(rows, points))
     frame = band_frame(symbol, points)
     n = points.shape[0]
-
-    def channels(d):
-        return _channels(mesh, row, frames=(frame[:1] * d[0], frame * d[:, None]))[:, 0, 0].real
-
-    base = channels(np.ones(n))
+    # trial 0 is the base gauge; the draws keep the order of the stream
+    phases, windings = [np.zeros(1)], [0]
     for _ in range(20):
-        phase = np.exp(1j * np.pi * kernels.uniform(rng, 1))
-        winding = rng.randrange(n)
-        # phase arguments reduced mod n, so the winding's table keeps its symmetry
-        d = phase * np.exp(2j * np.pi * ((winding * np.arange(n)) % n) / n)
-        worst = max(worst, float(np.linalg.norm(channels(d) - np.roll(base, winding))))
-    return worst
+        phases.append(kernels.uniform(rng, 1))
+        windings.append(rng.randrange(n))
+    # phase arguments reduced mod n, so the winding's table keeps its symmetry
+    d = np.exp(1j * np.pi * np.array(phases)) * np.exp(
+        2j * np.pi * ((np.array(windings)[:, None] * np.arange(n)) % n) / n)
+    kappa = _channels(mesh, row, frames=(frame[:1] * d[:, :1, None], frame * d[..., None]))
+    kappa = kappa[:, :, 0, 0].real
+    return max(float(np.linalg.norm(k - np.roll(kappa[0], s)))
+               for k, s in zip(kappa[1:], windings[1:]))
 
 
 def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,

@@ -50,9 +50,9 @@ class SurfaceMesh:
         2 n-node Gauss-Legendre rule. ``build_mesh``
         records 1 ring of M nodes for the circle and ``resolution`` rings
         of ``2 * resolution`` nodes for the sphere. The layout is checked
-        on construction in O(M) (nodes to 1e-12 R, weights to 1e-12
-        relative); a mesh that does not have it raises
-        ``PreconditionError``.
+        on construction in O(M) (nodes on the shell and at their turns to
+        1e-12 R, weights to 1e-12 relative); a mesh that does not have it
+        raises ``PreconditionError``.
     """
 
     dimension: int
@@ -77,6 +77,8 @@ class SurfaceMesh:
         tolerance = 1e-12 * self.radius
         if np.abs(first[:, 1]).max() > tolerance or first[:, 0].min() < -tolerance:
             raise PreconditionError("node 0 of a ring is not at azimuth 0")
+        if np.abs(np.linalg.norm(first, axis=1) - self.radius).max() > tolerance:
+            raise PreconditionError(f"node 0 of a ring is off the shell |s| = {self.radius}")
         # node p = node 0 turned by 2 pi p / n; node 0 has y = 0
         angles = 2.0 * np.pi * np.arange(n) / n
         turned = np.repeat(first[:, None], n, axis=1)

@@ -17,11 +17,17 @@ harmonics of degree l on the sphere, each 2 l + 1 times.
 slice (see :func:`_channel_points`), :func:`assemble` lists them, each
 repeated by its multiplicity, and ``certify`` reads the same values for
 its count check and the same slice at its tube radii for its trial
-forms. No square kernel is formed and no eigensolve made. A real radial
-V has a real kernel with real channel values, unchanged in 3-D by the
-mirror y -> -y of a point off the meridian that the slice reads; a
-kernel that is not raises ``ConsistencyError`` rather than taking
-another route.
+forms. No square kernel is formed and no eigensolve made. Only the
+slice depends on the tube radii: the angular rule (the directions and,
+on the sphere, the 2 n-node Gauss-Legendre projection) is built once
+per azimuth count and radius. A real 2-D slice is transformed by a
+real FFT, whose channels m = 0..n/2 stand for m and n - m alike, and
+its Hermitian test reads that half, which is the whole test because
+kappa[n - m] = conj(kappa[m]); a complex, band-projected slice keeps
+the full FFT. A real radial V has a real kernel with real channel
+values, unchanged in 3-D by the mirror y -> -y of a point off the
+meridian that the slice reads, probed once per shell; a kernel that is
+not raises ``ConsistencyError`` rather than taking another route.
 
 Tabulated potentials and meshes without a layout take the dense route:
 the weight-symmetrized Hermitian matrix
@@ -42,6 +48,7 @@ transform over the angle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +131,31 @@ def ring_layout(mesh: SurfaceMesh, potential: Potential) -> bool:
     return bool(potential.is_radial and mesh.rings)
 
 
+@functools.lru_cache(maxsize=None)
+def _angular_rule(dimension: int, n: int, radius: float):
+    """(directions, legendre) of :func:`_channel_points`, built once per (n, R) and read-only."""
+    legendre = None
+    if dimension == 2:
+        angles = 2.0 * np.pi * np.arange(n) / n
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        cosines, weights = np.polynomial.legendre.leggauss(2 * n)
+        directions = np.stack([np.sqrt(1.0 - cosines**2), np.zeros(2 * n), cosines], axis=1)
+        legendre = np.polynomial.legendre.legvander(cosines, n - 1)
+        legendre *= (2.0 * np.pi * radius**2 * weights)[:, None]
+        legendre.flags.writeable = False
+    directions.flags.writeable = False
+    return directions, legendre
+
+
 def _channel_points(mesh: SurfaceMesh, radii):
     """(rows, columns, legendre): the kernel slice of :func:`_channel_kernel` and its transform.
 
     n = M / rings is the mesh's azimuth count, and the rows are the
     T = len(radii) points of radius r_a on the axis the columns turn
-    about.
+    about. The unit directions and the projection depend on the mesh's
+    dimension, n and R alone, so :func:`_angular_rule` builds them once
+    per (n, R) and every later slice reuses them.
 
     - 2-D: the rows are (r_a, 0), the columns the n turned points
       r_b (cos theta_p, sin theta_p), theta_p = 2 pi p / n, of each
@@ -142,48 +168,44 @@ def _channel_points(mesh: SurfaceMesh, radii):
       many nodes as degrees keep the top degrees at roundoff.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    n = mesh.size // mesh.rings
+    directions, legendre = _angular_rule(mesh.dimension, mesh.size // mesh.rings, mesh.radius)
     rows = np.zeros((radii.size, mesh.dimension))
-    legendre = None
-    if mesh.dimension == 2:
-        angles = 2.0 * np.pi * np.arange(n) / n
-        rows[:, 0] = radii
-        directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        cosines, weights = np.polynomial.legendre.leggauss(2 * n)
-        rows[:, 2] = radii
-        directions = np.stack([np.sqrt(1.0 - cosines**2), np.zeros(2 * n), cosines], axis=1)
-        legendre = np.polynomial.legendre.legvander(cosines, n - 1)
-        legendre *= (2.0 * np.pi * mesh.radius**2 * weights)[:, None]
+    rows[:, 0 if mesh.dimension == 2 else 2] = radii
     points = (radii[:, None, None] * directions).reshape(-1, mesh.dimension)
     return rows, points, legendre
 
 
 def _channels(mesh: SurfaceMesh, kernel: np.ndarray, legendre=None, frames=None) -> np.ndarray:
-    """kappa[c, a, b], the channels of a (T, T nodes) kernel slice of :func:`_channel_points`.
+    """kappa[..., c, a, b], the channels of a (T, T nodes) kernel slice of :func:`_channel_points`.
 
-    ``frames`` (the band frames of the rows and of the columns), if
-    given, multiply the slice by the overlap of :func:`_band_matrix`.
-    Then the FFT over the nodes times 2 pi R / n (2-D; ``legendre``
-    None), or the projection on ``legendre`` (3-D).
+    ``frames`` (the band frames of the rows and of the columns, with
+    any leading axes of a stack of frames), if given, multiply the
+    slice by the overlap of :func:`_band_matrix`, and the leading axes
+    carry through. Then the transform over the nodes: the projection on
+    ``legendre`` (3-D), or the FFT times 2 pi R / n (2-D; ``legendre``
+    None). A real 2-D slice has kappa[n - m] = conj(kappa[m]), so its
+    real FFT lists only the channels m = 0..n/2, and a complex slice,
+    such as a band-projected one, keeps the full FFT.
 
     Raises
     ------
     ConsistencyError
         If kappa misses Hermitian symmetry in (a, b) by more than
         1e-12 max(1, max |kappa|): at one radius, if a channel value
-        is not real.
+        is not real. On the half spectrum of a real slice this is the
+        same test as on all n channels.
     """
-    count = kernel.shape[0]
+    count = kernel.shape[-2]
     if frames is not None:
         kernel = _band_matrix(kernel, *frames)
-    kernel = kernel.reshape(count, count, -1)
-    if legendre is None:
-        kappa = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / kernel.shape[2])
-    else:
+    kernel = kernel.reshape(kernel.shape[:-2] + (count, count, -1))
+    if legendre is not None:
         kappa = kernel @ legendre
-    kappa = np.moveaxis(kappa, 2, 0)
-    _require_hermitian(kappa, kappa.conj().swapaxes(1, 2), "radial channel kernel")
+    else:
+        transform = np.fft.fft if np.iscomplexobj(kernel) else np.fft.rfft
+        kappa = transform(kernel) * (2.0 * np.pi * mesh.radius / kernel.shape[-1])
+    kappa = np.moveaxis(kappa, -1, -3)
+    _require_hermitian(kappa, kappa.conj().swapaxes(-1, -2), "radial channel kernel")
     return kappa
 
 
@@ -219,22 +241,26 @@ def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
     radii, with the shell measure of ``mesh`` (radius R). One
     ``kernel_matrix`` call on the slice of :func:`_channel_points`
     serves every channel; the shell's eigenvalues are
-    ``kappa[:, 0, 0]`` at ``radii = [R]``. The rule reads only the
-    mesh's dimension, radius and azimuth count n.
+    ``kappa[:, 0, 0]`` at ``radii = [R]``, each repeated by its
+    multiplicity. The rule reads only the mesh's dimension, radius and
+    azimuth count n.
 
-    - 2-D: the channels m = 0..n-1, each once. A band ``frame``
-      (points -> (count, bands)) multiplies the kernel by the overlap
-      ``<u(row), u(column)>`` before the FFT.
+    - 2-D: the channels m = 0..n-1. A real slice lists m = 0..n/2 from
+      its real FFT, each standing for m and n - m (multiplicity 2, or 1
+      at m = 0 and m = n/2). A band ``frame`` (points -> (count, bands))
+      multiplies the kernel by the overlap ``<u(row), u(column)>`` before
+      the FFT; that slice is complex and lists all n channels, each once.
     - 3-D (Funk-Hecke): the degrees l = 0..n-1, each with multiplicity
-      2 l + 1, after the mirror probe of :func:`_probe_mirror`.
+      2 l + 1. The kernel's mirror probe, :func:`_probe_mirror`, is
+      :func:`_shell_channels`' and runs once per shell.
 
     Raises
     ------
     ConsistencyError
-        If the kernel is complex, fails the mirror probe (3-D), or its
-        channels miss Hermitian symmetry (see :func:`_channels`): at the
-        shell radius in 2-D that is the mirror symmetry of the kernel
-        row. The kernel of a real radial V is real and has all three.
+        If the kernel is complex or its channels miss Hermitian symmetry
+        (see :func:`_channels`): at the shell radius in 2-D that is the
+        mirror symmetry of the kernel row. The kernel of a real radial V
+        is real and Hermitian.
     """
     rows, points, legendre = _channel_points(mesh, radii)
     kernel = np.asarray(potential.kernel_matrix(rows, points))
@@ -243,22 +269,30 @@ def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
             f"radial tube kernel is {kernel.dtype}, not real; "
             "the kernel of a real radial V is real"
         )
-    if legendre is not None:
-        _probe_mirror(potential, mesh.radius)
     frames = None if frame is None else (np.asarray(frame(rows)), np.asarray(frame(points)))
     kappa = _channels(mesh, kernel, legendre, frames)
-    degrees = np.arange(kappa.shape[0])
-    return kappa, np.ones_like(degrees) if legendre is None else 2 * degrees + 1
+    channel = np.arange(kappa.shape[0])
+    if legendre is not None:
+        return kappa, 2 * channel + 1
+    n = points.shape[0] // rows.shape[0]
+    # the real FFT's m = 0..n/2 stand for m and n - m, which coincide at 0 and
+    # n/2; the full FFT of a complex slice lists every m once
+    return kappa, 1 + ((channel.size < n) & (channel > 0) & (2 * channel != n))
 
 
 def _shell_channels(mesh: SurfaceMesh, potential: Potential, frame=None):
     """(values, channel): the shell's channel values, each repeated by its multiplicity.
 
-    Ascending (stable-sorted), with the channel index of each value: the
-    spectrum that :func:`assemble` lists on the channel route and that
-    ``certify`` counts and certifies.
+    Ascending (stable-sorted), with the channel index of each value in
+    the list of :func:`_channel_kernel`: the full spectrum that
+    :func:`assemble` lists on the channel route and that ``certify``
+    counts and certifies. On the sphere the kernel must also pass the
+    mirror probe of :func:`_probe_mirror`, once for the shell and every
+    tube slice that reads the same kernel.
     """
     kappa, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], frame)
+    if mesh.dimension == 3:
+        _probe_mirror(potential, mesh.radius)
     channel = np.repeat(np.arange(multiplicity.size), multiplicity)
     values = kappa[channel, 0, 0].real
     order = np.argsort(values, kind="stable")
@@ -283,9 +317,10 @@ def _band_matrix(weighted: np.ndarray, frame: np.ndarray, columns=None) -> np.nd
     ``columns`` (``frame`` by default): the M x M kernel of
     :func:`_dense_operator` or :func:`_weighted_kernel`, the slice of
     :func:`_channel_kernel`, or a tube kernel of
-    :func:`shellbound.rayleigh_ritz.certify`.
+    :func:`shellbound.rayleigh_ritz.certify`. The frames may carry
+    leading axes, a stack of frames, which broadcast over ``weighted``.
     """
-    projected = frame.conj() @ (frame if columns is None else columns).T
+    projected = frame.conj() @ (frame if columns is None else columns).swapaxes(-1, -2)
     projected *= weighted
     return projected
 

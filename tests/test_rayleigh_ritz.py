@@ -495,7 +495,8 @@ def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resol
     # the channel route takes the shell row of n points and, per eps, the
     # T radii against T circles of n points, where n is the azimuth count
     # (M on the circle); on the sphere, with n = 2 * resolution, the T
-    # meridians have 2 n points each, and each slice has its mirror probe
+    # meridians have 2 n points each, and the shell row alone has the
+    # mirror probe
     mesh = surface.build_mesh(1.0, dimension, resolution)
     transverse = 12
     cert = rr.certify(_shell_symbol(dimension), potentials.gaussian_well(1.0, 1.0, dimension),
@@ -505,7 +506,33 @@ def test_block_circulant_kernel_calls_are_bounded(kernel_calls, dimension, resol
     if dimension == 2:
         assert kernel_calls == [(1, n)] + [(transverse, transverse * n)] * 4
     else:
-        assert kernel_calls == [(1, 2 * n), (1, 2)] + [(transverse, transverse * 2 * n), (1, 2)] * 4
+        assert kernel_calls == [(1, 2 * n), (1, 2)] + [(transverse, transverse * 2 * n)] * 4
+
+
+def test_certify_builds_each_quadrature_rule_once(monkeypatch):
+    # the 2 n-node Gauss-Legendre rule of the sphere's channels depends on
+    # n and R alone, and the transverse rule on its order: one certificate
+    # builds each once, and another on the same mesh builds neither
+    mesh = surface.build_mesh(1.0, 3, 12)
+    n = mesh.size // mesh.rings
+    original = np.polynomial.legendre.leggauss
+    orders = []
+
+    def spy(order):
+        orders.append(int(order))
+        return original(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    so._angular_rule.cache_clear()
+    rr.TransverseProfile.build.cache_clear()
+    pot = potentials.gaussian_well(1.0, 1.0, 3)
+    first = rr.certify(_shell_symbol(3), pot, mesh, 3)
+    assert sorted(orders) == [12, 2 * n]
+    orders.clear()
+    second = rr.certify(_shell_symbol(3), pot, mesh, 3)
+    assert orders == []
+    for a, b in zip(first.matrices, second.matrices, strict=True):
+        assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------ closed-form channels
@@ -543,9 +570,10 @@ def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
         potentials.gaussian_well(1.0, 1.0)
     mesh = surface.build_mesh(radius, 2, m_count)
     kappa, multiplicity = so._channel_kernel(pot, mesh, [radius])
-    assert kappa.shape == (m_count, 1, 1) and np.all(multiplicity == 1)
-    channel = np.minimum(np.arange(m_count), m_count - np.arange(m_count))  # |m|
-    expected = _gaussian_channel(2, radius, radius, radius, terms)[channel]
+    # the real FFT lists m = 0..M/2, the inner ones standing for m and M - m
+    assert kappa.shape == (m_count // 2 + 1, 1, 1)
+    assert multiplicity.sum() == m_count and multiplicity[0] == multiplicity[-1] == 1
+    expected = _gaussian_channel(2, radius, radius, radius, terms)[:m_count // 2 + 1]
     assert np.abs(kappa[:, 0, 0] - expected).max() <= 1e-13
 
 

@@ -138,13 +138,13 @@ def test_spectrum_is_gauge_invariant(circle):
 
 def _without_conjugate(weighted, frame, columns):
     # <u_i, u_j> computed as u_i . u_j: complex symmetric, not Hermitian
-    return weighted * (frame @ columns.T)
+    return weighted * (frame @ columns.swapaxes(-1, -2))
 
 
 def _conjugate_on_the_wrong_factor(weighted, frame, columns):
     # Hermitian and a unitary similarity of the right matrix, so its
     # spectrum is gauge invariant; only the matrix itself is wrong
-    return weighted * (frame @ columns.conj().T)
+    return weighted * (frame @ columns.conj().swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("broken", [_without_conjugate, _conjugate_on_the_wrong_factor])
@@ -170,15 +170,14 @@ def _regaugings(mesh, trials, seed):
 
 
 def _one_sided_after_the_base(value):
-    # _band_matrix plus ``value`` at row entry (0, 1) alone, on every call
-    # after the first, which forms the base row
+    # _band_matrix plus ``value`` at row entry (0, 1) alone, on every row of
+    # the stack after the first, which is the base row
     correct = surface_operator._band_matrix
     calls = []
 
     def one_sided(weighted, frame, columns):
         a = correct(weighted, frame, columns)
-        if calls:
-            a[0, 1] += value
+        a[1:, 0, 1] += value
         calls.append(frame)
         return a
 
@@ -186,14 +185,14 @@ def _one_sided_after_the_base(value):
 
 
 def _perturbed_row(value):
-    # _band_matrix plus ``value`` at row entries (0, 1) and (0, n - 1): the
-    # entries next to the diagonal of the circulant operator, which do not
-    # follow the regauging
+    # _band_matrix plus ``value`` at row entries (0, 1) and (0, n - 1) of
+    # every row of the stack: the entries next to the diagonal of the
+    # circulant operator, which do not follow the regauging
     correct = surface_operator._band_matrix
 
     def perturbed(weighted, frame, columns):
         a = correct(weighted, frame, columns)
-        a[0, [1, -1]] += value
+        a[..., 0, [1, -1]] += value
         return a
 
     return perturbed
@@ -292,13 +291,42 @@ def test_gauge_check_evaluates_one_kernel_column(kernel_calls, circle, tabulated
     assert kernel_calls == [(circle.size, circle.size)]
 
 
+def _looped_gauge_deviation(symbol, mesh, seed):
+    # the channel check one regauging at a time: a fresh band-projected row
+    # and FFT per trial, on the phases of _regaugings
+    rows, points, _ = surface_operator._channel_points(mesh, [mesh.radius])
+    row = np.asarray(WELL.kernel_matrix(rows, points))
+    frame = spin_orbit.band_frame(symbol, points)
+
+    def channels(d):
+        frames = (frame[:1] * d[0], frame * d[:, None])
+        return surface_operator._channels(mesh, row, frames=frames)[:, 0, 0].real
+
+    base = channels(np.ones(mesh.size))
+    return max(float(np.linalg.norm(channels(d) - np.roll(base, winding)))
+               for d, winding in _regaugings(mesh, 20, seed))
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-6])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_gauge_check_equals_the_looped_check(circle, monkeypatch, seed, perturbation):
+    # the 20 regaugings go through _band_matrix and the FFT as one stack;
+    # one trial at a time gives the same bound
+    monkeypatch.setattr(surface_operator, "_band_matrix", _perturbed_row(perturbation))
+    symbol = spin_orbit.rashba(2.0)
+    stacked = spin_orbit.gauge_deviation(symbol, circle, WELL, seed=seed)
+    looped = _looped_gauge_deviation(symbol, circle, seed)
+    assert stacked == looped or abs(stacked - looped) <= 1e-15 * max(1.0, looped)
+
+
 def test_gauge_deviation_rejects_a_non_hermitian_regauging(circle, monkeypatch):
     # the base row is right; every regauged one gains a one-sided 1e-6 entry
     one_sided, calls = _one_sided_after_the_base(1e-6)
     monkeypatch.setattr(surface_operator, "_band_matrix", one_sided)
     with pytest.raises(ConsistencyError, match="Hermitian"):
         spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), circle, WELL)
-    assert len(calls) == 2  # raised at the first regauging
+    # one stacked call: the base row and the 20 regaugings
+    assert len(calls) == 1 and calls[0].shape[0] == 21
 
 
 def test_gauge_deviation_hermitizes_each_regauging(circle, monkeypatch):

@@ -139,6 +139,27 @@ def test_ring_layout_is_checked_on_construction(dimension, resolution):
         with_layout(rings=-1)
 
 
+def test_ring_layout_rejects_rings_off_the_shell():
+    # two rings of 16 uniform azimuths at radii 1 and 0.5 pass every other
+    # layout check, but the channel route would list the unit circle's
+    # channels for them (16 values from -2.93, where the dense operator of
+    # these nodes starts at -7.67)
+    n = 16
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    nodes = np.concatenate([ring, 0.5 * ring])
+    weights = np.concatenate([np.full(n, 2.0 * np.pi / n), np.full(n, np.pi / n)])
+    with pytest.raises(PreconditionError, match="off the shell"):
+        surface.SurfaceMesh(2, 1.0, nodes, weights, rings=2)
+    # without the layout the mesh is accepted and takes the dense route
+    assert surface.SurfaceMesh(2, 1.0, nodes, weights).rings == 0
+    # a built mesh whose recorded radius is not that of its nodes
+    for dimension, resolution in ((2, 16), (3, 6)):
+        mesh = surface.build_mesh(1.0, dimension, resolution)
+        with pytest.raises(PreconditionError, match="off the shell"):
+            dataclasses.replace(mesh, radius=1.0 + 1e-11)
+
+
 def test_ring_layout_check_resolves_build_mesh_roundoff():
     # the layout holds to 1e-12 R at every radius, not to roundoff of 1
     for radius in (1e-3, 1.0, 1e3):

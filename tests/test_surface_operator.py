@@ -37,10 +37,10 @@ def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
 
 
 def _channel_spectrum(mesh, pot):
-    # the shell values of certify's channel route, sorted: an FFT of one
-    # kernel row
-    kappa, _ = so._channel_kernel(pot, mesh, [mesh.radius])
-    return np.sort(kappa[:, 0, 0].real)
+    # the shell values of certify's channel route, sorted: a real FFT of one
+    # kernel row, each channel repeated by its multiplicity
+    kappa, multiplicity = so._channel_kernel(pot, mesh, [mesh.radius])
+    return np.sort(np.repeat(kappa[:, 0, 0].real, multiplicity))
 
 
 def _dense_spectrum(mesh, pot):
@@ -278,6 +278,69 @@ def test_sector_assembly_rejects_non_hermitian_slice():
     pot = _custom_potential(lambda k: np.zeros(k.shape[:-1]), kernel_fn=broken, is_radial=True)
     with pytest.raises(ConsistencyError, match="Hermitian"):
         so.assemble(surface.build_mesh(1.0, 2, 16), pot)
+
+
+def _full_fft_channels(mesh, pot, radii):
+    # the complex FFT of the real (T, T n) slice over all n channels: the
+    # transform the real FFT replaces
+    rows, points, _ = so._channel_points(mesh, radii)
+    kernel = np.asarray(pot.kernel_matrix(rows, points)).reshape(len(radii), len(radii), -1)
+    full = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / kernel.shape[2])
+    return np.moveaxis(full, 2, 0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian-well", "dimple-mix"])
+@pytest.mark.parametrize("resolution", [63, 64])
+def test_real_fft_channels_equal_the_full_fft(resolution, kind):
+    # the real FFT lists m = 0..n/2; with channel n - m the conjugate of
+    # channel m, that half and its multiplicities give all n channels
+    mesh = surface.build_mesh(1.2, 2, resolution)
+    pot = _radial_potential(kind, 2)
+    radii = 1.2 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
+    full = _full_fft_channels(mesh, pot, radii)
+    kappa, multiplicity = so._channel_kernel(pot, mesh, radii)
+    half = resolution // 2 + 1
+    assert kappa.shape == (half, radii.size, radii.size)
+    assert multiplicity.sum() == resolution
+    assert np.array_equal(multiplicity == 1, np.isin(np.arange(half), [0, resolution / 2]))
+    scale = np.abs(full).max()
+    assert np.abs(kappa - full[:half]).max() <= 1e-14 * scale
+    # channels half..n-1 are the conjugates of n - half..1
+    rebuilt = np.concatenate([kappa, kappa[resolution - half:0:-1].conj()])
+    assert np.abs(rebuilt - full).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("resolution", [63, 64])
+@pytest.mark.parametrize("a, b, p", [(0, 0, 1), (0, 1, 3), (2, 1, 0), (1, 3, -1), (3, 3, 31)])
+def test_half_spectrum_rejects_a_slice_without_mirror_symmetry(resolution, a, b, p):
+    # a real slice has Hermitian channels exactly when K[a, b, p] = K[b, a, -p];
+    # one entry off that symmetry shows in the half spectrum too
+    mesh = surface.build_mesh(1.0, 2, resolution)
+    pot = potentials.gaussian_well(1.0, 1.0)
+    radii = 1.0 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
+    rows, points, _ = so._channel_points(mesh, radii)
+    kernel = np.asarray(pot.kernel_matrix(rows, points))
+    so._channels(mesh, kernel)  # the intact slice passes
+    kernel[a, b * resolution + p % resolution] += 1e-9
+    with pytest.raises(ConsistencyError, match="Hermitian"):
+        so._channels(mesh, kernel)
+
+
+@pytest.mark.parametrize("resolution", [63, 64])
+@pytest.mark.parametrize("top", [0, 1, 2, 3])
+def test_half_spectrum_tests_every_listed_channel(resolution, top):
+    # cos(2 pi m p / n) added to K[0, 1, :] alone breaks the Hermitian
+    # symmetry of channels m and n - m and of no other: each of m = 0, 1 and
+    # the last two of the half, n/2 included for even n, must be tested
+    mesh = surface.build_mesh(1.0, 2, resolution)
+    radii = 1.0 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
+    rows, points, _ = so._channel_points(mesh, radii)
+    kernel = np.asarray(potentials.gaussian_well(1.0, 1.0).kernel_matrix(rows, points))
+    m = [0, 1, resolution // 2 - 1, resolution // 2][top]
+    kernel[0, resolution:2 * resolution] += 1e-9 * np.cos(2.0 * np.pi * m * np.arange(resolution)
+                                                          / resolution)
+    with pytest.raises(ConsistencyError, match="Hermitian"):
+        so._channels(mesh, kernel)
 
 
 # ------------------------------------------------------- nonpositive spectra
