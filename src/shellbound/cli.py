@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     return status
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _parser():
     """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="shellbound", description=__doc__.splitlines()[0])

@@ -106,9 +106,9 @@ class TransverseProfile:
     normalizer: float
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
+    @functools.lru_cache(maxsize=16)
     def build(cls, order: int = 12) -> "TransverseProfile":
-        """The profile on ``order`` nodes, built once per order; its arrays are read-only."""
+        """The profile on ``order`` nodes, read-only; the 16 latest orders are kept."""
         if order < 4:
             raise PreconditionError("transverse quadrature order must be at least 4")
         nodes, weights = np.polynomial.legendre.leggauss(int(order))

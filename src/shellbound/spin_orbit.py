@@ -205,12 +205,12 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
       column points alike, through ``surface_operator._band_matrix``;
       the FFT of the regauged row gives channels kappa_theta that must
       pass the Hermitian test of the assembly (be real). The base gauge
-      and the 20 regaugings form one stack of frames, which goes through
+      and the 20 regaugings form one stack of frames that goes through
       ``_band_matrix``, the FFT and the Hermitian test of
-      ``surface_operator._channels`` at once, with the values of one
-      trial at a time. A has the
-      circulant form of the row, so D^H A D has the channels of kappa
-      shifted by s, ``roll(kappa, s)``, and by Parseval
+      ``surface_operator._channels`` at once, and gives the values of
+      one trial at a time. A has the circulant form of the row, so
+      D^H A D has the channels of kappa shifted by s,
+      ``roll(kappa, s)``, and by Parseval
       ``||A_theta - D^H A D||_F = ||kappa_theta - roll(kappa, s)||_2``.
       The phase on the row makes a product without the conjugate
       complex, so the Hermitian test catches it.

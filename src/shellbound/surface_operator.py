@@ -131,9 +131,9 @@ def ring_layout(mesh: SurfaceMesh, potential: Potential) -> bool:
     return bool(potential.is_radial and mesh.rings)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _angular_rule(dimension: int, n: int, radius: float):
-    """(directions, legendre) of :func:`_channel_points`, built once per (n, R) and read-only."""
+    """(directions, legendre) of :func:`_channel_points`, read-only; 16 latest (n, R) kept."""
     legendre = None
     if dimension == 2:
         angles = 2.0 * np.pi * np.arange(n) / n
