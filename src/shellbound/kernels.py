@@ -7,7 +7,9 @@ against a few points: the angular channels of
 against n points of the circle (2-D) or 2 n of a meridian (3-D), for the
 shell operator and the spin gauge check, and
 :func:`shellbound.rayleigh_ritz.certify` one such slice per eps, the T
-tube radii against T circles or meridians. Tabulated potentials and
+tube radii against T circles or meridians, which the channel route
+contracts on the tube weights to one row before its transform, so the
+slice is the largest array of an eps step. Tabulated potentials and
 meshes without a layout still assemble square matrices, quadratic in
 the cloud size.
 

@@ -26,25 +26,29 @@ by :func:`shellbound.surface_operator.ring_layout`) and no ``states``,
 radial V commute with rotations, so the shell operator and every tube
 form split into channels: the Fourier modes m in 2-D and, by the
 Funk-Hecke theorem, the spherical harmonics of degree l in 3-D, each
-2 l + 1 times. ``surface_operator._channel_kernel`` forms the tube
-kernel of every channel, a T x T matrix over the T tube radii, from one
-kernel slice of T x (T n) entries (n the mesh's azimuth count) and an
-FFT over the azimuth (2-D), or of T x (2 T n) entries and a Legendre
-projection on 2 n Gauss-Legendre nodes (3-D), in numpy alone. The slice
-is all that an eps step adds: the angular rule, the Gauss-Legendre
-projection included, and the transverse rule of
+2 l + 1 times. In channel c the tube kernel is a T x T matrix kappa_c
+over the T tube radii, and the form reads only x^T kappa_c x on the
+tube weights x. ``surface_operator._channel_kernel`` gives that value
+for every channel from one kernel slice of T x (T n) entries (n the
+mesh's azimuth count), contracted on x to one row of n values and
+transformed by an FFT over the azimuth (2-D), or of T x (2 T n)
+entries, contracted and projected on the Legendre polynomials at 2 n
+Gauss-Legendre nodes (3-D), in numpy alone; no (c, T, T) stack is
+formed. The slice is all that an eps step adds: the angular rule, the
+Gauss-Legendre projection included, and the transverse rule of
 :class:`TransverseProfile` are built once and reused by every step and
-every later certificate. A real 2-D slice takes a real FFT, whose
+every later certificate. A real 2-D row takes a real FFT, whose
 channels m = 0..n/2 stand for m and n - m alike, so the form is
 evaluated on that half and read by each state's channel; a
-band-projected slice is complex and keeps the full FFT. The shell
+band-projected row is complex and keeps the full FFT. The shell
 eigenvalues are that kernel at the shell radius, the same list that
 ``surface_operator.assemble`` returns on this route, and h(eps) is
 diagonal, one entry per state's channel: no shell operator is
 assembled and no eigenfunction matrix formed. A real radial V has a
-real kernel, Hermitian in the radii and, in 3-D, unchanged by the
-mirror probe off the meridian, made once with the shell values; a
-kernel that is not raises ``ConsistencyError``. Everything else,
+real kernel whose channels are Hermitian in the radii, tested on the
+slice itself, and, in 3-D, unchanged by the mirror probe off the
+meridian, made once with the shell values; a kernel that is not raises
+``ConsistencyError``. Everything else,
 ``states``, non-radial
 potentials and meshes without a layout, takes the dense route: the
 assembled (or supplied) surface states and one kernel matrix over the
@@ -66,6 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
+from . import surface
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
 from .surface_operator import (
@@ -111,7 +116,7 @@ class TransverseProfile:
         """The profile on ``order`` nodes, read-only; the 16 latest orders are kept."""
         if order < 4:
             raise PreconditionError("transverse quadrature order must be at least 4")
-        nodes, weights = np.polynomial.legendre.leggauss(int(order))
+        nodes, weights = surface.gauss_legendre(int(order))
         raw = np.exp(-1.0 / (1.0 - nodes**2))
         normalizer = 1.0 / float(weights @ raw)
         values = normalizer * raw
@@ -222,19 +227,19 @@ def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: Transv
     In channel c the trial function is the channel's unit surface
     eigenfunction times the transverse bump, so its form is the kinetic
     integral over the T tube radii r_a plus ``x^T kappa_c x`` with
-    ``x_a = w_a b_a rho_a``. For a real 2-D slice the list is the half
+    ``x_a = w_a b_a rho_a``, the channel value of ``_channel_kernel`` on
+    that contraction vector. For a real 2-D slice the list is the half
     m = 0..n/2 of the real FFT, and the form of m serves n - m too:
     ``certify`` indexes it by the channels of ``_shell_channels``, which
     are listed the same way.
     """
     eps_abs, _, rho = tube
     radii = mesh.radius + eps_abs * profile.nodes
-    kappa, _ = _channel_kernel(potential, mesh, radii, symbol.frame)
     points = np.zeros((radii.size, mesh.dimension))
     points[:, 0] = radii
     kinetic = _kinetic_integral(symbol.evaluate(points) - minimum, profile, tube, mesh.dimension)
     x = profile.weights * profile.values * rho
-    return kinetic + (kappa.real @ x) @ x
+    return kinetic + _channel_kernel(potential, mesh, radii, x, symbol.frame)[0]
 
 
 def certify(symbol, potential: Potential, mesh: SurfaceMesh,

@@ -203,10 +203,11 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
       regauging takes ``d(p) = exp(i phi) exp(2 pi i s p / n)``, a random
       phase and a random winding s, on the row point (p = 0) and the n
       column points alike, through ``surface_operator._band_matrix``;
-      the FFT of the regauged row gives channels kappa_theta that must
-      pass the Hermitian test of the assembly (be real). The base gauge
-      and the 20 regaugings form one stack of frames that goes through
-      ``_band_matrix``, the FFT and the Hermitian test of
+      the regauged row must pass the Hermitian test of the assembly, its
+      mirror symmetry ``K[p] = conj(K[-p])``, so that its FFT, the
+      channels kappa_theta, is real. The base gauge and the 20
+      regaugings form one stack of frames that goes through
+      ``_band_matrix``, the Hermitian test and the FFT of
       ``surface_operator._channels`` at once, and gives the values of
       one trial at a time. A has the circulant form of the row, so
       D^H A D has the channels of kappa shifted by s,
@@ -251,7 +252,6 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     d = np.exp(1j * np.pi * np.array(phases)) * np.exp(
         2j * np.pi * ((np.array(windings)[:, None] * np.arange(n)) % n) / n)
     kappa = _channels(mesh, row, frames=(frame[:1] * d[:, :1, None], frame * d[..., None]))
-    kappa = kappa[:, :, 0, 0].real
     return max(float(np.linalg.norm(k - np.roll(kappa[0], s)))
                for k, s in zip(kappa[1:], windings[1:]))
 

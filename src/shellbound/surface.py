@@ -3,6 +3,9 @@
 Only origin-centered circles (n=2) and spheres (n=3) are supported; the
 normal field is then ``n(s) = s/|s|`` and the tubular volume Jacobian
 ``rho(s, t) = ((R + t)/R)^(n-1)`` is independent of the surface point.
+The Gauss-Legendre rule of the sphere's polar nodes, of the transverse
+profile and of the sphere's channel projection is :func:`gauss_legendre`,
+in numpy alone, with the Legendre values of :func:`legendre_table`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,37 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 
-__all__ = ["SurfaceMesh", "TubularChart", "build_mesh", "tubular_chart"]
+__all__ = ["SurfaceMesh", "TubularChart", "build_mesh", "gauss_legendre", "legendre_table",
+           "tubular_chart"]
+
+
+def legendre_table(x, degree: int) -> np.ndarray:
+    """P_l(x) for l = 0..degree by the three-term recurrence; shape ``x.shape + (degree + 1,)``."""
+    x = np.asarray(x, dtype=np.float64)
+    table = [np.ones_like(x), x]
+    for l in range(2, degree + 1):
+        table.append((table[l - 1] * x * (2 * l - 1) - table[l - 2] * (l - 1)) / l)
+    return np.stack(table[:degree + 1], axis=-1)
+
+
+def gauss_legendre(order: int):
+    """(nodes, weights), ascending, of the ``order``-point Gauss-Legendre rule on (-1, 1).
+
+    Golub and Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the Legendre recurrence, polished by one Newton step on
+    P_n (n = ``order``), with P_n' = n g / (1 - x^2) and
+    g = P_{n-1} - x P_n. The weights are 2 (1 - x^2) / (n g)^2; g is
+    stationary at the roots, so a node's rounding hardly moves its
+    weight. Both are symmetrized about 0, and the weights are scaled to
+    sum to 2. The rule integrates polynomials of degree below 2 n.
+    """
+    scale = 1.0 / np.sqrt(2.0 * np.arange(order) + 1.0)
+    nodes = np.linalg.eigvalsh(np.diag(np.arange(1, order) * scale[:-1] * scale[1:], -1))
+    table = legendre_table(nodes, order)
+    nodes -= (1.0 - nodes**2) * table[:, -1] / (order * (table[:, -2] - nodes * table[:, -1]))
+    table = legendre_table(nodes, order)
+    weights = 2.0 * (1.0 - nodes**2) / (order * (table[:, -2] - nodes * table[:, -1])) ** 2
+    return 0.5 * (nodes - nodes[::-1]), (weights + weights[::-1]) / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -128,7 +161,7 @@ def build_mesh(surface_radius, dimension: int, resolution: int) -> SurfaceMesh:
         return SurfaceMesh(2, radius, nodes, weights, rings=1)
     if dimension == 3:
         # int_S f domega = R^2 int_{-1}^{1} dc int_0^{2pi} dphi f(theta(c), phi)
-        cos_nodes, cos_weights = np.polynomial.legendre.leggauss(resolution)
+        cos_nodes, cos_weights = gauss_legendre(resolution)
         n_phi = 2 * resolution
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         sin_theta = np.sqrt(1.0 - cos_nodes**2)

@@ -20,14 +20,18 @@ its count check and the same slice at its tube radii for its trial
 forms. No square kernel is formed and no eigensolve made. Only the
 slice depends on the tube radii: the angular rule (the directions and,
 on the sphere, the 2 n-node Gauss-Legendre projection) is built once
-per azimuth count and radius. A real 2-D slice is transformed by a
-real FFT, whose channels m = 0..n/2 stand for m and n - m alike, and
-its Hermitian test reads that half, which is the whole test because
-kappa[n - m] = conj(kappa[m]); a complex, band-projected slice keeps
-the full FFT. A real radial V has a real kernel with real channel
-values, unchanged in 3-D by the mirror y -> -y of a point off the
-meridian that the slice reads, probed once per shell; a kernel that is
-not raises ``ConsistencyError`` rather than taking another route.
+per azimuth count and radius. A channel's kernel between the T radii is
+a T x T matrix kappa_c, but ``certify`` reads only its form
+x^T kappa_c x on the tube weights x, so :func:`_channels` contracts the
+slice with x first and transforms one row of n values: by a real FFT
+for a real 2-D row, whose channels m = 0..n/2 stand for m and n - m
+alike, by the full FFT for a complex, band-projected row, and by the
+Legendre projection on the sphere. No (c, T, T) stack is formed; the
+Hermitian symmetry of every kappa_c is tested on the slice itself. A
+real radial V has a real kernel with real channel values, unchanged in
+3-D by the mirror y -> -y of a point off the meridian that the slice
+reads, probed once per shell; a kernel that is not raises
+``ConsistencyError`` rather than taking another route.
 
 Tabulated potentials and meshes without a layout take the dense route:
 the weight-symmetrized Hermitian matrix
@@ -54,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
+from . import surface
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh
 
@@ -100,22 +105,23 @@ class SurfaceOperatorMatrix:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
 
-def _require_hermitian(a: np.ndarray, adjoint: np.ndarray, what: str) -> None:
-    """Raise unless ``max |a - adjoint|`` is within 1e-12 max(1, max |a|).
+def _require_hermitian(a: np.ndarray, deviation: float, what: str, weight: float = 1.0) -> None:
+    """Raise unless ``weight * deviation`` is within 1e-12 max(1, weight max |a|).
 
-    The scale is at least 1, so ``max |a|`` is computed only when the
-    deviation exceeds 1e-12.
+    ``deviation`` is the distance of ``a`` from Hermitian, and ``weight``
+    the quadrature weight that makes ``a`` an operator (1 for an operator
+    matrix). The scale is at least 1, so ``max |a|`` is computed only
+    when the weighted deviation exceeds 1e-12.
     """
-    deviation = np.abs(a - adjoint).max(initial=0.0)
-    if deviation > 1e-12 and deviation > 1e-12 * np.abs(a).max():
+    if weight * deviation > 1e-12 and deviation > 1e-12 * np.abs(a).max():
         raise ConsistencyError(
-            f"{what} deviates from Hermitian by {deviation:.3e}; "
+            f"{what} deviates from Hermitian by {weight * deviation:.3e}; "
             "the transform convention upstream is broken"
         )
 
 
 def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
-    _require_hermitian(a, a.conj().T, what)
+    _require_hermitian(a, np.abs(a - a.conj().T).max(initial=0.0), what)
     return 0.5 * (a + a.conj().T)
 
 
@@ -139,9 +145,9 @@ def _angular_rule(dimension: int, n: int, radius: float):
         angles = 2.0 * np.pi * np.arange(n) / n
         directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        cosines, weights = np.polynomial.legendre.leggauss(2 * n)
+        cosines, weights = surface.gauss_legendre(2 * n)
         directions = np.stack([np.sqrt(1.0 - cosines**2), np.zeros(2 * n), cosines], axis=1)
-        legendre = np.polynomial.legendre.legvander(cosines, n - 1)
+        legendre = surface.legendre_table(cosines, n - 1)
         legendre *= (2.0 * np.pi * radius**2 * weights)[:, None]
         legendre.flags.writeable = False
     directions.flags.writeable = False
@@ -175,38 +181,59 @@ def _channel_points(mesh: SurfaceMesh, radii):
     return rows, points, legendre
 
 
-def _channels(mesh: SurfaceMesh, kernel: np.ndarray, legendre=None, frames=None) -> np.ndarray:
-    """kappa[..., c, a, b], the channels of a (T, T nodes) kernel slice of :func:`_channel_points`.
+def _channels(mesh: SurfaceMesh, kernel: np.ndarray, legendre=None, frames=None,
+              x=None) -> np.ndarray:
+    """The channel values x^T kappa_c x, shape (..., c), of a slice of :func:`_channel_points`.
 
-    ``frames`` (the band frames of the rows and of the columns, with
-    any leading axes of a stack of frames), if given, multiply the
-    slice by the overlap of :func:`_band_matrix`, and the leading axes
-    carry through. Then the transform over the nodes: the projection on
-    ``legendre`` (3-D), or the FFT times 2 pi R / n (2-D; ``legendre``
-    None). A real 2-D slice has kappa[n - m] = conj(kappa[m]), so its
-    real FFT lists only the channels m = 0..n/2, and a complex slice,
-    such as a band-projected one, keeps the full FFT.
+    ``kernel`` is the (T, T nodes) slice K[a, b, p] and kappa_c[a, b]
+    the kernel between the radii r_a and r_b in channel c. By linearity
+    its form on the contraction vector ``x`` (ones by
+    default, as for a one-radius row) is the transform of the contracted
+    row ``y_p = sum_ab x_a x_b K[a, b, p]``, so the slice is contracted
+    first and no (c, T, T) stack is formed. ``frames`` (the band frames
+    of the rows and of the columns, with any leading axes of a stack of
+    frames), if given, multiply the slice by the overlap of
+    :func:`_band_matrix`, and the leading axes carry through. Then the
+    transform over the nodes: the projection on ``legendre`` (3-D), or
+    the FFT times 2 pi R / n (2-D; ``legendre`` None). A real row has
+    kappa_{n - m} = conj(kappa_m), so its real FFT lists only the
+    channels m = 0..n/2; a complex row, such as a band-projected one,
+    keeps the full FFT. The values are the real parts.
 
     Raises
     ------
     ConsistencyError
-        If kappa misses Hermitian symmetry in (a, b) by more than
-        1e-12 max(1, max |kappa|): at one radius, if a channel value
-        is not real. On the half spectrum of a real slice this is the
-        same test as on all n channels.
+        Unless every kappa_c is Hermitian in (a, b), tested on the
+        slice, one radius row at a time. With
+        ``D[a, b, p] = K[a, b, p] - conj(K[b, a, -p])`` and w the largest
+        weight the transform gives a node (2 pi R / n on the circle,
+        ``max_q 2 pi R^2 w_q`` on the sphere), ``w max |D|`` must stay
+        within 1e-12 max(1, w max |K|). On the circle w K is a block row
+        of the operator A, and this is the dense route's Hermitian test
+        of A. The channels are Hermitian exactly when D vanishes, and
+        ``|kappa_c[a, b] - conj(kappa_c[b, a])| <= 2 pi R max |D|``; at
+        one radius D is the row's deviation from its mirror
+        ``K[p] = conj(K[-p])``. On the sphere the node q stands for -p,
+        D = 0 is sufficient, and the bound is ``4 pi R^2 max |D|``.
     """
     count = kernel.shape[-2]
     if frames is not None:
         kernel = _band_matrix(kernel, *frames)
+    x = np.ones(count) if x is None else x
+    row = x @ (x @ kernel).reshape(kernel.shape[:-2] + (count, -1))
     kernel = kernel.reshape(kernel.shape[:-2] + (count, count, -1))
-    if legendre is not None:
-        kappa = kernel @ legendre
+    n = row.shape[-1]
+    if legendre is None:
+        weight, turn = 2.0 * np.pi * mesh.radius / n, -np.arange(n) % n
+        transform = np.fft.fft if np.iscomplexobj(row) else np.fft.rfft
+        values = (transform(row) * weight).real
     else:
-        transform = np.fft.fft if np.iscomplexobj(kernel) else np.fft.rfft
-        kappa = transform(kernel) * (2.0 * np.pi * mesh.radius / kernel.shape[-1])
-    kappa = np.moveaxis(kappa, -1, -3)
-    _require_hermitian(kappa, kappa.conj().swapaxes(-1, -2), "radial channel kernel")
-    return kappa
+        weight, turn, values = legendre[:, 0].max(), slice(None), row @ legendre
+    # |D[a, b, p]| = |D[b, a, -p]|, so the rows read b >= a alone
+    deviation = max(np.abs(kernel[..., a, a:, :] - kernel[..., a:, a, turn].conj()).max()
+                    for a in range(count))
+    _require_hermitian(kernel, deviation, "radial channel kernel", weight)
+    return values
 
 
 def _probe_mirror(potential: Potential, radius: float) -> None:
@@ -216,7 +243,7 @@ def _probe_mirror(potential: Potential, radius: float) -> None:
     alone, where a kernel that is invariant under turns about z but odd
     under the mirror y -> -y looks radial; this probe reads one pair
     off the meridian. The tolerance is 1e-12 max(1, max |k|), that of
-    the Hermitian test.
+    the Hermitian test of an operator matrix.
     """
     # p off the pole in y = 0, q off that half plane and at another height,
     # so terms such as (p x q)_z (p_z - q_z) do not vanish
@@ -231,19 +258,20 @@ def _probe_mirror(potential: Potential, radius: float) -> None:
         )
 
 
-def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
-    """The radial tube kernel by angular channel: kappa[c, a, b] and each channel's multiplicity.
+def _channel_kernel(potential, mesh: SurfaceMesh, radii, x=None, frame=None):
+    """The radial tube kernel by angular channel: values x^T kappa_c x and multiplicities.
 
     For a radial V the kernel between the shells of radius r_a and r_b
     depends on the angle between its points alone, so turns of the
-    momentum space split it into channels; kappa[c] is the kernel's
+    momentum space split it into channels; kappa_c is the kernel's
     eigenvalue in channel c, a T x T matrix over the T = len(radii)
-    radii, with the shell measure of ``mesh`` (radius R). One
-    ``kernel_matrix`` call on the slice of :func:`_channel_points`
-    serves every channel; the shell's eigenvalues are
-    ``kappa[:, 0, 0]`` at ``radii = [R]``, each repeated by its
-    multiplicity. The rule reads only the mesh's dimension, radius and
-    azimuth count n.
+    radii, with the shell measure of ``mesh`` (radius R), and the value
+    listed is its form on the contraction vector ``x`` (ones by
+    default). One ``kernel_matrix`` call on the slice of
+    :func:`_channel_points` serves every channel (see :func:`_channels`);
+    the shell's eigenvalues are the values at ``radii = [R]``, each
+    repeated by its multiplicity. The rule reads only the mesh's
+    dimension, radius and azimuth count n.
 
     - 2-D: the channels m = 0..n-1. A real slice lists m = 0..n/2 from
       its real FFT, each standing for m and n - m (multiplicity 2, or 1
@@ -270,14 +298,14 @@ def _channel_kernel(potential, mesh: SurfaceMesh, radii, frame=None):
             "the kernel of a real radial V is real"
         )
     frames = None if frame is None else (np.asarray(frame(rows)), np.asarray(frame(points)))
-    kappa = _channels(mesh, kernel, legendre, frames)
-    channel = np.arange(kappa.shape[0])
+    values = _channels(mesh, kernel, legendre, frames, x)
+    channel = np.arange(values.shape[-1])
     if legendre is not None:
-        return kappa, 2 * channel + 1
+        return values, 2 * channel + 1
     n = points.shape[0] // rows.shape[0]
     # the real FFT's m = 0..n/2 stand for m and n - m, which coincide at 0 and
     # n/2; the full FFT of a complex slice lists every m once
-    return kappa, 1 + ((channel.size < n) & (channel > 0) & (2 * channel != n))
+    return values, 1 + ((channel.size < n) & (channel > 0) & (2 * channel != n))
 
 
 def _shell_channels(mesh: SurfaceMesh, potential: Potential, frame=None):
@@ -290,11 +318,11 @@ def _shell_channels(mesh: SurfaceMesh, potential: Potential, frame=None):
     mirror probe of :func:`_probe_mirror`, once for the shell and every
     tube slice that reads the same kernel.
     """
-    kappa, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], frame)
+    values, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], frame=frame)
     if mesh.dimension == 3:
         _probe_mirror(potential, mesh.radius)
     channel = np.repeat(np.arange(multiplicity.size), multiplicity)
-    values = kappa[channel, 0, 0].real
+    values = values[channel]
     order = np.argsort(values, kind="stable")
     return values[order], channel[order]
 

@@ -564,6 +564,32 @@ def test_cli_and_oracle_count_load_no_scipy():
     assert out.stdout.strip() == "[] [] 7"
 
 
+def test_rayleigh_ritz_runs_leave_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre rules of the sphere, of the transverse profile and
+    # of the channel projection come from surface.gauss_legendre, so neither
+    # a 2-D nor a 3-D certificate run loads numpy.polynomial
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    roton = {"kind": "roton", "dimension": 3, "params": {"delta": 1.0, "mu": 0.5, "p0": 1.0}}
+    runs = []
+    for name, symbol, resolution in (("2d", MEXICAN_HAT, 512), ("3d", roton, 12)):
+        config = {"task": "rayleigh-ritz", "symbol": symbol, "potential": WELL,
+                  "surface": {"resolution": resolution}, "rayleigh_ritz": {"n_states": 3}}
+        runs.append((write_config(tmp_path, config, f"{name}.json"), str(tmp_path / name)))
+    probe = "\n".join([
+        "import sys, shellbound.cli",
+        "def polynomial():",
+        "    return sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial'])",
+        "after_import = polynomial()",
+        f"codes = [shellbound.cli.main(['run', path, '--output', out]) for path, out in {runs!r}]",
+        "print(after_import, polynomial(), codes)",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[] [] [0, 0]"
+
+
 def test_oracle_count_and_spin_check_leave_lazy_numpy_modules_unloaded():
     # numpy loads numpy.random and numpy.fft on first use only; the seeded
     # draws come from the stdlib's random, and the oracle's parity sectors

@@ -515,14 +515,14 @@ def test_certify_builds_each_quadrature_rule_once(monkeypatch):
     # builds each once, and another on the same mesh builds neither
     mesh = surface.build_mesh(1.0, 3, 12)
     n = mesh.size // mesh.rings
-    original = np.polynomial.legendre.leggauss
+    original = surface.gauss_legendre
     orders = []
 
     def spy(order):
         orders.append(int(order))
         return original(order)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    monkeypatch.setattr(surface, "gauss_legendre", spy)
     so._angular_rule.cache_clear()
     rr.TransverseProfile.build.cache_clear()
     pot = potentials.gaussian_well(1.0, 1.0, 3)
@@ -569,12 +569,12 @@ def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
     pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3) if len(terms) == 2 else \
         potentials.gaussian_well(1.0, 1.0)
     mesh = surface.build_mesh(radius, 2, m_count)
-    kappa, multiplicity = so._channel_kernel(pot, mesh, [radius])
+    values, multiplicity = so._channel_kernel(pot, mesh, [radius])
     # the real FFT lists m = 0..M/2, the inner ones standing for m and M - m
-    assert kappa.shape == (m_count // 2 + 1, 1, 1)
+    assert values.shape == (m_count // 2 + 1,)
     assert multiplicity.sum() == m_count and multiplicity[0] == multiplicity[-1] == 1
     expected = _gaussian_channel(2, radius, radius, radius, terms)[:m_count // 2 + 1]
-    assert np.abs(kappa[:, 0, 0] - expected).max() <= 1e-13
+    assert np.abs(values - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("resolution", [4, 6, 8, 12, 16, 24])
@@ -584,13 +584,13 @@ def test_channel_spectrum_matches_the_closed_form_on_the_sphere(resolution):
     # missed by 8e-9 at resolution 4 on the unit sphere)
     radius = 0.8
     mesh = surface.build_mesh(radius, 3, resolution)
-    kappa, multiplicity = so._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh,
-                                             [radius])
+    values, multiplicity = so._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh,
+                                              [radius])
     n = 2 * resolution
-    assert kappa.shape == (n, 1, 1)
+    assert values.shape == (n,)
     assert np.array_equal(multiplicity, 2 * np.arange(n) + 1)
     expected = _gaussian_channel(3, radius, radius, radius)[:n]
-    assert np.abs(kappa[:, 0, 0] - expected).max() <= 1e-13
+    assert np.abs(values - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

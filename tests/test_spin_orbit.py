@@ -300,7 +300,7 @@ def _looped_gauge_deviation(symbol, mesh, seed):
 
     def channels(d):
         frames = (frame[:1] * d[0], frame * d[:, None])
-        return surface_operator._channels(mesh, row, frames=frames)[:, 0, 0].real
+        return surface_operator._channels(mesh, row, frames=frames)
 
     base = channels(np.ones(mesh.size))
     return max(float(np.linalg.norm(channels(d) - np.roll(base, winding)))

@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 from scipy.special import iv
 
-from shellbound import potentials, rayleigh_ritz, surface, symbols, surface_operator as so
+from shellbound import potentials, rayleigh_ritz, spin_orbit, surface, symbols
+from shellbound import surface_operator as so
 from shellbound.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -39,8 +40,8 @@ def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
 def _channel_spectrum(mesh, pot):
     # the shell values of certify's channel route, sorted: a real FFT of one
     # kernel row, each channel repeated by its multiplicity
-    kappa, multiplicity = so._channel_kernel(pot, mesh, [mesh.radius])
-    return np.sort(np.repeat(kappa[:, 0, 0].real, multiplicity))
+    values, multiplicity = so._channel_kernel(pot, mesh, [mesh.radius])
+    return np.sort(np.repeat(values, multiplicity))
 
 
 def _dense_spectrum(mesh, pot):
@@ -282,7 +283,7 @@ def test_sector_assembly_rejects_non_hermitian_slice():
 
 def _full_fft_channels(mesh, pot, radii):
     # the complex FFT of the real (T, T n) slice over all n channels: the
-    # transform the real FFT replaces
+    # (n, T, T) stack of channel matrices that the contraction replaces
     rows, points, _ = so._channel_points(mesh, radii)
     kernel = np.asarray(pot.kernel_matrix(rows, points)).reshape(len(radii), len(radii), -1)
     full = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / kernel.shape[2])
@@ -292,22 +293,41 @@ def _full_fft_channels(mesh, pot, radii):
 @pytest.mark.parametrize("kind", ["gaussian-well", "dimple-mix"])
 @pytest.mark.parametrize("resolution", [63, 64])
 def test_real_fft_channels_equal_the_full_fft(resolution, kind):
-    # the real FFT lists m = 0..n/2; with channel n - m the conjugate of
-    # channel m, that half and its multiplicities give all n channels
+    # the contracted row's real FFT lists x^T kappa_m x for m = 0..n/2; the
+    # form of channel n - m, the conjugate of channel m, is the same, so
+    # that half and its multiplicities give all n channels of the stack
     mesh = surface.build_mesh(1.2, 2, resolution)
     pot = _radial_potential(kind, 2)
     radii = 1.2 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
-    full = _full_fft_channels(mesh, pot, radii)
-    kappa, multiplicity = so._channel_kernel(pot, mesh, radii)
+    x = np.array([0.3, 0.5, 0.2, 0.4])
+    full = np.einsum("a,mab,b->m", x, _full_fft_channels(mesh, pot, radii), x)
+    values, multiplicity = so._channel_kernel(pot, mesh, radii, x)
     half = resolution // 2 + 1
-    assert kappa.shape == (half, radii.size, radii.size)
+    assert values.shape == (half,)
     assert multiplicity.sum() == resolution
     assert np.array_equal(multiplicity == 1, np.isin(np.arange(half), [0, resolution / 2]))
     scale = np.abs(full).max()
-    assert np.abs(kappa - full[:half]).max() <= 1e-14 * scale
-    # channels half..n-1 are the conjugates of n - half..1
-    rebuilt = np.concatenate([kappa, kappa[resolution - half:0:-1].conj()])
-    assert np.abs(rebuilt - full).max() <= 1e-14 * scale
+    assert np.abs(full.imag).max() <= 1e-14 * scale  # Hermitian channels, real forms
+    assert np.abs(values - full[:half].real).max() <= 1e-14 * scale
+    rebuilt = np.concatenate([values, values[resolution - half:0:-1]])
+    assert np.abs(rebuilt - full.real).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("resolution", [4, 12])
+def test_contracted_sphere_channels_equal_the_projected_stack(resolution):
+    # on the sphere the contraction comes before the Legendre projection;
+    # projecting the (T, T, 2 n) slice first and contracting each (T, T)
+    # degree after gives the same forms to roundoff
+    mesh = surface.build_mesh(1.0, 3, resolution)
+    pot = _radial_potential("dimple-mix", 3)
+    radii = 1.0 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
+    x = np.array([0.3, 0.5, 0.2, 0.4])
+    rows, points, legendre = so._channel_points(mesh, radii)
+    kernel = np.asarray(pot.kernel_matrix(rows, points)).reshape(4, 4, -1)
+    stack = np.moveaxis(kernel @ legendre, 2, 0)
+    values, _ = so._channel_kernel(pot, mesh, radii, x)
+    expected = (stack @ x) @ x
+    assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("resolution", [63, 64])
@@ -341,6 +361,48 @@ def test_half_spectrum_tests_every_listed_channel(resolution, top):
                                                           / resolution)
     with pytest.raises(ConsistencyError, match="Hermitian"):
         so._channels(mesh, kernel)
+
+
+def _tube_slice(kind):
+    # (mesh, slice, legendre, weight, nodes per radius): a kernel slice of
+    # _channel_points at four tube radii (one, the shell radius, for "row"),
+    # band-projected by the Rashba frame for "band", and the largest weight
+    # the transform gives a node
+    dimension = 3 if kind == "sphere" else 2
+    mesh = surface.build_mesh(1.0, dimension, 64 if dimension == 2 else 6)
+    radii = [1.0] if kind == "row" else 1.0 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
+    rows, points, legendre = so._channel_points(mesh, radii)
+    kernel = np.asarray(potentials.gaussian_well(1.0, 1.0, dimension).kernel_matrix(rows, points))
+    if kind == "band":
+        symbol = spin_orbit.rashba(2.0)
+        kernel = so._band_matrix(kernel, symbol.frame(rows), symbol.frame(points))
+    nodes = points.shape[0] // len(radii)
+    if legendre is None:
+        weight = 2.0 * np.pi / nodes  # 2 pi R / n
+    else:
+        weight = 2.0 * np.pi * surface.gauss_legendre(nodes)[1].max()  # max_q 2 pi R^2 w_q
+    return mesh, kernel, legendre, weight, nodes
+
+
+@pytest.mark.parametrize("kind", ["real", "band", "row", "sphere"])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_slice_hermitian_test_holds_at_its_documented_tolerance(kind, scale, factor):
+    # the test on the slice requires w max |D| <= 1e-12 max(1, w max |K|),
+    # D[a, b, p] = K[a, b, p] - conj(K[b, a, -p]); one entry moved by e
+    # makes max |D| = e, so e just below the tolerance passes and just
+    # above it raises; scale 1e3 takes w max |K| above 1
+    mesh, kernel, legendre, weight, nodes = _tube_slice(kind)
+    kernel = kernel * scale
+    tolerance = 1e-12 * max(1.0, weight * np.abs(kernel).max()) / weight
+    so._channels(mesh, kernel, legendre)  # the intact slice passes
+    a, b = (0, 0) if kind == "row" else (1, 2)
+    kernel[a, b * nodes + 5] += factor * tolerance
+    if factor < 1.0:
+        so._channels(mesh, kernel, legendre)
+    else:
+        with pytest.raises(ConsistencyError, match="Hermitian"):
+            so._channels(mesh, kernel, legendre)
 
 
 # ------------------------------------------------------- nonpositive spectra
