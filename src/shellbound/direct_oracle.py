@@ -17,6 +17,14 @@ invariant under that permutation. H0 and a radial V are evaluated on
 sorted absolute coordinates, so on a radial problem every permutation
 holds exactly: 2-D solves EE, EO (x2) and OO, 3-D EEE, EEO (x3), EOO
 (x3) and OOO. Every other problem is the one sector of the whole grid.
+
+Every sector applies H0 the same way: one real orthogonal symmetric
+matrix per axis takes a vector to the dual lattice, H0's table
+multiplies it, and the same matrices take it back. A parity sector uses
+the DCT-I or DST-I matrix of each axis, and the whole grid the discrete
+Hartley matrix, which diagonalizes H0 because H0's table is even under
+k -> -k mod G on every axis; a table that is not raises
+``ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -245,43 +253,37 @@ def _canonical(axis: np.ndarray, n: int) -> np.ndarray:
     return np.sort(points, axis=-1)
 
 
-def _fourier_multiply(table: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """A dual-lattice multiplier applied to a (G, ..., G, b) batch of real vectors.
-
-    ``table`` is the multiplier in fftfreq layout, one for every column
-    (shape (G, ..., G)) or one per column (shape (G, ..., G, b)). Only
-    its real-FFT half (last grid axis cut to G//2 + 1) is read, so the
-    table may be given as that half alone; it multiplies the real FFT of
-    each column, so the result is real.
-    """
-    axes = tuple(range(block.ndim - 1))
-    if table.ndim < block.ndim:
-        table = table[..., None]
-    table_half = table[..., : block.shape[-2] // 2 + 1, :]
-    spectral = np.fft.rfftn(block, axes=axes)
-    return np.fft.irfftn(table_half * spectral, s=block.shape[:-1], axes=axes)
-
-
 def _domain(grid: int, parity: int) -> np.ndarray:
-    """Fundamental-domain indices of one axis, which are also its dual-lattice indices."""
+    """Fundamental-domain indices of one axis, which are also its dual-lattice indices.
+
+    Parity 0 is the whole axis, j = 0..G-1.
+    """
     half = grid // 2
+    if parity == 0:
+        return np.arange(grid)
     return np.arange(half + 1) if parity > 0 else np.arange(1, half)
 
 
 def _parity_basis(grid: int, parity: int) -> np.ndarray:
-    """The orthogonal, symmetric DCT-I (parity +1) or DST-I (parity -1) matrix.
+    """The orthogonal, symmetric basis of one axis; parity 0 is the whole axis.
 
-    Its columns are the cosines (sines) of the dual lattice k = 0..G/2
-    (k = 1..G/2-1) on the fundamental domain j = 0..G/2 (j = 1..G/2-1),
-    normalized on the whole grid and written in the coordinates
-    sqrt(w_j) v_j, where w_j is the number of grid points that the
-    reflection j -> -j mod G maps onto j (1 at j = 0 and G/2, else 2).
-    Those coordinates make the domain of a sector isometric to the
-    sector's subspace of the grid.
+    For parity +1 (-1) it is the DCT-I (DST-I) matrix: its columns are
+    the cosines (sines) of the dual lattice k = 0..G/2 (k = 1..G/2-1) on
+    the fundamental domain j = 0..G/2 (j = 1..G/2-1), normalized on the
+    whole grid and written in the coordinates sqrt(w_j) v_j, where w_j is
+    the number of grid points that the reflection j -> -j mod G maps onto
+    j (1 at j = 0 and G/2, else 2). Those coordinates make the domain of
+    a sector isometric to the sector's subspace of the grid. For parity
+    0 it is the discrete Hartley matrix cas(2 pi j k / G) / sqrt(G), with
+    cas = cos + sin and j, k = 0..G-1 (Bracewell 1983), which is its own
+    inverse and diagonalizes every multiplier even under k -> -k mod G.
     """
     j = _domain(grid, parity)
+    phases = 2.0 * np.pi * (np.outer(j, j) % grid) / grid
+    if parity == 0:
+        return (np.cos(phases) + np.sin(phases)) / np.sqrt(grid)
     weights = np.where((j == 0) | (j == grid // 2), 1.0, 2.0)
-    waves = (np.cos if parity > 0 else np.sin)(2.0 * np.pi * (np.outer(j, j) % grid) / grid)
+    waves = (np.cos if parity > 0 else np.sin)(phases)
     return np.sqrt(np.outer(weights, weights) / grid) * waves
 
 
@@ -310,33 +312,30 @@ def _separable_multiply(bases, table: np.ndarray, block: np.ndarray) -> np.ndarr
 class _Sector:
     """An invariant subspace of H and the tables that act on it.
 
-    ``bases`` holds one parity basis per axis, or is None for the whole
-    grid, on which H0 acts by real FFT. ``symbol`` is H0 on the sector's
-    dual-lattice indices (for the whole grid its real-FFT half, the only
-    part that ``_fourier_multiply`` reads) and ``potential`` is V on its
-    domain, or None.
+    ``bases`` holds one basis per axis (see ``_parity_basis``), through
+    which H0 acts as a multiplier; ``symbol`` is H0 on the sector's
+    dual-lattice indices and ``potential`` is V on its domain, or None.
+    ``parities`` is empty for the whole grid, whose axes are all of
+    parity 0.
     """
 
     parities: tuple[int, ...]
     multiplicity: int
-    shape: tuple[int, ...]
-    bases: tuple[np.ndarray, ...] | None
+    bases: tuple[np.ndarray, ...]
     symbol: np.ndarray
     potential: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.symbol.shape
 
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    def multiply(self, table: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The dual-lattice multiplier ``table`` applied to a grid-shaped block."""
-        if self.bases is None:
-            return _fourier_multiply(table, block)
-        return _separable_multiply(self.bases, table, block)
-
     def apply(self, block: np.ndarray) -> np.ndarray:
         """H applied to a grid-shaped (..., b) block of real vectors."""
-        out = self.multiply(self.symbol, block)
+        out = _separable_multiply(self.bases, self.symbol, block)
         if self.potential is not None:
             out += self.potential[..., None] * block
         return out
@@ -347,15 +346,37 @@ class _Sector:
         return self.apply(block).reshape(x.shape)
 
 
-def _full_sector(ham: GridHamiltonian) -> _Sector:
+def _sector(ham: GridHamiltonian, parities: tuple[int, ...], multiplicity: int = 1) -> _Sector:
+    """The sector of one parity per axis (+1 even, -1 odd, 0 the whole axis)."""
+    domain = np.ix_(*(_domain(ham.grid, parity) for parity in parities))
+    basis = {parity: _parity_basis(ham.grid, parity) for parity in set(parities)}
     return _Sector(
-        parities=(),
-        multiplicity=1,
-        shape=(ham.grid,) * ham.dimension,
-        bases=None,
-        symbol=ham.symbol_table[..., : ham.grid // 2 + 1],
-        potential=ham.potential_table,
+        parities=parities if any(parities) else (),
+        multiplicity=multiplicity,
+        bases=tuple(basis[parity] for parity in parities),
+        symbol=ham.symbol_table[domain],
+        potential=None if ham.potential_table is None else ham.potential_table[domain],
     )
+
+
+def _is_even(table: np.ndarray, axis: int) -> bool:
+    """Whether ``table`` is exactly even under j -> -j mod G along ``axis``."""
+    return np.array_equal(table, np.roll(np.flip(table, axis), 1, axis))
+
+
+def _full_sector(ham: GridHamiltonian) -> _Sector:
+    """The whole grid as one sector, on the Hartley basis of every axis.
+
+    Raises ``ConsistencyError`` when H0's table is not even on every
+    axis, which that basis needs to diagonalize it.
+    """
+    for axis in range(ham.dimension):
+        if not _is_even(ham.symbol_table, axis):
+            raise ConsistencyError(
+                f"the symbol table is not even under k -> -k on axis {axis}, "
+                "so the Hartley basis cannot apply H0"
+            )
+    return _sector(ham, (0,) * ham.dimension)
 
 
 def _sectors(ham: GridHamiltonian) -> list[_Sector]:
@@ -370,10 +391,9 @@ def _sectors(ham: GridHamiltonian) -> list[_Sector]:
     tables = [ham.symbol_table]
     if ham.potential_table is not None:
         tables.append(ham.potential_table)
-    n, grid = ham.dimension, ham.grid
-    mirrored = grid % 2 == 0 and all(
-        np.array_equal(table, np.roll(np.flip(table, axis), 1, axis))
-        for table in tables for axis in range(n)
+    n = ham.dimension
+    mirrored = ham.grid % 2 == 0 and all(
+        _is_even(table, axis) for table in tables for axis in range(n)
     )
     if not mirrored:
         return [_full_sector(ham)]
@@ -381,22 +401,13 @@ def _sectors(ham: GridHamiltonian) -> list[_Sector]:
         permutation for permutation in itertools.permutations(range(n))
         if all(np.array_equal(table, table.transpose(permutation)) for table in tables)
     ]
-    bases = {parity: _parity_basis(grid, parity) for parity in (1, -1)}
     sectors, seen = [], set()
     for parities in itertools.product((1, -1), repeat=n):
         if parities in seen:
             continue
         orbit = {tuple(parities[axis] for axis in permutation) for permutation in symmetries}
         seen |= orbit
-        domain = np.ix_(*(_domain(grid, parity) for parity in parities))
-        sectors.append(_Sector(
-            parities=parities,
-            multiplicity=len(orbit),
-            shape=tuple(bases[parity].shape[0] for parity in parities),
-            bases=tuple(bases[parity] for parity in parities),
-            symbol=ham.symbol_table[domain],
-            potential=None if ham.potential_table is None else ham.potential_table[domain],
-        ))
+        sectors.append(_sector(ham, parities, len(orbit)))
     return sectors
 
 
@@ -409,7 +420,7 @@ def apply(ham: GridHamiltonian, psi) -> np.ndarray:
     Notes
     -----
     The potential table is sampled on the centered grid x_j =
-    (j - G//2) h while the plane waves implied by the FFT reference
+    (j - G//2) h while the plane waves of the dual lattice reference
     x_j = j h. The half-box offset is a unitary relabeling, so spectra
     and quadratic forms are unaffected, but a state assembled in the
     momentum representation needs the phase exp(i k (G//2) h) per axis
@@ -597,8 +608,8 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     unchanged. Iterations to settle ``count_below`` in each sector (range
     over seeds) on the 2-D mexican hat with a Gaussian well of depth c
     and width 1, box 40/p0, grid 64, k_max 8 (so EO, of multiplicity 2,
-    is solved for 4 states), and the whole-grid route on the same
-    problems for comparison:
+    is solved for 4 states), and the whole-grid route (one sector on the
+    Hartley basis) on the same problems for comparison:
 
         ======  ===  ===  ===  =====  ==========
         c, p0   EE   EO   OO   total  whole grid
@@ -652,7 +663,8 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
                 f"preconditioner got {x.shape[1]} columns, but {columns} are unlocked"
             )
         block = np.ascontiguousarray(x, dtype=np.float64).reshape(sector.shape + (-1,))
-        return sector.multiply(1.0 / (shifted + gaps[unlocked]), block).reshape(x.shape)
+        table = 1.0 / (shifted + gaps[unlocked])
+        return _separable_multiply(sector.bases, table, block).reshape(x.shape)
 
     operator = LinearOperator((size, size), matvec=sector.matmat, matmat=sector.matmat,
                               dtype=np.float64)
@@ -693,7 +705,7 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
 
 
 def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,
-                   done) -> list[tuple[_Sector, np.ndarray, np.ndarray, int]]:
+                   done) -> list[tuple[tuple[int, ...], int, np.ndarray, np.ndarray, int]]:
     """``_solve`` on each sector in turn, within one budget and one random stream.
 
     A sector of multiplicity m is solved for its ceil(k / m) lowest
@@ -701,8 +713,8 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
     merged list, so that many fill the k places alone. Every start block
     is drawn from one ``random.Random(seed)``, and each sector gets the
     iterations that the earlier ones left, so the total stays within
-    ``maxiter``. Returns (sector, values, residuals, iterations) per
-    sector.
+    ``maxiter``. Returns (parities, multiplicity, values, residuals,
+    iterations) per sector.
     """
     rng = random.Random(seed)
     solved, used = [], 0
@@ -711,14 +723,14 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
         values, residuals, iterations = _solve(
             ham, sector, window, rng, maxiter - used, tolerance, done)
         used += iterations
-        solved.append((sector, values, residuals, iterations))
+        solved.append((sector.parities, sector.multiplicity, values, residuals, iterations))
     return solved
 
 
 def _lowest(solved, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest values of ``_solve_sectors``, each repeated by its sector's multiplicity."""
-    values = np.concatenate([np.repeat(v, s.multiplicity) for s, v, _, _ in solved])
-    residuals = np.concatenate([np.repeat(r, s.multiplicity) for s, _, r, _ in solved])
+    values = np.concatenate([np.repeat(v, m) for _, m, v, _, _ in solved])
+    residuals = np.concatenate([np.repeat(r, m) for _, m, _, r, _ in solved])
     order = np.argsort(values, kind="stable")[:k]
     return values[order], residuals[order]
 
@@ -752,10 +764,10 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     tolerance = _residual_tolerance(ham)
     solved = _solve_sectors(ham, k, seed, maxiter, tolerance,
                             lambda values, residuals: residuals.max() < tolerance)
-    missed = sum(int(np.count_nonzero(~(residuals < tolerance))) for _, _, residuals, _ in solved)
+    missed = sum(int(np.count_nonzero(~(residuals < tolerance))) for *_, residuals, _ in solved)
     values, residuals = _lowest(solved, k)
     if missed:
-        worst = max(float(np.max(residuals)) for _, _, residuals, _ in solved)
+        worst = max(float(np.max(residuals)) for *_, residuals, _ in solved)
         raise ConvergenceError(
             f"{missed} sector states missed residual tolerance {tolerance:.3e} "
             f"(worst {worst:.3e}) within {maxiter} iterations",
@@ -843,16 +855,16 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     tolerance = _residual_tolerance(ham)
     if ham.is_free:  # plane waves are exact eigenvectors
         values = np.sort(ham.symbol_table.ravel())[:k_max]
-        solved = [(_full_sector(ham), values, np.zeros(values.size), 0)]
+        solved = [((), 1, values, np.zeros(values.size), 0)]
     else:
         solved = _solve_sectors(
             ham, k_max, seed, maxiter, tolerance,
             lambda values, residuals: _kahan_count(values, residuals, energy)[1],
         )
     sectors = tuple(
-        SectorCount(sector.parities, sector.multiplicity,
+        SectorCount(parities, multiplicity,
                     *_kahan_count(values, residuals, energy), iterations, values, residuals)
-        for sector, values, residuals, iterations in solved
+        for parities, multiplicity, values, residuals, iterations in solved
     )
     total = sum(sector.count * sector.multiplicity for sector in sectors)
     settled = all(sector.settled for sector in sectors)

@@ -16,7 +16,6 @@ documented band).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -38,7 +37,7 @@ class Potential:
     kind : str
     sign : str
         ``nonpositive``, ``sign-changing`` or ``unknown``; declared by
-        analytic constructors, measured for tabulated input.
+        analytic constructors, read from the samples of tabulated input.
     params : dict
     is_radial : bool
         True when vhat depends on k only through |k|; vhat is then real
@@ -351,16 +350,13 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
         out = np.concatenate(rows, axis=0)
         return out.real if np.abs(out.imag).max() <= 1e-12 * max(np.abs(out.real).max(), 1e-300) else out
 
-    # sign flag: exact table scan plus interpolated sampling, since the
-    # cubic surrogate can overshoot between samples
-    probes = kernels.uniform(random.Random(0), (100_000, dimension)) * (edge / 2)
-    probe_vals = real_interp(probes)
-    vmax = max(values.max(), probe_vals.max())
-    vmin = min(values.min(), probe_vals.min())
+    # the sign is read from the samples: the cubic interpolant can
+    # overshoot between them, but the table is what was given
+    vmax, vmin = values.max(), values.min()
     tol = 1e-12 * max(abs(vmax), abs(vmin), 1.0)
     if vmax <= tol:
         sign = "nonpositive"
-    elif vmin < -tol and vmax > tol:
+    elif vmin < -tol:
         sign = "sign-changing"
     else:
         sign = "unknown"

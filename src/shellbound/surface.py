@@ -124,10 +124,6 @@ class SurfaceMesh:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    def normals(self) -> np.ndarray:
-        """Outward unit normals n(s) = s/|s| at the nodes."""
-        return self.nodes / np.linalg.norm(self.nodes, axis=1, keepdims=True)
-
     def integrate(self, values) -> complex:
         """Quadrature sum of node samples against the surface measure."""
         return np.asarray(values) @ self.weights

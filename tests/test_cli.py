@@ -592,9 +592,10 @@ def test_rayleigh_ritz_runs_leave_numpy_polynomial_unloaded(tmp_path):
 
 def test_oracle_count_and_spin_check_leave_lazy_numpy_modules_unloaded():
     # numpy loads numpy.random and numpy.fft on first use only; the seeded
-    # draws come from the stdlib's random, and the oracle's parity sectors
-    # transform by matrices, so an oracle count on the oracle-stall problem
-    # loads neither, and a spin check does not load numpy.random
+    # draws come from the stdlib's random, and every oracle sector, the
+    # whole grid of an odd grid included, transforms by matrices, so
+    # oracle counts on the oracle-stall problem and on its odd-grid twin
+    # load neither, and a spin check does not load numpy.random
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -609,7 +610,12 @@ def test_oracle_count_and_spin_check_leave_lazy_numpy_modules_unloaded():
         "    ham = direct_oracle.build_hamiltonian(",
         "        symbols.mexican_hat(dimension=2, p0=1.0),",
         "        potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 64)",
-        "count = direct_oracle.count_below(ham, k_max=8).count",
+        "    odd = direct_oracle.build_hamiltonian(",
+        "        symbols.mexican_hat(dimension=2, p0=1.0),",
+        "        potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 63)",
+        "whole = direct_oracle.count_below(odd, k_max=8)",
+        "count = (direct_oracle.count_below(ham, k_max=8).count, whole.count,",
+        "         [sector.parities for sector in whole.sectors])",
         "after_count = lazy()",
         "well_2d = potentials.gaussian_well(1.0, 1.0, dimension=2)",
         "rashba = spin_orbit.rashba(1.0)",
@@ -620,4 +626,4 @@ def test_oracle_count_and_spin_check_leave_lazy_numpy_modules_unloaded():
     ])
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[] [] False 7"
+    assert out.stdout.strip() == "[] [] False (7, 7, [()])"

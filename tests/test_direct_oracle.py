@@ -1,4 +1,4 @@
-"""Grid-oracle tests: tables, FFT application, eigensolves, counting."""
+"""Grid-oracle tests: tables, the apply of H, eigensolves, counting."""
 
 import dataclasses
 import math
@@ -508,8 +508,16 @@ def test_3d_radial_tables_are_exactly_swap_symmetric(monkeypatch):
     assert res.iterations < unsorted.iterations
 
 
-@pytest.mark.parametrize("grid", [16, 64, 384])
+@pytest.mark.parametrize("grid", [16, 63, 64, 384])
 def test_parity_bases_are_orthogonal(grid):
+    # parity 0, the whole axis, is the Hartley matrix: orthogonal,
+    # symmetric and its own inverse, on odd grids too
+    hartley = do._parity_basis(grid, 0)
+    assert hartley.shape == (grid, grid)
+    assert np.array_equal(hartley, hartley.T)
+    assert np.abs(hartley @ hartley - np.eye(grid)).max() < 1e-14
+    if grid % 2:
+        return
     for parity in (1, -1):
         basis = do._parity_basis(grid, parity)
         assert np.abs(basis @ basis.T - np.eye(basis.shape[0])).max() < 1e-14
@@ -538,6 +546,39 @@ def test_sector_matmat_equals_apply_on_the_mirrored_grid(stall_ham):
             expected = _lift(ham, sector, do.apply(ham, lifted), back=True)
             got = sector.matmat(block)
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_whole_grid_apply_matches_an_fft_reference(offcentre_ham):
+    # the whole grid takes H0 through the Hartley basis of each axis; on
+    # an off-centre well and on an odd grid that equals the FFT multiplier
+    # for real and complex states
+    odd = quiet_build(SYMBOL, potentials.gaussian_well(1.0, 1.0, dimension=2), 40.0, 63)
+    rng = np.random.default_rng(8)
+    for ham in (offcentre_ham, odd):
+        assert [s.parities for s in do._sectors(ham)] == [()]
+        grid_shape, axes = (ham.grid,) * ham.dimension, tuple(range(ham.dimension))
+        real = rng.standard_normal((ham.size, 3))
+        for psi in (real, real + 1j * rng.standard_normal(real.shape)):
+            block = psi.reshape(grid_shape + (-1,))
+            spectral = np.fft.fftn(block, axes=axes)
+            expected = (np.fft.ifftn(ham.symbol_table[..., None] * spectral, axes=axes)
+                        + ham.potential_table[..., None] * block).reshape(psi.shape)
+            got = do.apply(ham, psi)
+            assert got.dtype == psi.dtype
+            np.testing.assert_allclose(got, expected if np.iscomplexobj(psi) else expected.real,
+                                       rtol=0.0, atol=1e-12 * ham.spectral_scale)
+
+
+def test_a_symbol_table_that_is_not_even_is_rejected(stall_ham):
+    # the Hartley basis diagonalizes only a multiplier even under k -> -k
+    # on every axis; a drift term odd in k_x breaks that on axis 0 alone
+    k_x = 2.0 * np.pi * np.fft.fftfreq(stall_ham.grid, d=stall_ham.box_edge / stall_ham.grid)
+    drifting = dataclasses.replace(
+        stall_ham, symbol_table=stall_ham.symbol_table + 0.1 * k_x[:, None])
+    with pytest.raises(ConsistencyError, match="not even under k -> -k on axis 0"):
+        do.count_below(drifting, k_max=8)
+    with pytest.raises(ConsistencyError, match="not even under k -> -k on axis 0"):
+        do.apply(drifting, np.ones(drifting.size))
 
 
 def test_sectors_follow_the_symmetry_of_the_tables(stall_ham):

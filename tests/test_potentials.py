@@ -270,6 +270,11 @@ def test_tabulated_sign_flag_detects_sign_changes():
     dimple = -np.exp(-r2 / 2.0) + 2.0 * np.exp(-r2 / 0.5)
     assert potentials.tabulated(dimple, edge).sign == "sign-changing"
     assert potentials.tabulated(np.zeros((16, 16)) - 1.0, 8.0).sign == "nonpositive"
+    # the sign is read from the samples, not from the cubic interpolant,
+    # which overshoots above zero between these samples of a narrow well
+    axis = np.linspace(-10.0, 10.0, 41)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    assert potentials.tabulated(-np.exp(-(x**2 + y**2)), 20.0).sign == "nonpositive"
 
 
 def test_tabulated_from_file_roundtrip(tmp_path):

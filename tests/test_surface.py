@@ -38,7 +38,6 @@ def test_weights_sum_to_surface_measure(dimension, radius, resolution, measure):
 def test_nodes_lie_on_the_shell(dimension, resolution):
     mesh = surface.build_mesh(1.7, dimension, resolution)
     npt.assert_allclose(np.linalg.norm(mesh.nodes, axis=1), 1.7, rtol=1e-14)
-    npt.assert_allclose(np.linalg.norm(mesh.normals(), axis=1), 1.0, rtol=1e-14)
 
 
 def test_circle_quadrature_exact_on_harmonics():
