@@ -31,18 +31,15 @@ over the T tube radii, and the form reads only x^T kappa_c x on the
 tube weights x. ``surface_operator._channel_kernel`` gives that value
 for every channel from one kernel slice of T x (T n) entries (n the
 mesh's azimuth count), contracted on x to one row of n values and
-transformed by an FFT over the azimuth (2-D), or of T x (2 T n)
-entries, contracted and projected on the Legendre polynomials at 2 n
-Gauss-Legendre nodes (3-D), in numpy alone; no (c, T, T) stack is
-formed. The slice is all that an eps step adds: the angular rule, the
-Gauss-Legendre projection included, and the transverse rule of
-:class:`TransverseProfile` are built once and reused by every step and
-every later certificate. A real 2-D row takes a real FFT, whose
-channels m = 0..n/2 stand for m and n - m alike, so the form is
-evaluated on that half and read by each state's channel; a
-band-projected row is complex and keeps the full FFT. The shell
-eigenvalues are that kernel at the shell radius, the same list that
-``surface_operator.assemble`` returns on this route, and h(eps) is
+transformed by one FFT over the azimuth, which lists every channel
+m = 0..n-1 once (2-D), or of T x (2 T n) entries, contracted and
+projected on the Legendre polynomials at 2 n Gauss-Legendre nodes
+(3-D), in numpy alone; no (c, T, T) stack is formed. The slice is all
+that an eps step adds: the angular rule, the Gauss-Legendre projection
+included, and the transverse rule of :class:`TransverseProfile` are
+built once and reused by every step and every later certificate. The
+shell eigenvalues are that kernel at the shell radius, the same list
+that ``surface_operator.assemble`` returns on this route, and h(eps) is
 diagonal, one entry per state's channel: no shell operator is
 assembled and no eigenfunction matrix formed. A real radial V has a
 real kernel whose channels are Hermitian in the radii, tested on the
@@ -228,10 +225,8 @@ def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: Transv
     eigenfunction times the transverse bump, so its form is the kinetic
     integral over the T tube radii r_a plus ``x^T kappa_c x`` with
     ``x_a = w_a b_a rho_a``, the channel value of ``_channel_kernel`` on
-    that contraction vector. For a real 2-D slice the list is the half
-    m = 0..n/2 of the real FFT, and the form of m serves n - m too:
-    ``certify`` indexes it by the channels of ``_shell_channels``, which
-    are listed the same way.
+    that contraction vector. ``certify`` indexes it by the channels of
+    ``_shell_channels``, which are listed the same way.
     """
     eps_abs, _, rho = tube
     radii = mesh.radius + eps_abs * profile.nodes
@@ -239,7 +234,7 @@ def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: Transv
     points[:, 0] = radii
     kinetic = _kinetic_integral(symbol.evaluate(points) - minimum, profile, tube, mesh.dimension)
     x = profile.weights * profile.values * rho
-    return kinetic + _channel_kernel(potential, mesh, radii, x, symbol.frame)[0]
+    return kinetic + _channel_kernel(potential, mesh, radii, x, symbol.frame)
 
 
 def certify(symbol, potential: Potential, mesh: SurfaceMesh,

@@ -22,7 +22,8 @@ angular-channel route, which the gauge of :func:`band_frame` admits
 (the overlap depends only on the angle between s and s'): the overlap
 multiplies the kernel row before the FFT over the angle. The overlap
 itself is formed in one place, ``surface_operator._band_matrix``, the
-channels of a row in another, ``surface_operator._channels``, and the
+channels of a radial kernel, its real-kernel and Hermitian tests
+included, in another, ``surface_operator._channel_kernel``, and the
 weighted Hermitian matrix of the dense route in a third,
 ``surface_operator._dense_operator``; :func:`assemble_spin_kernel` and
 :func:`gauge_deviation` share them. Regauging by a diagonal unitary D
@@ -49,7 +50,7 @@ from .potentials import Potential, require_band
 from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
 from .surface import SurfaceMesh
 from .surface_operator import (
-    SurfaceOperatorMatrix, _channel_points, _channels, _dense_operator, assemble, ring_layout,
+    SurfaceOperatorMatrix, _channel_kernel, _dense_operator, assemble, ring_layout,
 )
 
 __all__ = [
@@ -198,17 +199,18 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
     The check reads A as :func:`assemble` does (see
     ``surface_operator.ring_layout``):
 
-    - Channel route: the (1, n) kernel row of
-      ``surface_operator._channel_points`` at the shell radius. Each
+    - Channel route: the channels of
+      ``surface_operator._channel_kernel`` at the shell radius, read
+      from its (1, n) kernel row as :func:`assemble` reads them. Each
       regauging takes ``d(p) = exp(i phi) exp(2 pi i s p / n)``, a random
-      phase and a random winding s, on the row point (p = 0) and the n
-      column points alike, through ``surface_operator._band_matrix``;
-      the regauged row must pass the Hermitian test of the assembly, its
-      mirror symmetry ``K[p] = conj(K[-p])``, so that its FFT, the
-      channels kappa_theta, is real. The base gauge and the 20
-      regaugings form one stack of frames that goes through
-      ``_band_matrix``, the Hermitian test and the FFT of
-      ``surface_operator._channels`` at once, and gives the values of
+      phase and a random winding s, at the azimuth 2 pi p / n of the row
+      point (p = 0) and of the n column points alike, in the band frame;
+      the kernel must be real, and the regauged row must pass the
+      Hermitian test of the assembly, its mirror symmetry
+      ``K[p] = conj(K[-p])``, so that its FFT, the channels kappa_theta,
+      is real. The base gauge and the 20 regaugings form one stack of
+      frames that goes through the real-kernel check, the band overlap,
+      the Hermitian test and the FFT at once, and gives the values of
       one trial at a time. A has the circulant form of the row, so
       D^H A D has the channels of kappa shifted by s,
       ``roll(kappa, s)``, and by Parseval
@@ -225,7 +227,8 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
         If the problem is not on the band-minimum circle in 2-D.
     ConsistencyError
         If a regauged operator is not Hermitian within 1e-12 relative
-        tolerance (on the channel route: a channel value is not real).
+        tolerance (on the channel route: a channel value is not real),
+        or, on the channel route, if the kernel is complex.
     """
     _check_problem(symbol, mesh, potential)
     rng = random.Random(seed)
@@ -239,19 +242,22 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
             regauged = _dense_operator(mesh, kernel, frame * d[:, None])
             worst = max(worst, float(np.linalg.norm(d.conj()[:, None] * base * d - regauged)))
         return worst
-    rows, points, _ = _channel_points(mesh, [mesh.radius])
-    row = np.asarray(potential.kernel_matrix(rows, points))
-    frame = band_frame(symbol, points)
-    n = points.shape[0]
+    n = mesh.size // mesh.rings
     # trial 0 is the base gauge; the draws keep the order of the stream
     phases, windings = [np.zeros(1)], [0]
     for _ in range(20):
         phases.append(kernels.uniform(rng, 1))
         windings.append(rng.randrange(n))
-    # phase arguments reduced mod n, so the winding's table keeps its symmetry
-    d = np.exp(1j * np.pi * np.array(phases)) * np.exp(
-        2j * np.pi * ((np.array(windings)[:, None] * np.arange(n)) % n) / n)
-    kappa = _channels(mesh, row, frames=(frame[:1] * d[:, :1, None], frame * d[..., None]))
+    phase, winding = np.exp(1j * np.pi * np.array(phases)), np.array(windings)[:, None]
+
+    def regauged(points):
+        # d at each point's azimuth 2 pi p / n, one row per trial; phase
+        # arguments reduced mod n, so the winding's table keeps its symmetry
+        p = np.rint(np.arctan2(points[:, 1], points[:, 0]) * (n / (2.0 * np.pi))).astype(int)
+        d = phase * np.exp(2j * np.pi * (winding * p % n) / n)
+        return symbol.frame(points) * d[..., None]
+
+    kappa = _channel_kernel(potential, mesh, [mesh.radius], frame=regauged)
     return max(float(np.linalg.norm(k - np.roll(kappa[0], s)))
                for k, s in zip(kappa[1:], windings[1:]))
 

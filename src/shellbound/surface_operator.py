@@ -14,24 +14,24 @@ with rotations, so it splits into angular channels: the Fourier modes
 m of the circle and, by the Funk-Hecke theorem, the spherical
 harmonics of degree l on the sphere, each 2 l + 1 times.
 :func:`_channel_kernel` gives every channel's value from one kernel
-slice (see :func:`_channel_points`), :func:`assemble` lists them, each
-repeated by its multiplicity, and ``certify`` reads the same values for
-its count check and the same slice at its tube radii for its trial
-forms. No square kernel is formed and no eigensolve made. Only the
-slice depends on the tube radii: the angular rule (the directions and,
-on the sphere, the 2 n-node Gauss-Legendre projection) is built once
-per azimuth count and radius. A channel's kernel between the T radii is
-a T x T matrix kappa_c, but ``certify`` reads only its form
-x^T kappa_c x on the tube weights x, so :func:`_channels` contracts the
-slice with x first and transforms one row of n values: by a real FFT
-for a real 2-D row, whose channels m = 0..n/2 stand for m and n - m
-alike, by the full FFT for a complex, band-projected row, and by the
-Legendre projection on the sphere. No (c, T, T) stack is formed; the
-Hermitian symmetry of every kappa_c is tested on the slice itself. A
-real radial V has a real kernel with real channel values, unchanged in
-3-D by the mirror y -> -y of a point off the meridian that the slice
-reads, probed once per shell; a kernel that is not raises
-``ConsistencyError`` rather than taking another route.
+slice (see :func:`_channel_points`), :func:`_shell_channels` lists them
+(each degree 2 l + 1 times on the sphere) for :func:`assemble`, and
+``certify`` reads the same values for its count check and the same
+slice at its tube radii for its trial forms. No square kernel is formed
+and no eigensolve made. Only the slice depends on the tube radii: the
+angular rule (the directions and, on the sphere, the 2 n-node
+Gauss-Legendre projection) is built once per azimuth count and radius.
+A channel's kernel between the T radii is a T x T matrix kappa_c, but
+``certify`` reads only its form x^T kappa_c x on the tube weights x, so
+:func:`_channels` contracts the slice with x first and transforms one
+row of n values: by one FFT on the circle, which lists every channel
+m = 0..n-1 once, for a real row and a complex, band-projected one
+alike, and by the Legendre projection on the sphere. No (c, T, T) stack
+is formed; the Hermitian symmetry of every kappa_c is tested on the
+slice itself. A real radial V has a real kernel with real channel
+values, unchanged in 3-D by the mirror y -> -y of a point off the
+meridian that the slice reads, probed once per shell; a kernel that is
+not raises ``ConsistencyError`` rather than taking another route.
 
 Tabulated potentials and meshes without a layout take the dense route:
 the weight-symmetrized Hermitian matrix
@@ -81,9 +81,9 @@ class SurfaceOperatorMatrix:
     mesh : SurfaceMesh
     eigenvalues : ndarray
         Ascending. On the dense route the M eigenvalues of A; on the
-        channel route the channel values of :func:`_channel_kernel`,
-        each repeated by its multiplicity: M values on the circle, and
-        ``n^2`` on the sphere (degrees l = 0..n-1, each 2 l + 1 times,
+        channel route the channel values of :func:`_shell_channels`:
+        M values on the circle, one per channel, and ``n^2`` on the
+        sphere (degrees l = 0..n-1, each 2 l + 1 times,
         with n the mesh's azimuth count, so 4 resolution^2 for
         ``build_mesh``'s M = 2 resolution^2 nodes).
     eigenfunctions : ndarray, shape (M, M), or None
@@ -195,10 +195,9 @@ def _channels(mesh: SurfaceMesh, kernel: np.ndarray, legendre=None, frames=None,
     frames), if given, multiply the slice by the overlap of
     :func:`_band_matrix`, and the leading axes carry through. Then the
     transform over the nodes: the projection on ``legendre`` (3-D), or
-    the FFT times 2 pi R / n (2-D; ``legendre`` None). A real row has
-    kappa_{n - m} = conj(kappa_m), so its real FFT lists only the
-    channels m = 0..n/2; a complex row, such as a band-projected one,
-    keeps the full FFT. The values are the real parts.
+    the FFT times 2 pi R / n (2-D; ``legendre`` None), which lists every
+    channel m = 0..n-1 once, for a real row and a complex,
+    band-projected one alike. The values are the real parts.
 
     Raises
     ------
@@ -225,8 +224,7 @@ def _channels(mesh: SurfaceMesh, kernel: np.ndarray, legendre=None, frames=None,
     n = row.shape[-1]
     if legendre is None:
         weight, turn = 2.0 * np.pi * mesh.radius / n, -np.arange(n) % n
-        transform = np.fft.fft if np.iscomplexobj(row) else np.fft.rfft
-        values = (transform(row) * weight).real
+        values = (np.fft.fft(row) * weight).real
     else:
         weight, turn, values = legendre[:, 0].max(), slice(None), row @ legendre
     # |D[a, b, p]| = |D[b, a, -p]|, so the rows read b >= a alone
@@ -259,7 +257,7 @@ def _probe_mirror(potential: Potential, radius: float) -> None:
 
 
 def _channel_kernel(potential, mesh: SurfaceMesh, radii, x=None, frame=None):
-    """The radial tube kernel by angular channel: values x^T kappa_c x and multiplicities.
+    """The radial tube kernel by angular channel: the values x^T kappa_c x.
 
     For a radial V the kernel between the shells of radius r_a and r_b
     depends on the angle between its points alone, so turns of the
@@ -269,18 +267,18 @@ def _channel_kernel(potential, mesh: SurfaceMesh, radii, x=None, frame=None):
     listed is its form on the contraction vector ``x`` (ones by
     default). One ``kernel_matrix`` call on the slice of
     :func:`_channel_points` serves every channel (see :func:`_channels`);
-    the shell's eigenvalues are the values at ``radii = [R]``, each
-    repeated by its multiplicity. The rule reads only the mesh's
-    dimension, radius and azimuth count n.
+    the shell's eigenvalues are the values at ``radii = [R]`` (see
+    :func:`_shell_channels`). The rule reads only the mesh's dimension,
+    radius and azimuth count n.
 
-    - 2-D: the channels m = 0..n-1. A real slice lists m = 0..n/2 from
-      its real FFT, each standing for m and n - m (multiplicity 2, or 1
-      at m = 0 and m = n/2). A band ``frame`` (points -> (count, bands))
-      multiplies the kernel by the overlap ``<u(row), u(column)>`` before
-      the FFT; that slice is complex and lists all n channels, each once.
-    - 3-D (Funk-Hecke): the degrees l = 0..n-1, each with multiplicity
-      2 l + 1. The kernel's mirror probe, :func:`_probe_mirror`, is
-      :func:`_shell_channels`' and runs once per shell.
+    - 2-D: the channels m = 0..n-1, each listed once. A band ``frame``
+      (points -> (count, bands), or (..., count, bands) for a stack of
+      frames, whose leading axes carry through to the values)
+      multiplies the kernel by the overlap ``<u(row), u(column)>``
+      before the FFT.
+    - 3-D (Funk-Hecke): the degrees l = 0..n-1. The kernel's mirror
+      probe, :func:`_probe_mirror`, is :func:`_shell_channels`' and runs
+      once per shell.
 
     Raises
     ------
@@ -298,30 +296,25 @@ def _channel_kernel(potential, mesh: SurfaceMesh, radii, x=None, frame=None):
             "the kernel of a real radial V is real"
         )
     frames = None if frame is None else (np.asarray(frame(rows)), np.asarray(frame(points)))
-    values = _channels(mesh, kernel, legendre, frames, x)
-    channel = np.arange(values.shape[-1])
-    if legendre is not None:
-        return values, 2 * channel + 1
-    n = points.shape[0] // rows.shape[0]
-    # the real FFT's m = 0..n/2 stand for m and n - m, which coincide at 0 and
-    # n/2; the full FFT of a complex slice lists every m once
-    return values, 1 + ((channel.size < n) & (channel > 0) & (2 * channel != n))
+    return _channels(mesh, kernel, legendre, frames, x)
 
 
 def _shell_channels(mesh: SurfaceMesh, potential: Potential, frame=None):
-    """(values, channel): the shell's channel values, each repeated by its multiplicity.
+    """(values, channel): the shell's spectrum and the channel of each value.
 
     Ascending (stable-sorted), with the channel index of each value in
     the list of :func:`_channel_kernel`: the full spectrum that
     :func:`assemble` lists on the channel route and that ``certify``
-    counts and certifies. On the sphere the kernel must also pass the
-    mirror probe of :func:`_probe_mirror`, once for the shell and every
-    tube slice that reads the same kernel.
+    counts and certifies. On the circle each channel m = 0..n-1 is one
+    value; on the sphere each degree l is repeated 2 l + 1 times, and
+    the kernel must also pass the mirror probe of :func:`_probe_mirror`,
+    once for the shell and every tube slice that reads the same kernel.
     """
-    values, multiplicity = _channel_kernel(potential, mesh, [mesh.radius], frame=frame)
+    values = _channel_kernel(potential, mesh, [mesh.radius], frame=frame)
+    channel = np.arange(values.size)
     if mesh.dimension == 3:
         _probe_mirror(potential, mesh.radius)
-    channel = np.repeat(np.arange(multiplicity.size), multiplicity)
+        channel = np.repeat(channel, 2 * channel + 1)
     values = values[channel]
     order = np.argsort(values, kind="stable")
     return values[order], channel[order]
@@ -377,10 +370,9 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
     """The spectrum of the shell operator.
 
     A radial potential on a mesh with a ring layout takes the channel
-    route: the channel values of :func:`_channel_kernel` at the shell
-    radius, each repeated by its multiplicity and sorted, from one
-    kernel slice, with ``eigenfunctions`` None. Any other problem takes
-    the dense route: one (M, M) kernel, weighted and hermitized by
+    route: the shell spectrum of :func:`_shell_channels` from one kernel
+    slice, with ``eigenfunctions`` None. Any other problem takes the
+    dense route: one (M, M) kernel, weighted and hermitized by
     :func:`_dense_operator`, and a full ``eigh``. A band ``frame``
     (points -> unit vectors (count, bands), a symbol's ``frame``; None
     for a scalar symbol) multiplies the kernel by the overlap

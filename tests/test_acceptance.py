@@ -70,10 +70,9 @@ def test_criterion_2_circulant_equivalence():
             # no ring layout: the dense assembly, independent of the FFT
             dense_mesh = dataclasses.replace(mesh, rings=0)
             dense = surface_operator.assemble(dense_mesh, potential).eigenvalues
-            # the shell values of certify's channel route: the real FFT of one
-            # kernel row, each channel repeated by its multiplicity
-            values, multiplicity = surface_operator._channel_kernel(potential, mesh, [mesh.radius])
-            fast = np.sort(np.repeat(values, multiplicity))
+            # the shell values of certify's channel route: one FFT of one
+            # kernel row, every channel once, sorted
+            fast, _ = surface_operator._shell_channels(mesh, potential)
             worst = max(worst, float(np.abs(dense - fast).max()))
     verdict(2, worst <= 1e-10, f"dense vs channel spectra deviate by {worst:.2e}",
             time.perf_counter() - start, 5.0)

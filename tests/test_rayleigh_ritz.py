@@ -8,7 +8,7 @@ import pytest
 
 from shellbound import potentials, surface, surface_operator as so
 from shellbound import rayleigh_ritz as rr
-from shellbound import symbols
+from shellbound import spin_orbit, symbols
 from shellbound.errors import ConfigurationError, ConsistencyError, PreconditionError
 from shellbound.potentials import Potential
 from shellbound.symbols import DispersionSymbol
@@ -409,6 +409,10 @@ def test_block_circulant_route_rejects_a_complex_radial_kernel():
         mesh = surface.build_mesh(1.0, dimension, 16 if dimension == 2 else 6)
         with pytest.raises(ConsistencyError, match="complex"):
             rr.certify(symbol, pot, mesh, 1, (0.2,))
+        if dimension == 2:
+            # the spin gauge check reads the same channels, so it rejects it too
+            with pytest.raises(ConsistencyError, match="complex"):
+                spin_orbit.gauge_deviation(spin_orbit.rashba(2.0), mesh, pot)
 
 
 def test_channel_route_rejects_a_mirror_odd_row():
@@ -569,11 +573,11 @@ def test_channel_spectrum_matches_the_closed_form_on_the_circle(terms):
     pot = potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3) if len(terms) == 2 else \
         potentials.gaussian_well(1.0, 1.0)
     mesh = surface.build_mesh(radius, 2, m_count)
-    values, multiplicity = so._channel_kernel(pot, mesh, [radius])
-    # the real FFT lists m = 0..M/2, the inner ones standing for m and M - m
-    assert values.shape == (m_count // 2 + 1,)
-    assert multiplicity.sum() == m_count and multiplicity[0] == multiplicity[-1] == 1
-    expected = _gaussian_channel(2, radius, radius, radius, terms)[:m_count // 2 + 1]
+    values = so._channel_kernel(pot, mesh, [radius])
+    # every channel m = 0..M-1 once; channel M - m equals channel m
+    assert values.shape == (m_count,)
+    m = np.arange(m_count)
+    expected = _gaussian_channel(2, radius, radius, radius, terms)[np.minimum(m, m_count - m)]
     assert np.abs(values - expected).max() <= 1e-13
 
 
@@ -584,13 +588,15 @@ def test_channel_spectrum_matches_the_closed_form_on_the_sphere(resolution):
     # missed by 8e-9 at resolution 4 on the unit sphere)
     radius = 0.8
     mesh = surface.build_mesh(radius, 3, resolution)
-    values, multiplicity = so._channel_kernel(potentials.gaussian_well(1.0, 1.0, 3), mesh,
-                                              [radius])
+    pot = potentials.gaussian_well(1.0, 1.0, 3)
+    values = so._channel_kernel(pot, mesh, [radius])
     n = 2 * resolution
     assert values.shape == (n,)
-    assert np.array_equal(multiplicity, 2 * np.arange(n) + 1)
     expected = _gaussian_channel(3, radius, radius, radius)[:n]
     assert np.abs(values - expected).max() <= 1e-13
+    # the shell lists degree l 2 l + 1 times, n^2 values in all
+    _, channel = so._shell_channels(mesh, pot)
+    assert np.array_equal(np.bincount(channel, minlength=n), 2 * np.arange(n) + 1)
 
 
 @pytest.mark.parametrize("dimension", [2, 3])

@@ -38,10 +38,9 @@ def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
 
 
 def _channel_spectrum(mesh, pot):
-    # the shell values of certify's channel route, sorted: a real FFT of one
-    # kernel row, each channel repeated by its multiplicity
-    values, multiplicity = so._channel_kernel(pot, mesh, [mesh.radius])
-    return np.sort(np.repeat(values, multiplicity))
+    # the shell values of certify's channel route, sorted: one FFT of one
+    # kernel row, every channel once
+    return so._shell_channels(mesh, pot)[0]
 
 
 def _dense_spectrum(mesh, pot):
@@ -282,8 +281,8 @@ def test_sector_assembly_rejects_non_hermitian_slice():
 
 
 def _full_fft_channels(mesh, pot, radii):
-    # the complex FFT of the real (T, T n) slice over all n channels: the
-    # (n, T, T) stack of channel matrices that the contraction replaces
+    # the FFT of the real (T, T n) slice over all n channels: the (n, T, T)
+    # stack of channel matrices that the contraction replaces
     rows, points, _ = so._channel_points(mesh, radii)
     kernel = np.asarray(pot.kernel_matrix(rows, points)).reshape(len(radii), len(radii), -1)
     full = np.fft.fft(kernel, axis=2) * (2.0 * np.pi * mesh.radius / kernel.shape[2])
@@ -293,24 +292,18 @@ def _full_fft_channels(mesh, pot, radii):
 @pytest.mark.parametrize("kind", ["gaussian-well", "dimple-mix"])
 @pytest.mark.parametrize("resolution", [63, 64])
 def test_real_fft_channels_equal_the_full_fft(resolution, kind):
-    # the contracted row's real FFT lists x^T kappa_m x for m = 0..n/2; the
-    # form of channel n - m, the conjugate of channel m, is the same, so
-    # that half and its multiplicities give all n channels of the stack
+    # the FFT of the contracted real row lists x^T kappa_m x for every
+    # m = 0..n-1 once: the forms of the whole stack, channel by channel
     mesh = surface.build_mesh(1.2, 2, resolution)
     pot = _radial_potential(kind, 2)
     radii = 1.2 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
     x = np.array([0.3, 0.5, 0.2, 0.4])
     full = np.einsum("a,mab,b->m", x, _full_fft_channels(mesh, pot, radii), x)
-    values, multiplicity = so._channel_kernel(pot, mesh, radii, x)
-    half = resolution // 2 + 1
-    assert values.shape == (half,)
-    assert multiplicity.sum() == resolution
-    assert np.array_equal(multiplicity == 1, np.isin(np.arange(half), [0, resolution / 2]))
+    values = so._channel_kernel(pot, mesh, radii, x)
+    assert values.shape == (resolution,)
     scale = np.abs(full).max()
     assert np.abs(full.imag).max() <= 1e-14 * scale  # Hermitian channels, real forms
-    assert np.abs(values - full[:half].real).max() <= 1e-14 * scale
-    rebuilt = np.concatenate([values, values[resolution - half:0:-1]])
-    assert np.abs(rebuilt - full.real).max() <= 1e-14 * scale
+    assert np.abs(values - full.real).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("resolution", [4, 12])
@@ -325,7 +318,7 @@ def test_contracted_sphere_channels_equal_the_projected_stack(resolution):
     rows, points, legendre = so._channel_points(mesh, radii)
     kernel = np.asarray(pot.kernel_matrix(rows, points)).reshape(4, 4, -1)
     stack = np.moveaxis(kernel @ legendre, 2, 0)
-    values, _ = so._channel_kernel(pot, mesh, radii, x)
+    values = so._channel_kernel(pot, mesh, radii, x)
     expected = (stack @ x) @ x
     assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
 
@@ -334,7 +327,7 @@ def test_contracted_sphere_channels_equal_the_projected_stack(resolution):
 @pytest.mark.parametrize("a, b, p", [(0, 0, 1), (0, 1, 3), (2, 1, 0), (1, 3, -1), (3, 3, 31)])
 def test_half_spectrum_rejects_a_slice_without_mirror_symmetry(resolution, a, b, p):
     # a real slice has Hermitian channels exactly when K[a, b, p] = K[b, a, -p];
-    # one entry off that symmetry shows in the half spectrum too
+    # the test on the slice catches one entry off that symmetry
     mesh = surface.build_mesh(1.0, 2, resolution)
     pot = potentials.gaussian_well(1.0, 1.0)
     radii = 1.0 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
@@ -350,8 +343,9 @@ def test_half_spectrum_rejects_a_slice_without_mirror_symmetry(resolution, a, b,
 @pytest.mark.parametrize("top", [0, 1, 2, 3])
 def test_half_spectrum_tests_every_listed_channel(resolution, top):
     # cos(2 pi m p / n) added to K[0, 1, :] alone breaks the Hermitian
-    # symmetry of channels m and n - m and of no other: each of m = 0, 1 and
-    # the last two of the half, n/2 included for even n, must be tested
+    # symmetry of channels m and n - m and of no other: each of m = 0, 1,
+    # n // 2 - 1 and n // 2 (for even n the channel n/2, its own partner)
+    # must be caught
     mesh = surface.build_mesh(1.0, 2, resolution)
     radii = 1.0 + 0.1 * np.array([-0.9, -0.3, 0.4, 0.8])
     rows, points, _ = so._channel_points(mesh, radii)
