@@ -514,7 +514,8 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
 
     Knyazev's locally optimal block preconditioned conjugate gradient
     method (SIAM J. Sci. Comput. 23, 2001) for the ``X.shape[1]``
-    smallest eigenvalues of ``A``. Each iteration applies ``A`` once, to
+    smallest eigenvalues of ``A``. Each iteration applies ``M`` to the
+    whole residual block R, one column per Ritz pair, and ``A`` once, to
     the orthonormalized preconditioned residuals W = M R of the active
     columns, and does Rayleigh-Ritz on [X, W, P], where P holds the W
     and P parts of the previous step. A column whose residual norm falls
@@ -548,9 +549,9 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
         active &= norms > tol
         if not active.any():
             break
-        W = residuals if active.all() else residuals[:, active]
-        if M is not None:
-            W = M.dot(W)
+        W = residuals if M is None else M.dot(residuals)
+        if not active.all():
+            W = W[:, active]
         W = W - X @ (X.T @ W)
         W = W @ _orthonormalizer(W)
         AW = A.dot(W)
@@ -600,9 +601,9 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     (Davidson's shift, capped so that H0 - sigma_j >= delta > 0) and
     min H0 is taken over the whole dual lattice. Before the first
     iteration's callback sigma_j is the cap for every column. The
-    callback keeps the Ritz values and mirrors lobpcg's lock rule, so the
-    preconditioner shifts exactly the unlocked columns it receives, and
-    raises ``ConsistencyError`` on a block of any other width. theta,
+    callback keeps the Ritz values, and lobpcg hands the preconditioner
+    the whole residual block, locked columns included, so column j is
+    always shifted by its own theta_j. theta,
     delta and H0 all scale with H, so multiplying H0 and V by lambda
     multiplies the preconditioner by 1/lambda and leaves the iterates
     unchanged. Iterations to settle ``count_below`` in each sector (range
@@ -651,19 +652,12 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     floor = float(ham.symbol_table.min())
     # H0 - min H0 on the sector's dual-lattice indices
     shifted = (sector.symbol - floor)[..., None]
-    # min H0 - sigma_j per column, and lobpcg's unlocked columns (its lock
-    # rule mirrored); before the first callback sigma is the cap
+    # min H0 - sigma_j per column; before the first callback sigma is the cap
     gaps = np.full(block_size, ham.delta)
-    unlocked = np.ones(block_size, dtype=bool)
 
     def precond(x):
-        columns = int(np.count_nonzero(unlocked))
-        if x.shape[1] != columns:
-            raise ConsistencyError(
-                f"preconditioner got {x.shape[1]} columns, but {columns} are unlocked"
-            )
         block = np.ascontiguousarray(x, dtype=np.float64).reshape(sector.shape + (-1,))
-        table = 1.0 / (shifted + gaps[unlocked])
+        table = 1.0 / (shifted + gaps)
         return _separable_multiply(sector.bases, table, block).reshape(x.shape)
 
     operator = LinearOperator((size, size), matvec=sector.matmat, matmat=sector.matmat,
@@ -680,10 +674,9 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
         return np.linalg.norm(sector.matmat(wanted) - wanted * values, axis=0)
 
     def settled(values, vectors, residuals):
-        nonlocal latest, used, gaps, unlocked
+        nonlocal latest, used, gaps
         used += 1
         gaps = np.maximum(floor - values, ham.delta)
-        unlocked = unlocked & (residuals > lock)
         latest = (values[:k], vectors, residuals[:k], False)
         if used < maxiter and not done(values[:k], residuals[:k]):
             return False

@@ -13,16 +13,24 @@ m. As eps -> 0,
 with the shell-operator eigenvalues E_j, at a linear-in-eps rate: the
 kinetic term is O(eps) and the kernel smearing is O(eps) as well, so the
 convergence table reported by :func:`certify` should contract by about
-one half per halving of eps. On the dense route the form is
-``_kinetic + _potential``, each evaluated for all column pairs of the
-trial span at once; :func:`certify` is the one caller, and its
-``states`` argument takes the surface spectrum in place of the
-assembled shell operator's.
+one half per halving of eps.
 
-For a radial potential on a mesh with a ring layout
-(``SurfaceMesh.rings``, recorded by ``build_mesh``; the route is decided
-by :func:`shellbound.surface_operator.ring_layout`) and no ``states``,
-:func:`certify` works in angular channels instead. A radial H0 and a
+The symbol is radial and the shell centred at the origin, so a tube
+function's kinetic form depends on its transverse offset alone: it is
+K(eps) times the surface Gram matrix ``psi^H diag(w) psi``, where
+:func:`_kinetic_integral` gives K(eps) from H0 - m at the T tube radii.
+That one integral serves both routes, once per eps. On the dense route
+h(eps) is K(eps) times the Gram matrix, formed once, plus
+:func:`_potential` for all column pairs of the trial span at once;
+:func:`certify` is the one caller, and its ``states`` argument takes the
+surface spectrum in place of the assembled shell operator's.
+
+:func:`certify` reads its route from
+:func:`shellbound.surface_operator.assemble`, which decides it: for a
+radial potential on a mesh with a ring layout (``SurfaceMesh.rings``,
+recorded by ``build_mesh``) and no ``states``, the assembled spectrum
+carries the channel of each value (``SurfaceOperatorMatrix.channels``)
+and :func:`certify` works in angular channels instead. A radial H0 and a
 radial V commute with rotations, so the shell operator and every tube
 form split into channels: the Fourier modes m in 2-D and, by the
 Funk-Hecke theorem, the spherical harmonics of degree l in 3-D, each
@@ -40,14 +48,14 @@ included, and the transverse rule of :class:`TransverseProfile` are
 built once and reused by every step and every later certificate. The
 shell eigenvalues are that kernel at the shell radius, the same list
 that ``surface_operator.assemble`` returns on this route, and h(eps) is
-diagonal, one entry per state's channel: no shell operator is
-assembled and no eigenfunction matrix formed. A real radial V has a
-real kernel whose channels are Hermitian in the radii, tested on the
-slice itself, and, in 3-D, unchanged by the mirror probe off the
-meridian, made once with the shell values; a kernel that is not raises
-``ConsistencyError``. Everything else,
-``states``, non-radial
-potentials and meshes without a layout, takes the dense route: the
+diagonal, K(eps) plus the value of each state's channel (a unit channel
+mode has Gram matrix 1): no square kernel and no eigenfunction matrix
+is formed. A real radial V has a real kernel whose channels are
+Hermitian in the radii, tested on the slice itself, and, in 3-D,
+unchanged by the mirror probe off the meridian, made once with the
+shell values; a kernel that is not raises ``ConsistencyError``.
+Everything else, ``states``, non-radial potentials and meshes without
+a layout, takes the dense route: the
 assembled (or supplied) surface states and one kernel matrix over the
 whole tube cloud, (M * T)^2 entries for a mesh of M nodes.
 
@@ -70,9 +78,7 @@ from .errors import ConsistencyError, PreconditionError
 from . import surface
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
-from .surface_operator import (
-    _band_matrix, _channel_kernel, _count_below, _shell_channels, assemble, ring_layout,
-)
+from .surface_operator import _band_matrix, _channel_kernel, _count_below, assemble
 
 __all__ = [
     "TransverseProfile",
@@ -157,84 +163,57 @@ class Certificate:
         return self.certified_count == self.requested
 
 
-def _tube(chart: TubularChart, profile: TransverseProfile, eps: float, cloud: bool = True):
-    """(eps_abs, cloud, rho): the tube's half-width, its (M, T, n) points and Jacobian.
-
-    The cloud maps every mesh node to its T tube points; the channel
-    route reads only eps_abs and rho, so it passes ``cloud=False`` and
-    gets None in its place.
-    """
+def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
+    """(eps_abs, radii, rho): the tube's half-width, its T radii R + eps_abs t_a and Jacobian."""
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise PreconditionError("eps must be a fraction of the chart half-width in (0, 1]")
     eps_abs = eps * chart.half_width
     offsets = eps_abs * profile.nodes
-    points = chart.map(chart.mesh.nodes[:, None, :], offsets[None, :]) if cloud else None
-    return eps_abs, points, chart.jacobian(offsets)
+    return eps_abs, chart.mesh.radius + offsets, chart.jacobian(offsets)
 
 
-def _kinetic_integral(shifted, profile: TransverseProfile, tube, dimension: int,
-                      surface_weights=1.0):
-    """``(2 pi)^(n/2) sum_a shifted_a w_a b_a^2 rho_a / eps_abs`` (times ``surface_weights``).
+def _kinetic_integral(symbol, minimum, profile: TransverseProfile, tube, dimension: int):
+    """K(eps) = ``(2 pi)^(n/2) sum_a (H0(r_a) - m) w_a b_a^2 rho_a / eps_abs``.
 
-    h_kin's tube integral in n dimensions. ``shifted`` holds H0 - m at
-    the T tube radii, or at each node's T tube points (shape (M, T),
-    with the mesh weights as ``surface_weights``). The potential form
+    h_kin's tube integral in n dimensions, from H0 - m at the T tube
+    radii r_a. The symbol is radial and the shell centred at the origin,
+    so every node's tube points sit at these radii, and h_kin is K times
+    the surface Gram matrix ``psi^H diag(w) psi`` of the trial span (the
+    identity on the channel route's unit modes). The potential form
     pairs the trial function with vhat, which is (2 pi)^(n/2) times the
     kernel by which V acts in momentum space; the factor puts the kinetic
     form on the same scale, so h(eps) is (2 pi)^(n/2) times the form of
     H - m.
     """
-    eps_abs, _, rho = tube
+    eps_abs, radii, rho = tube
+    points = np.zeros((radii.size, dimension))
+    points[:, 0] = radii
     weights = (2.0 * np.pi) ** (dimension / 2.0) * profile.weights * profile.values**2 * rho
-    return (shifted @ weights) * surface_weights / eps_abs
-
-
-def _kinetic(energy_fn, minimum, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube):
-    """h_kin for all column pairs of ``psi`` at once, on one precomputed tube."""
-    _, cloud, _ = tube
-    node_factor = _kinetic_integral(energy_fn(cloud) - minimum, profile, tube, mesh.dimension,
-                                    mesh.weights)
-    return (psi.conj().T * node_factor) @ psi
+    return ((symbol.evaluate(points) - minimum) @ weights) / eps_abs
 
 
 def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
     return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
-def _potential(potential, mesh: SurfaceMesh, psi, profile: TransverseProfile, tube, frame=None):
+def _potential(potential, chart: TubularChart, psi, profile: TransverseProfile, tube,
+               frame=None):
     """h_pot for all column pairs of ``psi`` at once, from one dense kernel over the tube cloud.
 
-    A band ``frame`` (points -> (count, bands)) multiplies the kernel by
-    the overlap ``sum_c conj(u_c(x)) u_c(y)``.
+    The cloud maps every mesh node to its T tube points through the
+    chart. A band ``frame`` (points -> (count, bands)) multiplies the
+    kernel by the overlap ``sum_c conj(u_c(x)) u_c(y)``.
     """
-    _, cloud, rho = tube
+    eps_abs, _, rho = tube
+    mesh = chart.mesh
+    cloud = chart.map(mesh.nodes[:, None, :], (eps_abs * profile.nodes)[None, :])
     points = cloud.reshape(-1, mesh.dimension)
     columns = _cloud_weights(mesh, profile, rho)[:, None] * np.repeat(psi, profile.order, axis=0)
     kernel = np.asarray(potential.kernel_matrix(points))
     if frame is not None:
         kernel = _band_matrix(kernel, np.asarray(frame(points)))
     return columns.conj().T @ kernel @ columns
-
-
-def _channel_form(symbol, minimum, potential, mesh: SurfaceMesh, profile: TransverseProfile,
-                  tube):
-    """The diagonal of h(eps) in every angular channel that :func:`_channel_kernel` lists.
-
-    In channel c the trial function is the channel's unit surface
-    eigenfunction times the transverse bump, so its form is the kinetic
-    integral over the T tube radii r_a plus ``x^T kappa_c x`` with
-    ``x_a = w_a b_a rho_a``, the channel value of ``_channel_kernel`` on
-    that contraction vector. ``certify`` indexes it by the channels of
-    ``_shell_channels``, which are listed the same way.
-    """
-    eps_abs, _, rho = tube
-    radii = mesh.radius + eps_abs * profile.nodes
-    points = np.zeros((radii.size, mesh.dimension))
-    points[:, 0] = radii
-    kinetic = _kinetic_integral(symbol.evaluate(points) - minimum, profile, tube, mesh.dimension)
-    x = profile.weights * profile.values * rho
-    return kinetic + _channel_kernel(potential, mesh, radii, x, symbol.frame)
 
 
 def certify(symbol, potential: Potential, mesh: SurfaceMesh,
@@ -246,13 +225,15 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     Parameters
     ----------
     symbol, potential, mesh
-        Problem data. A radial potential on a ring-layout mesh takes the
-        channel route (see the module docstring), where ``mesh`` gives
-        only its dimension, radius and azimuth count; otherwise the
-        shell operator is assembled on ``mesh`` unless ``states`` is
-        supplied. The symbol gives the kinetic energy
-        (``evaluate``), its minimum m (``find_minimum``) and its band
-        ``frame``: None for a scalar symbol; for a
+        Problem data. The shell operator is assembled on ``mesh`` unless
+        ``states`` is supplied, and certify takes the route of
+        :func:`shellbound.surface_operator.assemble`: a radial potential
+        on a ring-layout mesh gives the channel route (see the module
+        docstring), where ``mesh`` gives only its dimension, radius and
+        azimuth count. Every node must lie on the shell |s| = R (see
+        :func:`shellbound.surface.tubular_chart`). The symbol gives the
+        kinetic energy (``evaluate``), its minimum m (``find_minimum``)
+        and its band ``frame``: None for a scalar symbol; for a
         :class:`shellbound.spin_orbit.MatrixSymbol` the lower-band
         frame, which multiplies the kernel by the band overlap
         ``sum_c conj(u_c(x)) u_c(y)`` in the shell operator and in the
@@ -288,30 +269,27 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
 
     if mesh.dimension != potential.dimension:
         raise PreconditionError("mesh and potential dimensions differ")
-    channels = states is None and ring_layout(mesh, potential)
-    if channels:
-        values, channel = _shell_channels(mesh, potential, symbol.frame)
-        channel = channel[:n_states]
-    elif states is None:
-        operator = assemble(mesh, potential, symbol.frame)
-        values = operator.eigenvalues
-        psi = operator.eigenfunctions[:, :n_states]
-    else:
-        values, vectors = states
-        values = np.asarray(values)
-        vectors = np.asarray(vectors)
-        if vectors.ndim != 2 or vectors.shape[0] != mesh.size:
-            raise PreconditionError("state vectors must be columns sampled on the mesh")
-        if n_states > values.size or n_states > vectors.shape[1]:
-            raise PreconditionError("fewer supplied states than n_states")
-        psi = vectors[:, :n_states]
     if states is None:
+        operator = assemble(mesh, potential, symbol.frame)
+        values, psi, channel = operator.eigenvalues, operator.eigenfunctions, operator.channels
         available = _count_below(values)
         if n_states > available:
             raise PreconditionError(
                 f"requested {n_states} states but the shell operator has only "
                 f"{available} negative eigenvalues at this resolution"
             )
+    else:
+        values, psi = (np.asarray(a) for a in states)
+        channel = None
+        if psi.ndim != 2 or psi.shape[0] != mesh.size:
+            raise PreconditionError("state vectors must be columns sampled on the mesh")
+        if n_states > values.size or n_states > psi.shape[1]:
+            raise PreconditionError("fewer supplied states than n_states")
+    if channel is None:
+        psi = psi[:, :n_states]
+        gram = (psi.conj().T * mesh.weights) @ psi
+    else:
+        channel = channel[:n_states]
     limit_values = values[:n_states].copy()
 
     minimum = symbol.find_minimum()[0]
@@ -322,12 +300,15 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     top_eigenvalues = []
     certified_eps = None
     for eps in schedule:
-        tube = _tube(chart, profile, eps, cloud=not channels)
-        if channels:
-            h = np.diag(_channel_form(symbol, minimum, potential, mesh, profile, tube)[channel])
+        tube = _tube(chart, profile, eps)
+        _, radii, rho = tube
+        kinetic = _kinetic_integral(symbol, minimum, profile, tube, mesh.dimension)
+        if channel is not None:
+            x = profile.weights * profile.values * rho
+            h = np.diag((kinetic + _channel_kernel(potential, mesh, radii, x, symbol.frame))
+                        [channel])
         else:
-            h = (_kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
-                 + _potential(potential, mesh, psi, profile, tube, symbol.frame))
+            h = kinetic * gram + _potential(potential, chart, psi, profile, tube, symbol.frame)
             deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
             if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
                 raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")

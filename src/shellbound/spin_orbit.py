@@ -275,8 +275,9 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
     angular-channel route: the band overlap ``<u(x), u(y)>`` multiplies
     the kernel between the T tube radii and the turned points before
     the FFT over the angle, so the count precondition and h(eps) need
-    no band-projected shell operator. Otherwise certify assembles it and
-    takes the dense tube kernel times the overlap.
+    no band-projected square matrix. Otherwise certify assembles the
+    dense band-projected operator and takes the dense tube kernel times
+    the overlap.
     """
     _check_problem(symbol, mesh, potential)
     return certify(symbol, potential, mesh, n_states, eps_schedule,

@@ -208,9 +208,16 @@ def tubular_chart(mesh: SurfaceMesh, half_width_fraction: float = 0.25) -> Tubul
     """Chart of half-width ``half_width_fraction * R`` around the mesh shell.
 
     Fractions above 0.5 are rejected to keep a safety margin inside the
-    diffeomorphism region.
+    diffeomorphism region. The Jacobian ``rho(t)`` and the tube radii
+    ``R + t`` hold for nodes on the shell alone, so a node more than
+    1e-12 R off |s| = R raises ``PreconditionError``.
     """
     fraction = float(half_width_fraction)
     if not 0.0 < fraction <= 0.5:
         raise ConfigurationError("half_width_fraction must lie in (0, 0.5]")
+    off = np.abs(np.linalg.norm(mesh.nodes, axis=-1) - mesh.radius).max(initial=0.0)
+    if off > 1e-12 * mesh.radius:
+        raise PreconditionError(
+            f"mesh nodes lie up to {off:.3e} off the shell |s| = {mesh.radius}"
+        )
     return TubularChart(mesh=mesh, half_width=fraction * mesh.radius)

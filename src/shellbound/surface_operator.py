@@ -8,17 +8,19 @@ returns: the operator itself is never kept.
 
 For a radial potential on a mesh with a ring layout
 (``SurfaceMesh.rings``; :func:`ring_layout` decides this route for
-:func:`assemble`, the spin gauge check and
-:func:`shellbound.rayleigh_ritz.certify` alike) the operator commutes
+:func:`assemble` and the spin gauge check) the operator commutes
 with rotations, so it splits into angular channels: the Fourier modes
 m of the circle and, by the Funk-Hecke theorem, the spherical
 harmonics of degree l on the sphere, each 2 l + 1 times.
 :func:`_channel_kernel` gives every channel's value from one kernel
-slice (see :func:`_channel_points`), :func:`_shell_channels` lists them
-(each degree 2 l + 1 times on the sphere) for :func:`assemble`, and
-``certify`` reads the same values for its count check and the same
-slice at its tube radii for its trial forms. No square kernel is formed
-and no eigensolve made. Only the slice depends on the tube radii: the
+slice (see :func:`_channel_points`), and :func:`_shell_channels` lists
+them (each degree 2 l + 1 times on the sphere) for :func:`assemble`,
+with the channel of each value in ``SurfaceOperatorMatrix.channels``.
+:func:`shellbound.rayleigh_ritz.certify` takes its route from that
+field, None on the dense route: it counts the assembled values and
+reads the same slice at its tube radii for its trial forms. No square
+kernel is formed and no eigensolve made. Only the slice depends on the
+tube radii: the
 angular rule (the directions and, on the sphere, the 2 n-node
 Gauss-Legendre projection) is built once per azimuth count and radius.
 A channel's kernel between the T radii is a T x T matrix kappa_c, but
@@ -93,11 +95,17 @@ class SurfaceOperatorMatrix:
         operator's eigenfunctions, normalized by
         ``sum_i w_i |Psi_j(s_i)|^2 = 1``. None on the channel route,
         whose eigenfunctions are the channels' angular modes.
+    channels : ndarray of int, or None
+        On the channel route, the channel of each eigenvalue in the list
+        of :func:`_channel_kernel`, aligned with ``eigenvalues``: what
+        :func:`shellbound.rayleigh_ritz.certify` reads to take this
+        route. None on the dense route.
     """
 
     mesh: SurfaceMesh
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray | None
+    channels: np.ndarray | None = None
 
     @property
     def norm(self) -> float:
@@ -129,10 +137,11 @@ def ring_layout(mesh: SurfaceMesh, potential: Potential) -> bool:
     """Whether the problem has the rotational symmetry the channel route uses.
 
     The one place the route is decided: a radial potential on a mesh
-    with a ring layout (``SurfaceMesh.rings``). :func:`assemble`,
-    :func:`shellbound.spin_orbit.gauge_deviation` and
-    :func:`shellbound.rayleigh_ritz.certify` then work in angular
-    channels; otherwise all three take the dense route.
+    with a ring layout (``SurfaceMesh.rings``). :func:`assemble` and
+    :func:`shellbound.spin_orbit.gauge_deviation` then work in angular
+    channels, otherwise both take the dense route;
+    :func:`shellbound.rayleigh_ritz.certify` reads the route of
+    :func:`assemble` from ``SurfaceOperatorMatrix.channels``.
     """
     return bool(potential.is_radial and mesh.rings)
 
@@ -371,9 +380,11 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
 
     A radial potential on a mesh with a ring layout takes the channel
     route: the shell spectrum of :func:`_shell_channels` from one kernel
-    slice, with ``eigenfunctions`` None. Any other problem takes the
-    dense route: one (M, M) kernel, weighted and hermitized by
-    :func:`_dense_operator`, and a full ``eigh``. A band ``frame``
+    slice, with the channel of each value in ``channels`` and
+    ``eigenfunctions`` None. Any other problem takes the dense route:
+    one (M, M) kernel, weighted and hermitized by
+    :func:`_dense_operator`, and a full ``eigh``, with ``channels``
+    None. A band ``frame``
     (points -> unit vectors (count, bands), a symbol's ``frame``; None
     for a scalar symbol) multiplies the kernel by the overlap
     ``sum_c conj(u_c(s_i)) u_c(s_j)`` on either route.
@@ -392,8 +403,8 @@ def assemble(mesh: SurfaceMesh, potential: Potential, frame=None) -> SurfaceOper
         raise PreconditionError("mesh and potential dimensions differ")
     require_band(potential, 2.0 * mesh.radius)
     if ring_layout(mesh, potential):
-        values, _ = _shell_channels(mesh, potential, frame)
-        return SurfaceOperatorMatrix(mesh, values, None)
+        values, channels = _shell_channels(mesh, potential, frame)
+        return SurfaceOperatorMatrix(mesh, values, None, channels)
     u = None if frame is None else np.asarray(frame(mesh.nodes))
     matrix = _dense_operator(mesh, np.asarray(potential.kernel_matrix(mesh.nodes)), u)
     eigenvalues, vectors = np.linalg.eigh(matrix)

@@ -3,8 +3,8 @@
 A symbol is a radial function ``H0(p) = profile(|p|)`` that is bounded
 below, grows at infinity, and attains its minimum ``m`` on the shell
 ``|p| = R``. The toolkit never hard-codes the minimum value: it is
-always computed, analytically for the named kinds and by bracketed 1-D
-minimization for tabulated profiles.
+computed once, when the symbol is built, analytically for the named
+kinds and by bracketed 1-D minimization for tabulated profiles.
 
 The pipeline reads a symbol through ``evaluate`` (the kinetic energy),
 ``find_minimum`` and ``frame``, the band frame that weights the kernel
@@ -48,8 +48,7 @@ class DispersionSymbol:
     kind: str
     params: dict
     _radial: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _minimum: tuple[float, float] | None = field(default=None, repr=False)
-    _bracket: tuple[float, float] = field(default=(1e-8, 50.0), repr=False)
+    _minimum: tuple[float, float] = field(repr=False)
     frame = None  # a class attribute, not a field
 
     def radial(self, r):
@@ -64,41 +63,14 @@ class DispersionSymbol:
         return float(out) if out.ndim == 0 else out
 
     def find_minimum(self) -> tuple[float, float]:
-        """Global minimum of the radial profile.
+        """Global minimum of the radial profile, computed when the symbol is built.
 
         Returns
         -------
         (m, surface_radius) : tuple of float
             Minimum value and the minimizing radius.
-
-        Raises
-        ------
-        DegenerateSurfaceError
-            If the minimizer sits at radius 0, where there is no
-            hypersurface of extrema.
         """
-        if self._minimum is not None:
-            return self._minimum
-        from scipy.optimize import minimize_scalar
-
-        lo, hi = self._bracket
-        grid = np.linspace(lo, hi, 2048)
-        values = self._radial(grid)
-        seed = int(np.argmin(values))
-        a = grid[max(seed - 1, 0)]
-        b = grid[min(seed + 1, grid.size - 1)]
-        res = minimize_scalar(
-            lambda r: float(self._radial(np.float64(r))),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-13 * max(1.0, hi)},
-        )
-        radius = float(res.x)
-        if radius <= 1e-6 * max(1.0, hi):
-            raise DegenerateSurfaceError(
-                "radial profile is minimized at radius zero; no extremum shell"
-            )
-        return float(res.fun), radius
+        return self._minimum
 
 
 def _positive(name: str, value: float) -> float:
@@ -206,9 +178,37 @@ def custom_radial(radii, values, dimension: int = 2) -> DispersionSymbol:
         kind="custom-radial",
         params={"r_min": float(radii[0]), "r_max": float(radii[-1])},
         _radial=lambda r: spline(r),
-        _minimum=None,
-        _bracket=(max(float(radii[0]), 1e-8), float(radii[-1])),
+        _minimum=_bracketed_minimum(spline, max(float(radii[0]), 1e-8), float(radii[-1])),
     )
+
+
+def _bracketed_minimum(profile, lo: float, hi: float) -> tuple[float, float]:
+    """(m, radius) of ``profile`` on [lo, hi]: a 2048-point scan, then a bounded Brent search.
+
+    Raises
+    ------
+    DegenerateSurfaceError
+        If the minimizer sits at radius 0, where there is no
+        hypersurface of extrema.
+    """
+    from scipy.optimize import minimize_scalar
+
+    grid = np.linspace(lo, hi, 2048)
+    seed = int(np.argmin(profile(grid)))
+    a = grid[max(seed - 1, 0)]
+    b = grid[min(seed + 1, grid.size - 1)]
+    res = minimize_scalar(
+        lambda r: float(profile(np.float64(r))),
+        bounds=(a, b),
+        method="bounded",
+        options={"xatol": 1e-13 * max(1.0, hi)},
+    )
+    radius = float(res.x)
+    if radius <= 1e-6 * max(1.0, hi):
+        raise DegenerateSurfaceError(
+            "radial profile is minimized at radius zero; no extremum shell"
+        )
+    return float(res.fun), radius
 
 
 def _check_points(arr, dimension: int, label: str) -> np.ndarray:

@@ -349,6 +349,17 @@ def test_task_names_are_not_config_keys(tmp_path, capsys, name):
     assert f"unknown config key '{name}'" in capsys.readouterr().err
 
 
+def test_degenerate_custom_radial_symbol_exits_1(tmp_path, capsys):
+    radii = np.linspace(0.0, 3.0, 50)
+    symbol = {"kind": "custom-radial", "dimension": 2,
+              "params": {"radii": radii.tolist(), "values": (radii**2 + 1.0).tolist()}}
+    config = {"task": "surface-spectrum", "symbol": symbol, "potential": WELL,
+              "surface": {"resolution": 32}}
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: radial profile is minimized at radius zero; no extremum shell\n")
+
+
 def test_run_rejects_compare_as_task(tmp_path, capsys):
     config = dict(CERTIFY, task="compare")
     assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1

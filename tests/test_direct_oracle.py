@@ -697,13 +697,14 @@ def test_solve_returns_fresh_residuals(route_hams, monkeypatch, maxiter):
 
 @pytest.mark.parametrize("k", [8, 4])
 def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams, monkeypatch, k):
-    # each call gets exactly the residual columns that the previous norms
-    # of its sector's solve left unlocked (lobpcg locks a column for good
-    # once its norm falls to tol), and applies (H0 - sigma_j)^-1 with
+    # each call gets the whole residual block of its sector's solve, the
+    # columns that lobpcg has locked (once their norm falls to tol)
+    # included, and applies (H0 - sigma_j)^-1 to every column with
     # sigma_j = min(theta_j, min H0 - delta) from the previous Ritz
-    # values; before the first callback sigma_j is that cap. On the
-    # sector route the expected block is formed on the whole grid by FFT.
-    # lowest_eigenvalues(k=4) runs until its wanted columns lock
+    # values; before the first callback sigma_j is that cap. lobpcg then
+    # keeps the unlocked columns alone. On the sector route the expected
+    # block is formed on the whole grid by FFT. lowest_eigenvalues(k=4)
+    # runs until its wanted columns lock
     calls, solves = [], []
     solver = do.lobpcg
 
@@ -739,21 +740,22 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
         axes = tuple(range(ham.dimension))
         for solve, block, out, active, values in calls:
             sector = sectors[solve]
-            assert block.shape[1] == np.count_nonzero(active)
-            sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values[active], cap)
+            assert block.shape[1] == active.size  # every column of the sector's block
+            sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values, cap)
             spectral = np.fft.fftn(_lift(ham, sector, block).reshape(grid_shape + (-1,)), axes=axes)
             table = 1.0 / (ham.symbol_table[..., None] - sigma)
             expected = np.fft.ifftn(table * spectral, axes=axes).real.reshape(-1, block.shape[1])
             expected = _lift(ham, sector, expected, back=True)
             np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
-        widths = [block.shape[1] for _, block, _, _, _ in calls]
-        assert widths[0] == k + 4
+        assert calls[0][1].shape[1] == k + 4
         assert {call[0] for call in calls} == set(range(len(sectors))) == set(solves)
         if k == 4:
-            assert min(widths) < k + 4  # columns locked during the run
+            assert not all(call[3].all() for call in calls)  # columns locked during the run
 
 
 def test_preconditioner_rejects_a_block_of_the_wrong_width(route_hams, monkeypatch):
+    # the preconditioner holds one shift per column of the solver's block,
+    # so a block of any other width cannot be matched to its shifts
     solver = do.lobpcg
 
     def too_narrow(A, X, M=None, **kwargs):
@@ -762,7 +764,7 @@ def test_preconditioner_rejects_a_block_of_the_wrong_width(route_hams, monkeypat
 
     monkeypatch.setattr(do, "lobpcg", too_narrow)
     for ham in route_hams:
-        with pytest.raises(ConsistencyError, match="got 1 columns, but 12 are unlocked"):
+        with pytest.raises(ValueError):
             do.count_below(ham, k_max=8)
 
 

@@ -68,7 +68,7 @@ def test_profile_rejects_tiny_order():
 # Values of one form term are read off certify's h(eps) with the other
 # term switched off: the zero potential leaves the kinetic form, a flat
 # symbol (H0 = m everywhere) the potential form. Raw pairing symmetry is
-# checked on _kinetic / _potential themselves, before certify hermitizes.
+# checked on _potential itself, before certify hermitizes.
 
 
 def _forms(sym, pot, mesh, psi, schedule, **options):
@@ -76,14 +76,6 @@ def _forms(sym, pot, mesh, psi, schedule, **options):
     psi = np.asarray(psi).reshape(mesh.size, -1)
     states = (-np.ones(psi.shape[1]), psi)
     return rr.certify(sym, pot, mesh, psi.shape[1], schedule, states=states, **options).matrices
-
-
-def _random_pair(mesh, seed):
-    """Two random complex columns, a profile and the eps = 0.1 tube on ``mesh``."""
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal((mesh.size, 2)) + 1j * rng.standard_normal((mesh.size, 2))
-    profile = rr.TransverseProfile.build(12)
-    return psi, profile, rr._tube(surface.tubular_chart(mesh), profile, 0.1)
 
 
 def test_kinetic_form_is_exactly_linear_in_eps_for_parabolic_profile():
@@ -117,12 +109,28 @@ def test_kinetic_form_is_zero_for_flat_symbol():
     assert h[0, 0] == 0.0
 
 
-def test_kinetic_form_hermitian_pairing():
-    mesh = surface.build_mesh(1.0, 2, 24)
-    sym = symbols.mexican_hat(1.0)
-    psi, profile, tube = _random_pair(mesh, 5)
-    h = rr._kinetic(sym.evaluate, sym.find_minimum()[0], mesh, psi, profile, tube)
-    assert abs(h[0, 1] - np.conj(h[1, 0])) < 1e-13 * max(1.0, abs(h[0, 1]))
+@pytest.mark.parametrize("dimension, resolution", [(2, 24), (3, 6)])
+def test_dense_kinetic_form_is_k_times_the_gram_matrix(dimension, resolution):
+    # on the dense route h_kin is K(eps) psi^H diag(w) psi; the reference
+    # evaluates H0 - m at every point s_i (1 + t_a / R) of the tube cloud
+    # and integrates node by node
+    mesh = dataclasses.replace(surface.build_mesh(1.3, dimension, resolution), rings=0)
+    sym = _shell_symbol(dimension, 1.3)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal((mesh.size, 3)) + 1j * rng.standard_normal((mesh.size, 3))
+    profile = rr.TransverseProfile.build(12)
+    schedule = (0.2, 0.05)
+    forms = _forms(sym, potentials.zero(dimension), mesh, psi, schedule)
+    for eps, h in zip(schedule, forms, strict=True):
+        eps_abs = eps * 0.25 * mesh.radius
+        t = eps_abs * profile.nodes
+        cloud = mesh.nodes[:, None, :] * (1.0 + t / mesh.radius)[None, :, None]
+        rho = (1.0 + t / mesh.radius) ** (dimension - 1)
+        shifted = sym.evaluate(cloud) - sym.find_minimum()[0]
+        node_factor = (2.0 * np.pi) ** (dimension / 2.0) * mesh.weights * (
+            shifted @ (profile.weights * profile.values**2 * rho)) / eps_abs
+        expected = (psi.conj().T * node_factor) @ psi
+        assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_tube_eps_validation():
@@ -170,8 +178,11 @@ def test_potential_form_converges_to_discrete_eigenvalues():
 def test_potential_form_hermitian_pairing():
     mesh = surface.build_mesh(1.0, 2, 24)
     pot = potentials.gaussian_well(1.0, 1.0)
-    psi, profile, tube = _random_pair(mesh, 7)
-    h = rr._potential(pot, mesh, psi, profile, tube)
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((mesh.size, 2)) + 1j * rng.standard_normal((mesh.size, 2))
+    profile = rr.TransverseProfile.build(12)
+    chart = surface.tubular_chart(mesh)
+    h = rr._potential(pot, chart, psi, profile, rr._tube(chart, profile, 0.1))
     assert abs(h[0, 1] - np.conj(h[1, 0])) < 1e-12 * max(1.0, abs(h[0, 1]))
 
 
@@ -292,8 +303,8 @@ def _radial_potential(kind, dimension):
     return potentials.gaussian_dimple_mix(1.0, 1.0, 0.5, 0.3, dimension)
 
 
-def _shell_symbol(dimension):
-    return symbols.mexican_hat(1.0) if dimension == 2 else symbols.roton(1.0, 0.5, 1.0)
+def _shell_symbol(dimension, radius=1.0):
+    return symbols.mexican_hat(radius) if dimension == 2 else symbols.roton(1.0, 0.5, radius)
 
 
 def _without_layout(mesh):
@@ -481,6 +492,25 @@ def test_tabulated_potential_keeps_dense_path(kernel_calls):
                transverse_order=transverse, states=states)
     cloud = mesh.size * transverse
     assert kernel_calls == [(cloud, cloud)]
+
+
+def test_certify_rejects_a_mesh_off_the_shell():
+    # two rings of 16 azimuths at radii 1 and 0.5 with no recorded layout:
+    # the dense shell operator of these nodes is well defined, but the
+    # tube chart and the kinetic integral assume every node on |s| = R
+    n = 16
+    angles = 2.0 * np.pi * np.arange(n) / n
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    weights = np.concatenate([np.full(n, 2.0 * np.pi / n), np.full(n, np.pi / n)])
+    mesh = surface.SurfaceMesh(2, 1.0, np.concatenate([ring, 0.5 * ring]), weights)
+    pot = potentials.gaussian_well(1.0, 1.0)
+    op = so.assemble(mesh, pot)
+    assert op.channels is None and op.eigenfunctions.shape == (2 * n, 2 * n)
+    assert op.eigenvalues[0] == pytest.approx(-5.244, abs=1e-3)
+    with pytest.raises(PreconditionError, match="off the shell"):
+        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 1)
+    with pytest.raises(PreconditionError, match="off the shell"):
+        surface.tubular_chart(mesh)
 
 
 def test_hand_built_mesh_keeps_dense_path(kernel_calls):

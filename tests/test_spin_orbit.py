@@ -435,15 +435,18 @@ def _dense_spin_forms(symbol, mesh, n_states):
     minimum = symbol.find_minimum()[0]
     forms = []
     for eps in rayleigh_ritz.DEFAULT_SCHEDULE:
-        tube = rayleigh_ritz._tube(chart, profile, eps)
-        _, cloud, rho = tube
+        eps_abs, _, rho = rayleigh_ritz._tube(chart, profile, eps)
+        cloud = chart.map(mesh.nodes[:, None, :], (eps_abs * profile.nodes)[None, :])
         points = cloud.reshape(-1, 2)
         frame = spin_orbit.band_frame(symbol, points)
         kernel = WELL.kernel_matrix(points) * (frame.conj() @ frame.T)
         weights = rayleigh_ritz._cloud_weights(mesh, profile, rho)
         columns = weights[:, None] * np.repeat(psi, profile.order, axis=0)
-        h = (rayleigh_ritz._kinetic(symbol.evaluate, minimum, mesh, psi, profile, tube)
-             + columns.conj().T @ kernel @ columns)
+        # the kinetic form node by node, from H0 - m at every cloud point
+        shifted = symbol.evaluate(cloud) - minimum
+        node_factor = 2.0 * np.pi * mesh.weights * (
+            shifted @ (profile.weights * profile.values**2 * rho)) / eps_abs
+        h = (psi.conj().T * node_factor) @ psi + columns.conj().T @ kernel @ columns
         forms.append(0.5 * (h + h.conj().T))
     return forms
 

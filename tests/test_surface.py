@@ -142,7 +142,7 @@ def test_ring_layout_rejects_rings_off_the_shell():
     # two rings of 16 uniform azimuths at radii 1 and 0.5 pass every other
     # layout check, but the channel route would list the unit circle's
     # channels for them (16 values from -2.93, where the dense operator of
-    # these nodes starts at -7.67)
+    # these nodes starts at -5.24)
     n = 16
     angles = 2.0 * np.pi * np.arange(n) / n
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -150,7 +150,8 @@ def test_ring_layout_rejects_rings_off_the_shell():
     weights = np.concatenate([np.full(n, 2.0 * np.pi / n), np.full(n, np.pi / n)])
     with pytest.raises(PreconditionError, match="off the shell"):
         surface.SurfaceMesh(2, 1.0, nodes, weights, rings=2)
-    # without the layout the mesh is accepted and takes the dense route
+    # without the layout the mesh is accepted and takes the dense route of
+    # assemble; certify's tube chart rejects it (see test_rayleigh_ritz)
     assert surface.SurfaceMesh(2, 1.0, nodes, weights).rings == 0
     # a built mesh whose recorded radius is not that of its nodes
     for dimension, resolution in ((2, 16), (3, 6)):

@@ -107,10 +107,19 @@ def test_custom_radial_reproduces_quadratic_profile():
 
 
 def test_custom_radial_monotone_profile_is_degenerate():
+    # the minimum is searched once, when the symbol is built
     radii = np.linspace(0.0, 3.0, 50)
-    sym = symbols.custom_radial(radii, radii**2 + 1.0)
-    with pytest.raises(DegenerateSurfaceError):
-        sym.find_minimum()
+    with pytest.raises(DegenerateSurfaceError, match="radius zero"):
+        symbols.custom_radial(radii, radii**2 + 1.0)
+
+
+def test_custom_radial_minimum_is_computed_once(monkeypatch):
+    import scipy.optimize
+
+    radii = np.linspace(0.05, 6.0, 400)
+    sym = symbols.custom_radial(radii, 1.0 + (radii - 2.0) ** 2 / 2.0)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", None)
+    assert sym.find_minimum() is sym.find_minimum()
 
 
 def test_custom_radial_table_validation():
