@@ -200,6 +200,11 @@ def _count(value) -> int:
     return value
 
 
+def _floats(values) -> list:
+    """A ``_need`` kind for lists of numbers: ``float`` of each element."""
+    return [float(value) for value in values]
+
+
 def _construct(module, kinds, path, kind, block, dimension):
     """``module.<constructor>(*params, dimension)`` for ``kind`` by the ``kinds`` table."""
     from .errors import ConfigurationError
@@ -208,8 +213,8 @@ def _construct(module, kinds, path, kind, block, dimension):
     if kind not in kinds:
         raise ConfigurationError(f"unknown {path}.kind '{kind}'")
     constructor, names = kinds[kind]
-    # custom-radial's profile samples are lists, every other parameter a float
-    value_kind = list if kind == "custom-radial" else float
+    # custom-radial's profile samples are lists of numbers, every other parameter a float
+    value_kind = _floats if kind == "custom-radial" else float
     values = [_need(params, name, f"{path}.params", value_kind) for name in names]
     return getattr(module, constructor)(*values, dimension)
 
@@ -332,8 +337,7 @@ def _certify(config, symbol, potential, mesh, surface_block):
     return rayleigh_ritz.certify(
         symbol, potential, mesh,
         _need(rr, "n_states", "rayleigh_ritz", _integer),
-        _need(rr, "eps_schedule", "rayleigh_ritz", lambda values: [float(e) for e in values],
-              rayleigh_ritz.DEFAULT_SCHEDULE),
+        _need(rr, "eps_schedule", "rayleigh_ritz", _floats, rayleigh_ritz.DEFAULT_SCHEDULE),
         half_width_fraction=_need(surface_block, "half_width_fraction", "surface", float, 0.25),
         transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", _integer, 12),
     )

@@ -15,28 +15,31 @@ kinetic term is O(eps) and the kernel smearing is O(eps) as well, so the
 convergence table reported by :func:`certify` should contract by about
 one half per halving of eps.
 
-The symbol is radial and the shell centred at the origin, so a tube
-function's kinetic form depends on its transverse offset alone: it is
-K(eps) times the surface Gram matrix ``psi^H diag(w) psi``, where
-:func:`_kinetic_integral` gives K(eps) from H0 - m at the T tube radii.
-That one integral serves both routes, once per eps. On the dense route
-h(eps) is K(eps) times the Gram matrix, formed once, plus
-:func:`_potential` for all column pairs of the trial span at once;
-:func:`certify` is the one caller, and its ``states`` argument takes the
-surface spectrum in place of the assembled shell operator's.
+The trial span is the shell operator's own lowest eigenfunctions, as
+:func:`shellbound.surface_operator.assemble` returns them: orthonormal
+in the mesh weights on the dense route, unit angular modes on the
+channel route. The symbol is radial and the shell centred at the
+origin, so a tube function's kinetic form depends on its transverse
+offset alone: it is K(eps) times the span's surface Gram matrix
+``psi^H diag(w) psi``, which is the identity. :func:`_kinetic_integral`
+gives K(eps) from H0 - m at the T tube radii, and every eps step of
+:func:`certify` is the same on both routes: h(eps) is the span's
+potential form plus K(eps) I, checked to be Hermitian and hermitized.
+The potential form is the channel diagonal on the channel route and
+:func:`_potential`, all column pairs of the span at once, on the dense
+route.
 
 :func:`certify` reads its route from
 :func:`shellbound.surface_operator.assemble`, which decides it: for a
 radial potential on a mesh with a ring layout (``SurfaceMesh.rings``,
-recorded by ``build_mesh``) and no ``states``, the assembled spectrum
-carries the channel of each value (``SurfaceOperatorMatrix.channels``)
-and :func:`certify` works in angular channels instead. A radial H0 and a
-radial V commute with rotations, so the shell operator and every tube
-form split into channels: the Fourier modes m in 2-D and, by the
-Funk-Hecke theorem, the spherical harmonics of degree l in 3-D, each
-2 l + 1 times. In channel c the tube kernel is a T x T matrix kappa_c
-over the T tube radii, and the form reads only x^T kappa_c x on the
-tube weights x. ``surface_operator._channel_kernel`` gives that value
+recorded by ``build_mesh``), the assembled spectrum carries the channel
+of each value (``SurfaceOperatorMatrix.channels``) and :func:`certify`
+works in angular channels instead. A radial H0 and a radial V commute
+with rotations, so the shell operator and every tube form split into
+channels: the Fourier modes m in 2-D and, by the Funk-Hecke theorem,
+the spherical harmonics of degree l in 3-D, each 2 l + 1 times. In
+channel c the tube kernel is a T x T matrix kappa_c over the T tube
+radii, and the form reads only x^T kappa_c x on the tube weights x. ``surface_operator._channel_kernel`` gives that value
 for every channel from one kernel slice of T x (T n) entries (n the
 mesh's azimuth count), contracted on x to one row of n values and
 transformed by one FFT over the azimuth, which lists every channel
@@ -48,15 +51,13 @@ included, and the transverse rule of :class:`TransverseProfile` are
 built once and reused by every step and every later certificate. The
 shell eigenvalues are that kernel at the shell radius, the same list
 that ``surface_operator.assemble`` returns on this route, and h(eps) is
-diagonal, K(eps) plus the value of each state's channel (a unit channel
-mode has Gram matrix 1): no square kernel and no eigenfunction matrix
-is formed. A real radial V has a real kernel whose channels are
-Hermitian in the radii, tested on the slice itself, and, in 3-D,
+diagonal, K(eps) plus the value of each state's channel: no square
+kernel and no eigenfunction matrix is formed. A real radial V has a
+real kernel whose channels are Hermitian in the radii, tested on the slice itself, and, in 3-D,
 unchanged by the mirror probe off the meridian, made once with the
 shell values; a kernel that is not raises ``ConsistencyError``.
-Everything else, ``states``, non-radial potentials and meshes without
-a layout, takes the dense route: the
-assembled (or supplied) surface states and one kernel matrix over the
+Non-radial potentials and meshes without a layout take the dense
+route: the assembled eigenfunctions and one kernel matrix over the
 whole tube cloud, (M * T)^2 entries for a mesh of M nodes.
 
 The symbol carries its band structure: its ``evaluate`` is the kinetic
@@ -78,7 +79,7 @@ from .errors import ConsistencyError, PreconditionError
 from . import surface
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
-from .surface_operator import _band_matrix, _channel_kernel, _count_below, assemble
+from .surface_operator import _band_matrix, _channel_kernel, assemble, count_negative
 
 __all__ = [
     "TransverseProfile",
@@ -179,12 +180,12 @@ def _kinetic_integral(symbol, minimum, profile: TransverseProfile, tube, dimensi
     h_kin's tube integral in n dimensions, from H0 - m at the T tube
     radii r_a. The symbol is radial and the shell centred at the origin,
     so every node's tube points sit at these radii, and h_kin is K times
-    the surface Gram matrix ``psi^H diag(w) psi`` of the trial span (the
-    identity on the channel route's unit modes). The potential form
-    pairs the trial function with vhat, which is (2 pi)^(n/2) times the
-    kernel by which V acts in momentum space; the factor puts the kinetic
-    form on the same scale, so h(eps) is (2 pi)^(n/2) times the form of
-    H - m.
+    the surface Gram matrix ``psi^H diag(w) psi`` of the trial span: the
+    identity for the orthonormal modes that ``certify`` takes. The
+    potential form pairs the trial function with vhat, which is
+    (2 pi)^(n/2) times the kernel by which V acts in momentum space; the
+    factor puts the kinetic form on the same scale, so h(eps) is
+    (2 pi)^(n/2) times the form of H - m.
     """
     eps_abs, radii, rho = tube
     points = np.zeros((radii.size, dimension))
@@ -218,17 +219,16 @@ def _potential(potential, chart: TubularChart, psi, profile: TransverseProfile, 
 
 def certify(symbol, potential: Potential, mesh: SurfaceMesh,
             n_states: int, eps_schedule=DEFAULT_SCHEDULE, *,
-            half_width_fraction: float = 0.25, transverse_order: int = 12,
-            states=None) -> Certificate:
+            half_width_fraction: float = 0.25, transverse_order: int = 12) -> Certificate:
     """Search the eps schedule for a negative-definite trial form.
 
     Parameters
     ----------
     symbol, potential, mesh
-        Problem data. The shell operator is assembled on ``mesh`` unless
-        ``states`` is supplied, and certify takes the route of
-        :func:`shellbound.surface_operator.assemble`: a radial potential
-        on a ring-layout mesh gives the channel route (see the module
+        Problem data. The shell operator is assembled on ``mesh`` by
+        :func:`shellbound.surface_operator.assemble`, whose route and
+        orthonormal eigenfunctions certify takes: a radial potential on
+        a ring-layout mesh gives the channel route (see the module
         docstring), where ``mesh`` gives only its dimension, radius and
         azimuth count. Every node must lie on the shell |s| = R (see
         :func:`shellbound.surface.tubular_chart`). The symbol gives the
@@ -240,15 +240,11 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
         tube forms alike.
     n_states : int
         Number of eigenvalues of H below m to certify. Must not exceed
-        the count of shell eigenvalues below -1e-8 max(1, max |E|), the
-        threshold of :func:`shellbound.surface_operator.count_negative`
-        (checked unless ``states`` overrides them).
+        :func:`shellbound.surface_operator.count_negative` of the shell
+        operator, the count of its eigenvalues below
+        -1e-8 max(1, max |E|).
     eps_schedule : iterable of float
         Fractions of the chart half-width, default (0.2, 0.1, 0.05, 0.025).
-    states : (values, vectors), optional
-        Caller-supplied surface spectrum and eigenfunction samples, in
-        place of the assembled shell operator's. Skips the count
-        precondition.
 
     Returns
     -------
@@ -257,6 +253,12 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
         convergence table, and the certification outcome. A schedule
         with no negative-definite member yields ``certified_count = 0``
         rather than an exception.
+
+    Raises
+    ------
+    ConsistencyError
+        If some h(eps) deviates from Hermitian by more than
+        1e-10 max(1, max |h|), on either route, or if ``assemble`` does.
     """
     n_states = int(n_states)
     if n_states < 0:
@@ -267,30 +269,16 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     chart = tubular_chart(mesh, half_width_fraction)
     profile = TransverseProfile.build(transverse_order)
 
-    if mesh.dimension != potential.dimension:
-        raise PreconditionError("mesh and potential dimensions differ")
-    if states is None:
-        operator = assemble(mesh, potential, symbol.frame)
-        values, psi, channel = operator.eigenvalues, operator.eigenfunctions, operator.channels
-        available = _count_below(values)
-        if n_states > available:
-            raise PreconditionError(
-                f"requested {n_states} states but the shell operator has only "
-                f"{available} negative eigenvalues at this resolution"
-            )
-    else:
-        values, psi = (np.asarray(a) for a in states)
-        channel = None
-        if psi.ndim != 2 or psi.shape[0] != mesh.size:
-            raise PreconditionError("state vectors must be columns sampled on the mesh")
-        if n_states > values.size or n_states > psi.shape[1]:
-            raise PreconditionError("fewer supplied states than n_states")
-    if channel is None:
-        psi = psi[:, :n_states]
-        gram = (psi.conj().T * mesh.weights) @ psi
-    else:
-        channel = channel[:n_states]
-    limit_values = values[:n_states].copy()
+    operator = assemble(mesh, potential, symbol.frame)
+    available = count_negative(operator)
+    if n_states > available:
+        raise PreconditionError(
+            f"requested {n_states} states but the shell operator has only "
+            f"{available} negative eigenvalues at this resolution"
+        )
+    limit_values = operator.eigenvalues[:n_states].copy()
+    channel = None if operator.channels is None else operator.channels[:n_states]
+    psi = None if operator.eigenfunctions is None else operator.eigenfunctions[:, :n_states]
 
     minimum = symbol.find_minimum()[0]
     require_band(potential, 2.0 * (mesh.radius + chart.half_width))
@@ -303,20 +291,19 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
         tube = _tube(chart, profile, eps)
         _, radii, rho = tube
         kinetic = _kinetic_integral(symbol, minimum, profile, tube, mesh.dimension)
-        if channel is not None:
-            x = profile.weights * profile.values * rho
-            h = np.diag((kinetic + _channel_kernel(potential, mesh, radii, x, symbol.frame))
-                        [channel])
+        if channel is None:
+            h = _potential(potential, chart, psi, profile, tube, symbol.frame)
         else:
-            h = kinetic * gram + _potential(potential, chart, psi, profile, tube, symbol.frame)
-            deviation = np.abs(h - h.conj().T).max() if h.size else 0.0
-            if h.size and deviation > 1e-10 * max(1.0, np.abs(h).max()):
-                raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")
-            h = 0.5 * (h + h.conj().T)
+            x = profile.weights * profile.values * rho
+            h = np.diag(_channel_kernel(potential, mesh, radii, x, symbol.frame)[channel])
+        # the span is orthonormal in the mesh weights: the kinetic form is K(eps) I
+        h = h + kinetic * np.eye(n_states)
+        deviation = np.abs(h - h.conj().T).max(initial=0.0)
+        if deviation > 1e-10 * max(1.0, np.abs(h).max(initial=0.0)):
+            raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")
+        h = 0.5 * (h + h.conj().T)
         matrices.append(h)
-        max_errors.append(
-            float(np.abs(h - np.diag(limit_values)).max()) if h.size else 0.0
-        )
+        max_errors.append(float(np.abs(h - np.diag(limit_values)).max(initial=0.0)))
         top = float(np.linalg.eigvalsh(h)[-1]) if h.size else -np.inf
         top_eigenvalues.append(top)
         if top < 0.0 and (certified_eps is None or eps > certified_eps):

@@ -17,8 +17,9 @@ slice (see :func:`_channel_points`), and :func:`_shell_channels` lists
 them (each degree 2 l + 1 times on the sphere) for :func:`assemble`,
 with the channel of each value in ``SurfaceOperatorMatrix.channels``.
 :func:`shellbound.rayleigh_ritz.certify` takes its route from that
-field, None on the dense route: it counts the assembled values and
-reads the same slice at its tube radii for its trial forms. No square
+field, None on the dense route: it counts the assembled values with
+:func:`count_negative` and reads the same slice at its tube radii for
+its trial forms. No square
 kernel is formed and no eigensolve made. Only the slice depends on the
 tube radii: the
 angular rule (the directions and, on the sphere, the 2 n-node
@@ -41,7 +42,8 @@ the weight-symmetrized Hermitian matrix
     A_ij = sqrt(w_i) * vhat(s_i - s_j) * sqrt(w_j),
 
 whose eigenvalues approximate the operator's and whose eigenvectors,
-divided by sqrt(w), sample its eigenfunctions. :func:`_dense_operator`
+divided by sqrt(w), sample its eigenfunctions, orthonormal in the mesh
+weights: the trial span of ``certify`` on this route. :func:`_dense_operator`
 weights and hermitizes it, for :func:`assemble` and the dense spin gauge
 check alike, and :func:`_weighted_kernel` rebuilds it independently as
 a reference. A band frame u (a symbol's ``frame``, see
@@ -92,9 +94,11 @@ class SurfaceOperatorMatrix:
         On the dense route, columns ``Psi_j(s_i) = v_ij / sqrt(w_i)``
         for orthonormal eigenvectors v_j of the weight-symmetrized A,
         aligned with ``eigenvalues``: the quadrature samples of the
-        operator's eigenfunctions, normalized by
-        ``sum_i w_i |Psi_j(s_i)|^2 = 1``. None on the channel route,
-        whose eigenfunctions are the channels' angular modes.
+        operator's eigenfunctions, orthonormal in the mesh weights,
+        ``sum_i w_i conj(Psi_j(s_i)) Psi_k(s_i) = delta_jk``, which
+        makes the kinetic form of ``certify`` K(eps) times the identity.
+        None on the channel route, whose eigenfunctions are the
+        channels' angular modes.
     channels : ndarray of int, or None
         On the channel route, the channel of each eigenvalue in the list
         of :func:`_channel_kernel`, aligned with ``eigenvalues``: what
@@ -424,22 +428,19 @@ def _default_threshold(eigenvalues: np.ndarray) -> float:
 def count_negative(op: SurfaceOperatorMatrix, threshold: float | None = None) -> int:
     """Number of eigenvalues below ``-threshold``, by default ``_default_threshold``.
 
+    :func:`shellbound.rayleigh_ritz.certify` bounds its state count by it.
+
     Raises
     ------
     PreconditionError
         If ``threshold`` is not finite and positive.
     """
-    return _count_below(op.eigenvalues, threshold)
-
-
-def _count_below(eigenvalues: np.ndarray, threshold: float | None = None) -> int:
-    """The count of :func:`count_negative` on an ascending spectrum, shared with ``certify``."""
     if threshold is None:
-        threshold = _default_threshold(eigenvalues)
+        threshold = _default_threshold(op.eigenvalues)
     threshold = float(threshold)
     if not (np.isfinite(threshold) and threshold > 0.0):
         raise PreconditionError(f"threshold must be finite and positive, got {threshold}")
-    return int(np.count_nonzero(eigenvalues < -threshold))
+    return int(np.count_nonzero(op.eigenvalues < -threshold))
 
 
 def point_matrix_test(potential: Potential, points, tolerance: float = 1e-12):

@@ -259,6 +259,8 @@ def test_config_errors_name_the_key(tmp_path, capsys):
          "point_test.tolerance"),
         (dict(point, point_test=dict(point["point_test"], sets=None)), "point_test.sets"),
         ({"output": 5}, "'output'"),
+        ({"symbol": {"kind": "custom-radial", "params": {"radii": "abcd", "values": [1, 0, 1, 2]}}},
+         "symbol.params.radii"),
     ]
     for index, (override, key) in enumerate(malformed):
         config = write_config(tmp_path, {**base, "rayleigh_ritz": rr, **override}, f"m{index}.json")
@@ -467,6 +469,7 @@ def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
     ("2 8.0 2\n-1.0\n-1.0\nx\n-1.0\n", "bad sample values"),
     ("2 8.0\n-1.0\n", "header must be: dimension edge samples"),
     ("2 8.0 2\n-1.0\n-1.0\n-1.0\n", "holds 3 values, expected 4"),
+    ("2 8.0 -4\n" + "-1.0\n" * 16, "header field samples must be at least 1, got -4"),
 ])
 def test_malformed_grid_file_is_one_error_line(tmp_path, capsys, contents, field):
     table = tmp_path / "table.txt"

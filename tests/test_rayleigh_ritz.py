@@ -65,28 +65,43 @@ def test_profile_rejects_tiny_order():
 
 # -------------------------------------------------------------- kinetic form
 #
-# Values of one form term are read off certify's h(eps) with the other
-# term switched off: the zero potential leaves the kinetic form, a flat
-# symbol (H0 = m everywhere) the potential form. Raw pairing symmetry is
-# checked on _potential itself, before certify hermitizes.
+# The kinetic form of a tube function depends on its transverse offset
+# alone, so on any span it is K(eps) times the span's surface Gram
+# matrix; certify's spans are orthonormal, and it adds K(eps) I. K is
+# read off _kinetic_integral, the potential form off _potential.
 
 
-def _forms(sym, pot, mesh, psi, schedule, **options):
-    """h(eps) of certify on the supplied columns ``psi``, one per eps."""
-    psi = np.asarray(psi).reshape(mesh.size, -1)
-    states = (-np.ones(psi.shape[1]), psi)
-    return rr.certify(sym, pot, mesh, psi.shape[1], schedule, states=states, **options).matrices
+def _kinetic(sym, mesh, eps, transverse_order=12):
+    """K(eps) of ``sym`` on the tube of certify's default chart around ``mesh``."""
+    profile = rr.TransverseProfile.build(transverse_order)
+    chart = surface.tubular_chart(mesh)
+    tube = rr._tube(chart, profile, eps)
+    return rr._kinetic_integral(sym, sym.find_minimum()[0], profile, tube, mesh.dimension)
+
+
+def _cloud_kinetic_form(sym, mesh, psi, eps):
+    """The kinetic form on the columns ``psi``, integrated node by node over the tube cloud.
+
+    H0 - m is evaluated at every point s_i (1 + t_a / R) of the cloud, so
+    nothing assumes that the node factor is the same at every node.
+    """
+    profile = rr.TransverseProfile.build(12)
+    eps_abs = eps * 0.25 * mesh.radius
+    t = eps_abs * profile.nodes
+    cloud = mesh.nodes[:, None, :] * (1.0 + t / mesh.radius)[None, :, None]
+    rho = (1.0 + t / mesh.radius) ** (mesh.dimension - 1)
+    shifted = sym.evaluate(cloud) - sym.find_minimum()[0]
+    node_factor = (2.0 * np.pi) ** (mesh.dimension / 2.0) * mesh.weights * (
+        shifted @ (profile.weights * profile.values**2 * rho)) / eps_abs
+    return (psi.conj().T * node_factor) @ psi
 
 
 def test_kinetic_form_is_exactly_linear_in_eps_for_parabolic_profile():
     # H0 - m = t^2 in the tube and the odd rho correction cancels on the
     # symmetric rule, so the form is eps_abs * const exactly
     mesh = surface.build_mesh(1.0, 2, 32)
-    psi = np.full(mesh.size, 1.0 / np.sqrt(2.0 * np.pi))
-    forms = _forms(symbols.mexican_hat(1.0), potentials.zero(), mesh, psi, (0.2, 0.1, 0.05))
-    values = np.array([h[0, 0] for h in forms])
-    assert np.all(values.real > 0.0)
-    assert np.abs(values.imag).max() < 1e-15
+    values = np.array([_kinetic(symbols.mexican_hat(1.0), mesh, eps) for eps in (0.2, 0.1, 0.05)])
+    assert np.all(values > 0.0)
     npt.assert_allclose(values[1] / values[0], 0.5, rtol=1e-12)
     npt.assert_allclose(values[2] / values[1], 0.5, rtol=1e-12)
 
@@ -97,52 +112,47 @@ def test_kinetic_form_vanishes_for_orthogonal_states_of_radial_symbol():
     mesh = surface.build_mesh(1.0, 2, 32)
     theta = np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0])
     psi = np.stack([np.exp(1j * theta), np.exp(-1j * theta)], axis=1)
-    (h,) = _forms(symbols.mexican_hat(1.0), potentials.zero(), mesh, psi, (0.2,))
+    h = _cloud_kinetic_form(symbols.mexican_hat(1.0), mesh, psi, 0.2)
     assert abs(h[0, 1]) < 1e-14
 
 
 def test_kinetic_form_is_zero_for_flat_symbol():
     mesh = surface.build_mesh(1.0, 2, 16)
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal(mesh.size)
-    (h,) = _forms(_flat_symbol(5.0), potentials.zero(), mesh, psi, (0.5,), transverse_order=8)
-    assert h[0, 0] == 0.0
+    assert _kinetic(_flat_symbol(5.0), mesh, 0.5, transverse_order=8) == 0.0
 
 
 @pytest.mark.parametrize("dimension, resolution", [(2, 24), (3, 6)])
 def test_dense_kinetic_form_is_k_times_the_gram_matrix(dimension, resolution):
-    # on the dense route h_kin is K(eps) psi^H diag(w) psi; the reference
-    # evaluates H0 - m at every point s_i (1 + t_a / R) of the tube cloud
-    # and integrates node by node
+    # on any span h_kin is K(eps) psi^H diag(w) psi, against the node by
+    # node integral over the tube cloud
     mesh = dataclasses.replace(surface.build_mesh(1.3, dimension, resolution), rings=0)
     sym = _shell_symbol(dimension, 1.3)
     rng = np.random.default_rng(5)
     psi = rng.standard_normal((mesh.size, 3)) + 1j * rng.standard_normal((mesh.size, 3))
-    profile = rr.TransverseProfile.build(12)
-    schedule = (0.2, 0.05)
-    forms = _forms(sym, potentials.zero(dimension), mesh, psi, schedule)
-    for eps, h in zip(schedule, forms, strict=True):
-        eps_abs = eps * 0.25 * mesh.radius
-        t = eps_abs * profile.nodes
-        cloud = mesh.nodes[:, None, :] * (1.0 + t / mesh.radius)[None, :, None]
-        rho = (1.0 + t / mesh.radius) ** (dimension - 1)
-        shifted = sym.evaluate(cloud) - sym.find_minimum()[0]
-        node_factor = (2.0 * np.pi) ** (dimension / 2.0) * mesh.weights * (
-            shifted @ (profile.weights * profile.values**2 * rho)) / eps_abs
-        expected = (psi.conj().T * node_factor) @ psi
+    gram = (psi.conj().T * mesh.weights) @ psi
+    for eps in (0.2, 0.05):
+        h = _kinetic(sym, mesh, eps) * gram
+        expected = _cloud_kinetic_form(sym, mesh, psi, eps)
         assert np.abs(h - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_tube_eps_validation():
     mesh = surface.build_mesh(1.0, 2, 16)
-    psi = np.ones(mesh.size)
     for bad in (0.0, -0.1, 1.01):
         with pytest.raises(PreconditionError):
-            _forms(symbols.mexican_hat(1.0), potentials.zero(), mesh, psi, (bad,),
-                   transverse_order=8)
+            rr.certify(symbols.mexican_hat(1.0), potentials.gaussian_well(1.0, 1.0), mesh, 1,
+                       (bad,), transverse_order=8)
 
 
 # ------------------------------------------------------------ potential form
+
+
+def _potential_form(pot, mesh, psi, eps, transverse_order=12):
+    """``_potential`` on the columns ``psi`` in the tube of certify's default chart."""
+    profile = rr.TransverseProfile.build(transverse_order)
+    chart = surface.tubular_chart(mesh)
+    psi = np.asarray(psi).reshape(mesh.size, -1)
+    return rr._potential(pot, chart, psi, profile, rr._tube(chart, profile, eps))
 
 
 def test_potential_form_constant_kernel_is_eps_independent():
@@ -151,14 +161,14 @@ def test_potential_form_constant_kernel_is_eps_independent():
     mesh = surface.build_mesh(1.0, 2, 32)
     psi = np.full(mesh.size, 1.0 / np.sqrt(2.0 * np.pi))
     pot = _constant_kernel_potential(-0.7)
-    for h in _forms(_flat_symbol(0.0), pot, mesh, psi, (1.0, 0.2, 0.05)):
+    for eps in (1.0, 0.2, 0.05):
+        h = _potential_form(pot, mesh, psi, eps)
         npt.assert_allclose(h[0, 0], -0.7 * 2.0 * np.pi, rtol=1e-12)
 
 
 def test_potential_form_zero_potential_is_zero():
     mesh = surface.build_mesh(1.0, 2, 16)
-    psi = np.ones(mesh.size)
-    (h,) = _forms(_flat_symbol(0.0), potentials.zero(), mesh, psi, (0.3,), transverse_order=8)
+    h = _potential_form(potentials.zero(), mesh, np.ones(mesh.size), 0.3, transverse_order=8)
     assert h[0, 0] == 0.0
 
 
@@ -187,14 +197,17 @@ def test_potential_form_hermitian_pairing():
 
 
 def test_potential_form_enforces_band_with_tube_margin():
-    # queries reach 2 (R + half_width) = 2.5, above this table's band
-    samples, edge = 16, 10.5
-    table = potentials.tabulated(np.full((samples, samples), -1.0), edge)
-    assert table.band < 2.5
+    # queries reach 2 (R + half_width) = 2.5, above this table's band,
+    # while the shell operator's reach 2 R = 2 and assemble accepts it
+    samples, edge = 32, 21.0
+    axis = (np.arange(samples) - samples // 2) * (edge / samples)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    table = potentials.tabulated(-np.exp(-0.5 * (x**2 + y**2)), edge)
+    assert 2.0 <= table.band < 2.5
     mesh = surface.build_mesh(1.0, 2, 16)
-    psi = np.ones(mesh.size)
-    with pytest.raises(ConfigurationError):
-        _forms(_flat_symbol(0.0), table, mesh, psi, (0.2,), transverse_order=8)
+    assert so.count_negative(so.assemble(mesh, table)) >= 1
+    with pytest.raises(ConfigurationError, match="momentum range 2.5"):
+        rr.certify(_flat_symbol(0.0), table, mesh, 1, (0.2,), transverse_order=8)
 
 
 # ----------------------------------------------------------------- certify
@@ -235,18 +248,12 @@ def test_certify_reports_largest_working_eps():
 def test_certify_failure_is_a_result_not_an_exception():
     sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 32)
-    ones = np.ones((mesh.size, 1)) / np.sqrt(2.0 * np.pi)
-    cert = rr.certify(
-        sym,
-        potentials.zero(),
-        mesh,
-        1,
-        states=(np.array([-1.0]), ones),
-    )
+    weak = potentials.gaussian_well(1e-3, 1.0)
+    cert = rr.certify(sym, weak, mesh, 1, (1.0,))
     assert not cert.certified
     assert cert.certified_count == 0
     assert cert.certified_eps is None
-    # pure kinetic forms are positive for every eps
+    # at the widest tube the kinetic form outweighs the weak well
     assert all(h[0, 0].real > 0.0 for h in cert.matrices)
 
 
@@ -269,27 +276,6 @@ def test_certify_count_precondition():
         rr.certify(sym, potentials.gaussian_well(1.0, 1.0), mesh, -1)
     with pytest.raises(PreconditionError):
         rr.certify(sym, potentials.gaussian_well(1.0, 1.0), mesh, 1, eps_schedule=())
-
-
-def test_certify_forced_states_shape_checks():
-    sym = symbols.mexican_hat(1.0)
-    mesh = surface.build_mesh(1.0, 2, 16)
-    with pytest.raises(PreconditionError):
-        rr.certify(
-            sym,
-            potentials.zero(),
-            mesh,
-            1,
-            states=(np.array([-1.0]), np.ones(mesh.size)),  # not columns
-        )
-    with pytest.raises(PreconditionError):
-        rr.certify(
-            sym,
-            potentials.zero(),
-            mesh,
-            2,
-            states=(np.array([-1.0]), np.ones((mesh.size, 1))),
-        )
 
 
 # ----------------------------------------- radial problems by angular channel
@@ -363,29 +349,13 @@ def test_sector_certify_matches_dense(dimension, resolution, n_states):
 
 @pytest.mark.parametrize("n_states", [8, 9])
 def test_sector_states_certify_like_dense_states(n_states):
-    # the channel route against the dense tube kernel on the eigenpairs of
-    # the dense shell operator; n_states = 8 splits a degenerate pair
+    # the channel route against the dense tube kernel on the eigenfunctions
+    # of the dense shell operator; n_states = 8 splits a degenerate pair
     mesh = surface.build_mesh(1.0, 2, 64)
     pot = potentials.gaussian_well(1.0, 1.0)
-    dense = so.assemble(_without_layout(mesh), pot)
     fast = rr.certify(symbols.mexican_hat(1.0), pot, mesh, n_states)
-    reference = rr.certify(symbols.mexican_hat(1.0), pot, mesh, n_states,
-                           states=(dense.eigenvalues, dense.eigenfunctions))
+    reference = rr.certify(symbols.mexican_hat(1.0), pot, _without_layout(mesh), n_states)
     _assert_same_certificate(fast, reference)
-
-
-@pytest.mark.parametrize("dimension, resolution", [(2, 32), (3, 8)])
-def test_block_circulant_complex_states_match_dense(dimension, resolution):
-    mesh = surface.build_mesh(1.0, dimension, resolution)
-    rng = np.random.default_rng(11)
-    vectors = rng.standard_normal((mesh.size, 3)) + 1j * rng.standard_normal((mesh.size, 3))
-    states = (np.array([-1.0, -0.5, -0.25]), vectors)
-    sym = _shell_symbol(dimension)
-    pot = potentials.gaussian_well(1.0, 1.0, dimension)
-    fast = rr.certify(sym, pot, mesh, 3, states=states)
-    dense = rr.certify(sym, pot, _without_layout(mesh), 3, states=states)
-    _assert_same_certificate(fast, dense)
-    assert fast.matrices[0].dtype == np.complex128
 
 
 def test_block_circulant_zero_states():
@@ -396,18 +366,6 @@ def test_block_circulant_zero_states():
     _assert_same_certificate(fast, dense)
     assert fast.certified and fast.certified_eps == 0.2
     assert fast.top_eigenvalues == (-np.inf,) * 4
-
-
-def test_block_circulant_potential_form_matches_dense():
-    mesh = surface.build_mesh(1.0, 2, 24)
-    pot = potentials.gaussian_well(1.0, 1.0)
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal(mesh.size) + 1j * rng.standard_normal(mesh.size)
-    b = rng.standard_normal(mesh.size)
-    psi = np.stack([a, b], axis=1)
-    (fast,) = _forms(_flat_symbol(0.0), pot, mesh, psi, (0.1,))
-    (dense,) = _forms(_flat_symbol(0.0), pot, _without_layout(mesh), psi, (0.1,))
-    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_block_circulant_route_rejects_a_complex_radial_kernel():
@@ -445,18 +403,19 @@ def test_channel_route_rejects_a_mirror_odd_row():
 
 
 def test_certify_rejects_a_non_hermitian_trial_form():
-    # a non-radial kernel with a part odd in p - q pairs the states 1 and
-    # cos(theta) unequally, and certify refuses to hermitize that away
+    # (|p|^2 - |q|^2)(p_x + q_x) vanishes on the shell, so the shell
+    # operator is Hermitian and assemble accepts it, but it is odd under
+    # p <-> q in the tube, and certify refuses to hermitize that away
     def kernel(p, q):
         d = p[:, None, :] - q[None, :, :]
-        return -np.exp(-np.sum(d * d, axis=-1)) + 1e-3 * d[..., 0]
+        radial = np.sum(p * p, axis=-1)[:, None] - np.sum(q * q, axis=-1)[None, :]
+        return -np.exp(-np.sum(d * d, axis=-1)) + 1e-2 * radial * (p[:, None, 0] + q[None, :, 0])
 
     pot = dataclasses.replace(_constant_kernel_potential(0.0), is_radial=False, _kernel=kernel)
     mesh = surface.build_mesh(1.0, 2, 16)
-    theta = np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0])
-    states = (np.array([-1.0, -0.5]), np.stack([np.ones(mesh.size), np.cos(theta)], axis=1))
-    with pytest.raises(ConsistencyError, match="trial form deviates from Hermitian by 3.949e-02"):
-        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 2, states=states)
+    so.assemble(mesh, pot)
+    with pytest.raises(ConsistencyError, match="trial form deviates from Hermitian by 7.021e-05"):
+        rr.certify(symbols.mexican_hat(1.0), pot, mesh, 3)
 
 
 def test_channel_route_reads_only_the_azimuth_count():
@@ -487,11 +446,9 @@ def test_tabulated_potential_keeps_dense_path(kernel_calls):
     table = potentials.tabulated(-np.exp(-0.5 * (x**2 + y**2)), edge)
     mesh = surface.build_mesh(1.0, 2, 16)
     transverse = 8
-    states = (np.array([-1.0]), np.ones((mesh.size, 1)))
-    rr.certify(symbols.mexican_hat(1.0), table, mesh, 1, (0.2,),
-               transverse_order=transverse, states=states)
+    rr.certify(symbols.mexican_hat(1.0), table, mesh, 1, (0.2,), transverse_order=transverse)
     cloud = mesh.size * transverse
-    assert kernel_calls == [(cloud, cloud)]
+    assert kernel_calls == [(mesh.size, mesh.size), (cloud, cloud)]
 
 
 def test_certify_rejects_a_mesh_off_the_shell():

@@ -94,17 +94,26 @@ def test_eigenvalues_stable_under_mesh_refinement():
 def test_eigenfunctions_satisfy_the_integral_equation():
     # quadrature form of the eigenvalue problem:
     # sum_j w_j vhat(s_i - s_j) Psi(s_j) = lambda Psi(s_i), on the dense
-    # route, the one that lists eigenfunctions
-    mesh = dataclasses.replace(surface.build_mesh(1.0, 2, 48), rings=0)
-    op = so.assemble(mesh, potentials.gaussian_well(1.0, 1.0))
-    kernel = potentials.gaussian_well(1.0, 1.0).kernel_matrix(mesh.nodes)
-    for j in (0, 1, 5):
-        psi = op.eigenfunctions[:, j]
-        applied = kernel @ (mesh.weights * psi)
-        npt.assert_allclose(applied, op.eigenvalues[j] * psi, atol=1e-12)
-    # quadrature normalization sum_i w_i |Psi_j|^2 = 1
-    norms = mesh.weights @ np.abs(op.eigenfunctions) ** 2
-    npt.assert_allclose(norms, 1.0, rtol=1e-12)
+    # route, the one that lists eigenfunctions; for the scalar well and
+    # for its Rashba band projection, whose kernel carries <u(s_i), u(s_j)>
+    pot = potentials.gaussian_well(1.0, 1.0)
+    rashba = spin_orbit.rashba(1.0)
+    cases = ((dataclasses.replace(surface.build_mesh(1.0, 2, 48), rings=0), None),
+             (dataclasses.replace(surface.build_mesh(rashba.find_minimum()[1], 2, 64), rings=0),
+              rashba.frame))
+    for mesh, frame in cases:
+        op = so.assemble(mesh, pot, frame)
+        kernel = pot.kernel_matrix(mesh.nodes)
+        if frame is not None:
+            kernel = so._band_matrix(kernel, frame(mesh.nodes))
+        for j in (0, 1, 5):
+            psi = op.eigenfunctions[:, j]
+            applied = kernel @ (mesh.weights * psi)
+            npt.assert_allclose(applied, op.eigenvalues[j] * psi, atol=1e-12)
+        # orthonormal in the mesh weights, sum_i w_i conj(Psi_j) Psi_k = delta_jk:
+        # certify's kinetic form on this span is K(eps) I
+        gram = (op.eigenfunctions.conj().T * mesh.weights) @ op.eigenfunctions
+        assert np.abs(gram - np.eye(mesh.size)).max() <= 1e-13
 
 
 def test_assembled_matrix_is_hermitian(tabulated_gaussian_2d):
