@@ -16,8 +16,10 @@ the cloud size.
 Both primitives evaluate with in-place ufuncs in the operation order of
 the plain expressions ``pp + qq - 2 p.q`` and ``sum_m a_m exp(-r_m d2)``,
 so the values are the same bit for bit (up to the sign of a Gaussian
-that underflows to zero): the squared distances take two full-size
-buffers, and a one-term mix then works in the distance buffer itself.
+that underflows to zero): the squared distances take one full-size
+buffer, the GEMM's output, into which the sums of squared norms are
+written a block of rows at a time, and a one-term mix then works in the
+distance buffer itself.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
+
+# entries of the row block that squared_distances sums per pass (64 KiB)
+_BLOCK = 2**13
 
 
 def uniform(stream, shape) -> np.ndarray:
@@ -62,14 +67,18 @@ def squared_distances(p, q) -> np.ndarray:
     q = _as_cloud(q)
     if p.shape[1] != q.shape[1]:
         raise PreconditionError("point clouds differ in coordinate dimension")
-    # |p|^2 + |q|^2 - 2 p.q; the cross term is a GEMM. Cancellation can
-    # leave tiny negatives for near-coincident points, so clip at zero.
+    # |p|^2 + |q|^2 - 2 p.q; the cross term is a GEMM whose output is the
+    # result buffer, and the sums are formed a block of rows at a time and
+    # written back into it. Cancellation can leave tiny negatives for
+    # near-coincident points, so clip at zero.
     pp = np.einsum("ij,ij->i", p, p)
     qq = np.einsum("ij,ij->i", q, q)
-    cross = p @ q.T
-    cross *= 2.0
-    out = np.add(pp[:, None], qq[None, :])
-    out -= cross
+    out = p @ q.T
+    out *= 2.0
+    step = max(1, _BLOCK // max(q.shape[0], 1))
+    for start in range(0, p.shape[0], step):
+        rows = out[start : start + step]
+        np.subtract(np.add(pp[start : start + step, None], qq[None, :]), rows, out=rows)
     np.maximum(out, 0.0, out=out)
     return out
 

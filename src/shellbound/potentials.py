@@ -9,9 +9,10 @@ would silently rescale the surface-operator spectrum, which is why the
 convention is fixed here once.
 
 Built-in kinds: ``gaussian-well``, ``ball-well``, ``gaussian-dimple-mix``
-(all with closed-form transforms) and ``tabulated`` (FFT-based transform
-on a centered hypercube grid with cubic interpolation, valid on a
-documented band).
+(all with closed-form transforms) and ``tabulated`` (one FFT of samples
+on a centered hypercube grid, interpolated by the not-a-knot tensor
+cubic, which is exact at the lattice points; valid on a documented
+band).
 """
 
 from __future__ import annotations
@@ -264,6 +265,24 @@ def ball_well(c, radius, dimension: int = 2) -> Potential:
     )
 
 
+def _cubic(axis, table):
+    """Not-a-knot tensor cubic through ``table`` on the grid ``axis`` along every axis.
+
+    Built exactly, not by an iterative fit: one banded
+    ``make_interp_spline`` solve per axis turns the samples into B-spline
+    coefficients (complex samples give complex coefficients), and
+    ``NdBSpline`` evaluates their tensor product at points of shape
+    ``(..., ndim)``, NaN outside the grid.
+    """
+    from scipy.interpolate import NdBSpline, make_interp_spline
+
+    coefficients = table
+    for ax in range(table.ndim):
+        spline = make_interp_spline(axis, coefficients, axis=ax)
+        coefficients = np.moveaxis(spline.c, 0, ax)
+    return NdBSpline((spline.t,) * table.ndim, coefficients, 3, extrapolate=False)
+
+
 def tabulated(values, edge, dimension: int = 2) -> Potential:
     """Potential from samples on a centered hypercube grid.
 
@@ -277,8 +296,13 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
 
     Notes
     -----
-    The transform table lives on the dual lattice with spacing
-    ``2 pi / edge`` and is interpolated cubically. The resolved band is
+    The transform table is one FFT of the samples on the dual lattice
+    with spacing ``2 pi / edge``; on an even grid its -G/2 slice is
+    repeated at +G/2 (the lattice is periodic), so the axis is symmetric
+    and the interpolant keeps vhat(-k) = conj vhat(k) of a real V. The
+    table and the samples are interpolated by the not-a-knot tensor
+    cubic, which is exact at the lattice points and the sample points;
+    ``evaluate`` is 0 outside the sampled box. The resolved band is
     half the grid Nyquist momentum per axis; queries beyond it raise
     :class:`OutOfBandError`. For kernel queries up to a shell diameter
     ``2 R`` plus tube margin, size the table so that
@@ -286,8 +310,6 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
     bound), and size ``edge`` large enough that the k-lattice resolves
     vhat's oscillation scale, else construction-time accuracy is lost.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     values = np.asarray(values, dtype=np.float64)
     edge = _positive("edge", edge)
     _check_dimension(dimension)
@@ -301,39 +323,17 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
     h = edge / samples
     half = samples // 2
 
-    axis_x = (np.arange(samples) - half) * h
-    table = np.fft.fftn(values) * (h**dimension * (2.0 * np.pi) ** (-dimension / 2.0))
-    axis_k = 2.0 * np.pi * np.fft.fftfreq(samples, d=h)
-    # centered-grid phase: exp(-i k x) picks up exp(i k h G//2) per axis
-    for ax in range(dimension):
-        phase = np.exp(1j * axis_k * h * half)
-        shape = [1] * dimension
-        shape[ax] = samples
-        table = table * phase.reshape(shape)
-    axis_k_sorted = np.fft.fftshift(axis_k)
-    table = np.fft.fftshift(table)
-
-    # even real V gives a real transform; keep one interpolator then,
-    # two (real and imaginary part) otherwise
-    scale = max(np.abs(table).max(), 1e-300)
-    k_axes = (axis_k_sorted,) * dimension
-    parts = [(RegularGridInterpolator(k_axes, np.ascontiguousarray(table.real), method="cubic"), 1.0)]
-    if np.abs(table.imag).max() > 1e-9 * scale:
-        parts.append(
-            (RegularGridInterpolator(k_axes, np.ascontiguousarray(table.imag), method="cubic"), 1.0j)
-        )
+    # ifftshift puts the sample x = 0 at index 0, so the FFT needs no phase
+    table = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
+    table *= h**dimension * (2.0 * np.pi) ** (-dimension / 2.0)
+    # an even grid's dual axis runs from -G/2 to G/2 - 1; the lattice is
+    # periodic, so the -G/2 slice repeated at +G/2 makes the axis
+    # symmetric, and the spline of a real V conjugate-symmetric with it
+    if samples % 2 == 0:
+        table = np.pad(table, (0, 1), mode="wrap")
+    transform = _cubic((np.arange(table.shape[0]) - half) * (2.0 * np.pi / edge), table)
+    position = _cubic((np.arange(samples) - half) * h, values)
     band = 0.5 * np.pi / h
-
-    real_interp = RegularGridInterpolator(
-        (axis_x,) * dimension, values, method="cubic", bounds_error=False, fill_value=0.0
-    )
-
-    def vhat(k):
-        flat = k.reshape(-1, dimension)
-        out = np.zeros(flat.shape[0], dtype=np.complex128)
-        for interp, unit in parts:
-            out = out + unit * interp(flat)
-        return out.reshape(k.shape[:-1])
 
     def kernel(p, q):
         rows = []
@@ -346,7 +346,7 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
                     f"kernel query reaches |k_axis| = {np.abs(diff).max():.6g}, beyond "
                     f"the resolved band {band:.6g}"
                 )
-            rows.append(vhat(diff))
+            rows.append(transform(diff))
         out = np.concatenate(rows, axis=0)
         return out.real if np.abs(out.imag).max() <= 1e-12 * max(np.abs(out.real).max(), 1e-300) else out
 
@@ -368,8 +368,8 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
         params={"edge": edge, "samples": samples},
         is_radial=False,
         band=float(band),
-        _evaluate=lambda x: real_interp(x.reshape(-1, dimension)).reshape(x.shape[:-1]),
-        _fourier=vhat,
+        _evaluate=lambda x: np.nan_to_num(position(x), nan=0.0),
+        _fourier=transform,
         _kernel=kernel,
         _integral=float(values.sum() * h**dimension),
     )

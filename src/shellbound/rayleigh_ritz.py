@@ -291,7 +291,9 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
         tube = _tube(chart, profile, eps)
         _, radii, rho = tube
         kinetic = _kinetic_integral(symbol, minimum, profile, tube, mesh.dimension)
-        if channel is None:
+        if not n_states:
+            h = np.zeros((0, 0))  # the empty span needs no kernel
+        elif channel is None:
             h = _potential(potential, chart, psi, profile, tube, symbol.frame)
         else:
             x = profile.weights * profile.values * rho

@@ -1,6 +1,7 @@
 """Pairwise kernel primitives against direct formulas."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -78,11 +79,26 @@ def _old_gaussian_mix(p, q, amplitudes, rates):
     return out
 
 
-@pytest.mark.parametrize("n, m, dim", [(37, 23, 2), (50, 144, 3), (1, 9, 3)])
+@pytest.mark.parametrize("n, m, dim", [(37, 23, 2), (50, 144, 3), (1, 9, 3),
+                                        (300, 700, 3), (12, 3456, 3), (1, 512, 2)])
 def test_fused_squared_distances_equal_the_plain_expression(n, m, dim):
     p, q = _clouds(7, n, m, dim)
     assert np.array_equal(kernels.squared_distances(p, q), _old_squared_distances(p, q))
     assert np.array_equal(kernels.squared_distances(p, p), _old_squared_distances(p, p))
+
+
+def test_squared_distances_take_one_output_sized_buffer():
+    # the 2-D channel slice of a 512-node circle: 12 tube radii against
+    # 12 x 512 points; the sums go into the GEMM's output a few rows at a time
+    p, q = _clouds(12, 12, 6144, 2)
+    tracemalloc.start()
+    try:
+        out = kernels.squared_distances(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
+    assert np.array_equal(out, _old_squared_distances(p, q))
 
 
 @pytest.mark.parametrize("amplitudes, rates", [

@@ -261,6 +261,48 @@ def test_tabulated_offcenter_table_has_complex_transform():
     npt.assert_allclose(pot.fourier(-k), np.conj(values), rtol=0, atol=1e-10)
 
 
+def _offcentre_table(samples, edge, shift):
+    """Samples of a unit Gaussian well centred at ``shift`` on the tabulated grid."""
+    axis = (np.arange(samples) - samples // 2) * (edge / samples)
+    points = np.stack(np.meshgrid(*[axis] * len(shift), indexing="ij"), axis=-1)
+    return points, -np.exp(-0.5 * np.sum((points - np.asarray(shift)) ** 2, axis=-1))
+
+
+def test_tabulated_is_exact_at_the_samples_and_the_lattice():
+    samples, edge = 64, 16.0
+    points, values = _offcentre_table(samples, edge, (1.3, -0.7))
+    pot = potentials.tabulated(values, edge)
+    assert np.abs(pot.evaluate(points) - values).max() <= 1e-12
+    # the symmetric-convention sum over the samples x_j = (j - G//2) h at the
+    # dual lattice points k_m = 2 pi m / edge: an FFT times exp(i k_m h G//2)
+    step = edge / samples
+    k_axis = 2.0 * np.pi * np.fft.fftfreq(samples, d=step)
+    phase = np.exp(1j * k_axis * step * (samples // 2))
+    table = np.fft.fft2(values) * np.outer(phase, phase) * step**2 / (2.0 * np.pi)
+    k = np.stack(np.meshgrid(k_axis, k_axis, indexing="ij"), axis=-1)
+    inside = np.abs(k).max(axis=-1) <= pot.band
+    scale = np.abs(table).max()
+    assert np.abs(pot.fourier(k[inside]) - table[inside]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("values, edge", [
+    pytest.param(np.full((16, 16), -1.0), 10.5, id="constant-16-edge-10.5"),
+    pytest.param(np.full((16, 16), -1.0), 8.0, id="constant-16-edge-8"),
+    pytest.param(np.full((17, 17), -1.0), 10.5, id="constant-17"),
+    pytest.param(_offcentre_table(64, 16.0, (1.3, -0.7))[1], 16.0, id="offcentre-64"),
+    pytest.param(_offcentre_table(20, 10.0, (0.4, -0.3, 0.2))[1], 10.0, id="offcentre-3d"),
+])
+def test_tabulated_transform_is_conjugate_symmetric(values, edge):
+    # V is real, so vhat(-k) = conj vhat(k) on the whole band, also on
+    # an even grid, whose dual axis the table closes at +G/2
+    pot = potentials.tabulated(values, edge, values.ndim)
+    rng = np.random.default_rng(31)
+    k = rng.uniform(-pot.band, pot.band, (400, values.ndim))
+    values_k = pot.fourier(k)
+    scale = np.abs(values_k).max()
+    assert np.abs(pot.fourier(-k) - np.conj(values_k)).max() <= 1e-13 * scale
+
+
 def test_tabulated_sign_flag_detects_sign_changes():
     samples, edge = 64, 20.0
     step = edge / samples

@@ -267,6 +267,15 @@ def test_certify_zero_states_is_trivially_certified():
     assert cert.matrices[0].shape == (0, 0)
 
 
+def test_certify_zero_states_builds_no_tube_kernel(kernel_calls):
+    # the empty span's form is (0, 0): only the shell operator's kernel is built
+    mesh = _without_layout(surface.build_mesh(1.0, 2, 64))
+    cert = rr.certify(symbols.mexican_hat(1.0), potentials.gaussian_well(1.0, 1.0), mesh, 0)
+    assert cert.certified
+    assert [h.shape for h in cert.matrices] == [(0, 0)] * 4
+    assert kernel_calls == [(64, 64)]
+
+
 def test_certify_count_precondition():
     sym = symbols.mexican_hat(1.0)
     mesh = surface.build_mesh(1.0, 2, 16)

@@ -138,6 +138,17 @@ def test_tabulated_assembly_matches_closed_form(tabulated_gaussian_2d):
     assert np.abs(op_tab.eigenvalues - op_ref.eigenvalues).max() < 2e-6
 
 
+def test_constant_table_assembles():
+    # the table is real and even on its periodic grid, so its kernel is Hermitian
+    mesh = surface.build_mesh(1.0, 2, 16)
+    table = potentials.tabulated(np.full((16, 16), -1.0), 10.5)
+    op = so.assemble(mesh, table)
+    vectors = np.sqrt(mesh.weights)[:, None] * op.eigenfunctions
+    rebuilt = (vectors * op.eigenvalues) @ vectors.conj().T
+    reference = so._weighted_kernel(mesh, table)
+    assert np.abs(rebuilt - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 def test_assemble_validation():
     mesh3 = surface.build_mesh(1.0, 3, 6)
     with pytest.raises(PreconditionError):
