@@ -18,12 +18,12 @@ sorted absolute coordinates, so on a radial problem every permutation
 holds exactly: 2-D solves EE, EO (x2) and OO, 3-D EEE, EEO (x3), EOO
 (x3) and OOO. Every other problem is the one sector of the whole grid.
 
-Every sector applies H0 the same way: one real orthogonal symmetric
-matrix per axis takes a vector to the dual lattice, H0's table
-multiplies it, and the same matrices take it back. A parity sector uses
-the DCT-I or DST-I matrix of each axis, and the whole grid the discrete
-Hartley matrix, which diagonalizes H0 because H0's table is even under
-k -> -k mod G on every axis; a table that is not raises
+Every sector is solved in its dual-lattice coordinates y = T x, where
+T is one real orthogonal symmetric matrix per axis, its own inverse: the
+DCT-I or DST-I matrix of each axis for a parity sector, and the discrete
+Hartley matrix for the whole grid. There H0 is its table times y and V
+acts as T(V T y). The Hartley matrix diagonalizes H0 because H0's table
+is even under k -> -k mod G on every axis; a table that is not raises
 ``ConsistencyError``.
 """
 
@@ -287,36 +287,28 @@ def _parity_basis(grid: int, parity: int) -> np.ndarray:
     return np.sqrt(np.outer(weights, weights) / grid) * waves
 
 
-def _separable_multiply(bases, table: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """A dual-lattice multiplier applied to a (d_1, ..., d_n, b) batch of sector vectors.
+def _transform(bases, block: np.ndarray) -> np.ndarray:
+    """T applied to a (d_1, ..., d_n, b) batch: each axis through its orthogonal symmetric basis.
 
-    Each axis is taken to its dual lattice by its orthogonal symmetric
-    basis (one GEMM per axis, which then moves that axis behind the
-    others, so n of them restore the order), multiplied by ``table``
-    (shape (d_1, ..., d_n) or (d_1, ..., d_n, b)) and taken back.
+    One GEMM per axis, which then moves that axis behind the others, so
+    n of them restore the order. T is its own inverse.
     """
     rotate = tuple(range(1, len(bases))) + (0, len(bases))
-
-    def transform(values):
-        for basis in bases:
-            shape = values.shape
-            values = (basis @ values.reshape(shape[0], -1)).reshape(shape).transpose(rotate)
-        return values
-
-    if table.ndim < block.ndim:
-        table = table[..., None]
-    return transform(table * transform(block))
+    for basis in bases:
+        shape = block.shape
+        block = (basis @ block.reshape(shape[0], -1)).reshape(shape).transpose(rotate)
+    return block
 
 
 @dataclass(frozen=True)
 class _Sector:
-    """An invariant subspace of H and the tables that act on it.
+    """An invariant subspace of H, in its dual-lattice coordinates y = T x.
 
-    ``bases`` holds one basis per axis (see ``_parity_basis``), through
-    which H0 acts as a multiplier; ``symbol`` is H0 on the sector's
-    dual-lattice indices and ``potential`` is V on its domain, or None.
-    ``parities`` is empty for the whole grid, whose axes are all of
-    parity 0.
+    ``bases`` holds one basis per axis (see ``_parity_basis``), whose
+    product T takes the sector's grid values x to y; ``symbol`` is H0 on
+    the sector's dual-lattice indices, which acts on y as a multiplier,
+    and ``potential`` is V on its domain, or None. ``parities`` is empty
+    for the whole grid, whose axes are all of parity 0.
     """
 
     parities: tuple[int, ...]
@@ -334,10 +326,10 @@ class _Sector:
         return int(np.prod(self.shape))
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        """H applied to a grid-shaped (..., b) block of real vectors."""
-        out = _separable_multiply(self.bases, self.symbol, block)
+        """H = H0 + T V T applied to a dual-lattice-shaped (..., b) block of real vectors."""
+        out = self.symbol[..., None] * block
         if self.potential is not None:
-            out += self.potential[..., None] * block
+            out += _transform(self.bases, self.potential[..., None] * _transform(self.bases, block))
         return out
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
@@ -415,7 +407,9 @@ def apply(ham: GridHamiltonian, psi) -> np.ndarray:
     """Apply H = H0(-i grad) + V to a state vector.
 
     Accepts a flat vector of length G**n, the grid shape, or a batch
-    with a trailing column axis; returns the same shape.
+    with a trailing column axis; returns the same shape. It is the
+    whole-grid sector's H between two Hartley transforms T, which take
+    the state to that sector's coordinates and back.
 
     Notes
     -----
@@ -442,13 +436,13 @@ def apply(ham: GridHamiltonian, psi) -> np.ndarray:
             f"state shape {psi.shape} does not match a grid of {ham.size} points"
         )
     whole = _full_sector(ham)
-    if np.iscomplexobj(block):
-        # H0 and V are real, so H acts on the real and imaginary parts
-        # apart: they go through as interleaved real columns
-        pairs = np.ascontiguousarray(block, dtype=np.complex128).view(np.float64)
-        out = whole.apply(pairs).view(np.complex128)
-    else:
-        out = whole.apply(np.ascontiguousarray(block, dtype=np.float64))
+    # H0 and V are real, so H acts on the real and imaginary parts apart:
+    # they go through as interleaved real columns. The whole grid's H acts
+    # on Hartley coefficients, so T takes the state there and back
+    dtype = np.complex128 if np.iscomplexobj(block) else np.float64
+    real = np.ascontiguousarray(block, dtype=dtype).view(np.float64)
+    out = _transform(whole.bases, whole.apply(_transform(whole.bases, real)))
+    out = np.ascontiguousarray(out).view(dtype)
     return out.reshape(psi.shape) if flat_in else out[..., 0]
 
 
@@ -590,35 +584,44 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     rather than a single-vector Krylov iteration: the low spectrum
     sits a tiny relative gap below a dense quasi-continuum, which stalls
     restarted single-vector iterations, while the exact free-resolvent
-    preconditioner (diagonal in the dual lattice) makes block
-    convergence grid-independent. The sector's start block, k + 4
-    columns uniform on [-1, 1), is drawn from ``rng`` (a
-    ``random.Random``, see ``kernels.uniform``), so the sectors of one
-    count share one seeded stream.
+    preconditioner makes block convergence grid-independent. The
+    iteration runs in the sector's dual-lattice coordinates (see
+    ``_Sector``), where H0 and so the preconditioner are diagonal.
 
     Column j is preconditioned by (H0 - sigma_j)^-1 with sigma_j =
     min(theta_j, min H0 - delta), where theta_j is its latest Ritz value
     (Davidson's shift, capped so that H0 - sigma_j >= delta > 0) and
-    min H0 is taken over the whole dual lattice. Before the first
-    iteration's callback sigma_j is the cap for every column. The
-    callback keeps the Ritz values, and lobpcg hands the preconditioner
-    the whole residual block, locked columns included, so column j is
-    always shifted by its own theta_j. theta,
-    delta and H0 all scale with H, so multiplying H0 and V by lambda
-    multiplies the preconditioner by 1/lambda and leaves the iterates
-    unchanged. Iterations to settle ``count_below`` in each sector (range
-    over seeds) on the 2-D mexican hat with a Gaussian well of depth c
-    and width 1, box 40/p0, grid 64, k_max 8 (so EO, of multiplicity 2,
-    is solved for 4 states), and the whole-grid route (one sector on the
-    Hartley basis) on the same problems for comparison:
+    min H0 is taken over the whole dual lattice: one division by
+    (H0 - min H0) + (min H0 - sigma_j). Before the first iteration's
+    callback sigma_j is the cap for every column. The callback keeps the
+    Ritz values, and lobpcg hands the preconditioner the whole residual
+    block, locked columns included, so column j is always shifted by its
+    own theta_j.
+
+    The start block, k + 4 columns uniform on [-1, 1) drawn from ``rng``
+    (a ``random.Random``, see ``kernels.uniform``, so the sectors of one
+    count share one seeded stream), is taken twice through the
+    preconditioner with every sigma_j at the cap, which weights each
+    coordinate by (H0 - min H0 + delta)^-2 at its lattice point. A
+    bound state below the edge satisfies psi^ = -(H0 - E)^-1 V psi
+    (Birman-Schwinger), so its dual-lattice profile peaks on the shell
+    where H0 is least, and the start leans that way. theta, delta and
+    H0 all scale with H, so multiplying H0 and V by lambda multiplies
+    the preconditioner by 1/lambda, the start block by 1/lambda^2, and
+    leaves the iterates unchanged. Iterations to settle ``count_below``
+    in each sector (range over seeds) on the 2-D mexican hat with a
+    Gaussian well of depth c and width 1, box 40/p0, grid 64, k_max 8
+    (so EO, of multiplicity 2, is solved for 4 states), and the
+    whole-grid route (one sector on the Hartley basis) on the same
+    problems for comparison:
 
         ======  ===  ===  ===  =====  ==========
         c, p0   EE   EO   OO   total  whole grid
         ======  ===  ===  ===  =====  ==========
-        1, 1    4    5    3    12     7-16
-        0.5, 1  4    4    2-3  10-11  10-14
-        1, 0.5  6    3    3    12     7-10
-        1, 2    3-4  4    3    10-11  4
+        1, 1    2-3  4    2    8-9    5
+        0.5, 1  3    2    1-2  6-7    4
+        1, 0.5  5    2    2    9      6
+        1, 2    2    3    2    7      4
         ======  ===  ===  ===  =====  ==========
 
     (12 seeds in the first row, 4 in the others; both routes give the
@@ -650,20 +653,20 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     block_size = min(k + guards, size)
     lock = 0.5 * tolerance
     floor = float(ham.symbol_table.min())
-    # H0 - min H0 on the sector's dual-lattice indices
-    shifted = (sector.symbol - floor)[..., None]
+    # H0 - min H0 on the sector's dual-lattice indices, one row per coordinate
+    shifted = (sector.symbol - floor).reshape(size, 1)
     # min H0 - sigma_j per column; before the first callback sigma is the cap
     gaps = np.full(block_size, ham.delta)
 
     def precond(x):
-        block = np.ascontiguousarray(x, dtype=np.float64).reshape(sector.shape + (-1,))
-        table = 1.0 / (shifted + gaps)
-        return _separable_multiply(sector.bases, table, block).reshape(x.shape)
+        if x.shape[1] != gaps.size:
+            raise ValueError(f"block of {x.shape[1]} columns for {gaps.size} shifts")
+        return x / (shifted + gaps)
 
     operator = LinearOperator((size, size), matvec=sector.matmat, matmat=sector.matmat,
                               dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
-    start = kernels.uniform(rng, (size, block_size))
+    start = precond(precond(kernels.uniform(rng, (size, block_size))))
     # wanted values, Ritz vectors, residual norms, and whether those norms
     # come from a fresh apply
     latest = (np.full(k, np.nan), None, np.full(k, np.inf), True)

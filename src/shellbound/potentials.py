@@ -386,8 +386,9 @@ def tabulated_from_file(path) -> Potential:
     ------
     ConfigurationError
         If the header does not hold an integer dimension, a number edge
-        and an integer sample count of at least 1, a sample is not a
-        number, or the value count is not ``samples**dimension``.
+        and an integer sample count of at least 16 (the fewest that
+        ``tabulated`` takes), a sample is not a number, or the value
+        count is not ``samples**dimension``.
     """
     path = Path(path)
     with path.open() as handle:
@@ -397,8 +398,8 @@ def tabulated_from_file(path) -> Potential:
         dimension = _header_field(path, "dimension", int, header[0])
         edge = _header_field(path, "edge", float, header[1])
         samples = _header_field(path, "samples", int, header[2])
-        if samples < 1:
-            raise ConfigurationError(f"grid file {path}: header field samples must be at least 1, "
+        if samples < 16:
+            raise ConfigurationError(f"grid file {path}: header field samples must be at least 16, "
                                      f"got {samples}")
         try:
             data = np.loadtxt(handle).ravel()

@@ -466,10 +466,12 @@ def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("contents, field", [
     ("2 abc 16\n-1.0\n", "header field edge must be float, got 'abc'"),
     ("2.5 8.0 16\n-1.0\n", "header field dimension must be int, got '2.5'"),
-    ("2 8.0 2\n-1.0\n-1.0\nx\n-1.0\n", "bad sample values"),
+    ("2 8.0 16\n-1.0\n-1.0\nx\n-1.0\n", "bad sample values"),
     ("2 8.0\n-1.0\n", "header must be: dimension edge samples"),
-    ("2 8.0 2\n-1.0\n-1.0\n-1.0\n", "holds 3 values, expected 4"),
-    ("2 8.0 -4\n" + "-1.0\n" * 16, "header field samples must be at least 1, got -4"),
+    ("2 8.0 16\n-1.0\n-1.0\n-1.0\n", "holds 3 values, expected 256"),
+    ("2 8.0 -4\n" + "-1.0\n" * 16, "header field samples must be at least 16, got -4"),
+    # tabulated needs 16 samples per edge; the header check names the file
+    ("2 8.0 8\n" + "-1.0\n" * 64, "header field samples must be at least 16, got 8"),
 ])
 def test_malformed_grid_file_is_one_error_line(tmp_path, capsys, contents, field):
     table = tmp_path / "table.txt"

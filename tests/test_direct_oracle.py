@@ -307,12 +307,32 @@ def _embedding(grid, parity):
     return (mirror[:, None] == domain[None, :]) * sign[:, None] / np.sqrt(weight)
 
 
+def _waves(grid, parity):
+    """(G, d) columns: the normalized waves of an axis's dual lattice, on the whole axis.
+
+    Parity 0 gives the Hartley waves cas(2 pi j k / G) / sqrt(G), k =
+    0..G-1; parity +1 (-1) the cosines (sines) of k = 0..G/2 (1..G/2-1).
+    """
+    j = np.arange(grid)
+    if parity == 0:
+        phases = 2.0 * np.pi * (np.outer(j, j) % grid) / grid
+        return (np.cos(phases) + np.sin(phases)) / np.sqrt(grid)
+    k = np.arange(grid // 2 + 1) if parity > 0 else np.arange(1, grid // 2)
+    phases = 2.0 * np.pi * (np.outer(j, k) % grid) / grid
+    waves = np.cos(phases) if parity > 0 else np.sin(phases)
+    return waves / np.linalg.norm(waves, axis=0)
+
+
 def _lift(ham, sector, block, back=False):
-    """Sector vectors (size, b) as whole-grid vectors (G**n, b), or back to the sector."""
+    """A sector's dual-lattice coefficients (size, b) as whole-grid vectors (G**n, b), or back.
+
+    Each axis of the sector is spanned by the waves of its dual lattice
+    (the Hartley waves on the whole grid), so the lift sums them.
+    """
     shape = (ham.grid,) * ham.dimension if back else sector.shape
     values = block.reshape(shape + (-1,))
-    for axis, parity in enumerate(sector.parities):
-        matrix = _embedding(ham.grid, parity)
+    for axis, parity in enumerate(sector.parities or (0,) * ham.dimension):
+        matrix = _waves(ham.grid, parity)
         matrix = matrix.T if back else matrix
         values = np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
     return values.reshape(-1, values.shape[-1])
@@ -331,7 +351,8 @@ def test_count_settles_before_the_guard_converges(stall_ham, seed):
     res = do.count_below(stall_ham, k_max=8, seed=seed)
     assert res.count == 7
     assert not res.is_lower_bound and not res.budget_exhausted
-    assert res.iterations <= 16
+    # 8 or 9 from the shell-weighted start block; a uniform start took 12
+    assert res.iterations <= 10
     # in every sector Kahan's bound proves its count and the next Ritz
     # value clears the energy; the counts add up to the 7
     for sector in res.sectors:
@@ -447,9 +468,14 @@ def test_start_blocks_come_from_one_seeded_stream(stall_ham, monkeypatch):
     assert len(runs[0]) == 3
     assert all(np.array_equal(a, b) for a, b in zip(runs[0], runs[1]))
     assert not any(np.array_equal(a, b) for a, b in zip(runs[0], runs[2]))
-    # the sectors draw their blocks one after another from one stream
+    # the sectors draw their blocks one after another from one stream, and
+    # each is taken twice through the preconditioner at its cap: weighted
+    # by (H0 - min H0 + delta)^-2 on the sector's dual lattice
     stream = random.Random(0)
-    assert all(np.array_equal(start, kernels.uniform(stream, start.shape)) for start in runs[0])
+    floor = stall_ham.symbol_table.min()
+    for start, sector in zip(runs[0], do._sectors(stall_ham)):
+        gap = (sector.symbol - floor).reshape(-1, 1) + stall_ham.delta
+        assert np.array_equal(start, kernels.uniform(stream, start.shape) / gap / gap)
 
 
 def test_count_matches_dense_across_seeds(dimple_ham, monkeypatch):
@@ -524,11 +550,8 @@ def test_parity_bases_are_orthogonal(grid):
         assert np.array_equal(basis, basis.T)
         # lifted to the whole axis, its columns are the normalized cosines
         # (sines) of the dual lattice, so they diagonalize every even H0
-        k = np.arange(grid // 2 + 1) if parity > 0 else np.arange(1, grid // 2)
-        phases = 2.0 * np.pi * np.outer(np.arange(grid), k) / grid
-        waves = np.cos(phases) if parity > 0 else np.sin(phases)
-        waves /= np.linalg.norm(waves, axis=0)
-        np.testing.assert_allclose(_embedding(grid, parity) @ basis, waves, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(_embedding(grid, parity) @ basis, _waves(grid, parity),
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_sector_matmat_equals_apply_on_the_mirrored_grid(stall_ham):
@@ -539,9 +562,11 @@ def test_sector_matmat_equals_apply_on_the_mirrored_grid(stall_ham):
         sectors = do._sectors(ham)
         assert sum(sector.multiplicity for sector in sectors) == 2**ham.dimension
         for sector in sectors:
+            # the sector acts on dual-lattice coefficients; lifted, they
+            # are whole-grid vectors of the sector's parities
             block = rng.standard_normal((sector.size, 3))
             lifted = _lift(ham, sector, block)
-            # the lift is an isometry onto vectors of the sector's parities
+            # the lift is an isometry
             np.testing.assert_allclose(lifted.T @ lifted, block.T @ block, rtol=1e-13)
             expected = _lift(ham, sector, do.apply(ham, lifted), back=True)
             got = sector.matmat(block)
@@ -702,9 +727,13 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
     # included, and applies (H0 - sigma_j)^-1 to every column with
     # sigma_j = min(theta_j, min H0 - delta) from the previous Ritz
     # values; before the first callback sigma_j is that cap. lobpcg then
-    # keeps the unlocked columns alone. On the sector route the expected
-    # block is formed on the whole grid by FFT. lowest_eigenvalues(k=4)
-    # runs until its wanted columns lock
+    # keeps the unlocked columns alone. On both routes the expected block
+    # is formed on the whole grid by FFT, with the block lifted from its
+    # dual-lattice coefficients. lowest_eigenvalues(k=4) runs until its
+    # wanted columns converge, and on each route some column locks before
+    # that in some of seeds 0-7: from the shell-weighted start the whole
+    # grid's four wanted columns often fall below the tolerance in one
+    # iteration, so that none locks first (seed 0 does so)
     calls, solves = [], []
     solver = do.lobpcg
 
@@ -728,29 +757,63 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
 
     monkeypatch.setattr(do, "lobpcg", spy)
     for ham in route_hams:
-        calls.clear()
-        solves.clear()
-        if k == 8:
-            do.count_below(ham, k_max=k)
-        else:
-            do.lowest_eigenvalues(ham, k)
         sectors = do._sectors(ham)
         cap = ham.symbol_table.min() - ham.delta
         grid_shape = (ham.grid,) * ham.dimension
         axes = tuple(range(ham.dimension))
-        for solve, block, out, active, values in calls:
-            sector = sectors[solve]
-            assert block.shape[1] == active.size  # every column of the sector's block
-            sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values, cap)
-            spectral = np.fft.fftn(_lift(ham, sector, block).reshape(grid_shape + (-1,)), axes=axes)
-            table = 1.0 / (ham.symbol_table[..., None] - sigma)
-            expected = np.fft.ifftn(table * spectral, axes=axes).real.reshape(-1, block.shape[1])
-            expected = _lift(ham, sector, expected, back=True)
-            np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
-        assert calls[0][1].shape[1] == k + 4
-        assert {call[0] for call in calls} == set(range(len(sectors))) == set(solves)
+        locked = False
+        for seed in range(8) if k == 4 else (0,):
+            calls.clear()
+            solves.clear()
+            if k == 8:
+                do.count_below(ham, k_max=k, seed=seed)
+            else:
+                do.lowest_eigenvalues(ham, k, seed=seed)
+            for solve, block, out, active, values in calls:
+                sector = sectors[solve]
+                assert block.shape[1] == active.size  # every column of the sector's block
+                sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values, cap)
+                lifted = _lift(ham, sector, block).reshape(grid_shape + (-1,))
+                table = 1.0 / (ham.symbol_table[..., None] - sigma)
+                expected = np.fft.ifftn(table * np.fft.fftn(lifted, axes=axes), axes=axes)
+                expected = _lift(ham, sector, expected.real.reshape(-1, block.shape[1]), back=True)
+                np.testing.assert_allclose(out, expected, rtol=0.0,
+                                           atol=1e-12 * np.abs(expected).max())
+            assert calls[0][1].shape[1] == k + 4
+            assert {call[0] for call in calls} == set(range(len(sectors))) == set(solves)
+            locked |= not all(call[3].all() for call in calls)
         if k == 4:
-            assert not all(call[3].all() for call in calls)  # columns locked during the run
+            assert locked  # columns locked during a run
+
+
+def test_preconditioner_calls_no_transform(route_hams, monkeypatch):
+    # in dual-lattice coordinates H0 is a multiplier, so the preconditioner
+    # divides each column and takes no vector through T; the operator
+    # still takes V through it
+    transforms, during_precond = [], []
+    transform, solver = do._transform, do.lobpcg
+
+    def counted(bases, block):
+        transforms.append(block.shape)
+        return transform(bases, block)
+
+    def spy(A, X, M=None, **kwargs):
+        def watched(block):
+            before = len(transforms)
+            out = M.dot(block)
+            during_precond.append(len(transforms) - before)
+            return out
+
+        return solver(A, X, M=do.LinearOperator(A.shape, matvec=watched), **kwargs)
+
+    monkeypatch.setattr(do, "_transform", counted)
+    monkeypatch.setattr(do, "lobpcg", spy)
+    for ham in route_hams:
+        transforms.clear()
+        during_precond.clear()
+        do.count_below(ham, k_max=8)
+        assert during_precond and not any(during_precond)
+        assert transforms
 
 
 def test_preconditioner_rejects_a_block_of_the_wrong_width(route_hams, monkeypatch):
