@@ -32,6 +32,10 @@ from .symbols import _check_dimension, _check_points, _positive
 class Potential:
     """A potential V in L^1(R^n) together with vhat.
 
+    A kind gives two callables: V, and the kernel vhat(P_i - Q_j) of
+    ``kernel_matrix``. Its transform is written only there: ``fourier``
+    and ``integral`` read the kernel against the origin.
+
     Attributes
     ----------
     dimension : int
@@ -62,9 +66,7 @@ class Potential:
     is_radial: bool
     band: float | None
     _evaluate: Callable = field(repr=False)
-    _fourier: Callable = field(repr=False)
     _kernel: Callable = field(repr=False)
-    _integral: float = field(repr=False)
 
     def evaluate(self, x):
         """V at one position (shape ``(n,)``) or a batch (shape ``(..., n)``)."""
@@ -75,22 +77,23 @@ class Potential:
     def fourier(self, k):
         """vhat at one momentum or a batch; complex-valued.
 
+        Reads the kernel: the batch, flattened, against the origin.
+
         Raises
         ------
         OutOfBandError
             For tabulated potentials queried outside the resolved band.
         """
         k = _check_points(k, self.dimension, "momentum")
-        if self.band is not None and np.any(np.abs(k) > self.band):
-            raise OutOfBandError(
-                f"momentum outside the resolved band |k_axis| <= {self.band:.6g}"
-            )
-        out = np.asarray(self._fourier(k), dtype=np.complex128)
+        origin = np.zeros((1, self.dimension))
+        flat = self._kernel(k.reshape(-1, self.dimension), origin)
+        out = np.asarray(flat, dtype=np.complex128).reshape(k.shape[:-1])
         return complex(out) if out.ndim == 0 else out
 
     def integral(self) -> float:
-        """integral of V over R^n; equals (2 pi)^(n/2) vhat(0)."""
-        return self._integral
+        """integral of V over R^n, read from the kernel as (2 pi)^(n/2) Re vhat(0)."""
+        n = self.dimension
+        return (2.0 * np.pi) ** (n / 2.0) * self.fourier(np.zeros(n)).real
 
     def kernel_matrix(self, p, q=None) -> np.ndarray:
         """Pairwise transform values ``vhat(P_i - Q_j)``; ``q`` defaults to ``p``.
@@ -132,18 +135,17 @@ def zero(dimension: int = 2) -> Potential:
         is_radial=True,
         band=None,
         _evaluate=lambda x: np.zeros(x.shape[:-1]),
-        _fourier=lambda k: np.zeros(k.shape[:-1]),
         _kernel=lambda p, q: np.zeros((p.shape[0], q.shape[0])),
-        _integral=0.0,
     )
 
 
 def _gaussian_terms(kind, sign, params, terms, dimension) -> Potential:
     """``V(x) = sum_m h_m exp(-|x|^2 / (2 s_m^2))`` from its (height h_m, sigma s_m) terms.
 
-    vhat(k) = sum_m h_m s_m^n exp(-s_m^2 |k|^2 / 2). Every form sums
-    from the first term on, and the integral is (2 pi)^(n/2) times the
-    sum of the amplitudes h_m s_m^n, so terms that cancel give exactly 0.
+    vhat(k) = sum_m h_m s_m^n exp(-s_m^2 |k|^2 / 2). Both forms sum from
+    the first term on, so at k = 0 the kernel is the sum of the
+    amplitudes h_m s_m^n, and terms that cancel give an integral of
+    exactly 0.
     """
     amps = np.array([height * sigma**dimension for height, sigma in terms])
     rates = np.array([0.5 * sigma**2 for _, sigma in terms])
@@ -156,13 +158,6 @@ def _gaussian_terms(kind, sign, params, terms, dimension) -> Potential:
             out = out + height * np.exp(-r2 / (2.0 * sigma**2))
         return out
 
-    def vhat(k):
-        k2 = np.sum(k * k, axis=-1)
-        out = amps[0] * np.exp(-rates[0] * k2)
-        for amp, rate in zip(amps[1:], rates[1:]):
-            out = out + amp * np.exp(-rate * k2)
-        return out
-
     return Potential(
         dimension=dimension,
         kind=kind,
@@ -171,9 +166,7 @@ def _gaussian_terms(kind, sign, params, terms, dimension) -> Potential:
         is_radial=True,
         band=None,
         _evaluate=vreal,
-        _fourier=vhat,
         _kernel=lambda p, q: kernels.gaussian_mix(p, q, amps, rates),
-        _integral=(2.0 * np.pi) ** (dimension / 2.0) * float(amps.sum()),
     )
 
 
@@ -227,8 +220,6 @@ def ball_well(c, radius, dimension: int = 2) -> Potential:
             ub = u[~small]
             out[~small] = -c * radius * j1(ub) / kr[~small]
             return out
-
-        volume = np.pi * radius**2
     else:
         const = 4.0 * np.pi / (2.0 * np.pi) ** 1.5
 
@@ -245,8 +236,6 @@ def ball_well(c, radius, dimension: int = 2) -> Potential:
             out[~small] = -c * const * (np.sin(ub) - ub * np.cos(ub)) / kr[~small] ** 3
             return out
 
-        volume = 4.0 * np.pi * radius**3 / 3.0
-
     def kernel(p, q):
         d = np.sqrt(kernels.squared_distances(p, q))
         return radial_vhat(d)
@@ -259,9 +248,7 @@ def ball_well(c, radius, dimension: int = 2) -> Potential:
         is_radial=True,
         band=None,
         _evaluate=lambda x: np.where(np.sum(x * x, axis=-1) <= radius**2, -c, 0.0),
-        _fourier=lambda k: radial_vhat(np.linalg.norm(k, axis=-1)),
         _kernel=kernel,
-        _integral=-c * volume,
     )
 
 
@@ -336,19 +323,20 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
     band = 0.5 * np.pi / h
 
     def kernel(p, q):
-        rows = []
+        # filled a block of rows at a time; an empty p or q gives an empty matrix
+        out = np.empty((p.shape[0], q.shape[0]), dtype=np.complex128)
         step = max(1, int(2**22 // max(q.shape[0], 1)))
         for start in range(0, p.shape[0], step):
-            block = p[start : start + step]
-            diff = block[:, None, :] - q[None, :, :]
-            if np.abs(diff).max() > band:
+            diff = p[start : start + step, None, :] - q[None, :, :]
+            reach = np.abs(diff).max(initial=0.0)
+            if reach > band:
                 raise OutOfBandError(
-                    f"kernel query reaches |k_axis| = {np.abs(diff).max():.6g}, beyond "
+                    f"kernel query reaches |k_axis| = {reach:.6g}, beyond "
                     f"the resolved band {band:.6g}"
                 )
-            rows.append(transform(diff))
-        out = np.concatenate(rows, axis=0)
-        return out.real if np.abs(out.imag).max() <= 1e-12 * max(np.abs(out.real).max(), 1e-300) else out
+            out[start : start + step] = transform(diff)
+        scale = max(np.abs(out.real).max(initial=0.0), 1e-300)
+        return out.real if np.abs(out.imag).max(initial=0.0) <= 1e-12 * scale else out
 
     # the sign is read from the samples: the cubic interpolant can
     # overshoot between them, but the table is what was given
@@ -369,9 +357,7 @@ def tabulated(values, edge, dimension: int = 2) -> Potential:
         is_radial=False,
         band=float(band),
         _evaluate=lambda x: np.nan_to_num(position(x), nan=0.0),
-        _fourier=transform,
         _kernel=kernel,
-        _integral=float(values.sum() * h**dimension),
     )
 
 
@@ -385,10 +371,11 @@ def tabulated_from_file(path) -> Potential:
     Raises
     ------
     ConfigurationError
-        If the header does not hold an integer dimension, a number edge
-        and an integer sample count of at least 16 (the fewest that
-        ``tabulated`` takes), a sample is not a number, or the value
-        count is not ``samples**dimension``.
+        If the header does not hold an integer dimension of 2 or 3, a
+        positive finite edge and an integer sample count of at least 16
+        (the values that ``tabulated`` takes), a sample is not a number,
+        or the value count is not ``samples**dimension``. Every message
+        names the file.
     """
     path = Path(path)
     with path.open() as handle:
@@ -398,9 +385,15 @@ def tabulated_from_file(path) -> Potential:
         dimension = _header_field(path, "dimension", int, header[0])
         edge = _header_field(path, "edge", float, header[1])
         samples = _header_field(path, "samples", int, header[2])
-        if samples < 16:
-            raise ConfigurationError(f"grid file {path}: header field samples must be at least 16, "
-                                     f"got {samples}")
+        # the values that tabulated takes, checked here so the error names the file
+        for name, value, valid, rule in (
+            ("dimension", dimension, dimension in (2, 3), "2 or 3"),
+            ("edge", edge, 0.0 < edge < np.inf, "positive and finite"),
+            ("samples", samples, samples >= 16, "at least 16"),
+        ):
+            if not valid:
+                raise ConfigurationError(f"grid file {path}: header field {name} must be {rule}, "
+                                         f"got {value}")
         try:
             data = np.loadtxt(handle).ravel()
         except ValueError as exc:

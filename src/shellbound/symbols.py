@@ -4,7 +4,8 @@ A symbol is a radial function ``H0(p) = profile(|p|)`` that is bounded
 below, grows at infinity, and attains its minimum ``m`` on the shell
 ``|p| = R``. The toolkit never hard-codes the minimum value: it is
 computed once, when the symbol is built, analytically for the named
-kinds and by bracketed 1-D minimization for tabulated profiles.
+kinds and exactly, from the stationary points of the cubic spline, for
+tabulated profiles.
 
 The pipeline reads a symbol through ``evaluate`` (the kinetic energy),
 ``find_minimum`` and ``frame``, the band frame that weights the kernel
@@ -178,12 +179,17 @@ def custom_radial(radii, values, dimension: int = 2) -> DispersionSymbol:
         kind="custom-radial",
         params={"r_min": float(radii[0]), "r_max": float(radii[-1])},
         _radial=lambda r: spline(r),
-        _minimum=_bracketed_minimum(spline, max(float(radii[0]), 1e-8), float(radii[-1])),
+        _minimum=_spline_minimum(spline),
     )
 
 
-def _bracketed_minimum(profile, lo: float, hi: float) -> tuple[float, float]:
-    """(m, radius) of ``profile`` on [lo, hi]: a 2048-point scan, then a bounded Brent search.
+def _spline_minimum(spline) -> tuple[float, float]:
+    """(m, radius) of a cubic spline on its knot span, found exactly.
+
+    The candidates are the knots, both ends included, and the real roots
+    of the derivative; a piece whose derivative is identically zero has
+    NaN roots, which are dropped, and its knots stand for it. The least
+    value wins, and a tie goes to the smallest radius.
 
     Raises
     ------
@@ -191,24 +197,16 @@ def _bracketed_minimum(profile, lo: float, hi: float) -> tuple[float, float]:
         If the minimizer sits at radius 0, where there is no
         hypersurface of extrema.
     """
-    from scipy.optimize import minimize_scalar
-
-    grid = np.linspace(lo, hi, 2048)
-    seed = int(np.argmin(profile(grid)))
-    a = grid[max(seed - 1, 0)]
-    b = grid[min(seed + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda r: float(profile(np.float64(r))),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": 1e-13 * max(1.0, hi)},
-    )
-    radius = float(res.x)
-    if radius <= 1e-6 * max(1.0, hi):
+    stationary = spline.derivative().roots(extrapolate=False)
+    radii = np.sort(np.concatenate([spline.x, stationary[~np.isnan(stationary)]]))
+    values = spline(radii)
+    best = int(np.argmin(values))
+    radius = float(radii[best])
+    if radius <= 1e-6 * max(1.0, float(spline.x[-1])):
         raise DegenerateSurfaceError(
             "radial profile is minimized at radius zero; no extremum shell"
         )
-    return float(res.fun), radius
+    return float(values[best]), radius
 
 
 def _check_points(arr, dimension: int, label: str) -> np.ndarray:

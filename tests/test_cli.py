@@ -472,6 +472,10 @@ def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
     ("2 8.0 -4\n" + "-1.0\n" * 16, "header field samples must be at least 16, got -4"),
     # tabulated needs 16 samples per edge; the header check names the file
     ("2 8.0 8\n" + "-1.0\n" * 64, "header field samples must be at least 16, got 8"),
+    # so do the dimension and edge checks
+    ("1 8.0 16\n" + "-1.0\n" * 16, "header field dimension must be 2 or 3, got 1"),
+    ("2 -8.0 16\n" + "-1.0\n" * 256, "header field edge must be positive and finite, got -8.0"),
+    ("2 nan 16\n" + "-1.0\n" * 256, "header field edge must be positive and finite, got nan"),
 ])
 def test_malformed_grid_file_is_one_error_line(tmp_path, capsys, contents, field):
     table = tmp_path / "table.txt"
@@ -532,9 +536,9 @@ def test_seed_must_be_u64():
 
 
 def test_cli_import_leaves_optional_scipy_unloaded():
-    # interpolation, optimization and special functions serve only
-    # tabulated inputs, ball wells and profiles without a closed-form
-    # minimum, so importing the front end must not load them
+    # interpolation and special functions serve only tabulated inputs,
+    # custom-radial profiles and ball wells, and scipy.interpolate loads
+    # scipy.optimize with it, so importing the front end must load none
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

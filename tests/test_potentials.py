@@ -173,6 +173,18 @@ def test_kernel_matrix_matches_pointwise_transform(pot):
     npt.assert_allclose(square, np.conj(square.T), atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "pot", _analytic_zoo() + [potentials.tabulated(np.full((16, 16), -1.0), 10.5)],
+    ids=lambda p: f"{p.kind}-{p.dimension}d",
+)
+def test_empty_batches_give_empty_kernels(pot):
+    points = np.zeros((3, pot.dimension))
+    empty = np.zeros((0, pot.dimension))
+    assert pot.kernel_matrix(empty, points).shape == (0, 3)
+    assert pot.kernel_matrix(points, empty).shape == (3, 0)
+    assert pot.fourier(empty).shape == (0,)
+
+
 def test_require_band():
     well = potentials.gaussian_well(1.0, 1.0)
     potentials.require_band(well, 1e6)  # analytic kinds resolve everything

@@ -23,9 +23,7 @@ def _constant_kernel_potential(value, dimension=2):
         is_radial=True,
         band=None,
         _evaluate=lambda x: np.zeros(x.shape[:-1]),
-        _fourier=lambda k: np.full(k.shape[:-1], value),
         _kernel=lambda p, q: np.full((p.shape[0], q.shape[0]), value),
-        _integral=0.0,
     )
 
 

@@ -31,9 +31,7 @@ def _custom_potential(fourier_fn, kernel_fn=None, dimension=2, is_radial=False):
         is_radial=is_radial,
         band=None,
         _evaluate=lambda x: np.zeros(x.shape[:-1]),
-        _fourier=fourier_fn,
         _kernel=kernel_fn,
-        _integral=0.0,
     )
 
 

@@ -1,5 +1,7 @@
 """Checks for the radial dispersion symbols and the minimum search."""
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -114,12 +116,48 @@ def test_custom_radial_monotone_profile_is_degenerate():
 
 
 def test_custom_radial_minimum_is_computed_once(monkeypatch):
-    import scipy.optimize
-
     radii = np.linspace(0.05, 6.0, 400)
     sym = symbols.custom_radial(radii, 1.0 + (radii - 2.0) ** 2 / 2.0)
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", None)
+    monkeypatch.setattr(symbols, "_spline_minimum", None)
     assert sym.find_minimum() is sym.find_minimum()
+
+
+def _dense_minimum(sym, radii):
+    return sym.radial(np.linspace(radii[0], radii[-1], 100001)).min()
+
+
+def test_custom_radial_tie_goes_to_the_smaller_radius():
+    # a double well on exact binary fractions: the spline is 0 at the
+    # knots r = 2 and r = 4, and below 0 nowhere
+    radii = np.arange(8, 89) / 16.0
+    sym = symbols.custom_radial(radii, ((radii - 3.0) ** 2 - 1.0) ** 2)
+    assert sym.find_minimum() == (0.0, 2.0)
+    assert sym.find_minimum()[0] <= _dense_minimum(sym, radii)
+
+
+def test_custom_radial_flat_bottom_minimum_is_exact():
+    # 1 on [2, 4], where the spline wiggles: its lowest point is found,
+    # no higher than any point of a dense sample
+    radii = np.linspace(0.5, 6.0, 56)
+    sym = symbols.custom_radial(radii, 1.0 + np.maximum(np.abs(radii - 3.0) - 1.0, 0.0) ** 2)
+    m, radius = sym.find_minimum()
+    assert m < 1.0 and 1.9 < radius < 4.1
+    assert m <= _dense_minimum(sym, radii)
+    # a constant table: every piece has a zero derivative, so only the
+    # knots are candidates, and the tie goes to the first, radius 0
+    with pytest.raises(DegenerateSurfaceError, match="radius zero"):
+        symbols.custom_radial(np.linspace(0.0, 3.0, 10), np.full(10, 2.0))
+
+
+def test_custom_radial_needs_no_optimizer(monkeypatch):
+    # scipy.interpolate loads scipy.optimize itself, so the module cannot
+    # stay unloaded; blocking it shows that the minimum needs none of it
+    import scipy.interpolate  # noqa: F401
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    radii = np.linspace(0.05, 6.0, 400)
+    m, radius = symbols.custom_radial(radii, 1.0 + (radii - 2.0) ** 2 / 2.0).find_minimum()
+    assert m == 1.0 and abs(radius - 2.0) < 1e-12
 
 
 def test_custom_radial_table_validation():
