@@ -331,15 +331,17 @@ def _sweep_rows(certificate):
 
 
 def _certify(config, symbol, potential, mesh, surface_block):
-    from . import rayleigh_ritz
+    from . import rayleigh_ritz, surface
 
     rr = _block(config, "rayleigh_ritz")
     return rayleigh_ritz.certify(
         symbol, potential, mesh,
         _need(rr, "n_states", "rayleigh_ritz", _integer),
         _need(rr, "eps_schedule", "rayleigh_ritz", _floats, rayleigh_ritz.DEFAULT_SCHEDULE),
-        half_width_fraction=_need(surface_block, "half_width_fraction", "surface", float, 0.25),
-        transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", _integer, 12),
+        half_width_fraction=_need(surface_block, "half_width_fraction", "surface", float,
+                                  surface.DEFAULT_HALF_WIDTH_FRACTION),
+        transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", _integer,
+                               rayleigh_ritz.DEFAULT_TRANSVERSE_ORDER),
     )
 
 

@@ -711,7 +711,15 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
     iterations that the earlier ones left, so the total stays within
     ``maxiter``. Returns (parities, multiplicity, values, residuals,
     iterations) per sector.
+
+    With V identically zero the operator is diagonal in the plane-wave
+    basis: the k lowest entries of the sorted symbol table are exact
+    eigenvalues, returned as the one sector of the whole grid with zero
+    residuals and 0 iterations, and no block iteration runs.
     """
+    if ham.is_free:
+        values = np.sort(ham.symbol_table.ravel())[:k]
+        return [((), 1, values, np.zeros(values.size), 0)]
     rng = random.Random(seed)
     solved, used = [], 0
     for sector in _sectors(ham):
@@ -739,9 +747,8 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     own ceil(k / m) lowest states within one shared budget of ``maxiter``
     block iterations; the result merges them, each value repeated by its
     sector's multiplicity, and keeps the k lowest.
-    With V identically zero the operator is diagonal in the plane-wave
-    basis and the sorted symbol table is returned directly (exact, no
-    iteration).
+    With V identically zero the sorted symbol table is returned (exact,
+    no iteration; see ``_solve_sectors``).
 
     Raises
     ------
@@ -755,8 +762,6 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
         raise PreconditionError("k must lie in 1..64")
     if k > ham.size:
         raise PreconditionError("k exceeds the discretization size")
-    if ham.is_free:
-        return np.sort(ham.symbol_table.ravel())[:k]
     tolerance = _residual_tolerance(ham)
     solved = _solve_sectors(ham, k, seed, maxiter, tolerance,
                             lambda values, residuals: residuals.max() < tolerance)
@@ -823,9 +828,9 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     (``budget_exhausted``) or when that sum reaches ``k_max``.
 
     With V identically zero the ``k_max`` lowest entries of the symbol
-    table are exact eigenvalues: they take the same count with zero
-    residuals and 0 iterations, as the one sector of the whole grid, and
-    no block iteration runs.
+    table are exact eigenvalues (see ``_solve_sectors``): they take the
+    same count with zero residuals and 0 iterations, and no block
+    iteration runs.
 
     Raises
     ------
@@ -849,14 +854,8 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
             "counting energy must stay below the free spectral floor plus |V|"
         )
     tolerance = _residual_tolerance(ham)
-    if ham.is_free:  # plane waves are exact eigenvectors
-        values = np.sort(ham.symbol_table.ravel())[:k_max]
-        solved = [((), 1, values, np.zeros(values.size), 0)]
-    else:
-        solved = _solve_sectors(
-            ham, k_max, seed, maxiter, tolerance,
-            lambda values, residuals: _kahan_count(values, residuals, energy)[1],
-        )
+    solved = _solve_sectors(ham, k_max, seed, maxiter, tolerance,
+                            lambda values, residuals: _kahan_count(values, residuals, energy)[1])
     sectors = tuple(
         SectorCount(parities, multiplicity,
                     *_kahan_count(values, residuals, energy), iterations, values, residuals)

@@ -75,11 +75,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import PreconditionError
 from . import surface
 from .potentials import Potential, require_band
 from .surface import SurfaceMesh, TubularChart, tubular_chart
-from .surface_operator import _band_matrix, _channel_kernel, assemble, count_negative
+from .surface_operator import _band_matrix, _channel_kernel, _hermitize, assemble, count_negative
 
 __all__ = [
     "TransverseProfile",
@@ -88,6 +88,12 @@ __all__ = [
 ]
 
 DEFAULT_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
+DEFAULT_TRANSVERSE_ORDER = 12
+
+
+def _raw_profile(t):
+    """The transverse profile exp(-1 / (1 - t^2)) before normalization, for |t| < 1."""
+    return np.exp(-1.0 / (1.0 - t**2))
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,12 @@ class TransverseProfile:
 
     @classmethod
     @functools.lru_cache(maxsize=16)
-    def build(cls, order: int = 12) -> "TransverseProfile":
+    def build(cls, order: int = DEFAULT_TRANSVERSE_ORDER) -> "TransverseProfile":
         """The profile on ``order`` nodes, read-only; the 16 latest orders are kept."""
         if order < 4:
             raise PreconditionError("transverse quadrature order must be at least 4")
         nodes, weights = surface.gauss_legendre(int(order))
-        raw = np.exp(-1.0 / (1.0 - nodes**2))
+        raw = _raw_profile(nodes)
         normalizer = 1.0 / float(weights @ raw)
         values = normalizer * raw
         for array in (nodes, weights, values):
@@ -134,7 +140,7 @@ class TransverseProfile:
         t = np.asarray(t, dtype=np.float64)
         out = np.zeros_like(t)
         inside = np.abs(t) < 1.0
-        out[inside] = self.normalizer * np.exp(-1.0 / (1.0 - t[inside] ** 2))
+        out[inside] = self.normalizer * _raw_profile(t[inside])
         return out
 
 
@@ -165,13 +171,19 @@ class Certificate:
 
 
 def _tube(chart: TubularChart, profile: TransverseProfile, eps: float):
-    """(eps_abs, radii, rho): the tube's half-width, its T radii R + eps_abs t_a and Jacobian."""
+    """(eps_abs, radii, rho, x): the tube's half-width, its T radii R + eps_abs t_a and Jacobian.
+
+    x_a = w_a b_a rho_a is the tube weight of radius a, the transverse
+    rule times the profile and the Jacobian: the contraction vector of the
+    channel route and the per-node column weight of the dense route.
+    """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise PreconditionError("eps must be a fraction of the chart half-width in (0, 1]")
     eps_abs = eps * chart.half_width
     offsets = eps_abs * profile.nodes
-    return eps_abs, chart.mesh.radius + offsets, chart.jacobian(offsets)
+    rho = chart.jacobian(offsets)
+    return eps_abs, chart.mesh.radius + offsets, rho, profile.weights * profile.values * rho
 
 
 def _kinetic_integral(symbol, minimum, profile: TransverseProfile, tube, dimension: int):
@@ -187,15 +199,11 @@ def _kinetic_integral(symbol, minimum, profile: TransverseProfile, tube, dimensi
     factor puts the kinetic form on the same scale, so h(eps) is
     (2 pi)^(n/2) times the form of H - m.
     """
-    eps_abs, radii, rho = tube
+    eps_abs, radii, rho, _ = tube
     points = np.zeros((radii.size, dimension))
     points[:, 0] = radii
     weights = (2.0 * np.pi) ** (dimension / 2.0) * profile.weights * profile.values**2 * rho
     return ((symbol.evaluate(points) - minimum) @ weights) / eps_abs
-
-
-def _cloud_weights(mesh: SurfaceMesh, profile: TransverseProfile, rho):
-    return (mesh.weights[:, None] * (profile.weights * profile.values * rho)[None, :]).ravel()
 
 
 def _potential(potential, chart: TubularChart, psi, profile: TransverseProfile, tube,
@@ -206,11 +214,11 @@ def _potential(potential, chart: TubularChart, psi, profile: TransverseProfile, 
     chart. A band ``frame`` (points -> (count, bands)) multiplies the
     kernel by the overlap ``sum_c conj(u_c(x)) u_c(y)``.
     """
-    eps_abs, _, rho = tube
+    eps_abs, _, _, x = tube
     mesh = chart.mesh
     cloud = chart.map(mesh.nodes[:, None, :], (eps_abs * profile.nodes)[None, :])
     points = cloud.reshape(-1, mesh.dimension)
-    columns = _cloud_weights(mesh, profile, rho)[:, None] * np.repeat(psi, profile.order, axis=0)
+    columns = (mesh.weights[:, None] * x).reshape(-1, 1) * np.repeat(psi, profile.order, axis=0)
     kernel = np.asarray(potential.kernel_matrix(points))
     if frame is not None:
         kernel = _band_matrix(kernel, np.asarray(frame(points)))
@@ -219,7 +227,8 @@ def _potential(potential, chart: TubularChart, psi, profile: TransverseProfile, 
 
 def certify(symbol, potential: Potential, mesh: SurfaceMesh,
             n_states: int, eps_schedule=DEFAULT_SCHEDULE, *,
-            half_width_fraction: float = 0.25, transverse_order: int = 12) -> Certificate:
+            half_width_fraction: float = surface.DEFAULT_HALF_WIDTH_FRACTION,
+            transverse_order: int = DEFAULT_TRANSVERSE_ORDER) -> Certificate:
     """Search the eps schedule for a negative-definite trial form.
 
     Parameters
@@ -289,21 +298,16 @@ def certify(symbol, potential: Potential, mesh: SurfaceMesh,
     certified_eps = None
     for eps in schedule:
         tube = _tube(chart, profile, eps)
-        _, radii, rho = tube
+        _, radii, _, x = tube
         kinetic = _kinetic_integral(symbol, minimum, profile, tube, mesh.dimension)
         if not n_states:
             h = np.zeros((0, 0))  # the empty span needs no kernel
         elif channel is None:
             h = _potential(potential, chart, psi, profile, tube, symbol.frame)
         else:
-            x = profile.weights * profile.values * rho
             h = np.diag(_channel_kernel(potential, mesh, radii, x, symbol.frame)[channel])
         # the span is orthonormal in the mesh weights: the kinetic form is K(eps) I
-        h = h + kinetic * np.eye(n_states)
-        deviation = np.abs(h - h.conj().T).max(initial=0.0)
-        if deviation > 1e-10 * max(1.0, np.abs(h).max(initial=0.0)):
-            raise ConsistencyError(f"trial form deviates from Hermitian by {deviation:.3e}")
-        h = 0.5 * (h + h.conj().T)
+        h = _hermitize(h + kinetic * np.eye(n_states), "trial form", 1e-10)
         matrices.append(h)
         max_errors.append(float(np.abs(h - np.diag(limit_values)).max(initial=0.0)))
         top = float(np.linalg.eigvalsh(h)[-1]) if h.size else -np.inf

@@ -47,7 +47,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigurationError, GaugeSingularityError, PreconditionError
 from .potentials import Potential, require_band
-from .rayleigh_ritz import DEFAULT_SCHEDULE, Certificate, certify
+from .rayleigh_ritz import Certificate, certify
 from .surface import SurfaceMesh
 from .surface_operator import (
     SurfaceOperatorMatrix, _channel_kernel, _dense_operator, assemble, ring_layout,
@@ -263,14 +263,15 @@ def gauge_deviation(symbol: MatrixSymbol, mesh: SurfaceMesh, potential: Potentia
 
 
 def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
-                 n_states: int, eps_schedule=DEFAULT_SCHEDULE, *,
-                 half_width_fraction: float = 0.25,
-                 transverse_order: int = 12) -> Certificate:
+                 *args, **kwargs) -> Certificate:
     """Variational certificate for the matrix Hamiltonian.
 
     This is :func:`shellbound.rayleigh_ritz.certify` on the matrix
     symbol, whose kinetic energy is the lower band and whose frame
-    weights the kernel, after the checks of the problem's geometry. A
+    weights the kernel, after the checks of the problem's geometry: the
+    other arguments (``n_states``, ``eps_schedule`` and the keywords
+    ``half_width_fraction`` and ``transverse_order``) and their defaults
+    are certify's, to which they are forwarded unchanged. A
     radial potential on a ring-layout mesh takes certify's
     angular-channel route: the band overlap ``<u(x), u(y)>`` multiplies
     the kernel between the T tube radii and the turned points before
@@ -280,5 +281,4 @@ def certify_spin(symbol: MatrixSymbol, potential: Potential, mesh: SurfaceMesh,
     the overlap.
     """
     _check_problem(symbol, mesh, potential)
-    return certify(symbol, potential, mesh, n_states, eps_schedule,
-                   half_width_fraction=half_width_fraction, transverse_order=transverse_order)
+    return certify(symbol, potential, mesh, *args, **kwargs)

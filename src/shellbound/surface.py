@@ -19,6 +19,9 @@ from .errors import ConfigurationError, PreconditionError
 __all__ = ["SurfaceMesh", "TubularChart", "build_mesh", "gauss_legendre", "legendre_table",
            "tubular_chart"]
 
+# the tube half-width of a certificate, as a fraction of the shell radius
+DEFAULT_HALF_WIDTH_FRACTION = 0.25
+
 
 def legendre_table(x, degree: int) -> np.ndarray:
     """P_l(x) for l = 0..degree by the three-term recurrence; shape ``x.shape + (degree + 1,)``."""
@@ -204,7 +207,8 @@ class TubularChart:
         return ratio ** (self.mesh.dimension - 1)
 
 
-def tubular_chart(mesh: SurfaceMesh, half_width_fraction: float = 0.25) -> TubularChart:
+def tubular_chart(mesh: SurfaceMesh,
+                  half_width_fraction: float = DEFAULT_HALF_WIDTH_FRACTION) -> TubularChart:
     """Chart of half-width ``half_width_fraction * R`` around the mesh shell.
 
     Fractions above 0.5 are rejected to keep a safety margin inside the

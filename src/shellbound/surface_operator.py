@@ -117,23 +117,25 @@ class SurfaceOperatorMatrix:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
 
-def _require_hermitian(a: np.ndarray, deviation: float, what: str, weight: float = 1.0) -> None:
-    """Raise unless ``weight * deviation`` is within 1e-12 max(1, weight max |a|).
+def _require_hermitian(a: np.ndarray, deviation: float, what: str, weight: float = 1.0,
+                       tolerance: float = 1e-12) -> None:
+    """Raise unless ``weight * deviation`` is within ``tolerance`` max(1, weight max |a|).
 
     ``deviation`` is the distance of ``a`` from Hermitian, and ``weight``
     the quadrature weight that makes ``a`` an operator (1 for an operator
     matrix). The scale is at least 1, so ``max |a|`` is computed only
-    when the weighted deviation exceeds 1e-12.
+    when the weighted deviation exceeds ``tolerance``.
     """
-    if weight * deviation > 1e-12 and deviation > 1e-12 * np.abs(a).max():
+    if weight * deviation > tolerance and deviation > tolerance * np.abs(a).max():
         raise ConsistencyError(
             f"{what} deviates from Hermitian by {weight * deviation:.3e}; "
             "the transform convention upstream is broken"
         )
 
 
-def _hermitize(a: np.ndarray, what: str) -> np.ndarray:
-    _require_hermitian(a, np.abs(a - a.conj().T).max(initial=0.0), what)
+def _hermitize(a: np.ndarray, what: str, tolerance: float = 1e-12) -> np.ndarray:
+    """``(a + a^H) / 2``, after the check of :func:`_require_hermitian` at ``tolerance``."""
+    _require_hermitian(a, np.abs(a - a.conj().T).max(initial=0.0), what, tolerance=tolerance)
     return 0.5 * (a + a.conj().T)
 
 

@@ -435,12 +435,12 @@ def _dense_spin_forms(symbol, mesh, n_states):
     minimum = symbol.find_minimum()[0]
     forms = []
     for eps in rayleigh_ritz.DEFAULT_SCHEDULE:
-        eps_abs, _, rho = rayleigh_ritz._tube(chart, profile, eps)
+        eps_abs, _, rho, x = rayleigh_ritz._tube(chart, profile, eps)
         cloud = chart.map(mesh.nodes[:, None, :], (eps_abs * profile.nodes)[None, :])
         points = cloud.reshape(-1, 2)
         frame = spin_orbit.band_frame(symbol, points)
         kernel = WELL.kernel_matrix(points) * (frame.conj() @ frame.T)
-        weights = rayleigh_ritz._cloud_weights(mesh, profile, rho)
+        weights = (mesh.weights[:, None] * x[None, :]).ravel()
         columns = weights[:, None] * np.repeat(psi, profile.order, axis=0)
         # the kinetic form node by node, from H0 - m at every cloud point
         shifted = symbol.evaluate(cloud) - minimum
