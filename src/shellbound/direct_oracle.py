@@ -132,9 +132,12 @@ class CountResult:
     are orthogonal invariant subspaces of the grid operator, so the sum
     of their counts, each times its multiplicity, is a proven lower
     count; ``count`` is that sum capped at ``k_max``. ``is_lower_bound``
-    is set when the count did not settle: the iteration budget ran out
-    before every sector's count settled (``budget_exhausted``), or the
-    sum reached ``k_max``, so more states may follow beyond the window.
+    is set for one of three reasons: the iteration budget ran out before
+    every sector's count settled (``budget_exhausted``); a sector's
+    block reached its numerical floor before its count settled, every
+    column locked at roundoff or its search directions dependent, as at
+    an energy that is an eigenvalue, with budget to spare; or the sum
+    reached ``k_max``, so more states may follow beyond the window.
     ``eigenvalues`` and ``residuals`` are the ``k_max`` lowest sector
     Ritz values, each repeated by its multiplicity, with their residual
     norms; ``sectors`` holds the per-sector counts. ``tolerance`` is the
@@ -646,12 +649,21 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     never tested. With ``maxiter`` 0 no iterate is tested: the values
     are NaN and the residuals infinite.
 
+    A column is locked once its residual norm falls to 1e-6 of
+    ``tolerance``, at roundoff, since Kahan's rule may need residuals far
+    below ``tolerance`` to prove a count close to the energy. When every
+    column is locked, or the search directions turn dependent after the
+    first iteration (``lobpcg`` raises), before the stop rule holds, the
+    block has reached its floor: the iteration ends there, and the
+    residuals of the latest Ritz vectors are recomputed fresh. A
+    breakdown before the first iteration raises ``ConvergenceError``.
+
     Returns (values, residuals, iterations), values ascending.
     """
     size = sector.size
     guards = 4
     block_size = min(k + guards, size)
-    lock = 0.5 * tolerance
+    lock = 1e-6 * tolerance
     floor = float(ham.symbol_table.min())
     # H0 - min H0 on the sector's dual-lattice indices, one row per coordinate
     shifted = (sector.symbol - floor).reshape(size, 1)
@@ -690,12 +702,13 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
         lobpcg(operator, start, M=preconditioner, tol=lock, maxiter=maxiter,
                callback=settled)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"block iteration broke down after {used} iterations: {exc}",
-            eigenvalues=latest[0],
-        ) from exc
+        if not used:
+            raise ConvergenceError(
+                f"block iteration broke down after {used} iterations: {exc}",
+                eigenvalues=latest[0],
+            ) from exc
     values, vectors, residuals, fresh = latest
-    if not fresh:  # every column locked before the stop rule held
+    if not fresh:  # every column locked, or the block broke down, before the stop rule held
         residuals = fresh_residuals(values, vectors)
     return values, residuals, used
 
@@ -825,7 +838,9 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     the sum of the Kahan-proven sector counts, each times its
     multiplicity, capped at ``k_max``; ``is_lower_bound`` is set when
     the budget ran out before every sector's count settled
-    (``budget_exhausted``) or when that sum reaches ``k_max``.
+    (``budget_exhausted``), when a sector stopped unsettled at its
+    numerical floor with budget to spare (see ``_solve``), or when that
+    sum reaches ``k_max``.
 
     With V identically zero the ``k_max`` lowest entries of the symbol
     table are exact eigenvalues (see ``_solve_sectors``): they take the
@@ -837,6 +852,8 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     PreconditionError
         If ``k_max`` is outside 1..64, or the energy is not finite or not
         below ``min H0 + max |V|``.
+    ConvergenceError
+        If a sector's block breaks down before its first iteration.
     """
     k_max = int(k_max)
     if not 1 <= k_max <= 64:
@@ -863,6 +880,7 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     )
     total = sum(sector.count * sector.multiplicity for sector in sectors)
     settled = all(sector.settled for sector in sectors)
+    iterations = sum(sector.iterations for sector in sectors)
     values, residuals = _lowest(solved, k_max)
     return CountResult(
         count=min(total, k_max),
@@ -871,8 +889,8 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
         residuals=residuals,
         energy=energy,
         delta=ham.delta,
-        iterations=sum(sector.iterations for sector in sectors),
-        budget_exhausted=not settled,
+        iterations=iterations,
+        budget_exhausted=not settled and iterations == maxiter,
         tolerance=tolerance,
         sectors=sectors,
     )

@@ -405,6 +405,31 @@ def test_budget_exhaustion_flags_lower_bound(stall_ham):
     assert res.count <= 7
 
 
+@pytest.fixture(scope="module")
+def dimple_third(dimple_ham):
+    # the third lowest value, about -0.0588161116801534, with its residual
+    # below the reporting tolerance, 1e-8 of the spectral scale
+    return do.lowest_eigenvalues(dimple_ham, 6, maxiter=900)[2]
+
+
+@pytest.mark.parametrize("shift", [1e-10, 1e-13, 0.0])
+def test_count_at_the_floor_is_not_an_exhausted_budget(dimple_ham, dimple_third, shift):
+    # Kahan's rule proves the third state 1e-10 or 1e-13 below the energy
+    # only from residuals far below the reporting tolerance, so columns
+    # lock at roundoff alone and those counts settle. At the eigenvalue no
+    # residual settles the count: the solve ends once every column is
+    # locked, well within the budget, and the count is a lower bound for
+    # that reason, not because the budget ran out
+    res = do.count_below(dimple_ham, dimple_third + shift, k_max=6, maxiter=900)
+    assert not res.budget_exhausted and res.iterations < 900
+    if shift:
+        assert res.count == 3 and not res.is_lower_bound
+        return
+    assert res.count == 2 and res.is_lower_bound
+    stalled = [sector for sector in res.sectors if not sector.settled]
+    assert stalled and all(sector.residuals.max() < 1e-5 * res.tolerance for sector in stalled)
+
+
 def test_full_window_is_flagged(stall_ham):
     # 7 states lie below the energy, so a window of 5 cannot see the rest;
     # a window of 7 is full too, though no sector's own window is. At
@@ -729,11 +754,9 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
     # values; before the first callback sigma_j is that cap. lobpcg then
     # keeps the unlocked columns alone. On both routes the expected block
     # is formed on the whole grid by FFT, with the block lifted from its
-    # dual-lattice coefficients. lowest_eigenvalues(k=4) runs until its
-    # wanted columns converge, and on each route some column locks before
-    # that in some of seeds 0-7: from the shell-weighted start the whole
-    # grid's four wanted columns often fall below the tolerance in one
-    # iteration, so that none locks first (seed 0 does so)
+    # dual-lattice coefficients. Columns lock only at roundoff, so k = 4
+    # counts at an eigenvalue, which no residual can settle: the columns
+    # converge until some reach the floor and lock
     calls, solves = [], []
     solver = do.lobpcg
 
@@ -761,29 +784,24 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
         cap = ham.symbol_table.min() - ham.delta
         grid_shape = (ham.grid,) * ham.dimension
         axes = tuple(range(ham.dimension))
-        locked = False
-        for seed in range(8) if k == 4 else (0,):
-            calls.clear()
-            solves.clear()
-            if k == 8:
-                do.count_below(ham, k_max=k, seed=seed)
-            else:
-                do.lowest_eigenvalues(ham, k, seed=seed)
-            for solve, block, out, active, values in calls:
-                sector = sectors[solve]
-                assert block.shape[1] == active.size  # every column of the sector's block
-                sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values, cap)
-                lifted = _lift(ham, sector, block).reshape(grid_shape + (-1,))
-                table = 1.0 / (ham.symbol_table[..., None] - sigma)
-                expected = np.fft.ifftn(table * np.fft.fftn(lifted, axes=axes), axes=axes)
-                expected = _lift(ham, sector, expected.real.reshape(-1, block.shape[1]), back=True)
-                np.testing.assert_allclose(out, expected, rtol=0.0,
-                                           atol=1e-12 * np.abs(expected).max())
-            assert calls[0][1].shape[1] == k + 4
-            assert {call[0] for call in calls} == set(range(len(sectors))) == set(solves)
-            locked |= not all(call[3].all() for call in calls)
+        energy = ham.minimum - ham.delta if k == 8 else do.lowest_eigenvalues(ham, k)[-1]
+        calls.clear()
+        solves.clear()
+        do.count_below(ham, energy, k_max=k, maxiter=40)
+        for solve, block, out, active, values in calls:
+            sector = sectors[solve]
+            assert block.shape[1] == active.size  # every column of the sector's block
+            sigma = np.full(block.shape[1], cap) if values is None else np.minimum(values, cap)
+            lifted = _lift(ham, sector, block).reshape(grid_shape + (-1,))
+            table = 1.0 / (ham.symbol_table[..., None] - sigma)
+            expected = np.fft.ifftn(table * np.fft.fftn(lifted, axes=axes), axes=axes)
+            expected = _lift(ham, sector, expected.real.reshape(-1, block.shape[1]), back=True)
+            np.testing.assert_allclose(out, expected, rtol=0.0,
+                                       atol=1e-12 * np.abs(expected).max())
+        assert calls[0][1].shape[1] == k + 4
+        assert {call[0] for call in calls} == set(range(len(sectors))) == set(solves)
         if k == 4:
-            assert locked  # columns locked during a run
+            assert not all(call[3].all() for call in calls)  # columns locked during the run
 
 
 def test_preconditioner_calls_no_transform(route_hams, monkeypatch):
@@ -845,6 +863,31 @@ def test_breakdown_raises_convergence_error(route_hams, monkeypatch):
         with pytest.raises(ConvergenceError, match="broke down after 0 iterations") as info:
             do.count_below(ham, k_max=8)
         assert info.value.eigenvalues.shape == (8,)
+
+
+def test_breakdown_after_an_iteration_ends_the_solve(stall_ham, monkeypatch):
+    # search directions that turn dependent once the block has iterated
+    # mean it reached its floor, as when every column is locked: the
+    # latest Ritz pairs, with fresh residuals, still prove their count,
+    # which is a lower bound although the budget did not run out
+    solver = do.lobpcg
+
+    def breaking(A, X, callback=None, **kwargs):
+        def step(values, vectors, residuals):
+            if callback(values, vectors, residuals):
+                return True
+            raise np.linalg.LinAlgError("dependent search directions")
+
+        return solver(A, X, callback=step, **kwargs)
+
+    monkeypatch.setattr(do, "lobpcg", breaking)
+    res = do.count_below(stall_ham, k_max=8)
+    assert [sector.iterations for sector in res.sectors] == [1, 1, 1]
+    assert res.is_lower_bound and not res.budget_exhausted and res.count <= 7
+    for sector in res.sectors:
+        c = sector.count
+        assert np.all(np.isfinite(sector.residuals))
+        assert c == 0 or sector.eigenvalues[c - 1] + np.linalg.norm(sector.residuals[:c]) < res.energy
 
 
 @pytest.mark.parametrize("maxiter", [0, 1, 2])
