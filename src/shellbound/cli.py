@@ -58,7 +58,8 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 # kind -> (constructor name in ``symbols`` / ``potentials``, parameter
-# names); the constructor is looked up on its module at call time
+# names); the constructor is looked up on its module at call time, but
+# for ``tabulated``, which ``_build_potential`` reads from its file
 SYMBOL_KINDS = {
     "roton": ("roton", ("delta", "mu", "p0")),
     "bcs": ("bcs", ("mu", "beta")),
@@ -70,6 +71,18 @@ POTENTIAL_KINDS = {
     "gaussian-well": ("gaussian_well", ("c", "sigma")),
     "ball-well": ("ball_well", ("c", "radius")),
     "gaussian-dimple-mix": ("gaussian_dimple_mix", ("c1", "sigma1", "c2", "sigma2")),
+    "tabulated": ("tabulated_from_file", ("path",)),
+}
+# block -> its keys, the union over the tasks that read the block; these
+# blocks, "task" and "output" are the root keys
+BLOCK_KEYS = {
+    "symbol": ("kind", "dimension", "params"),
+    "potential": ("kind", "params"),
+    "surface": ("resolution", "half_width_fraction"),
+    "spin_orbit": ("kind", "alpha"),
+    "rayleigh_ritz": ("n_states", "eps_schedule", "transverse_order"),
+    "oracle": ("box_edge", "grid", "k_max", "delta_levels"),
+    "point_test": ("n_points", "tolerance", "sets"),
 }
 
 
@@ -143,14 +156,25 @@ def _load_config(path):
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ConfigurationError("config root must be a JSON object")
-    known = {
-        "task", "symbol", "potential", "surface", "spin_orbit",
-        "rayleigh_ritz", "oracle", "point_test", "output",
-    }
-    for key in config:
-        if key not in known:
-            raise ConfigurationError(f"unknown config key '{key}'")
+    _check_keys(config, ("task", "output", *BLOCK_KEYS), "")
+    for name, keys in BLOCK_KEYS.items():
+        block = _block(config, name, required=False)
+        _check_keys(block, keys, f"{name}.")
+        # a kind's params; an unknown kind is reported when the block is built
+        kinds = {"symbol": SYMBOL_KINDS, "potential": POTENTIAL_KINDS}.get(name, {})
+        _, names = kinds.get(str(block.get("kind")), (None, None))
+        if names is not None:
+            _check_keys(_block(block, "params", required=False), names, f"{name}.params.")
     return config
+
+
+def _check_keys(block, known, prefix):
+    """Raise ``ConfigurationError`` naming ``prefix + key`` for the first key not in ``known``."""
+    from .errors import ConfigurationError
+
+    for key in block:
+        if key not in known:
+            raise ConfigurationError(f"unknown config key '{prefix}{key}'")
 
 
 def _block(config, name, required=True):

@@ -160,6 +160,12 @@ def custom_radial(radii, values, dimension: int = 2) -> DispersionSymbol:
         enough of the confining growth that the minimum is interior.
     values : array_like
         Profile samples at ``radii``.
+
+    Raises
+    ------
+    DegenerateSurfaceError
+        If the spline's minimum is at radius 0 or at either end of the
+        table (see :func:`_spline_minimum`).
     """
     from scipy.interpolate import CubicSpline
 
@@ -195,7 +201,9 @@ def _spline_minimum(spline) -> tuple[float, float]:
     ------
     DegenerateSurfaceError
         If the minimizer sits at radius 0, where there is no
-        hypersurface of extrema.
+        hypersurface of extrema, or else at the first or the last knot:
+        the table does not show the profile rising on both sides, so the
+        minimum may lie outside it.
     """
     stationary = spline.derivative().roots(extrapolate=False)
     radii = np.sort(np.concatenate([spline.x, stationary[~np.isnan(stationary)]]))
@@ -205,6 +213,11 @@ def _spline_minimum(spline) -> tuple[float, float]:
     if radius <= 1e-6 * max(1.0, float(spline.x[-1])):
         raise DegenerateSurfaceError(
             "radial profile is minimized at radius zero; no extremum shell"
+        )
+    if radius in (spline.x[0], spline.x[-1]):
+        raise DegenerateSurfaceError(
+            f"radial profile is minimized at r = {radius:.6g}, an end of its table; "
+            "the table must cover an interior minimum"
         )
     return float(values[best]), radius
 

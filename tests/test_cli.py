@@ -244,6 +244,8 @@ def test_config_errors_name_the_key(tmp_path, capsys):
 
     # malformed optional values are named too, not left to a traceback
     rr = {"n_states": 1, "eps_schedule": [0.2]}
+    table = tmp_path / "table.txt"
+    table.write_text("2 8.0 16\n" + "-1.0\n" * 256)
     oracle = {"task": "oracle", "oracle": {"box_edge": 20.0, "grid": 16}}
     point = {"task": "point-test", "point_test": {"n_points": 4}}
     malformed = [
@@ -261,6 +263,13 @@ def test_config_errors_name_the_key(tmp_path, capsys):
         ({"output": 5}, "'output'"),
         ({"symbol": {"kind": "custom-radial", "params": {"radii": "abcd", "values": [1, 0, 1, 2]}}},
          "symbol.params.radii"),
+        ({"surface": None}, "missing config block 'surface'"),
+        ({"surface": 16}, "config block 'surface' must be an object"),
+        ({"symbol": dict(MEXICAN_HAT, dimension=3),
+          "potential": {"kind": "tabulated", "params": {"path": str(table)}}},
+         "potential table dimension 2 does not match symbol dimension 3"),
+        ({"task": "spin-orbit", "spin_orbit": {"kind": "warp", "alpha": 1.0}},
+         "unknown spin_orbit.kind 'warp'"),
     ]
     for index, (override, key) in enumerate(malformed):
         config = write_config(tmp_path, {**base, "rayleigh_ritz": rr, **override}, f"m{index}.json")
@@ -349,6 +358,21 @@ def test_task_names_are_not_config_keys(tmp_path, capsys, name):
     config = dict(POINTS, **{name: {"sets": 0}})
     assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
     assert f"unknown config key '{name}'" in capsys.readouterr().err
+
+
+# a misspelt key inside a block or its params used to run with the
+# defaults, echoing the typo into the results JSON; every block present
+# is checked before any work, so these exit 1 without output
+@pytest.mark.parametrize("block, key", [("surface", "resolutoin"),
+                                        ("rayleigh_ritz", "transverse_ordr"),
+                                        ("symbol", "params.bogus")])
+def test_unknown_block_and_params_keys_are_rejected(tmp_path, capsys, block, key):
+    config = json.loads(json.dumps(CERTIFY))
+    inner = config[block]["params"] if key.startswith("params.") else config[block]
+    inner[key.split(".")[-1]] = 3
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key '{block}.{key}'\n"
+    assert not any(tmp_path.glob("rayleigh-ritz.*"))
 
 
 def test_degenerate_custom_radial_symbol_exits_1(tmp_path, capsys):
@@ -515,6 +539,8 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     broken.write_text("{not json", encoding="utf-8")
     assert cli.main(["run", str(broken)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert cli.main(["run", write_config(tmp_path, [CERTIFY], "list.json")]) == 1
+    assert capsys.readouterr().err == "error: config root must be a JSON object\n"
 
 
 def test_threads_flag_smoke(tmp_path):

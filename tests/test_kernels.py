@@ -102,6 +102,7 @@ def test_squared_distances_take_one_output_sized_buffer():
 
 
 @pytest.mark.parametrize("amplitudes, rates", [
+    ([], []),
     ([-1.0], [0.5]),
     ([-1.0, 0.4], [0.5, 2.0]),
     ([0.3, -2.0, 1.1], [1.0, 0.2, 3.0]),

@@ -324,6 +324,8 @@ def test_tabulated_sign_flag_detects_sign_changes():
     dimple = -np.exp(-r2 / 2.0) + 2.0 * np.exp(-r2 / 0.5)
     assert potentials.tabulated(dimple, edge).sign == "sign-changing"
     assert potentials.tabulated(np.zeros((16, 16)) - 1.0, 8.0).sign == "nonpositive"
+    # a table with no negative sample makes no claim
+    assert potentials.tabulated(np.zeros((16, 16)) + 1.0, 8.0).sign == "unknown"
     # the sign is read from the samples, not from the cubic interpolant,
     # which overshoots above zero between these samples of a narrow well
     axis = np.linspace(-10.0, 10.0, 41)

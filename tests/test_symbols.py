@@ -115,6 +115,18 @@ def test_custom_radial_monotone_profile_is_degenerate():
         symbols.custom_radial(radii, radii**2 + 1.0)
 
 
+@pytest.mark.parametrize("profile, end", [
+    (lambda r: 5.0 - r, 3.0),
+    (lambda r: r**2, 0.5),
+    (lambda r: np.full(r.size, 2.0), 0.5),  # a tie goes to the first radius
+], ids=["falling", "rising", "constant"])
+def test_custom_radial_minimum_at_a_table_end_is_degenerate(profile, end):
+    # the table must show the profile rising on both sides of its minimum
+    radii = np.linspace(0.5, 3.0, 20)
+    with pytest.raises(DegenerateSurfaceError, match=rf"r = {end:g}, an end of its table"):
+        symbols.custom_radial(radii, profile(radii))
+
+
 def test_custom_radial_minimum_is_computed_once(monkeypatch):
     radii = np.linspace(0.05, 6.0, 400)
     sym = symbols.custom_radial(radii, 1.0 + (radii - 2.0) ** 2 / 2.0)
