@@ -40,7 +40,13 @@ Config schema (JSON object; keys by task):
   ``n_points`` and ``sets`` are at least 1, ``tolerance`` finite and >= 0.
 - ``output``: default output directory (overridden by ``--output``).
 
-Every ``int`` above rejects booleans and non-integral numbers.
+Every ``int`` above rejects booleans and non-integral numbers. Keys are
+checked before any work: a root key, a key of a block (``BLOCK_KEYS``,
+the union over the tasks, so a config written for ``compare`` also runs
+under ``run``) or a ``params`` name of the block's kind (``path`` for
+``tabulated``) outside these lists raises ``ConfigurationError`` naming
+the dotted key, such as ``surface.resolutoin``, even in a block the
+task does not read.
 """
 
 from __future__ import annotations

@@ -767,7 +767,8 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     ------
     ConvergenceError
         If some sector's requested state misses the residual tolerance
-        within the iteration budget; the error carries the k lowest Ritz
+        within the iteration budget, or when its block reached its floor
+        first (see ``_solve``); the error carries the k lowest Ritz
         values and their residual norms.
     """
     k = int(k)
@@ -782,9 +783,10 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     values, residuals = _lowest(solved, k)
     if missed:
         worst = max(float(np.max(residuals)) for *_, residuals, _ in solved)
+        used = sum(iterations for *_, iterations in solved)
         raise ConvergenceError(
             f"{missed} sector states missed residual tolerance {tolerance:.3e} "
-            f"(worst {worst:.3e}) within {maxiter} iterations",
+            f"(worst {worst:.3e}) after {used} of {maxiter} iterations",
             eigenvalues=values,
             residuals=residuals,
         )

@@ -360,8 +360,8 @@ def test_task_names_are_not_config_keys(tmp_path, capsys, name):
     assert f"unknown config key '{name}'" in capsys.readouterr().err
 
 
-# a misspelt key inside a block or its params used to run with the
-# defaults, echoing the typo into the results JSON; every block present
+# a misspelt key inside a block or its params would run with the
+# defaults and echo the typo into the results JSON; every block present
 # is checked before any work, so these exit 1 without output
 @pytest.mark.parametrize("block, key", [("surface", "resolutoin"),
                                         ("rayleigh_ritz", "transverse_ordr"),
