@@ -143,7 +143,7 @@ def _parser():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("config", help="path to the JSON experiment config")
         cmd.add_argument("--output", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker thread count")
+        cmd.add_argument("--threads", type=_threads, default=1, help="worker thread count (>= 1)")
         cmd.add_argument("--seed", type=_seed, default=0, help="random seed (u64)")
     return parser
 
@@ -152,6 +152,13 @@ def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    return value
+
+
+def _threads(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("threads must be at least 1")
     return value
 
 

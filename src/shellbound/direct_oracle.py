@@ -110,7 +110,7 @@ class SectorCount:
     axis permutation symmetry of the tables maps it onto. ``count`` is
     the sector's Kahan-proven count (not multiplied), ``settled`` says
     whether its stop rule held, and ``eigenvalues`` and ``residuals``
-    are its wanted Ritz values and fresh residual norms.
+    are its wanted Ritz values and their residual norms.
     """
 
     parities: tuple[int, ...]
@@ -512,22 +512,25 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
     Knyazev's locally optimal block preconditioned conjugate gradient
     method (SIAM J. Sci. Comput. 23, 2001) for the ``X.shape[1]``
     smallest eigenvalues of ``A``. Each iteration applies ``M`` to the
-    whole residual block R, one column per Ritz pair, and ``A`` once, to
-    the orthonormalized preconditioned residuals W = M R of the active
-    columns, and does Rayleigh-Ritz on [X, W, P], where P holds the W
-    and P parts of the previous step. A column whose residual norm falls
-    to ``tol`` is locked for good: it stays in X but adds no W or P
-    column. When P cannot be orthonormalized, or the Gram matrix with P
-    is not positive definite, the iteration goes on without P; when W
-    cannot be orthonormalized, ``np.linalg.LinAlgError`` propagates.
+    whole residual block R, one column per Ritz pair, and ``A`` twice:
+    to the orthonormalized preconditioned residuals W = M R of the
+    active columns, and, after Rayleigh-Ritz on [X, W, P], to the new
+    Ritz block X once it is orthonormalized again. P holds the W and P
+    parts of the previous step, and A P follows them by the same linear
+    combination; A X is never formed that way, so it cannot drift from
+    X. A column whose residual norm falls to ``tol`` is locked for good:
+    it stays in X but adds no W or P column. When P cannot be
+    orthonormalized, or the Gram matrix with P is not positive definite,
+    the iteration goes on without P; when W or X cannot be
+    orthonormalized, ``np.linalg.LinAlgError`` propagates.
 
     ``A`` and ``M`` are objects whose ``.dot`` acts on column blocks.
     ``callback(values, vectors, residual_norms)`` is called after every
     iteration, never on the start block, with the ascending Ritz values,
-    the Ritz vectors (orthonormalized again at every step) and the
-    residual norms ||A x - theta x|| of the recurrence for A X; a true
-    return value stops the iteration. It also stops after ``maxiter``
-    iterations or once every column is locked.
+    the orthonormal Ritz vectors and their residual norms
+    ||A x - theta x||, taken from that iteration's apply of A to X; a
+    true return value stops the iteration. It also stops after
+    ``maxiter`` iterations or once every column is locked.
 
     Returns (values, vectors) of the last iterate.
     """
@@ -568,10 +571,10 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
         if P is not None:
             step_x += P @ coefficients[n + W.shape[1] :]
             step_ax += AP @ coefficients[n + W.shape[1] :]
-        X, AX = X @ coefficients[:n] + step_x, AX @ coefficients[:n] + step_ax
+        X = X @ coefficients[:n] + step_x
         P, AP = step_x, step_ax
-        to_orthonormal = _orthonormalizer(X)
-        X, AX = X @ to_orthonormal, AX @ to_orthonormal
+        X = X @ _orthonormalizer(X)
+        AX = A.dot(X)
         residuals = AX - X * values
         norms = _column_norms(residuals)
         if callback is not None and callback(values, X, norms):
@@ -633,14 +636,13 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     A sector iteration works on vectors a quarter of the grid's size.)
 
     After every iteration, never on the start block, the k wanted Ritz
-    values are tested with their residual norms ||H x_i - theta_i x_i||,
-    and the iteration stops as soon as ``done(values, residuals)`` holds
-    or ``maxiter`` is spent. The test first takes the norms of the
-    solver's recurrence for H X; when it passes, or the budget is
-    spent, the residuals are recomputed with a fresh apply of H to the
-    orthonormal Ritz vectors and ``done`` must hold again on them, so
-    the returned residuals and any Kahan proof drawn from them are
-    fresh. ``lowest_eigenvalues`` stops once every residual is below
+    values are tested once with their residual norms ||H x_i - theta_i x_i||,
+    which ``lobpcg`` takes from its apply of H to the orthonormal Ritz
+    vectors in that iteration, and the iteration stops as soon as
+    ``done(values, residuals)`` holds or ``maxiter`` is spent. The
+    returned residuals are those of the last test, so any Kahan proof
+    drawn from them rests on true residuals and nothing is rechecked.
+    ``lowest_eigenvalues`` stops once every residual is below
     ``tolerance``. ``count_below`` stops once the sector's count is
     settled: theta_c + ||R_{:,1..c}||_F < energy for the c values below
     the energy (Kahan's bound, see ``_kahan_count``) and theta_{c+1} -
@@ -654,9 +656,9 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     below ``tolerance`` to prove a count close to the energy. When every
     column is locked, or the search directions turn dependent after the
     first iteration (``lobpcg`` raises), before the stop rule holds, the
-    block has reached its floor: the iteration ends there, and the
-    residuals of the latest Ritz vectors are recomputed fresh. A
-    breakdown before the first iteration raises ``ConvergenceError``.
+    block has reached its floor: the iteration ends there, with the
+    values and residuals of the last iteration. A breakdown before the
+    first iteration raises ``ConvergenceError``.
 
     Returns (values, residuals, iterations), values ascending.
     """
@@ -679,24 +681,16 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
                               dtype=np.float64)
     preconditioner = LinearOperator((size, size), matvec=precond, matmat=precond, dtype=np.float64)
     start = precond(precond(kernels.uniform(rng, (size, block_size))))
-    # wanted values, Ritz vectors, residual norms, and whether those norms
-    # come from a fresh apply
-    latest = (np.full(k, np.nan), None, np.full(k, np.inf), True)
+    # the wanted values and residual norms of the latest iterate
+    latest = (np.full(k, np.nan), np.full(k, np.inf))
     used = 0
-
-    def fresh_residuals(values, vectors):
-        wanted = vectors[:, :k]
-        return np.linalg.norm(sector.matmat(wanted) - wanted * values, axis=0)
 
     def settled(values, vectors, residuals):
         nonlocal latest, used, gaps
         used += 1
         gaps = np.maximum(floor - values, ham.delta)
-        latest = (values[:k], vectors, residuals[:k], False)
-        if used < maxiter and not done(values[:k], residuals[:k]):
-            return False
-        latest = (values[:k], vectors, fresh_residuals(values[:k], vectors), True)
-        return done(latest[0], latest[2])
+        latest = (values[:k], residuals[:k])
+        return done(*latest)
 
     try:
         lobpcg(operator, start, M=preconditioner, tol=lock, maxiter=maxiter,
@@ -707,10 +701,7 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
                 f"block iteration broke down after {used} iterations: {exc}",
                 eigenvalues=latest[0],
             ) from exc
-    values, vectors, residuals, fresh = latest
-    if not fresh:  # every column locked, or the block broke down, before the stop rule held
-        residuals = fresh_residuals(values, vectors)
-    return values, residuals, used
+    return (*latest, used)
 
 
 def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,

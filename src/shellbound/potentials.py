@@ -374,8 +374,8 @@ def tabulated_from_file(path) -> Potential:
         If the header does not hold an integer dimension of 2 or 3, a
         positive finite edge and an integer sample count of at least 16
         (the values that ``tabulated`` takes), a sample is not a number,
-        or the value count is not ``samples**dimension``. Every message
-        names the file.
+        the value count is not ``samples**dimension``, or a sample is
+        NaN or infinite. Every message names the file.
     """
     path = Path(path)
     with path.open() as handle:
@@ -395,7 +395,7 @@ def tabulated_from_file(path) -> Potential:
                 raise ConfigurationError(f"grid file {path}: header field {name} must be {rule}, "
                                          f"got {value}")
         try:
-            data = np.loadtxt(handle).ravel()
+            data = np.array(handle.read().split(), dtype=np.float64)
         except ValueError as exc:
             message = f"grid file {path}: bad sample values after the header ({exc})"
             raise ConfigurationError(message) from None
@@ -404,6 +404,9 @@ def tabulated_from_file(path) -> Potential:
         raise ConfigurationError(
             f"grid file {path}: holds {data.size} values, expected {expected}"
         )
+    bad = np.count_nonzero(~np.isfinite(data))
+    if bad:
+        raise ConfigurationError(f"grid file {path}: {bad} of {expected} samples are not finite")
     return tabulated(data.reshape((samples,) * dimension), edge, dimension)
 
 

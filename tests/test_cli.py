@@ -493,6 +493,13 @@ def test_compare_builds_a_tabulated_potential_once(tmp_path, monkeypatch):
     ("2 8.0 16\n-1.0\n-1.0\nx\n-1.0\n", "bad sample values"),
     ("2 8.0\n-1.0\n", "header must be: dimension edge samples"),
     ("2 8.0 16\n-1.0\n-1.0\n-1.0\n", "holds 3 values, expected 256"),
+    # a header with no samples is the same count error, with no warning line
+    ("2 8.0 16\n", "holds 0 values, expected 256"),
+    # non-finite samples are rejected here, so the error names the file
+    pytest.param("2 8.0 16\n" + "nan\n" * 256, "256 of 256 samples are not finite",
+                 id="nan-samples"),
+    pytest.param("2 8.0 16\n" + "-1.0\n" * 255 + "-inf\n", "1 of 256 samples are not finite",
+                 id="inf-sample"),
     ("2 8.0 -4\n" + "-1.0\n" * 16, "header field samples must be at least 16, got -4"),
     # tabulated needs 16 samples per edge; the header check names the file
     ("2 8.0 8\n" + "-1.0\n" * 64, "header field samples must be at least 16, got 8"),
@@ -559,6 +566,14 @@ def test_seed_must_be_u64():
         cli.main(["run", "whatever.json", "--seed", "-1"])
     with pytest.raises(SystemExit):
         cli.main(["run", "whatever.json", "--seed", str(2**64)])
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_must_be_positive(threads, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "whatever.json", "--threads", threads])
+    assert info.value.code == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_optional_scipy_unloaded():

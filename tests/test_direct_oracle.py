@@ -430,6 +430,27 @@ def test_count_at_the_floor_is_not_an_exhausted_budget(dimple_ham, dimple_third,
     assert stalled and all(sector.residuals.max() < 1e-5 * res.tolerance for sector in stalled)
 
 
+@pytest.fixture(scope="module")
+def stall_lowest(stall_ham):
+    # the two lowest values, about -0.5113465 and -0.1991799
+    return do.lowest_eigenvalues(stall_ham, 4, maxiter=900)[:2]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_count_at_an_eigenvalue_ends_within_the_budget(stall_ham, stall_lowest, which, seed):
+    # no residual settles a count whose energy is an eigenvalue, so the
+    # solve runs until its block reaches the floor. The residuals that
+    # stop it come from an apply of H to the Ritz block in each iteration,
+    # so they cannot drift away from the iterate and hold it short of the
+    # lock level until the budget is spent, and the lowest Ritz value
+    # stays on the lowest eigenvalue
+    res = do.count_below(stall_ham, stall_lowest[which], k_max=4, seed=seed, maxiter=900)
+    assert not res.budget_exhausted and res.iterations < 900
+    if which == 0:
+        assert abs(res.eigenvalues[0] - stall_lowest[0]) < 1e-8
+
+
 def test_full_window_is_flagged(stall_ham):
     # 7 states lie below the energy, so a window of 5 cannot see the rest;
     # a window of 7 is full too, though no sector's own window is. At
@@ -714,8 +735,8 @@ def test_lobpcg_callback_sees_every_iteration_and_can_stop():
 
 @pytest.mark.parametrize("maxiter", [2, 1500])
 def test_solve_returns_fresh_residuals(route_hams, monkeypatch, maxiter):
-    # the stop rule and the reported residuals use a fresh apply of H to
-    # the orthonormal Ritz vectors, not the solver's recurrence for H X;
+    # the stop rule and the reported residuals are those that lobpcg takes
+    # from its apply of H to the orthonormal Ritz vectors in each iteration;
     # the sector's own apply is checked against the whole grid's in
     # test_sector_matmat_equals_apply_on_the_mirrored_grid
     steps = []
