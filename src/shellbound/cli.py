@@ -40,8 +40,11 @@ Config schema (JSON object; keys by task):
   ``n_points`` and ``sets`` are at least 1, ``tolerance`` finite and >= 0.
 - ``output``: default output directory (overridden by ``--output``).
 
-Every ``int`` above rejects booleans and non-integral numbers. Keys are
-checked before any work: a root key, a key of a block (``BLOCK_KEYS``,
+Every ``int``, ``float`` and list entry above, and every ``params``
+value but ``path``, takes JSON numbers only: a boolean or a string such
+as ``"1.0"`` raises ``ConfigurationError`` naming the dotted key, and an
+``int`` also rejects non-integral numbers. Keys are checked before any
+work: a root key, a key of a block (``BLOCK_KEYS``,
 the union over the tasks, so a config written for ``compare`` also runs
 under ``run``) or a ``params`` name of the block's kind (``path`` for
 ``tabulated``) outside these lists raises ``ConfigurationError`` naming
@@ -203,7 +206,14 @@ def _block(config, name, required=True):
     return block
 
 
-def _need(block, name, path, kind=float, default=None):
+def _number(value) -> float:
+    """The default ``_need`` kind: ``float`` of a JSON number, never of a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _need(block, name, path, kind=_number, default=None):
     """``kind(block[name])``, or ``default`` when the key is absent and a default is given.
 
     A missing required key or a value ``kind`` rejects raises
@@ -218,13 +228,13 @@ def _need(block, name, path, kind=float, default=None):
         return default
     try:
         return kind(block[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"config key '{key}' is malformed: {exc}") from exc
 
 
 def _integer(value) -> int:
-    """A ``_need`` kind for integer keys: ``int(value)``, but no boolean or fraction."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """A ``_need`` kind for integer keys: a JSON number with an integral value."""
+    if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -238,8 +248,10 @@ def _count(value) -> int:
 
 
 def _floats(values) -> list:
-    """A ``_need`` kind for lists of numbers: ``float`` of each element."""
-    return [float(value) for value in values]
+    """A ``_need`` kind for lists of numbers: ``_number`` of each element."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return [_number(value) for value in values]
 
 
 def _construct(module, kinds, path, kind, block, dimension):
@@ -251,7 +263,7 @@ def _construct(module, kinds, path, kind, block, dimension):
         raise ConfigurationError(f"unknown {path}.kind '{kind}'")
     constructor, names = kinds[kind]
     # custom-radial's profile samples are lists of numbers, every other parameter a float
-    value_kind = _floats if kind == "custom-radial" else float
+    value_kind = _floats if kind == "custom-radial" else _number
     values = [_need(params, name, f"{path}.params", value_kind) for name in names]
     return getattr(module, constructor)(*values, dimension)
 
@@ -375,7 +387,7 @@ def _certify(config, symbol, potential, mesh, surface_block):
         symbol, potential, mesh,
         _need(rr, "n_states", "rayleigh_ritz", _integer),
         _need(rr, "eps_schedule", "rayleigh_ritz", _floats, rayleigh_ritz.DEFAULT_SCHEDULE),
-        half_width_fraction=_need(surface_block, "half_width_fraction", "surface", float,
+        half_width_fraction=_need(surface_block, "half_width_fraction", "surface", _number,
                                   surface.DEFAULT_HALF_WIDTH_FRACTION),
         transverse_order=_need(rr, "transverse_order", "rayleigh_ritz", _integer,
                                rayleigh_ritz.DEFAULT_TRANSVERSE_ORDER),
@@ -397,7 +409,7 @@ def _task_point_test(config, seed):
     potential = _build_potential(config, symbol.dimension)
     block = _block(config, "point_test")
     n_points = _need(block, "n_points", "point_test", _count)
-    tolerance = _need(block, "tolerance", "point_test", float, 1e-12)
+    tolerance = _need(block, "tolerance", "point_test", _number, 1e-12)
     sets = _need(block, "sets", "point_test", _count, 1)
     _, radius = symbol.find_minimum()
     stream = random.Random(seed)
@@ -455,7 +467,7 @@ def _count_oracle(config, seed, symbol, potential):
         symbol, potential,
         _need(block, "box_edge", "oracle"),
         _need(block, "grid", "oracle", _integer),
-        _need(block, "delta_levels", "oracle", float, 3.0),
+        _need(block, "delta_levels", "oracle", _number, 3.0),
     )
     outcome = direct_oracle.count_below(ham, k_max=k_max, seed=seed)
     payload = {

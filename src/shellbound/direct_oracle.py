@@ -15,8 +15,9 @@ Sectors that an axis permutation maps onto each other are solved once
 and counted with a multiplicity, but only when both tables are exactly
 invariant under that permutation. H0 and a radial V are evaluated on
 sorted absolute coordinates, so on a radial problem every permutation
-holds exactly: 2-D solves EE, EO (x2) and OO, 3-D EEE, EEO (x3), EOO
-(x3) and OOO. Every other problem is the one sector of the whole grid.
+holds exactly: 2-D solves EO (x2), EE and OO, 3-D EEO (x3), EOO (x3),
+EEE and OOO, in that order, the largest multiplicity first. Every other
+problem is the one sector of the whole grid.
 
 Every sector is solved in its dual-lattice coordinates y = T x, where
 T is one real orthogonal symmetric matrix per axis, its own inverse: the
@@ -138,13 +139,14 @@ class CountResult:
     column locked at roundoff or its search directions dependent, as at
     an energy that is an eigenvalue, with budget to spare; or the sum
     reached ``k_max``, so more states may follow beyond the window.
-    ``eigenvalues`` and ``residuals`` are the ``k_max`` lowest sector
-    Ritz values, each repeated by its multiplicity, with their residual
-    norms; ``sectors`` holds the per-sector counts. ``tolerance`` is the
-    residual norm at which an eigenpair counts as converged (1e-8 of the
-    spectral scale). ``iterations`` is the exact number of block
-    iterations run over all sectors: the stop rule is tested after each
-    one.
+    ``eigenvalues`` and ``residuals`` are the ``k_max`` lowest of the
+    sectors' wanted Ritz values, each repeated by its multiplicity, with
+    their residual norms (a sector solved for fewer states than the
+    window may hold more below them); ``sectors`` holds the per-sector
+    counts in solve order. ``tolerance`` is the residual norm at which
+    an eigenpair counts as converged (1e-8 of the spectral scale).
+    ``iterations`` is the exact number of block iterations run over all
+    sectors: the stop rule is tested after each one.
     """
 
     count: int
@@ -375,13 +377,16 @@ def _full_sector(ham: GridHamiltonian) -> _Sector:
 
 
 def _sectors(ham: GridHamiltonian) -> list[_Sector]:
-    """The sectors that ``count_below`` and ``lowest_eigenvalues`` solve one at a time.
+    """The sectors that ``count_below`` and ``lowest_eigenvalues`` solve one at a time, in order.
 
     Parity sectors need an even grid and tables that are each exactly
     even under j -> -j mod G on every axis; two sectors merge into one
     with multiplicity 2 (or more) when an axis permutation maps one onto
     the other and leaves both tables exactly unchanged. Anything else is
-    the one sector of the whole grid.
+    the one sector of the whole grid. The list runs from the largest
+    multiplicity down, ties in parity order (even before odd, axis by
+    axis), so the sectors whose states fill the most places of a count
+    are solved first.
     """
     tables = [ham.symbol_table]
     if ham.potential_table is not None:
@@ -403,7 +408,7 @@ def _sectors(ham: GridHamiltonian) -> list[_Sector]:
         orbit = {tuple(parities[axis] for axis in permutation) for permutation in symmetries}
         seen |= orbit
         sectors.append(_sector(ham, parities, len(orbit)))
-    return sectors
+    return sorted(sectors, key=lambda sector: -sector.multiplicity)
 
 
 def apply(ham: GridHamiltonian, psi) -> np.ndarray:
@@ -615,25 +620,28 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
     H0 all scale with H, so multiplying H0 and V by lambda multiplies
     the preconditioner by 1/lambda, the start block by 1/lambda^2, and
     leaves the iterates unchanged. Iterations to settle ``count_below``
-    in each sector (range over seeds) on the 2-D mexican hat with a
-    Gaussian well of depth c and width 1, box 40/p0, grid 64, k_max 8
-    (so EO, of multiplicity 2, is solved for 4 states), and the
+    in each sector, in solve order (range over seeds), on the 2-D
+    mexican hat with a Gaussian well of depth c and width 1, box 40/p0,
+    grid 64, k_max 8 (so EO, of multiplicity 2, is solved first, for 4
+    states, and EE and OO for the places still open), and the
     whole-grid route (one sector on the Hartley basis) on the same
     problems for comparison:
 
         ======  ===  ===  ===  =====  ==========
-        c, p0   EE   EO   OO   total  whole grid
+        c, p0   EO   EE   OO   total  whole grid
         ======  ===  ===  ===  =====  ==========
-        1, 1    2-3  4    2    8-9    5
-        0.5, 1  3    2    1-2  6-7    4
-        1, 0.5  5    2    2    9      6
-        1, 2    2    3    2    7      4
+        1, 1    4    3    2    9      5
+        0.5, 1  2    3    1-2  6-7    4
+        1, 0.5  2    5    2    9      6
+        1, 2    3-4  2    2    7-8    4
         ======  ===  ===  ===  =====  ==========
 
     (12 seeds in the first row, 4 in the others; both routes give the
     same count at every seed, 7, 5, 5 and 8, and in the last row the
     sector counts add up to more than k_max, so that count is flagged.
-    A sector iteration works on vectors a quarter of the grid's size.)
+    A sector iteration works on vectors a quarter of the grid's size,
+    and in the first row EE and OO iterate on blocks of 8 and 6
+    columns, not 12.)
 
     After every iteration, never on the start block, the k wanted Ritz
     values are tested once with their residual norms ||H x_i - theta_i x_i||,
@@ -705,16 +713,22 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
 
 
 def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,
-                   done) -> list[tuple[tuple[int, ...], int, np.ndarray, np.ndarray, int]]:
+                   rule) -> list[tuple[tuple[int, ...], int, np.ndarray, np.ndarray, int]]:
     """``_solve`` on each sector in turn, within one budget and one random stream.
 
-    A sector of multiplicity m is solved for its ceil(k / m) lowest
-    states (at most its size): each of its values fills m places of the
-    merged list, so that many fill the k places alone. Every start block
-    is drawn from one ``random.Random(seed)``, and each sector gets the
-    iterations that the earlier ones left, so the total stays within
-    ``maxiter``. Returns (parities, multiplicity, values, residuals,
-    iterations) per sector.
+    ``rule(values, residuals)`` returns (found, final): the states of the
+    sector that the later ones need not look for, and whether its solve
+    may stop (``_solve``'s ``done``). The sectors come in the order of
+    ``_sectors``, largest multiplicity first. With F places filled by the
+    sectors before it, found times multiplicity, a sector of
+    multiplicity m is solved for its ceil((k - F) / m) lowest states, at
+    least 1 and at most its size: each of its values fills m places of
+    the merged list, so that many fill the k - F places still open. The
+    first sector's window, ceil(k / m), fills all k places alone. Every
+    start block is drawn from one ``random.Random(seed)``, and each
+    sector gets the iterations that the earlier ones left, so the total
+    stays within ``maxiter``. Returns (parities, multiplicity, values,
+    residuals, iterations) per sector.
 
     With V identically zero the operator is diagonal in the plane-wave
     basis: the k lowest entries of the sorted symbol table are exact
@@ -725,12 +739,14 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
         values = np.sort(ham.symbol_table.ravel())[:k]
         return [((), 1, values, np.zeros(values.size), 0)]
     rng = random.Random(seed)
-    solved, used = [], 0
+    solved, used, filled = [], 0, 0
     for sector in _sectors(ham):
-        window = min(math.ceil(k / sector.multiplicity), sector.size)
+        window = min(max(math.ceil((k - filled) / sector.multiplicity), 1), sector.size)
         values, residuals, iterations = _solve(
-            ham, sector, window, rng, maxiter - used, tolerance, done)
+            ham, sector, window, rng, maxiter - used, tolerance,
+            lambda values, residuals: rule(values, residuals)[1])
         used += iterations
+        filled += sector.multiplicity * rule(values, residuals)[0]
         solved.append((sector.parities, sector.multiplicity, values, residuals, iterations))
     return solved
 
@@ -768,8 +784,9 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
     if k > ham.size:
         raise PreconditionError("k exceeds the discretization size")
     tolerance = _residual_tolerance(ham)
+    # every sector may hold some of the k lowest values, so none is found early
     solved = _solve_sectors(ham, k, seed, maxiter, tolerance,
-                            lambda values, residuals: residuals.max() < tolerance)
+                            lambda values, residuals: (0, residuals.max() < tolerance))
     missed = sum(int(np.count_nonzero(~(residuals < tolerance))) for *_, residuals, _ in solved)
     values, residuals = _lowest(solved, k)
     if missed:
@@ -797,10 +814,12 @@ def _kahan_count(values: np.ndarray, residuals: np.ndarray, energy: float) -> tu
     theta_{c+1} - ||r_{c+1}|| > energy, or the window holds no next one.
     A full window is final only as a lower count: more states may lie
     beyond it. ``count_below`` solves a sector of multiplicity m for
-    ceil(k_max / m) states, so a full sector window adds at least
-    m ceil(k_max / m) >= k_max to the sum, and the count is capped at
-    k_max and flagged; a window cut to the sector's size holds the whole
-    sector and is exact.
+    ceil((k_max - F) / m) states, where F is the sum of the proven
+    counts, times multiplicity, of the sectors solved before it, so a
+    full sector window adds at least m ceil((k_max - F) / m) >= k_max - F
+    to a sum that already holds F: the sum reaches k_max, and the count
+    is capped at k_max and flagged. A window cut to the sector's size
+    holds the whole sector and is exact.
     """
     below = int(np.count_nonzero(values < energy))
     proven = int(np.count_nonzero(values + np.sqrt(np.cumsum(residuals**2)) < energy))
@@ -817,11 +836,15 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     minus the finite-box buffer, so quasi-continuum states piled up at
     the edge are not mistaken for bound states.
 
-    Each sector (see ``_sectors``) of multiplicity m is solved for its
-    ceil(k_max / m) lowest states, one after another, with start blocks
-    drawn from one ``random.Random(seed)``, and its block iteration
-    stops as soon as its count is settled rather than when every Ritz
-    value meets the residual tolerance: the c Ritz values below the energy satisfy
+    The sectors (see ``_sectors``) are solved one after another, the
+    largest multiplicity first, with start blocks drawn from one
+    ``random.Random(seed)``. A sector of multiplicity m is solved for its
+    ceil((k_max - F) / m) lowest states, at least 1, where F is the count
+    already proven by the sectors before it, each times its multiplicity:
+    only the k_max - F places still open can change the answer. Its
+    block iteration stops as soon as its count is settled rather than
+    when every Ritz value meets the residual tolerance: the c Ritz values
+    below the energy satisfy
     theta_c + ||R_{:,1..c}||_F < energy, which by Kahan's theorem proves
     c eigenvalues of the sector below it, and the next Ritz value clears
     the energy by more than its residual norm. The guard value just
@@ -865,7 +888,7 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
         )
     tolerance = _residual_tolerance(ham)
     solved = _solve_sectors(ham, k_max, seed, maxiter, tolerance,
-                            lambda values, residuals: _kahan_count(values, residuals, energy)[1])
+                            lambda values, residuals: _kahan_count(values, residuals, energy))
     sectors = tuple(
         SectorCount(parities, multiplicity,
                     *_kahan_count(values, residuals, energy), iterations, values, residuals)

@@ -320,6 +320,26 @@ def test_count_keys_reject_booleans_fractions_and_empty_counts(
     assert not any(tmp_path.glob(f"{config['task']}.*"))
 
 
+NOT_NUMBERS = [
+    (CERTIFY, "rayleigh_ritz", {"eps_schedule": [True, "0.1"]}, "rayleigh_ritz.eps_schedule"),
+    (SPECTRUM, "potential", {"params": {"c": True, "sigma": 1.0}}, "potential.params.c"),
+    (SPECTRUM, "potential", {"params": {"c": 1.0, "sigma": "1.0"}}, "potential.params.sigma"),
+    (SPECTRUM, "symbol", {"dimension": "2"}, "symbol.dimension"),
+    (SPECTRUM, "surface", {"resolution": "16"}, "surface.resolution"),
+]
+
+
+@pytest.mark.parametrize("config, block, values, key", NOT_NUMBERS,
+                         ids=[key for *_, key in NOT_NUMBERS])
+def test_numeric_keys_take_json_numbers_only(tmp_path, capsys, config, block, values, key):
+    # float() and int() convert strings and booleans, so [true, "0.1"]
+    # ran as [1.0, 0.1] and "16" as 16; the message names the dotted key
+    config = dict(config, **{block: dict(config[block], **values)})
+    assert cli.main(["run", write_config(tmp_path, config), "--output", str(tmp_path)]) == 1
+    assert f"config key '{key}' is malformed" in capsys.readouterr().err
+    assert not any(tmp_path.glob(f"{config['task']}.*"))
+
+
 BAD_SETTINGS = [
     (ORACLE, "oracle", "delta_levels", float("nan")),
     (ORACLE, "oracle", "delta_levels", float("inf")),

@@ -30,6 +30,13 @@ def dimple_ham():
     return quiet_build(SYMBOL, pot, 15.0, 48)
 
 
+@pytest.fixture(scope="module")
+def dimple_dense(dimple_ham):
+    # the dense 2304^2 operator from apply on unit columns, and its spectrum
+    dense = do.apply(dimple_ham, np.eye(dimple_ham.size))
+    return dense, np.linalg.eigvalsh(0.5 * (dense + dense.T))
+
+
 def test_tables_shapes_and_values():
     pot = potentials.gaussian_well(1.0, 1.0, dimension=2)
     with warnings.catch_warnings():
@@ -152,11 +159,10 @@ def test_apply_shapes_and_linearity(dimple_ham):
         do.apply(ham, np.zeros(ham.size + 1))
 
 
-def test_matches_dense_diagonalization(dimple_ham):
+def test_matches_dense_diagonalization(dimple_ham, dimple_dense):
     ham = dimple_ham
-    dense = do.apply(ham, np.eye(ham.size))
+    dense, reference = dimple_dense
     assert np.abs(dense - dense.T).max() < 1e-12 * ham.spectral_scale
-    reference = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     values = do.lowest_eigenvalues(ham, 6, maxiter=900)
     np.testing.assert_allclose(values, reference[:6], rtol=0.0, atol=5e-12)
     assert abs(reference[0] - -0.1071999) < 1e-6
@@ -407,20 +413,24 @@ def test_budget_exhaustion_flags_lower_bound(stall_ham):
 
 @pytest.fixture(scope="module")
 def dimple_third(dimple_ham):
-    # the third lowest value, about -0.0588161116801534, with its residual
-    # below the reporting tolerance, 1e-8 of the spectral scale
+    # the third lowest Ritz value, about -0.0588161116801534, with its
+    # residual below the reporting tolerance, 1e-8 of the spectral scale;
+    # it sits some 1e-14 above the dense third eigenvalue
     return do.lowest_eigenvalues(dimple_ham, 6, maxiter=900)[2]
 
 
 @pytest.mark.parametrize("shift", [1e-10, 1e-13, 0.0])
-def test_count_at_the_floor_is_not_an_exhausted_budget(dimple_ham, dimple_third, shift):
+def test_count_at_the_floor_is_not_an_exhausted_budget(dimple_ham, dimple_dense, dimple_third,
+                                                        shift):
     # Kahan's rule proves the third state 1e-10 or 1e-13 below the energy
     # only from residuals far below the reporting tolerance, so columns
-    # lock at roundoff alone and those counts settle. At the eigenvalue no
+    # lock at roundoff alone and those counts settle. At the eigenvalue,
+    # the dense third one (a Ritz value may sit above it by roundoff), no
     # residual settles the count: the solve ends once every column is
     # locked, well within the budget, and the count is a lower bound for
     # that reason, not because the budget ran out
-    res = do.count_below(dimple_ham, dimple_third + shift, k_max=6, maxiter=900)
+    energy = dimple_third + shift if shift else dimple_dense[1][2]
+    res = do.count_below(dimple_ham, energy, k_max=6, maxiter=900)
     assert not res.budget_exhausted and res.iterations < 900
     if shift:
         assert res.count == 3 and not res.is_lower_bound
@@ -452,19 +462,31 @@ def test_count_at_an_eigenvalue_ends_within_the_budget(stall_ham, stall_lowest, 
 
 
 def test_full_window_is_flagged(stall_ham):
-    # 7 states lie below the energy, so a window of 5 cannot see the rest;
-    # a window of 7 is full too, though no sector's own window is. At
-    # k_max 3 the merged EO sector's own window of ceil(3 / 2) = 2 is
-    # full: its 2 states fill 4 places, so the count is capped and flagged
+    # 7 states lie below the energy, so a window of 5 or 7 cannot see the
+    # rest. The merged EO sector is solved first, for ceil(k_max / 2)
+    # states; at k_max 3 its window of 2 is full: its 2 states fill 4
+    # places, so the count is capped and flagged
     for k_max in (3, 5, 7):
         res = do.count_below(stall_ham, k_max=k_max)
         assert res.count == k_max
         assert res.is_lower_bound and not res.budget_exhausted
         assert np.all(res.eigenvalues < res.energy)
-        merged = res.sectors[1]
-        assert merged.multiplicity == 2 and merged.eigenvalues.size == math.ceil(k_max / 2)
+        [merged] = [sector for sector in res.sectors if sector.multiplicity == 2]
+        assert merged.eigenvalues.size == math.ceil(k_max / 2)
         full = merged.count == merged.eigenvalues.size
         assert merged.settled and full == (k_max == 3)
+
+
+def test_a_later_sector_whose_open_window_fills_is_flagged(stall_ham):
+    # at k_max 5 EO proves its 2 states, which fill 4 places, so EE is
+    # solved for the one place still open; its window fills with the
+    # lower of its 2 states and the count is capped at 5 and flagged.
+    # OO, with no place left, is still solved for one state
+    res = do.count_below(stall_ham, k_max=5)
+    assert [(s.parities, s.multiplicity, s.count, s.eigenvalues.size) for s in res.sectors] == [
+        ((1, -1), 2, 2, 3), ((1, 1), 1, 1, 1), ((-1, -1), 1, 1, 1)]
+    assert all(sector.settled for sector in res.sectors)
+    assert res.count == 5 and res.is_lower_bound and not res.budget_exhausted
 
 
 def _windows(monkeypatch, whole=None):
@@ -482,20 +504,24 @@ def _windows(monkeypatch, whole=None):
 
 def test_merged_sectors_are_solved_for_their_share_of_the_window(stall_ham, monkeypatch):
     # a sector of multiplicity m fills m places of the merged list per
-    # value, so ceil(k / m) values fill the window; solving each sector
-    # for the whole window gives the same counts and flags at every seed
+    # value, so ceil(k / m) values fill the places still open. A count
+    # solves EO first, for 4 states; its 2 proven states fill 4 places,
+    # EE's 2 two more, which leaves OO a window of 2. The k lowest values
+    # may lie in any sector, so lowest_eigenvalues keeps ceil(k / m).
+    # Solving each sector for the whole window gives the same counts and
+    # flags at every seed
     windows = _windows(monkeypatch)
     counts = [do.count_below(stall_ham, k_max=8, seed=seed) for seed in range(12)]
-    assert windows[:3] == [(1, 8), (2, 4), (1, 8)]
+    assert windows[:3] == [(2, 4), (1, 4), (1, 2)]
     windows.clear()
     do.lowest_eigenvalues(stall_ham, 5)
-    assert windows == [(1, 5), (2, 3), (1, 5)]
+    assert windows == [(2, 3), (1, 5), (1, 5)]
     windows = _windows(monkeypatch, whole=8)
     for seed, res in enumerate(counts):
         full = do.count_below(stall_ham, k_max=8, seed=seed)
         assert (res.count, res.is_lower_bound) == (full.count, full.is_lower_bound) == (7, False)
         assert [s.count for s in res.sectors] == [s.count for s in full.sectors] == [2, 2, 1]
-    assert windows[:3] == [(1, 8), (2, 8), (1, 8)]
+    assert windows[:3] == [(2, 8), (1, 8), (1, 8)]
 
 
 def test_start_blocks_come_from_one_seeded_stream(stall_ham, monkeypatch):
@@ -511,10 +537,11 @@ def test_start_blocks_come_from_one_seeded_stream(stall_ham, monkeypatch):
         starts.clear()
         do.count_below(stall_ham, k_max=8, seed=seed)
         runs.append(list(starts))
-    assert len(runs[0]) == 3
+    # EO (4 states), EE (4) and OO (2), each with 4 guard columns
+    assert [start.shape[1] for start in runs[0]] == [8, 8, 6]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0], runs[1]))
     assert not any(np.array_equal(a, b) for a, b in zip(runs[0], runs[2]))
-    # the sectors draw their blocks one after another from one stream, and
+    # the sectors draw their blocks in the order of _sectors from one stream, and
     # each is taken twice through the preconditioner at its cap: weighted
     # by (H0 - min H0 + delta)^-2 on the sector's dual lattice
     stream = random.Random(0)
@@ -524,11 +551,10 @@ def test_start_blocks_come_from_one_seeded_stream(stall_ham, monkeypatch):
         assert np.array_equal(start, kernels.uniform(stream, start.shape) / gap / gap)
 
 
-def test_count_matches_dense_across_seeds(dimple_ham, monkeypatch):
+def test_count_matches_dense_across_seeds(dimple_ham, dimple_dense, monkeypatch):
     # the sector route and the whole-grid route count alike, and both
     # equal the dense count
-    dense = do.apply(dimple_ham, np.eye(dimple_ham.size))
-    reference = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    _, reference = dimple_dense
     by_sectors = [do.count_below(dimple_ham, k_max=6, seed=seed) for seed in (0, 1, 2, 5, 11)]
     _whole_grid(monkeypatch)
     for seed, res in zip((0, 1, 2, 5, 11), by_sectors):
@@ -562,7 +588,7 @@ def test_3d_radial_tables_are_exactly_swap_symmetric(monkeypatch):
     well = potentials.gaussian_well(1.0, 1.0, dimension=3)
     ham = quiet_build(symbol, well, 14.0, 20)
     assert [(s.parities, s.multiplicity) for s in do._sectors(ham)] == [
-        ((1, 1, 1), 1), ((1, 1, -1), 3), ((1, -1, -1), 3), ((-1, -1, -1), 1)]
+        ((1, 1, -1), 3), ((1, -1, -1), 3), ((1, 1, 1), 1), ((-1, -1, -1), 1)]
     axis_k = 2.0 * np.pi * np.fft.fftfreq(20, d=14.0 / 20)
     axis_x = (np.arange(20) - 10) * (14.0 / 20)
     in_axis_order = dataclasses.replace(
@@ -654,9 +680,10 @@ def test_a_symbol_table_that_is_not_even_is_rejected(stall_ham):
 
 def test_sectors_follow_the_symmetry_of_the_tables(stall_ham):
     x, y = _centred_axes(stall_ham)
-    # radial: EE, OO and the pair EO/OE merged by the axis swap
+    # radial: the pair EO/OE merged by the axis swap, solved first, then
+    # EE and OO
     assert [(s.parities, s.multiplicity) for s in do._sectors(stall_ham)] == [
-        ((1, 1), 1), ((1, -1), 2), ((-1, -1), 1)]
+        ((1, -1), 2), ((1, 1), 1), ((-1, -1), 1)]
     # axis-aligned anisotropic well: even in each axis, but no swap
     anisotropic = dataclasses.replace(
         stall_ham, potential_table=-np.exp(-0.5 * ((x / 1.2) ** 2 + (y / 0.8) ** 2)))
@@ -777,7 +804,9 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
     # is formed on the whole grid by FFT, with the block lifted from its
     # dual-lattice coefficients. Columns lock only at roundoff, so k = 4
     # counts at an eigenvalue, which no residual can settle: the columns
-    # converge until some reach the floor and lock
+    # converge until some reach the floor and lock. On the sector route
+    # that eigenvalue lies in OO, solved last for the one place still
+    # open, whose 5 columns take some 50 iterations to reach the floor
     calls, solves = [], []
     solver = do.lobpcg
 
@@ -808,7 +837,7 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
         energy = ham.minimum - ham.delta if k == 8 else do.lowest_eigenvalues(ham, k)[-1]
         calls.clear()
         solves.clear()
-        do.count_below(ham, energy, k_max=k, maxiter=40)
+        do.count_below(ham, energy, k_max=k, maxiter=80)
         for solve, block, out, active, values in calls:
             sector = sectors[solve]
             assert block.shape[1] == active.size  # every column of the sector's block
@@ -819,7 +848,8 @@ def test_preconditioner_shifts_each_unlocked_column_by_its_ritz_value(route_hams
             expected = _lift(ham, sector, expected.real.reshape(-1, block.shape[1]), back=True)
             np.testing.assert_allclose(out, expected, rtol=0.0,
                                        atol=1e-12 * np.abs(expected).max())
-        assert calls[0][1].shape[1] == k + 4
+        # the first sector solved has the largest multiplicity m and ceil(k / m) states
+        assert calls[0][1].shape[1] == math.ceil(k / sectors[0].multiplicity) + 4
         assert {call[0] for call in calls} == set(range(len(sectors))) == set(solves)
         if k == 4:
             assert not all(call[3].all() for call in calls)  # columns locked during the run
@@ -880,10 +910,10 @@ def test_breakdown_raises_convergence_error(route_hams, monkeypatch):
         return solver(A, X, M=zero, **kwargs)
 
     monkeypatch.setattr(do, "lobpcg", without_directions)
-    for ham in route_hams:
+    for ham, window in zip(route_hams, (4, 8)):  # EO's ceil(8 / 2), the whole grid's 8
         with pytest.raises(ConvergenceError, match="broke down after 0 iterations") as info:
             do.count_below(ham, k_max=8)
-        assert info.value.eigenvalues.shape == (8,)
+        assert info.value.eigenvalues.shape == (window,)
 
 
 def test_breakdown_after_an_iteration_ends_the_solve(stall_ham, monkeypatch):
