@@ -139,11 +139,15 @@ class CountResult:
     column locked at roundoff or its search directions dependent, as at
     an energy that is an eigenvalue, with budget to spare; or the sum
     reached ``k_max``, so more states may follow beyond the window.
-    ``eigenvalues`` and ``residuals`` are the ``k_max`` lowest of the
-    sectors' wanted Ritz values, each repeated by its multiplicity, with
-    their residual norms (a sector solved for fewer states than the
-    window may hold more below them); ``sectors`` holds the per-sector
-    counts in solve order. ``tolerance`` is the residual norm at which
+    ``eigenvalues`` and ``residuals`` are the lowest sector Ritz values,
+    at most ``k_max``, each repeated by its multiplicity, with their
+    residual norms. The list stops at the lowest top value of a sector
+    window that does not hold its whole sector, since that sector was
+    not searched above it, so no sector leaves out a value below the
+    list's last one; it may hold fewer than ``k_max`` values. Values
+    above the energy need not meet ``tolerance``: a sector's solve ends
+    once its count settles. ``sectors`` holds the per-sector counts in
+    solve order. ``tolerance`` is the residual norm at which
     an eigenpair counts as converged (1e-8 of the spectral scale).
     ``iterations`` is the exact number of block iterations run over all
     sectors: the stop rule is tested after each one.
@@ -524,7 +528,12 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
     parts of the previous step, and A P follows them by the same linear
     combination; A X is never formed that way, so it cannot drift from
     X. A column whose residual norm falls to ``tol`` is locked for good:
-    it stays in X but adds no W or P column. When P cannot be
+    it stays in X but adds no W or P column. Once a column is locked,
+    A is applied to P together with X, in the same call, instead: near
+    convergence the W and P parts of a step cancel, so the recurrence
+    error of A P grows from one iteration to the next, and the
+    Rayleigh-Ritz step would carry it into the locked columns, which no
+    longer receive corrections. When P cannot be
     orthonormalized, or the Gram matrix with P is not positive definite,
     the iteration goes on without P; when W or X cannot be
     orthonormalized, ``np.linalg.LinAlgError`` propagates.
@@ -579,7 +588,10 @@ def lobpcg(A, X, M=None, tol=0.0, maxiter=20, callback=None):
         X = X @ coefficients[:n] + step_x
         P, AP = step_x, step_ax
         X = X @ _orthonormalizer(X)
-        AX = A.dot(X)
+        if active.all():
+            AX = A.dot(X)
+        else:  # a locked column takes no more corrections, so A P must not drift
+            AX, AP = np.hsplit(A.dot(np.hstack([X, P])), [n])
         residuals = AX - X * values
         norms = _column_norms(residuals)
         if callback is not None and callback(values, X, norms):
@@ -713,7 +725,8 @@ def _solve(ham: GridHamiltonian, sector: _Sector, k: int, rng: random.Random,
 
 
 def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolerance: float,
-                   rule) -> list[tuple[tuple[int, ...], int, np.ndarray, np.ndarray, int]]:
+                   rule) -> tuple[list[tuple[tuple[int, ...], int, np.ndarray, np.ndarray, int]],
+                                  float]:
     """``_solve`` on each sector in turn, within one budget and one random stream.
 
     ``rule(values, residuals)`` returns (found, final): the states of the
@@ -724,11 +737,22 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
     multiplicity m is solved for its ceil((k - F) / m) lowest states, at
     least 1 and at most its size: each of its values fills m places of
     the merged list, so that many fill the k - F places still open. The
-    first sector's window, ceil(k / m), fills all k places alone. Every
-    start block is drawn from one ``random.Random(seed)``, and each
+    first sector's window, ceil(k / m), fills all k places alone. A
+    sector whose places the earlier ones have already filled is still
+    solved for its lowest state: no state of it can change a count that
+    is then capped, but the count then lists every sector, and its
+    merged values reach that sector's lowest one (see the cover below).
+    Every start block is drawn from one ``random.Random(seed)``, and each
     sector gets the iterations that the earlier ones left, so the total
-    stays within ``maxiter``. Returns (parities, multiplicity, values,
-    residuals, iterations) per sector.
+    stays within ``maxiter``.
+
+    Returns (parities, multiplicity, values, residuals, iterations) per
+    sector, and the cover: the highest value of a sector whose window is
+    below its size, the lowest such one over the sectors that iterated
+    (infinite when there is none). States above it were not looked for
+    in that sector, so merged values above the cover need not be the
+    lowest ones (see ``_lowest``). A sector that the budget never
+    reached has NaN values and sets no cover.
 
     With V identically zero the operator is diagonal in the plane-wave
     basis: the k lowest entries of the sorted symbol table are exact
@@ -737,9 +761,9 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
     """
     if ham.is_free:
         values = np.sort(ham.symbol_table.ravel())[:k]
-        return [((), 1, values, np.zeros(values.size), 0)]
+        return [((), 1, values, np.zeros(values.size), 0)], math.inf
     rng = random.Random(seed)
-    solved, used, filled = [], 0, 0
+    solved, used, filled, cover = [], 0, 0, math.inf
     for sector in _sectors(ham):
         window = min(max(math.ceil((k - filled) / sector.multiplicity), 1), sector.size)
         values, residuals, iterations = _solve(
@@ -747,15 +771,26 @@ def _solve_sectors(ham: GridHamiltonian, k: int, seed: int, maxiter: int, tolera
             lambda values, residuals: rule(values, residuals)[1])
         used += iterations
         filled += sector.multiplicity * rule(values, residuals)[0]
+        if window < sector.size and iterations:
+            cover = min(cover, float(values[-1]))
         solved.append((sector.parities, sector.multiplicity, values, residuals, iterations))
-    return solved
+    return solved, cover
 
 
-def _lowest(solved, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest values of ``_solve_sectors``, each repeated by its sector's multiplicity."""
+def _lowest(solved, k: int, cover: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest values of ``_solve_sectors`` up to its cover, each repeated by its multiplicity.
+
+    Past the cover some sector may hold states it was not solved for, so
+    the list stops there and may hold fewer than k values. When each
+    sector of multiplicity m is solved for ceil(k / m) states, as in
+    ``lowest_eigenvalues``, the cover never cuts the k lowest: the w
+    values up to a sector's top fill m w >= k places. A sector that was
+    never iterated (NaN values) adds nothing to the list.
+    """
     values = np.concatenate([np.repeat(v, m) for _, m, v, _, _ in solved])
     residuals = np.concatenate([np.repeat(r, m) for _, m, _, r, _ in solved])
     order = np.argsort(values, kind="stable")[:k]
+    order = order[values[order] <= cover]
     return values[order], residuals[order]
 
 
@@ -785,10 +820,10 @@ def lowest_eigenvalues(ham: GridHamiltonian, k: int, seed: int = 0,
         raise PreconditionError("k exceeds the discretization size")
     tolerance = _residual_tolerance(ham)
     # every sector may hold some of the k lowest values, so none is found early
-    solved = _solve_sectors(ham, k, seed, maxiter, tolerance,
-                            lambda values, residuals: (0, residuals.max() < tolerance))
+    solved, cover = _solve_sectors(ham, k, seed, maxiter, tolerance,
+                                   lambda values, residuals: (0, residuals.max() < tolerance))
     missed = sum(int(np.count_nonzero(~(residuals < tolerance))) for *_, residuals, _ in solved)
-    values, residuals = _lowest(solved, k)
+    values, residuals = _lowest(solved, k, cover)
     if missed:
         worst = max(float(np.max(residuals)) for *_, residuals, _ in solved)
         used = sum(iterations for *_, iterations in solved)
@@ -887,8 +922,8 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
             "counting energy must stay below the free spectral floor plus |V|"
         )
     tolerance = _residual_tolerance(ham)
-    solved = _solve_sectors(ham, k_max, seed, maxiter, tolerance,
-                            lambda values, residuals: _kahan_count(values, residuals, energy))
+    solved, cover = _solve_sectors(ham, k_max, seed, maxiter, tolerance,
+                                   lambda values, residuals: _kahan_count(values, residuals, energy))
     sectors = tuple(
         SectorCount(parities, multiplicity,
                     *_kahan_count(values, residuals, energy), iterations, values, residuals)
@@ -897,7 +932,7 @@ def count_below(ham: GridHamiltonian, energy: float | None = None,
     total = sum(sector.count * sector.multiplicity for sector in sectors)
     settled = all(sector.settled for sector in sectors)
     iterations = sum(sector.iterations for sector in sectors)
-    values, residuals = _lowest(solved, k_max)
+    values, residuals = _lowest(solved, k_max, cover)
     return CountResult(
         count=min(total, k_max),
         is_lower_bound=not settled or total >= k_max,
