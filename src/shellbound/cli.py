@@ -17,7 +17,13 @@ Both commands accept ``--output <dir>``, ``--threads <k>`` and
 ``--seed <u64>``, and write ``<task>.json`` (``compare.json`` for
 ``compare``) plus ``<task>.csv`` for the tasks with trial-form rows.
 Identical config + seed + thread count reproduces byte-identical JSON
-output.
+output. The config path and the options follow the command in any
+order, each option as ``--opt value`` or ``--opt=value`` and spelled in
+full (no abbreviations). ``-h``/``--help`` prints the usage line and
+exits 0; a malformed command line prints the usage line and one
+``shellbound: error: ...`` line on stderr and exits 2. ``main(argv)``
+reads ``sys.argv[1:]`` when ``argv`` is None; the line is parsed by hand,
+without ``argparse``, so a run does not pay for building its parsers.
 
 Config schema (JSON object; keys by task):
 
@@ -54,18 +60,18 @@ task does not read.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import hashlib
 import json
 import os
 import random
 import sys
+import types
 import warnings
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+USAGE = "usage: shellbound {run,compare} CONFIG [--output DIR] [--threads K] [--seed U64]"
 # kind -> (constructor name in ``symbols`` / ``potentials``, parameter
 # names); the constructor is looked up on its module at call time, but
 # for ``tabulated``, which ``_build_potential`` reads from its file
@@ -96,7 +102,7 @@ BLOCK_KEYS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _arguments(sys.argv[1:] if argv is None else argv)
     # BLAS/OpenMP pools size themselves when numpy loads, and importing
     # this module has already loaded numpy through shellbound/__init__,
     # so these reach only pools started later (ROADMAP.md, item 7)
@@ -136,33 +142,68 @@ def main(argv=None) -> int:
     return status
 
 
-@functools.cache
-def _parser():
-    """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(prog="shellbound", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("run", "execute the configured task"),
-                       ("compare", "certification vs oracle consistency check")):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("config", help="path to the JSON experiment config")
-        cmd.add_argument("--output", default=None, help="output directory")
-        cmd.add_argument("--threads", type=_threads, default=1, help="worker thread count (>= 1)")
-        cmd.add_argument("--seed", type=_seed, default=0, help="random seed (u64)")
-    return parser
+def _arguments(argv) -> types.SimpleNamespace:
+    """The command line as ``command``, ``config``, ``output``, ``threads`` and ``seed``.
+
+    The command comes first; the config path and the options follow it
+    in any order, each option as ``--opt value`` or ``--opt=value`` and
+    named in full. ``-h`` or ``--help`` prints ``USAGE`` and exits 0; any
+    other malformed line goes to ``_usage_error``.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        raise SystemExit(0)
+    command, *rest = argv or [None]
+    if command not in ("run", "compare"):
+        _usage_error("missing the command, run or compare" if command is None
+                     else f"unknown command {command!r}, expected run or compare")
+    values = {"output": None, "threads": 1, "seed": 0}
+    positional = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        name, has_value, value = token.partition("=")
+        if name not in OPTIONS:
+            _usage_error(f"unrecognized argument: {token}")
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _usage_error(f"argument {name}: expected one argument")
+        try:
+            values[name[2:]] = OPTIONS[name](value)
+        except ValueError as exc:
+            _usage_error(f"argument {name}: {exc}")
+    if len(positional) != 1:
+        _usage_error("missing the config path" if not positional
+                     else f"unrecognized arguments: {' '.join(positional[1:])}")
+    return types.SimpleNamespace(command=command, config=positional[0], **values)
+
+
+def _usage_error(message: str):
+    """Print ``USAGE`` and one error line on stderr, and exit 2."""
+    print(USAGE, file=sys.stderr)
+    print(f"shellbound: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     return value
 
 
 def _threads(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("threads must be at least 1")
+        raise ValueError("threads must be at least 1")
     return value
+
+
+# option -> its value's conversion, which raises ``ValueError`` on a bad value
+OPTIONS = {"--output": str, "--threads": _threads, "--seed": _seed}
 
 
 def _load_config(path):

@@ -347,10 +347,14 @@ class _Sector:
         return self.apply(block).reshape(x.shape)
 
 
-def _sector(ham: GridHamiltonian, parities: tuple[int, ...], multiplicity: int = 1) -> _Sector:
-    """The sector of one parity per axis (+1 even, -1 odd, 0 the whole axis)."""
+def _sector(ham: GridHamiltonian, parities: tuple[int, ...], basis: dict,
+            multiplicity: int = 1) -> _Sector:
+    """The sector of one parity per axis (+1 even, -1 odd, 0 the whole axis).
+
+    ``basis`` maps each parity in ``parities`` to its ``_parity_basis``,
+    so sectors built together share their bases.
+    """
     domain = np.ix_(*(_domain(ham.grid, parity) for parity in parities))
-    basis = {parity: _parity_basis(ham.grid, parity) for parity in set(parities)}
     return _Sector(
         parities=parities if any(parities) else (),
         multiplicity=multiplicity,
@@ -377,7 +381,7 @@ def _full_sector(ham: GridHamiltonian) -> _Sector:
                 f"the symbol table is not even under k -> -k on axis {axis}, "
                 "so the Hartley basis cannot apply H0"
             )
-    return _sector(ham, (0,) * ham.dimension)
+    return _sector(ham, (0,) * ham.dimension, {0: _parity_basis(ham.grid, 0)})
 
 
 def _sectors(ham: GridHamiltonian) -> list[_Sector]:
@@ -390,7 +394,8 @@ def _sectors(ham: GridHamiltonian) -> list[_Sector]:
     the one sector of the whole grid. The list runs from the largest
     multiplicity down, ties in parity order (even before odd, axis by
     axis), so the sectors whose states fill the most places of a count
-    are solved first.
+    are solved first. Each parity basis is built once per call and shared
+    by the sectors that use it.
     """
     tables = [ham.symbol_table]
     if ham.potential_table is not None:
@@ -405,13 +410,14 @@ def _sectors(ham: GridHamiltonian) -> list[_Sector]:
         permutation for permutation in itertools.permutations(range(n))
         if all(np.array_equal(table, table.transpose(permutation)) for table in tables)
     ]
+    basis = {parity: _parity_basis(ham.grid, parity) for parity in (1, -1)}
     sectors, seen = [], set()
     for parities in itertools.product((1, -1), repeat=n):
         if parities in seen:
             continue
         orbit = {tuple(parities[axis] for axis in permutation) for permutation in symmetries}
         seen |= orbit
-        sectors.append(_sector(ham, parities, len(orbit)))
+        sectors.append(_sector(ham, parities, basis, len(orbit)))
     return sorted(sectors, key=lambda sector: -sector.multiplicity)
 
 
@@ -496,19 +502,19 @@ def _rayleigh_ritz(X, AX, W, AW, P=None, AP=None):
     """The n lowest Ritz values on [X, W, P] and their coefficient columns.
 
     X, W and P are orthonormal blocks, W orthogonal to X; AX, AW and AP
-    are the operator applied to them. Only the Gram blocks that this
-    does not fix are computed. Raises ``np.linalg.LinAlgError`` when
-    the Gram matrix of the basis is not positive definite.
+    are the operator applied to them. The upper Gram blocks that this does
+    not fix are computed into matrices allocated once, and mirrored below.
+    Raises ``np.linalg.LinAlgError`` if the Gram matrix is not positive definite.
     """
-    n = X.shape[1]
-    upper_a = X.T @ AW
-    gram_a = np.block([[X.T @ AX, upper_a], [upper_a.T, W.T @ AW]])
-    gram_b = np.eye(n + W.shape[1])
+    n, k = X.shape[1], X.shape[1] + W.shape[1]
+    size = k if P is None else k + P.shape[1]
+    gram_a, gram_b = np.empty((size, size)), np.eye(size)
+    gram_a[:n, :n], gram_a[:n, n:k], gram_a[n:k, n:k] = X.T @ AX, X.T @ AW, W.T @ AW
     if P is not None:
-        upper_a = np.vstack([X.T @ AP, W.T @ AP])
-        upper_b = np.vstack([X.T @ P, W.T @ P])
-        gram_a = np.block([[gram_a, upper_a], [upper_a.T, P.T @ AP]])
-        gram_b = np.block([[gram_b, upper_b], [upper_b.T, np.eye(P.shape[1])]])
+        gram_a[:n, k:], gram_a[n:k, k:], gram_a[k:, k:] = X.T @ AP, W.T @ AP, P.T @ AP
+        gram_b[:n, k:], gram_b[n:k, k:] = X.T @ P, W.T @ P
+    for edge in (n, k):  # without P the edge k is the last index, so nothing is left below it
+        gram_a[edge:, :edge], gram_b[edge:, :edge] = gram_a[:edge, edge:].T, gram_b[:edge, edge:].T
     inverse = np.linalg.inv(np.linalg.cholesky(gram_b))
     reduced = inverse @ gram_a @ inverse.T
     values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))

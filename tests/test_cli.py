@@ -581,6 +581,72 @@ def test_threads_flag_smoke(tmp_path):
     assert cli.main(["run", path, "--output", str(tmp_path), "--threads", "2"]) == 0
 
 
+# command lines with {config} and {out} standing for the config path and
+# the output directory: options follow the command in any order and form
+WELL_FORMED = [
+    ["run", "{config}", "--output", "{out}", "--seed", "7", "--threads", "2"],
+    ["run", "--seed=7", "{config}", "--threads=2", "--output={out}"],
+    ["run", "--threads", "2", "--output={out}", "--seed", "7", "{config}"],
+]
+MALFORMED = [
+    [],  # no command
+    ["frobnicate", "{config}"],  # an unknown command
+    ["--seed", "7", "run", "{config}"],  # an option before the command
+    ["run"],  # no config
+    ["run", "--seed", "7"],  # no config, only options
+    ["run", "{config}", "extra.json"],  # an extra positional
+    ["run", "{config}", "--verbose"],  # an unknown option
+    ["run", "{config}", "--out", "{out}"],  # an abbreviation
+    ["run", "{config}", "--seed"],  # a missing value
+    ["run", "{config}", "--output", "--seed", "7"],  # a missing value before an option
+    ["run", "{config}", "--threads=two"],  # a value that is not an integer
+]
+
+
+def test_command_line_forms(tmp_path, capsys):
+    config = write_config(tmp_path, POINTS)
+
+    def line(tokens, out):
+        return [token.format(config=config, out=tmp_path / out) for token in tokens]
+
+    documents = set()
+    for index, tokens in enumerate(WELL_FORMED):
+        assert cli.main(line(tokens, f"out{index}")) == 0
+        documents.add((tmp_path / f"out{index}" / "point-test.json").read_bytes())
+    assert len(documents) == 1
+    document = json.loads(documents.pop())
+    assert (document["seed"], document["threads"]) == (7, 2)
+    capsys.readouterr()
+    for tokens in MALFORMED:
+        with pytest.raises(SystemExit) as info:
+            cli.main(line(tokens, "malformed"))
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == "", tokens
+        usage, error = err.splitlines()
+        assert usage == cli.USAGE and error.startswith("shellbound: error: "), tokens
+    assert not (tmp_path / "malformed").exists()
+    for tokens in (["-h"], ["--help"], ["run", config, "--help"], ["compare", "-h", config]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(tokens)
+        assert info.value.code == 0
+        assert capsys.readouterr() == (cli.USAGE + "\n", "")
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    # main(None) parses sys.argv[1:], as the console script and python -m call it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    config = write_config(tmp_path, COARSE_ORACLE)
+    for tokens, code in ((["run", config, "--out", str(tmp_path)], 2),
+                         (["run", config, "--output", str(tmp_path), "--seed=3"], 0)):
+        done = subprocess.run([sys.executable, "-m", "shellbound.cli", *tokens], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+    assert read_json(tmp_path, "oracle.json")["seed"] == 3
+    assert done.stdout == f"wrote {tmp_path / 'oracle.json'}\n"
+
+
 def test_seed_must_be_u64():
     with pytest.raises(SystemExit):
         cli.main(["run", "whatever.json", "--seed", "-1"])
@@ -648,7 +714,8 @@ def test_cli_and_oracle_count_load_no_scipy():
 def test_rayleigh_ritz_runs_leave_numpy_polynomial_unloaded(tmp_path):
     # the Gauss-Legendre rules of the sphere, of the transverse profile and
     # of the channel projection come from surface.gauss_legendre, so neither
-    # a 2-D nor a 3-D certificate run loads numpy.polynomial
+    # a 2-D nor a 3-D certificate run loads numpy.polynomial; the command
+    # line is parsed by hand, so neither loads argparse or gettext either
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -661,7 +728,8 @@ def test_rayleigh_ritz_runs_leave_numpy_polynomial_unloaded(tmp_path):
     probe = "\n".join([
         "import sys, shellbound.cli",
         "def polynomial():",
-        "    return sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial'])",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[:2] == ['numpy', 'polynomial'] or m in ('argparse', 'gettext'))",
         "after_import = polynomial()",
         f"codes = [shellbound.cli.main(['run', path, '--output', out]) for path, out in {runs!r}]",
         "print(after_import, polynomial(), codes)",

@@ -705,8 +705,14 @@ def test_sectors_follow_the_symmetry_of_the_tables(stall_ham):
     x, y = _centred_axes(stall_ham)
     # radial: the pair EO/OE merged by the axis swap, solved first, then
     # EE and OO
-    assert [(s.parities, s.multiplicity) for s in do._sectors(stall_ham)] == [
+    sectors = do._sectors(stall_ham)
+    assert [(s.parities, s.multiplicity) for s in sectors] == [
         ((1, -1), 2), ((1, 1), 1), ((-1, -1), 1)]
+    # each parity basis is built once per call and shared by the sectors
+    bases = {p: basis for s in sectors for p, basis in zip(s.parities, s.bases)}
+    assert all(basis is bases[p] for s in sectors for p, basis in zip(s.parities, s.bases))
+    assert all(np.array_equal(basis, do._parity_basis(stall_ham.grid, p))
+               for p, basis in bases.items())
     # axis-aligned anisotropic well: even in each axis, but no swap
     anisotropic = dataclasses.replace(
         stall_ham, potential_table=-np.exp(-0.5 * ((x / 1.2) ** 2 + (y / 0.8) ** 2)))
@@ -781,6 +787,44 @@ def test_lobpcg_callback_sees_every_iteration_and_can_stop():
     seen.clear()
     do.lobpcg(operator, start, tol=1e-9, maxiter=4, callback=lambda *step: seen.append(step))
     assert len(seen) == 4
+
+
+def _rayleigh_ritz_by_blocks(X, AX, W, AW, P=None, AP=None):
+    """The reference for ``_rayleigh_ritz``: Gram matrices joined by ``np.block``."""
+    n = X.shape[1]
+    upper_a = X.T @ AW
+    gram_a = np.block([[X.T @ AX, upper_a], [upper_a.T, W.T @ AW]])
+    gram_b = np.eye(n + W.shape[1])
+    if P is not None:
+        upper_a = np.vstack([X.T @ AP, W.T @ AP])
+        upper_b = np.vstack([X.T @ P, W.T @ P])
+        gram_a = np.block([[gram_a, upper_a], [upper_a.T, P.T @ AP]])
+        gram_b = np.block([[gram_b, upper_b], [upper_b.T, np.eye(P.shape[1])]])
+    inverse = np.linalg.inv(np.linalg.cholesky(gram_b))
+    reduced = inverse @ gram_a @ inverse.T
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return values[:n], inverse.T @ vectors[:, :n]
+
+
+@pytest.mark.parametrize("widths", [(6, 6, 0), (6, 6, 6), (8, 3, 3), (4, 2, 0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rayleigh_ritz_gram_fill_is_bit_identical(widths, seed):
+    # the Gram matrices are filled in place from the same products, so the
+    # Ritz values and coefficients equal the np.block construction exactly
+    matrix, _ = _doubled_spectrum_matrix(size=120, seed=seed)
+    rng = np.random.default_rng(seed)
+    n, m, p = widths
+    X, _ = np.linalg.qr(rng.standard_normal((matrix.shape[0], n)))
+    W = rng.standard_normal((matrix.shape[0], m))
+    W, _ = np.linalg.qr(W - X @ (X.T @ W))
+    blocks = [X, matrix @ X, W, matrix @ W]
+    if p:
+        P, _ = np.linalg.qr(rng.standard_normal((matrix.shape[0], p)))
+        blocks += [P, matrix @ P]
+    values, coefficients = do._rayleigh_ritz(*blocks)
+    expected_values, expected_coefficients = _rayleigh_ritz_by_blocks(*blocks)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(coefficients, expected_coefficients)
 
 
 @pytest.mark.parametrize("maxiter", [2, 1500])
